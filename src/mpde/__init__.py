@@ -7,7 +7,6 @@ from .moments import (
     combine,
     gamma_moment,
     growth_envelope,
-    moment_value,
     regularity_constants,
     tabulated_moment,
 )
@@ -46,7 +45,6 @@ from .polygon import (
     generator_points,
     inverse_k1,
     polygon_contains,
-    polygon_slopes,
 )
 from .solver import (
     CauchyProblem,
@@ -78,11 +76,7 @@ from .analysis import (
     verify_gevrey_bound,
     verify_inequality,
 )
-from .precision import (
-    default_precision_bits,
-    get_precision,
-    set_precision,
-)
+from .precision import default_precision_bits
 from .problemspec import (
     ProblemSpecFile,
     RunConfig,

@@ -1,5 +1,5 @@
-"""Command line pipeline: parse a problem file, validate, build the Newton
-polygon, solve, analyze growth, and write the report artifacts.
+"""Command line pipeline: parse a problem file, run the pipeline core
+(``pipeline.run``), and write the report artifacts.
 
 Artifacts written to the output directory:
   report.json   validation results, polygon data, exact 1/k_1 ("p/q"),
@@ -9,7 +9,8 @@ Artifacts written to the output directory:
   polygon.svg   deterministic rendering of the Newton polygon
 
 Exit status: 0 when the fitted order is consistent with 1/k_1 (or the fit is
-inconclusive), 2 when inconsistent, 1 on input or validation errors.
+inconclusive), 2 when inconsistent, 1 with an ``error:`` line on stderr for
+input or validation errors (no artifacts are written then).
 """
 
 from __future__ import annotations
@@ -18,18 +19,16 @@ import argparse
 import csv
 import json
 import sys
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 
-from . import analysis
-from .polygon import build_polygon, inverse_k1, polygon_slopes
-from .precision import set_precision, to_mpf
-from .problemspec import SpecError, override_run, materialize_problem, parse_problem_file
-from .series import coefficient_rows, majorizes
-from .solver import solve_formal, solve_majorant, residual_max_relative, validate
+from . import analysis, pipeline
+from .precision import to_mpf
+from .problemspec import parse_problem_file
+from .series import coefficient_rows
+from .solver import ValidationFailure
 from .svgrender import render_polygon_svg
 
 
@@ -56,83 +55,21 @@ def _fit_dict(fit: analysis.FitResult) -> dict:
     }
 
 
-def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
-                 radius=None, mode=None, quiet=False) -> int:
-    """Full pipeline; returns the process exit code."""
-
-    def say(msg):
-        if not quiet:
-            print(msg)
-
-    try:
-        spec_file = parse_problem_file(spec_path)
-        run = override_run(spec_file.run, n_max=n_max, report_degree=degree,
-                           precision_bits=precision, radius=radius, mode=mode)
-        set_precision(run.precision_bits)
-        problem, run = materialize_problem(spec_file, run)
-    except (SpecError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    report_check = validate(problem)
-    if not report_check.passed:
-        for check in report_check.checks:
-            if not check.passed:
-                print(f"error: condition {check.name} {check.detail}", file=sys.stderr)
-        return 1
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        poly = build_polygon(problem.spec)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-
-    inv_k1 = inverse_k1(problem.spec)
-    say(f"{spec_file.name}: 1/k1 = {_frac_str(inv_k1)} "
-        f"(slopes: {', '.join(str(k) for k in polygon_slopes(poly)) or 'none'})")
-
-    try:
-        sol = solve_formal(problem, run.n_max, run.report_degree)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    maj = solve_majorant(problem, run.n_max, run.report_degree)
-    dominated = all(
-        majorizes(maj.u.coeffs[n], sol.u.coeffs[n]) for n in range(sol.n_max + 1)
-    )
-    rel_residual = residual_max_relative(problem, sol)
-
-    bounds = analysis.coefficient_bounds(sol, run.radius)
-    window = (min(run.fit_window[0], run.n_max), min(run.fit_window[1], run.n_max))
-    growth = analysis.make_growth_report(
-        bounds, run.radius, inv_k1, problem.spec.M, problem.spec.m0.order, window)
-
-    forcing_fit = None
-    forcing_bounds = analysis.coefficient_bounds(problem.forcing, run.radius)
-    if any(b != 0 for b in forcing_bounds) and len(forcing_bounds) >= 9:
-        f_window = (min(window[0], len(forcing_bounds) - 1), len(forcing_bounds) - 1)
-        if f_window[1] - f_window[0] + 1 >= 8:
-            forcing_fit = analysis.fit_gevrey_order(forcing_bounds, f_window)
-
-    say(f"fit: s_hat = {growth.fit.s_hat if growth.fit.ok else 'n/a'} "
-        f"(stderr {growth.fit.stderr if growth.fit.ok else 'n/a'}); "
-        f"verdict: {growth.verdict}")
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    report = {
-        "problem_name": spec_file.name,
+def _report_dict(result: pipeline.PipelineResult) -> dict:
+    """The contents of report.json."""
+    run, poly, sol, growth = result.run, result.polygon, result.solution, result.growth
+    return {
+        "problem_name": result.name,
         "arithmetic_mode": run.mode,
         "precision_bits": run.precision_bits,
         "n_max": run.n_max,
         "report_degree": run.report_degree,
         "radius": _frac_str(run.radius),
         "validation": {
-            "passed": report_check.passed,
+            "passed": result.validation.passed,
             "conditions": [
                 {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report_check.checks
+                for c in result.validation.checks
             ],
         },
         "newton_polygon": {
@@ -140,7 +77,7 @@ def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
             "vertices": [[_frac_str(x), _frac_str(y)] for x, y in poly.vertices],
             "slopes": [_frac_str(k) for k in poly.slopes],
         },
-        "inverse_k1": _frac_str(inv_k1),
+        "inverse_k1": _frac_str(growth.inverse_k1),
         "d": _frac_str(growth.d),
         "solution": {
             "provenance": sol.provenance,
@@ -149,10 +86,10 @@ def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
             "working_degrees": list(sol.valid_degrees),
         },
         "residual": {
-            "max_relative": _float_str(rel_residual),
-            "exact_zero": rel_residual == 0,
+            "max_relative": _float_str(result.residual),
+            "exact_zero": result.residual == 0,
         },
-        "majorant_dominates": dominated,
+        "majorant_dominates": result.dominated,
         "fit": _fit_dict(growth.fit),
         "gevrey_bound_witness": {
             "order": _frac_str(growth.witness.order),
@@ -166,31 +103,70 @@ def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
             "tail_max": _float_str(growth.intermediate.tail_max),
             "middle_max": _float_str(growth.intermediate.middle_max),
         },
-        "forcing_fit": _fit_dict(forcing_fit) if forcing_fit is not None else None,
+        "forcing_fit": _fit_dict(result.forcing_fit) if result.forcing_fit is not None else None,
         "verdict": growth.verdict,
     }
 
-    with open(out / "report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
-    with open(out / "coeffs.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n"] + [f"alpha_{j + 1}" for j in range(problem.spec.dim)]
-                        + ["re", "im"])
-        for n, series_n in enumerate(sol.u.coeffs):
-            for row in coefficient_rows(series_n):
-                writer.writerow([str(n)] + row)
+def _write_artifacts(result: pipeline.PipelineResult, out: Path) -> None:
+    """Write the four artifacts; the CSVs format at the run's precision (mp.dps + 2)."""
+    out.mkdir(parents=True, exist_ok=True)
+    with mpmath.workprec(result.run.precision_bits):
+        with open(out / "report.json", "w") as fh:
+            json.dump(_report_dict(result), fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
-    with open(out / "bounds.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "b_n"])
-        for n, b in enumerate(bounds):
-            writer.writerow([str(n), mpmath.nstr(to_mpf(b), mpmath.mp.dps + 2)])
+        sol = result.solution
+        with open(out / "coeffs.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n"] + [f"alpha_{j + 1}" for j in range(sol.u.dim)]
+                            + ["re", "im"])
+            for n, series_n in enumerate(sol.u.coeffs):
+                for row in coefficient_rows(series_n):
+                    writer.writerow([str(n)] + row)
 
-    render_polygon_svg(poly, out / "polygon.svg")
+        with open(out / "bounds.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n", "b_n"])
+            for n, b in enumerate(result.growth.bounds):
+                writer.writerow([str(n), mpmath.nstr(to_mpf(b), mpmath.mp.dps + 2)])
 
-    say(f"artifacts written to {out}")
+    render_polygon_svg(result.polygon, out / "polygon.svg")
+
+
+def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
+                 radius=None, mode=None, quiet=False) -> int:
+    """Full pipeline; returns the process exit code.
+
+    The keyword arguments override the file's run block and are checked like it.
+    """
+    overrides = {"n_max": n_max, "report_degree": degree, "precision_bits": precision,
+                 "radius": radius, "mode": mode}
+    try:
+        result = pipeline.run(parse_problem_file(spec_path, overrides))
+    except ValidationFailure as exc:
+        for check in exc.report.checks:
+            if not check.passed:
+                print(f"error: condition {check.name} {check.detail}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+    for message in result.polygon_warnings:
+        print(f"warning: {message}", file=sys.stderr)
+    growth = result.growth
+    if not quiet:
+        print(f"{result.name}: 1/k1 = {_frac_str(growth.inverse_k1)} "
+              f"(slopes: {', '.join(str(k) for k in result.polygon.slopes) or 'none'})")
+        print(f"fit: s_hat = {growth.fit.s_hat if growth.fit.ok else 'n/a'} "
+              f"(stderr {growth.fit.stderr if growth.fit.ok else 'n/a'}); "
+              f"verdict: {growth.verdict}")
+
+    out = Path(out_dir)
+    _write_artifacts(result, out)
+    if not quiet:
+        print(f"artifacts written to {out}")
     return 2 if growth.verdict == "inconsistent" else 0
 
 

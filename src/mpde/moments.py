@@ -47,14 +47,11 @@ class MomentFunction:
         """m(n) as an exact rational; raises ExactValueUnavailable otherwise."""
         return _value_exact(self, int(n))
 
-    @property
-    def is_exact(self) -> bool:
-        """True when every value is exactly rational."""
-        try:
-            self.value_exact(1)
-        except ExactValueUnavailable:
-            return False
-        return True
+    def ratio(self, a: int, b: int, mode: str):
+        """m(a)/m(b) in the arithmetic of ``mode`` (exact or float)."""
+        if mode == "exact":
+            return self.value_exact(a) / self.value_exact(b)
+        return self.value(a) / self.value(b)
 
     def __repr__(self):
         if self.kind == "gamma":
@@ -109,10 +106,6 @@ def tabulated_moment(values: Union[Sequence, Callable], order) -> MomentFunction
     if not _is_one(v0):
         raise ValueError(f"moment function must satisfy m(0) = 1, got {v0}")
     return MomentFunction(kind="tabulated", order=order, table=table)
-
-
-def moment_value(m: MomentFunction, n: int) -> mpf:
-    return m.value(n)
 
 
 @functools.lru_cache(maxsize=200_000)

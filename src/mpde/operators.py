@@ -166,19 +166,13 @@ class OperatorSpec:
         return max((sum(t.alpha) for t in self.terms), default=0)
 
 
-def _ratio(m: MomentFunction, a: int, b: int, mode: str):
-    if mode == "exact":
-        return m.value_exact(a) / m.value_exact(b)
-    return m.value(a) / m.value(b)
-
-
 def moment_diff_t(u: TimeSeries, m0: MomentFunction) -> TimeSeries:
     """One t-moment derivative; the t-truncation order drops by one."""
     if u.n_max < 1:
         raise ValueError("time series too short to differentiate")
     out = []
     for n in range(u.n_max):
-        out.append(series_scale(u.coeffs[n + 1], _ratio(m0, n + 1, n, u.mode)))
+        out.append(series_scale(u.coeffs[n + 1], m0.ratio(n + 1, n, u.mode)))
     return TimeSeries(tuple(out))
 
 
@@ -204,7 +198,7 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
         factor = v
         for mj, bj, aj in zip(m, beta, alpha):
             if aj:
-                factor = factor * _ratio(mj, bj + aj, bj, f.mode)
+                factor = factor * mj.ratio(bj + aj, bj, f.mode)
         if factor != 0:
             coeffs[beta] = factor
     return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
@@ -215,7 +209,7 @@ def borel_t(u: TimeSeries, m_prime: MomentFunction) -> TimeSeries:
     """Divide the n-th t-coefficient by m'(n)."""
     out = []
     for n, c in enumerate(u.coeffs):
-        out.append(series_scale(c, _ratio(m_prime, 0, n, u.mode)))
+        out.append(series_scale(c, m_prime.ratio(0, n, u.mode)))
     return TimeSeries(tuple(out))
 
 
@@ -233,8 +227,8 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
         factor = v
         for mj, aj in zip(m_prime, alpha):
             if aj:
-                factor = (factor * _ratio(mj, aj, 0, f.mode) if inverse
-                          else factor * _ratio(mj, 0, aj, f.mode))
+                factor = (factor * mj.ratio(aj, 0, f.mode) if inverse
+                          else factor * mj.ratio(0, aj, f.mode))
         if factor != 0:
             coeffs[alpha] = factor
     return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,

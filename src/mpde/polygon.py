@@ -101,11 +101,6 @@ def build_polygon(spec: OperatorSpec) -> NewtonPolygon:
     return NewtonPolygon(points=tuple(sorted(set(pts))), vertices=tuple(chain), slopes=slopes)
 
 
-def polygon_slopes(poly: NewtonPolygon) -> list:
-    """The finite positive slopes k_1 < ... < k_p (empty when p = 0)."""
-    return list(poly.slopes)
-
-
 def polygon_contains(poly: NewtonPolygon, point) -> bool:
     """Whether a point lies inside or on the boundary of the hull region."""
     x, y = Fraction(point[0]), Fraction(point[1])
@@ -122,7 +117,7 @@ def inverse_k1(spec: OperatorSpec) -> Fraction:
     """Exact 1/k_1 = max{0, max over terms of (s0(j-M) + s.alpha)/q}.
 
     q = ord_t(a) - j + M must be >= 1 for every term; the formula agrees with
-    1/min(polygon_slopes) whenever a finite positive slope exists.
+    1/min(poly.slopes) whenever a finite positive slope exists.
     """
     s0 = spec.m0.order
     s = spec.orders

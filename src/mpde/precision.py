@@ -1,9 +1,10 @@
 """Arbitrary-precision arithmetic helpers shared by every module.
 
-All big-float computation goes through mpmath.  The working precision is a
-process-wide setting (mpmath's global context); the CLI sets it once per run,
-tests pin it in a fixture.  Exact-mode computation uses ``fractions.Fraction``
-and never touches the float context.
+All big-float computation goes through mpmath at the precision of its
+global context.  ``pipeline.run`` scopes that precision to one run with
+``mpmath.workprec`` and restores it afterwards; tests pin it in a fixture.
+Exact-mode computation uses ``fractions.Fraction`` and never touches the
+float context.
 """
 
 from __future__ import annotations
@@ -32,17 +33,6 @@ def default_precision_bits() -> int:
     if bits < 16:
         raise ValueError(f"{PRECISION_ENV_VAR} must be at least 16, got {bits}")
     return bits
-
-
-def set_precision(bits: int) -> None:
-    """Set the global working precision (mantissa bits)."""
-    if bits < 16:
-        raise ValueError(f"precision must be at least 16 bits, got {bits}")
-    mpmath.mp.prec = bits
-
-
-def get_precision() -> int:
-    return mpmath.mp.prec
 
 
 def to_mpf(x) -> mpf:

@@ -29,9 +29,8 @@ in float mode.  Example:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .moments import MomentFunction, combine, gamma_moment
 from .operators import OperatorSpec, OperatorTerm, TimeSeries
@@ -78,7 +77,7 @@ def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
 def _parse_fraction(value, path: str) -> Fraction:
     if isinstance(value, bool):
         _fail(path, "expected a rational, got a boolean")
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -197,16 +196,24 @@ def _parse_run(section: dict, path: str) -> RunConfig:
     if radius <= 0:
         _fail(f"{path}.radius", "radius must be positive")
     window = section.get("fit_window")
-    if window is None:
-        window = [max(1, n_max // 4), n_max]
-    if (not isinstance(window, list) or len(window) != 2
-            or not all(isinstance(w, int) for w in window)):
+    if window is not None and (not isinstance(window, list) or len(window) != 2
+                               or not all(isinstance(w, int) for w in window)):
         _fail(f"{path}.fit_window", "must be [lo, hi] with integer entries")
+    if window is None or window[1] > n_max:
+        window = [max(1, n_max // 4), n_max]
+    if window[0] < 0 or window[1] - window[0] + 1 < 8:
+        _fail(f"{path}.fit_window", f"fit window {window} must start at n >= 0 and span "
+              f"at least 8 points (n_max {n_max})")
     return RunConfig(n_max=n_max, report_degree=report_degree, precision_bits=bits,
                      radius=radius, fit_window=(window[0], window[1]), mode=mode)
 
 
-def parse_problem_file(path) -> ProblemSpecFile:
+def parse_problem_file(path, overrides=None) -> ProblemSpecFile:
+    """Parse a problem file; ``overrides`` replaces fields of its run block.
+
+    Overridden fields go through the same checks as the file's own; None
+    values leave the file's field as it is.
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -214,6 +221,8 @@ def parse_problem_file(path) -> ProblemSpecFile:
         raise SpecError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if overrides and isinstance(doc, dict) and isinstance(doc.get("run"), dict):
+        doc["run"] = {**doc["run"], **{k: v for k, v in overrides.items() if v is not None}}
     return parse_problem_document(doc)
 
 
@@ -304,14 +313,13 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
     _fail(path, f"unknown forcing kind {kind!r}")
 
 
-def materialize_problem(spec_file: ProblemSpecFile,
-                        run: Optional[RunConfig] = None) -> tuple:
+def materialize_problem(spec_file: ProblemSpecFile) -> tuple:
     """Build the CauchyProblem with the degree budget the run demands.
 
     Initial data are materialized to report_degree + n_max * max|alpha|, the
     forcing to the degrees its later use requires; returns (problem, run).
     """
-    run = run or spec_file.run
+    run = spec_file.run
     op = spec_file.operator
     dim = op.dim
     a_max = op.max_alpha
@@ -326,24 +334,3 @@ def materialize_problem(spec_file: ProblemSpecFile,
                                    forcing_degree, run.mode, "data.forcing")
     problem = CauchyProblem(spec=op, initial=initial, forcing=forcing)
     return problem, run
-
-
-def override_run(run: RunConfig, *, n_max=None, report_degree=None, precision_bits=None,
-                 radius=None, mode=None, fit_window=None) -> RunConfig:
-    updates = {}
-    if n_max is not None:
-        updates["n_max"] = n_max
-    if report_degree is not None:
-        updates["report_degree"] = report_degree
-    if precision_bits is not None:
-        updates["precision_bits"] = precision_bits
-    if radius is not None:
-        updates["radius"] = Fraction(radius)
-    if mode is not None:
-        updates["mode"] = mode
-    if fit_window is not None:
-        updates["fit_window"] = tuple(fit_window)
-    cfg = replace(run, **updates)
-    if cfg.fit_window[1] > cfg.n_max:
-        cfg = replace(cfg, fit_window=(max(1, cfg.n_max // 4), cfg.n_max))
-    return cfg

@@ -12,17 +12,18 @@ where g_n = f_{n-M}, the c_{j,alpha,p} are the t-coefficients of
 t^{M-j} a_{j,alpha}(t), and q = ord_t(a) - j + M.  The inner sum runs while
 n-p-j >= 0: the boundary index n-p-j = 0 contributes m0(n-p)/m0(0) = m0(n-p),
 which is exactly what term-by-term differentiation of t^{n-p} gives.  The
-residual check in the test suite adjudicates this convention.
+residual check in the test suite adjudicates this convention against a
+recurrence that drops the boundary term (tests/helpers.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 from mpmath import mpf
 
-from .moments import MomentFunction, combine, gamma_moment, regularity_constants
+from .moments import combine, gamma_moment, regularity_constants
 from .precision import to_mpf
 from .series import (
     MultiSeries,
@@ -100,20 +101,17 @@ class CauchyProblem:
 
 @dataclass(frozen=True)
 class SolutionSeries:
-    """Solution coefficients plus the recurrence's audit trail.
+    """Solution coefficients of the recurrence.
 
     ``u`` holds every u_n truncated to the uniform report degree; ``working``
     keeps the full materialized degrees (decreasing in n) that the residual
-    check consumes.  ``g_used`` and ``c_table`` record the forcing
-    coefficients and the t-shifted operator coefficients the recurrence saw.
+    check consumes.
     """
 
     u: TimeSeries
     working: TimeSeries
     provenance: str
     report_degree: int
-    g_used: tuple = ()
-    c_table: dict = field(default_factory=dict)
 
     @property
     def n_max(self) -> int:
@@ -128,8 +126,8 @@ def validate(problem: CauchyProblem, regularity_n: int = 50) -> ValidationReport
     """Check the solvability conditions; report-only, never raises.
 
     Conditions: term_order (ord_t(a) >= max{0, j-M+1}, i.e. q >= 1),
-    finite_terms, time_moment_regular (m0(0)=1 plus empirical regularity
-    constants), positive_orders.
+    time_moment_regular (m0(0)=1 plus empirical regularity constants),
+    positive_orders.
     """
     spec = problem.spec
     checks = []
@@ -146,10 +144,6 @@ def validate(problem: CauchyProblem, regularity_n: int = 50) -> ValidationReport
         not offenders,
         "all terms satisfy ord_t(a) >= max{0, j-M+1}" if not offenders
         else "violated at term " + "; ".join(offenders),
-    ))
-
-    checks.append(ConditionCheck(
-        "finite_terms", True, f"{len(spec.terms)} coefficient terms"
     ))
 
     m0_ok = spec.m0.value(0) == 1
@@ -212,15 +206,7 @@ def inverse_borel_solution(problem: CauchyProblem, sol: SolutionSeries) -> Solut
         working=borel_z(sol.working, quotients, inverse=True),
         provenance="via-borel",
         report_degree=sol.report_degree,
-        g_used=sol.g_used,
-        c_table=sol.c_table,
     )
-
-
-def _m0_ratio(m0: MomentFunction, a: int, b: int, mode: str):
-    if mode == "exact":
-        return m0.value_exact(a) / m0.value_exact(b)
-    return m0.value(a) / m0.value(b)
 
 
 def _shifted_coefficients(term, M: int, n_max: int) -> dict:
@@ -234,8 +220,7 @@ def _shifted_coefficients(term, M: int, n_max: int) -> dict:
 
 
 def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
-                 majorant_mode: bool = False,
-                 drop_zero_boundary: bool = False) -> SolutionSeries:
+                 majorant_mode: bool = False) -> SolutionSeries:
     """Run the coefficient recurrence up to t^n_max.
 
     Initial data must be materialized to z-degree report_degree +
@@ -245,9 +230,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
 
     majorant_mode replaces data and coefficients by absolute values and flips
     the recurrence's subtraction to addition, producing the dominating
-    sequence.  drop_zero_boundary reproduces the (incorrect) convention that
-    also drops the n-p-j = 0 boundary term; it exists so tests can show the
-    residual rejects it.
+    sequence.
     """
     report = validate(problem)
     if not report.passed:
@@ -297,9 +280,8 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
     u = []
     for j in range(min(spec.M, n_max + 1)):
         phi = majorant(problem.initial[j]) if majorant_mode else problem.initial[j]
-        u.append(series_scale(phi, _m0_ratio(m0, 0, j, mode)))
+        u.append(series_scale(phi, m0.ratio(0, j, mode)))
 
-    g_used = []
     diff_cache = {}
 
     def dz(k: int, alpha: tuple) -> MultiSeries:
@@ -312,7 +294,6 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         g_n = problem.forcing.coeffs[n - spec.M]
         if majorant_mode:
             g_n = majorant(g_n)
-        g_used.append(g_n)
         acc = g_n
         sign = 1 if majorant_mode else -1
         for term in spec.terms:
@@ -321,11 +302,9 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                 if p > n - term.j:
                     continue
                 k = n - p
-                if drop_zero_boundary and k - term.j == 0:
-                    continue
-                factor = c * _m0_ratio(m0, k, k - term.j, mode)
+                factor = c * m0.ratio(k, k - term.j, mode)
                 acc = series_add(acc, series_scale(dz(k, term.alpha), sign * factor))
-        u.append(series_scale(acc, _m0_ratio(m0, n - spec.M, n, mode)))
+        u.append(series_scale(acc, m0.ratio(n - spec.M, n, mode)))
 
     working = TimeSeries(tuple(u))
     reported = working.map_z(
@@ -336,8 +315,6 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         working=working,
         provenance="majorant" if majorant_mode else "direct",
         report_degree=report_degree,
-        g_used=tuple(g_used),
-        c_table=c_table,
     )
 
 
@@ -369,7 +346,7 @@ def initial_residuals(problem: CauchyProblem, sol: SolutionSeries) -> list:
     spec = problem.spec
     out = []
     for j in range(spec.M):
-        scaled = series_scale(sol.working.coeffs[j], _m0_ratio(spec.m0, j, 0, problem.mode))
+        scaled = series_scale(sol.working.coeffs[j], spec.m0.ratio(j, 0, problem.mode))
         out.append(series_add(problem.initial[j], series_scale(scaled, -1)))
     return out
 

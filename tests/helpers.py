@@ -1,8 +1,9 @@
 """Shared test utilities: random problem generators and independent oracles.
 
 Everything here is deliberately independent of the code paths it checks:
-the hull oracle separates points with explicit support directions, and the
-heat-solution oracle differentiates coefficient lists by hand.
+the hull oracle separates points with explicit support directions, the
+heat-solution oracle differentiates coefficient lists by hand, and the
+dropped-boundary recurrence is a wrong convention the residual must reject.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from mpde import (
     CauchyProblem,
     OperatorSpec,
     OperatorTerm,
+    SolutionSeries,
     TimeSeries,
     gamma_moment,
     generator_series,
     make_series,
+    moment_diff_z,
+    series_add,
+    series_scale,
     zero_series,
 )
 
@@ -142,3 +147,27 @@ def heat_solution_oracle(n_terms: int, phi_coeffs):
             fact *= n
         out.append(c[0] / fact if c else Fraction(0))
     return out
+
+
+def solve_dropping_boundary(problem: CauchyProblem, n_max: int) -> SolutionSeries:
+    """The coefficient recurrence under the wrong boundary convention.
+
+    Like solve_formal at report degree 0, except that the p-sum also skips
+    the boundary index n-p-j = 0, whose factor is m0(n-p)/m0(0), not zero.
+    """
+    spec, mode = problem.spec, problem.mode
+    m0 = spec.m0
+    u = [series_scale(problem.initial[j], m0.ratio(0, j, mode)) for j in range(spec.M)]
+    for n in range(spec.M, n_max + 1):
+        acc = problem.forcing.coeffs[n - spec.M]
+        for term in spec.terms:
+            for idx, c in enumerate(term.coeff):
+                k = n - (idx + spec.M - term.j)
+                if c == 0 or k > n or k - term.j <= 0:
+                    continue
+                dz = moment_diff_z(u[k], spec.m, term.alpha)
+                acc = series_add(acc, series_scale(dz, -c * m0.ratio(k, k - term.j, mode)))
+        u.append(series_scale(acc, m0.ratio(n - spec.M, n, mode)))
+    working = TimeSeries(tuple(u))
+    return SolutionSeries(u=working, working=working, provenance="dropped-boundary",
+                          report_degree=0)

@@ -28,7 +28,6 @@ from mpde import (
     inverse_k1,
     majorizes,
     make_growth_report,
-    polygon_slopes,
     residual_max_relative,
     solve_formal,
     solve_majorant,
@@ -123,7 +122,7 @@ def test_criterion_3_pure_ode_control(precision_module):
     forcing = time_series([make_series(1, {(0,): 1}, 0) for _ in range(N_FULL)])
     problem = CauchyProblem(spec=spec, initial=(phi,), forcing=forcing)
     assert inverse_k1(spec) == 0
-    assert polygon_slopes(build_polygon(spec)) == []
+    assert list(build_polygon(spec).slopes) == []
     sol = solve_formal(problem, N_FULL, 0)
     bounds = coefficient_bounds(sol, Fraction(1, 2))
     fit = fit_gevrey_order(bounds, (50, 200))
@@ -136,7 +135,7 @@ def test_criterion_4_polygon_formula_equality(precision_module):
     for i in range(100):
         spec = random_operator_spec(rng)
         poly = build_polygon(spec)
-        slopes = polygon_slopes(poly)
+        slopes = list(poly.slopes)
         k1_inv = inverse_k1(spec)
         if slopes and k1_inv > 0:
             assert k1_inv == 1 / min(slopes), f"spec {i}"

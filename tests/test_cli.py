@@ -3,9 +3,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
+from mpde import pipeline
 from mpde.cli import main, run_pipeline
+from mpde.problemspec import parse_problem_file
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAT = ROOT / "problems" / "heat.json"
@@ -185,3 +188,38 @@ class TestEntryPoint:
         assert run_pipeline(spec, tmp_path, n_max=24, quiet=True) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["precision_bits"] == 192
+
+
+class TestBoundaryInputs:
+    @pytest.mark.parametrize("flags", [
+        ["--n-max", "0"], ["--n-max", "5"], ["--degree", "-1"], ["--radius", "0"],
+        ["--precision", "8"],
+    ], ids=lambda flags: f"{flags[0].lstrip('-')}={flags[1]}")
+    def test_rejected_with_error_line(self, tmp_path, capsys, flags):
+        code = main(["run", str(HEAT), "--out", str(tmp_path), "--quiet", *flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
+
+class TestPrecisionScope:
+    def test_main_leaves_precision_unchanged(self, tmp_path, capsys):
+        assert main(["run", str(HEAT), "--n-max", "24", "--precision", "128", "--quiet",
+                     "--out", str(tmp_path / "ok")]) == 0
+        assert mpmath.mp.prec == 256
+        bad = tmp_path / "bad.json"
+        doc = json.loads(HEAT.read_text())
+        doc["operator"]["terms"] = [{"j": 1, "alpha": [1], "coeff": ["1"]}]
+        bad.write_text(json.dumps(doc))
+        assert main(["run", str(bad), "--precision", "128", "--quiet",
+                     "--out", str(tmp_path / "bad")]) == 1
+        assert mpmath.mp.prec == 256
+
+    def test_pipeline_run_is_pure(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        spec_file = parse_problem_file(HEAT, overrides={"n_max": 24, "precision_bits": 128})
+        result = pipeline.run(spec_file)
+        assert result.growth.verdict == "consistent"
+        assert list(tmp_path.iterdir()) == []
+        assert mpmath.mp.prec == 256

@@ -8,7 +8,6 @@ from mpde import (
     combine,
     gamma_moment,
     growth_envelope,
-    moment_value,
     regularity_constants,
     tabulated_moment,
 )
@@ -25,7 +24,7 @@ def close(a, b, tol="1e-60"):
 class TestGammaMoment:
     def test_integer_order_is_factorial(self):
         assert G1.value_exact(3) == 6
-        assert moment_value(G1, 3) == 6
+        assert G1.value(3) == 6
 
     def test_order_zero_is_constant_one(self):
         g0 = gamma_moment(0)
@@ -47,7 +46,7 @@ class TestGammaMoment:
 
 class TestMomentValue:
     def test_normalisation(self):
-        assert moment_value(G1, 0) == 1
+        assert G1.value(0) == 1
 
     def test_product_values(self):
         m = combine(G1, G1, "product")
@@ -170,7 +169,7 @@ class TestInvariants:
         tabulated_moment([1, 3, 9], order=1),
     ])
     def test_normalisation_everywhere(self, m):
-        assert close(moment_value(m, 0), 1)
+        assert close(m.value(0), 1)
 
     @pytest.mark.parametrize("s", [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
     def test_gamma_ratio_bounds_on_long_range(self, s):

@@ -12,7 +12,6 @@ from mpde import (
     generator_points,
     inverse_k1,
     polygon_contains,
-    polygon_slopes,
 )
 from helpers import bruteforce_hull_vertices, random_operator_spec
 
@@ -76,11 +75,11 @@ class TestBuildPolygon:
 class TestSlopesAndK1:
     def test_pure_ode_empty_slopes(self):
         spec = OperatorSpec(M=2, m0=G1, m=(G1,), terms=())
-        assert polygon_slopes(build_polygon(spec)) == []
+        assert list(build_polygon(spec).slopes) == []
         assert inverse_k1(spec) == 0
 
     def test_heat_k1(self):
-        assert polygon_slopes(build_polygon(heat_spec())) == [Fraction(1)]
+        assert list(build_polygon(heat_spec()).slopes) == [Fraction(1)]
         assert inverse_k1(heat_spec()) == 1
 
     def test_fractional_time_k1(self):
@@ -118,7 +117,7 @@ class TestRandomizedConsistency:
         for _ in range(30):
             spec = random_operator_spec(rng)
             poly = build_polygon(spec)
-            slopes = polygon_slopes(poly)
+            slopes = list(poly.slopes)
             k1_inv = inverse_k1(spec)
             if slopes and k1_inv > 0:
                 assert k1_inv == 1 / min(slopes)

@@ -28,7 +28,7 @@ from mpde import (
     zero_series,
 )
 from mpde.series import series_equal
-from helpers import heat_solution_oracle, random_problem
+from helpers import heat_solution_oracle, random_problem, solve_dropping_boundary
 
 G1 = gamma_moment(1)
 GH = gamma_moment(Fraction(1, 2))
@@ -48,7 +48,7 @@ class TestValidate:
         rep = validate(heat_problem(6))
         assert rep.passed
         assert {c.name for c in rep.checks} == {
-            "term_order", "finite_terms", "time_moment_regular", "positive_orders"}
+            "term_order", "time_moment_regular", "positive_orders"}
 
     def test_j_equals_m_with_zero_order_fails(self):
         spec = OperatorSpec(M=1, m0=G1, m=(G1,),
@@ -142,7 +142,7 @@ class TestSolveFormal:
                              forcing=zero_forcing(spec, n_max))
         good = solve_formal(prob, n_max, 0)
         assert residual_max_relative(prob, good) == 0
-        bad = solve_formal(prob, n_max, 0, drop_zero_boundary=True)
+        bad = solve_dropping_boundary(prob, n_max)
         assert residual_max_relative(prob, bad) > 0
 
     def test_insufficient_degree_budget_rejected(self):

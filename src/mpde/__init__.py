@@ -36,6 +36,7 @@ from .operators import (
     borel_z,
     moment_diff_t,
     moment_diff_z,
+    operator_pairs,
     time_series,
     zero_time_series,
 )

@@ -164,7 +164,11 @@ def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
               f"verdict: {growth.verdict}")
 
     out = Path(out_dir)
-    _write_artifacts(result, out)
+    try:
+        _write_artifacts(result, out)
+    except OSError as exc:
+        print(f"error: cannot write artifacts to {out}: {exc}", file=sys.stderr)
+        return 1
     if not quiet:
         print(f"artifacts written to {out}")
     return 2 if growth.verdict == "inconsistent" else 0

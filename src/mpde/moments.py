@@ -8,9 +8,8 @@ classical family; ``tabulated`` lets tests inject arbitrary (valid) sequences.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -31,6 +30,10 @@ class MomentFunction:
     kind is one of gamma|product|quotient|tabulated.  gamma evaluates to
     Gamma(1 + order*n); product/quotient compose two children pointwise;
     tabulated wraps user-supplied values.
+
+    Values and shift ratios are kept in tables on the instance, one per
+    arithmetic (exact, or float at one mpmath precision), computed once and
+    extended on demand; nothing is cached across instances.
     """
 
     kind: str
@@ -38,20 +41,72 @@ class MomentFunction:
     left: Optional["MomentFunction"] = None
     right: Optional["MomentFunction"] = None
     table: Union[tuple, Callable, None] = None
+    # (arithmetic, None) -> [m(0), m(1), ...]; (arithmetic, a) -> [m(a)/m(0), ...]
+    _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def value(self, n: int) -> mpf:
         """m(n) as an arbitrary-precision float (current global precision)."""
-        return _value_float(self, int(n), mpmath.mp.prec)
+        return self._entry(int(n), "float")
 
     def value_exact(self, n: int) -> Fraction:
         """m(n) as an exact rational; raises ExactValueUnavailable otherwise."""
-        return _value_exact(self, int(n))
+        return self._entry(int(n), "exact")
 
     def ratio(self, a: int, b: int, mode: str):
         """m(a)/m(b) in the arithmetic of ``mode`` (exact or float)."""
-        if mode == "exact":
-            return self.value_exact(a) / self.value_exact(b)
-        return self.value(a) / self.value(b)
+        return self._entry(int(a), mode) / self._entry(int(b), mode)
+
+    def values(self, n: int, mode: str) -> tuple:
+        """(m(0), ..., m(n)) in the arithmetic of ``mode``."""
+        return tuple(self._entry(k, mode) for k in range(n + 1))
+
+    def shift_ratios(self, a: int, n: int, mode: str) -> tuple:
+        """(r_0, ..., r_n) with r_b = m(b+a)/m(b), each one division."""
+        ratios = self._tables.setdefault((_arithmetic(mode), a), [])
+        for b in range(len(ratios), n + 1):
+            ratios.append(self._entry(b + a, mode) / self._entry(b, mode))
+        return tuple(ratios[: n + 1])
+
+    def _entry(self, n: int, mode: str):
+        if n < 0:
+            raise ValueError(f"moment functions are defined on n >= 0, got {n}")
+        v = self._column(n, mode)[n]
+        if v is None:
+            raise ExactValueUnavailable(f"m({n}) of {self!r} is not rational; use float mode")
+        return v
+
+    def _column(self, n: int, mode: str) -> list:
+        """The value table of ``mode``, extended to hold m(n); None marks an
+        irrational value in exact mode."""
+        exact = mode == "exact"
+        col = self._tables.setdefault((_arithmetic(mode), None), [])
+        new = range(len(col), n + 1)
+        if not new:
+            return col
+        if self.kind == "gamma":
+            if exact:
+                for k in new:
+                    sn = self.order * k
+                    col.append(Fraction(math.factorial(sn.numerator))
+                               if sn.denominator == 1 else None)
+            else:
+                s = to_mpf(self.order)
+                col.extend(mpmath.gamma(1 + s * k) for k in new)
+        elif self.kind == "quotient" and self.left == self.right:
+            col.extend((Fraction(1) if exact else mpf(1)) for _ in new)
+        elif self.kind in ("product", "quotient"):
+            left, right = self.left._column(n, mode), self.right._column(n, mode)
+            product = self.kind == "product"
+            for k in new:
+                a, b = left[k], right[k]
+                col.append(None if a is None or b is None else a * b if product else a / b)
+        else:
+            for k in new:
+                v = _table_value(self, k, exact)
+                if exact:
+                    v = Fraction(v) if isinstance(v, (int, Fraction)) else None
+                col.append(v)
+        return col
 
     def __repr__(self):
         if self.kind == "gamma":
@@ -59,6 +114,11 @@ class MomentFunction:
         if self.kind in ("product", "quotient"):
             return f"{self.kind}({self.left!r}, {self.right!r})"
         return f"tabulated_moment(order={self.order})"
+
+
+def _arithmetic(mode: str):
+    """Table key of an arithmetic: exact, or float at the current precision."""
+    return "exact" if mode == "exact" else mpmath.mp.prec
 
 
 def gamma_moment(s) -> MomentFunction:
@@ -106,44 +166,6 @@ def tabulated_moment(values: Union[Sequence, Callable], order) -> MomentFunction
     if not _is_one(v0):
         raise ValueError(f"moment function must satisfy m(0) = 1, got {v0}")
     return MomentFunction(kind="tabulated", order=order, table=table)
-
-
-@functools.lru_cache(maxsize=200_000)
-def _value_float(m: MomentFunction, n: int, prec: int) -> mpf:
-    if n < 0:
-        raise ValueError(f"moment functions are defined on n >= 0, got {n}")
-    if m.kind == "gamma":
-        return mpmath.gamma(1 + to_mpf(m.order) * n)
-    if m.kind == "product":
-        return _value_float(m.left, n, prec) * _value_float(m.right, n, prec)
-    if m.kind == "quotient":
-        if m.left == m.right:
-            return mpf(1)
-        return _value_float(m.left, n, prec) / _value_float(m.right, n, prec)
-    return _table_value(m, n, exact=False)
-
-
-@functools.lru_cache(maxsize=200_000)
-def _value_exact(m: MomentFunction, n: int) -> Fraction:
-    if n < 0:
-        raise ValueError(f"moment functions are defined on n >= 0, got {n}")
-    if m.kind == "gamma":
-        sn = m.order * n
-        if sn.denominator == 1:
-            return Fraction(math.factorial(sn.numerator))
-        raise ExactValueUnavailable(
-            f"Gamma(1 + {m.order}*{n}) is not rational; use float mode"
-        )
-    if m.kind == "product":
-        return _value_exact(m.left, n) * _value_exact(m.right, n)
-    if m.kind == "quotient":
-        if m.left == m.right:
-            return Fraction(1)
-        return _value_exact(m.left, n) / _value_exact(m.right, n)
-    v = _table_value(m, n, exact=True)
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    raise ExactValueUnavailable(f"tabulated value m({n}) = {v!r} is not rational")
 
 
 def _table_value(m: MomentFunction, n: int, exact: bool):

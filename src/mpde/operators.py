@@ -13,16 +13,17 @@ values.  Everything here is pure and mode-preserving.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from operator import sub
+from typing import Callable, Iterator, Optional, Sequence
 
 from .moments import MomentFunction
 from .precision import nonzero_threshold
 from .series import (
     MultiSeries,
-    majorant,
-    series_add,
+    mode_scalar,
     series_scale,
     zero_series,
 )
@@ -190,17 +191,20 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
     if new_valid < 0:
         return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
                            coeffs={}, valid_degree=-1)
+    # coefficient beta + alpha -> beta, times m_j(beta_j + alpha_j)/m_j(beta_j) per axis
+    scales = [(j, mj.shift_ratios(aj, new_valid, f.mode))
+              for j, (mj, aj) in enumerate(zip(m, alpha)) if aj]
     coeffs = {}
     for src, v in f.coeffs.items():
-        beta = tuple(s - a for s, a in zip(src, alpha))
-        if any(b < 0 for b in beta) or sum(beta) > new_valid:
+        if sum(src) > f.valid_degree:
             continue
-        factor = v
-        for mj, bj, aj in zip(m, beta, alpha):
-            if aj:
-                factor = factor * mj.ratio(bj + aj, bj, f.mode)
-        if factor != 0:
-            coeffs[beta] = factor
+        beta = tuple(map(sub, src, alpha))
+        if min(beta) < 0:
+            continue
+        for j, ratios in scales:
+            v = v * ratios[beta[j]]
+        if v != 0:
+            coeffs[beta] = v
     return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
                        coeffs=coeffs, valid_degree=new_valid)
 
@@ -235,58 +239,99 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
                        coeffs=coeffs, valid_degree=f.valid_degree)
 
 
-def _coeff_product(scalars: Sequence, truncation: Optional[int], w: TimeSeries,
-                   mode: str) -> TimeSeries:
-    """Truncated Cauchy product of a scalar t-series with a TimeSeries."""
-    out_n_max = w.n_max if truncation is None else min(w.n_max, truncation)
-    if out_n_max < 0:
-        raise ValueError("empty product window")
-    out = []
-    for n in range(out_n_max + 1):
-        acc = None
-        for p, a in enumerate(scalars):
-            if p > n:
-                break
-            if a == 0:
-                continue
-            piece = series_scale(w.coeffs[n - p], a)
-            acc = piece if acc is None else series_add(acc, piece)
-        if acc is None:
-            acc = zero_series(w.dim, w.coeffs[n].degree_cap, mode,
-                              min(c.valid_degree for c in w.coeffs[: n + 1]))
-        out.append(acc)
-    return TimeSeries(tuple(out))
+def operator_pairs(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
+    """Yield (P(u)_n, envelope_n) for n = 0, 1, ... in turn.
 
-
-def apply_operator(spec: OperatorSpec, u: TimeSeries, absolute: bool = False) -> TimeSeries:
-    """Apply the full operator to u.
-
-    With absolute=True every coefficient (of u and of the a_{j,alpha}) is
-    replaced by its absolute value and contributions add up; the result is a
-    coefficientwise upper envelope used to scale residuals.
+    P(u)_n is the n-th t-coefficient of the operator applied to u.  The
+    envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that P(u)_n
+    sums (and |D_t^M u|), so it bounds the magnitude of what cancelled.  Sums
+    run in a fixed order: the D_t chain, the sum over p within each term,
+    then the sum across terms.  Only the D_t and D_z results that later
+    orders still read are kept.
     """
     if u.n_max < spec.M:
         raise ValueError(f"need n_max >= M = {spec.M}, got {u.n_max}")
-    work = u.map_z(majorant) if absolute else u
+    if max([spec.M] + [t.j for t in spec.terms]) > u.n_max:
+        raise ValueError("time series too short to differentiate")
+    mode = u.mode
+    ratios = spec.m0.shift_ratios(1, u.n_max - 1, mode)
+    d_t_memo, d_z_memo = defaultdict(dict), defaultdict(dict)
 
-    diffs = {0: work}
-    for k in range(1, max([spec.M] + [t.j for t in spec.terms]) + 1):
-        diffs[k] = moment_diff_t(diffs[k - 1], spec.m0)
+    def d_t(j: int, k: int) -> MultiSeries:
+        """(D_t^j u)_k = m0(k+1)/m0(k) * (D_t^{j-1} u)_{k+1}."""
+        if j == 0:
+            return u.coeffs[k]
+        memo = d_t_memo[j]
+        if k not in memo:
+            memo[k] = series_scale(d_t(j - 1, k + 1), ratios[k])
+        return memo[k]
 
-    contributions = [diffs[spec.M]]
+    n_out = u.n_max - spec.M
+    terms = []
     for term in spec.terms:
-        base = diffs[term.j]
-        if base.n_max < 0:
-            raise ValueError(f"term j={term.j} exhausts the t-truncation")
-        zpart = base.map_z(lambda c: moment_diff_z(c, spec.m, term.alpha))
-        scalars = [abs(a) for a in term.coeff] if absolute else list(term.coeff)
-        contributions.append(_coeff_product(scalars, term.truncation_order, zpart, u.mode))
+        n_term = u.n_max - term.j
+        if term.truncation_order is not None:
+            n_term = min(n_term, term.truncation_order)
+        n_out = min(n_out, n_term)
+        terms.append([(p, mode_scalar(a, mode)) for p, a in enumerate(term.coeff) if a != 0])
+    # order n reads t-indices >= n - span only
+    span = max((scalars[-1][0] for scalars in terms if scalars), default=0)
 
-    n_out = min(c.n_max for c in contributions)
-    out = []
+    def d_z(i: int, k: int) -> MultiSeries:
+        """D_z^alpha (D_t^j u)_k for the i-th term."""
+        memo = d_z_memo[i]
+        if k not in memo:
+            term = spec.terms[i]
+            memo[k] = moment_diff_z(d_t(term.j, k), spec.m, term.alpha)
+        return memo[k]
+
     for n in range(n_out + 1):
-        acc = contributions[0].coeffs[n]
-        for c in contributions[1:]:
-            acc = series_add(acc, c.coeffs[n])
-        out.append(acc)
-    return TimeSeries(tuple(out))
+        lead = d_t(spec.M, n)
+        total = dict(lead.coeffs)
+        total_env = {alpha: abs(v) for alpha, v in lead.coeffs.items()}
+        vd, cap = lead.valid_degree, lead.degree_cap
+        for i, scalars in enumerate(terms):
+            acc, acc_env, term_vd = {}, {}, None
+            for p, a in scalars:
+                if p > n:
+                    break
+                w = d_z(i, n - p)
+                term_vd = w.valid_degree if term_vd is None else min(term_vd, w.valid_degree)
+                cap = max(cap, w.degree_cap)
+                for alpha, v in w.coeffs.items():
+                    piece = a * v
+                    if alpha in acc:
+                        acc[alpha] = acc[alpha] + piece
+                        acc_env[alpha] = acc_env[alpha] + abs(piece)
+                    else:
+                        acc[alpha] = piece
+                        acc_env[alpha] = abs(piece)
+            if term_vd is None:
+                # no coefficient power p <= n: the term adds zero, valid where
+                # every D_z^alpha D_t^j u_k, k <= n, is
+                term_vd = min(d_z(i, k).valid_degree for k in range(n + 1))
+                cap = max(cap, d_z(i, n).degree_cap)
+            vd = min(vd, term_vd)
+            _add_into(total, acc)
+            _add_into(total_env, acc_env)
+        yield _collect(total, vd, cap, u.dim, mode), _collect(total_env, vd, cap, u.dim, mode)
+        for memo in (*d_t_memo.values(), *d_z_memo.values()):
+            memo.pop(n - span, None)
+
+
+def _add_into(acc: dict, part: dict) -> None:
+    for alpha, v in part.items():
+        acc[alpha] = acc[alpha] + v if alpha in acc else v
+
+
+def _collect(acc: dict, valid_degree: int, degree_cap: int, dim: int, mode: str) -> MultiSeries:
+    """Accumulated coefficients as a series: zeros and degrees past
+    valid_degree dropped."""
+    coeffs = {alpha: v for alpha, v in acc.items() if v != 0 and sum(alpha) <= valid_degree}
+    return MultiSeries(dim=dim, degree_cap=degree_cap, mode=mode, coeffs=coeffs,
+                       valid_degree=valid_degree)
+
+
+def apply_operator(spec: OperatorSpec, u: TimeSeries) -> TimeSeries:
+    """Apply the full operator to u."""
+    return TimeSeries(tuple(value for value, _ in operator_pairs(spec, u)))

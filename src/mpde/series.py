@@ -166,11 +166,17 @@ def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
                        mode=a.mode, coeffs=coeffs, valid_degree=vd)
 
 
+def mode_scalar(scalar, mode: str):
+    """A scalar in the arithmetic of ``mode``, as series_scale multiplies by it."""
+    if mode == "float" and not isinstance(scalar, (mpf, mpc)):
+        return to_number(scalar, "float")
+    if mode == "exact" and not isinstance(scalar, Fraction):
+        return to_number(scalar, "exact")
+    return scalar
+
+
 def series_scale(f: MultiSeries, scalar) -> MultiSeries:
-    if f.mode == "float" and not isinstance(scalar, (mpf, mpc)):
-        scalar = to_number(scalar, "float")
-    elif f.mode == "exact" and not isinstance(scalar, Fraction):
-        scalar = to_number(scalar, "exact")
+    scalar = mode_scalar(scalar, f.mode)
     if scalar == 0:
         return zero_series(f.dim, f.degree_cap, f.mode, f.valid_degree)
     coeffs = {alpha: scalar * v for alpha, v in f.coeffs.items()}

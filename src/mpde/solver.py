@@ -28,6 +28,7 @@ from .precision import to_mpf
 from .series import (
     MultiSeries,
     majorant,
+    mode_scalar,
     series_add,
     series_scale,
     truncate_series,
@@ -39,6 +40,7 @@ from .operators import (
     apply_operator,
     borel_z,
     moment_diff_z,
+    operator_pairs,
 )
 
 
@@ -282,29 +284,43 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         phi = majorant(problem.initial[j]) if majorant_mode else problem.initial[j]
         u.append(series_scale(phi, m0.ratio(0, j, mode)))
 
+    # step n reads D_z^alpha u_k for k >= n - span only
+    span = max((p for cs in c_table.values() for p in cs), default=0)
     diff_cache = {}
 
     def dz(k: int, alpha: tuple) -> MultiSeries:
-        key = (k, alpha)
-        if key not in diff_cache:
-            diff_cache[key] = moment_diff_z(u[k], spec.m, alpha)
-        return diff_cache[key]
+        row = diff_cache.setdefault(k, {})
+        if alpha not in row:
+            row[alpha] = moment_diff_z(u[k], spec.m, alpha)
+        return row[alpha]
 
+    sign = 1 if majorant_mode else -1
     for n in range(spec.M, n_max + 1):
         g_n = problem.forcing.coeffs[n - spec.M]
         if majorant_mode:
             g_n = majorant(g_n)
-        acc = g_n
-        sign = 1 if majorant_mode else -1
+        # acc = g_n + sum of sign * c * m0(k)/m0(k-j) * D_z^alpha u_k, in place
+        acc = dict(g_n.coeffs)
+        vd, cap = g_n.valid_degree, g_n.degree_cap
         for term in spec.terms:
             cs = c_table[(term.j, term.alpha)]
             for p, c in cs.items():
                 if p > n - term.j:
                     continue
                 k = n - p
-                factor = c * m0.ratio(k, k - term.j, mode)
-                acc = series_add(acc, series_scale(dz(k, term.alpha), sign * factor))
-        u.append(series_scale(acc, m0.ratio(n - spec.M, n, mode)))
+                d = dz(k, term.alpha)
+                vd, cap = min(vd, d.valid_degree), max(cap, d.degree_cap)
+                scalar = mode_scalar(sign * (c * m0.ratio(k, k - term.j, mode)), mode)
+                for alpha, v in d.coeffs.items():
+                    piece = scalar * v
+                    acc[alpha] = acc[alpha] + piece if alpha in acc else piece
+        scale = mode_scalar(m0.ratio(n - spec.M, n, mode), mode)
+        u.append(MultiSeries(
+            dim=spec.dim, degree_cap=cap, mode=mode, valid_degree=vd,
+            coeffs={alpha: scale * v for alpha, v in acc.items()
+                    if v != 0 and sum(alpha) <= vd},
+        ))
+        diff_cache.pop(n - span, None)
 
     working = TimeSeries(tuple(u))
     reported = working.map_z(
@@ -333,12 +349,12 @@ def residual(problem: CauchyProblem, sol: SolutionSeries) -> TimeSeries:
     """P(u) - f on the jointly valid (t-order, z-degree) window."""
     app = apply_operator(problem.spec, sol.working)
     n_res = min(app.n_max, problem.forcing.n_max)
-    if n_res < 0:
-        raise ValueError("empty residual window")
-    out = []
-    for n in range(n_res + 1):
-        out.append(series_add(app.coeffs[n], series_scale(problem.forcing.coeffs[n], -1)))
-    return TimeSeries(tuple(out))
+    return TimeSeries(tuple(_minus(app.coeffs[n], problem.forcing.coeffs[n])
+                            for n in range(n_res + 1)))
+
+
+def _minus(a: MultiSeries, b: MultiSeries) -> MultiSeries:
+    return series_add(a, series_scale(b, -1))
 
 
 def initial_residuals(problem: CauchyProblem, sol: SolutionSeries) -> list:
@@ -354,19 +370,22 @@ def initial_residuals(problem: CauchyProblem, sol: SolutionSeries) -> list:
 def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
     """max |residual coefficient| / (coefficientwise magnitude envelope).
 
-    The envelope applies the operator with absolute values to |u| and adds
-    |f|, so it bounds the sum of magnitudes of everything that cancelled; a
-    zero envelope forces an exactly zero residual.  Returns an mpf (0 for an
-    identically zero residual; +inf if a zero envelope meets a nonzero
-    residual, which indicates a genuine defect).
+    The envelope adds |piece| for every piece of P(u) and |f|, so it bounds
+    the sum of magnitudes of everything that cancelled; a zero envelope
+    forces an exactly zero residual.  Each t-order is reduced before the next
+    one is computed.  Returns an mpf (0 for an identically zero residual;
+    +inf if a zero envelope meets a nonzero residual, which indicates a
+    genuine defect).
     """
-    res = residual(problem, sol)
-    envelope = apply_operator(problem.spec, sol.working, absolute=True)
+    forcing = problem.forcing
     worst = mpf(0)
-    for n in range(res.n_max + 1):
-        env_n = series_add(envelope.coeffs[n], majorant(problem.forcing.coeffs[n]))
-        vd = min(res.coeffs[n].valid_degree, env_n.valid_degree)
-        for alpha, v in res.coeffs[n].coeffs.items():
+    for n, (app_n, env_n) in enumerate(operator_pairs(problem.spec, sol.working)):
+        if n > forcing.n_max:
+            break
+        res_n = _minus(app_n, forcing.coeffs[n])
+        env_n = series_add(env_n, majorant(forcing.coeffs[n]))
+        vd = min(res_n.valid_degree, env_n.valid_degree)
+        for alpha, v in res_n.coeffs.items():
             if sum(alpha) > vd:
                 continue
             denom = env_n.coeffs.get(alpha, 0)

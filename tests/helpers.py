@@ -2,8 +2,11 @@
 
 Everything here is deliberately independent of the code paths it checks:
 the hull oracle separates points with explicit support directions, the
-heat-solution oracle differentiates coefficient lists by hand, and the
-dropped-boundary recurrence is a wrong convention the residual must reject.
+heat-solution oracle differentiates coefficient lists by hand, the
+dropped-boundary recurrence is a wrong convention the residual must reject,
+the z-derivative oracle looks up one moment ratio per coefficient, and the
+two-pass residual applies the whole operator once signed and once to
+absolute values.
 """
 
 from __future__ import annotations
@@ -11,20 +14,26 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from mpmath import mpf
+
 from mpde import (
     CauchyProblem,
+    MultiSeries,
     OperatorSpec,
     OperatorTerm,
     SolutionSeries,
     TimeSeries,
     gamma_moment,
     generator_series,
+    majorant,
     make_series,
+    moment_diff_t,
     moment_diff_z,
     series_add,
     series_scale,
     zero_series,
 )
+from mpde.precision import to_mpf
 
 ORDERS_ANY = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
 ORDERS_EXACT = [Fraction(1), Fraction(2)]
@@ -171,3 +180,95 @@ def solve_dropping_boundary(problem: CauchyProblem, n_max: int) -> SolutionSerie
     working = TimeSeries(tuple(u))
     return SolutionSeries(u=working, working=working, provenance="dropped-boundary",
                           report_degree=0)
+
+
+def moment_diff_z_reference(f, m, alpha):
+    """D_z^alpha with one ``MomentFunction.ratio`` lookup per coefficient and axis."""
+    alpha = tuple(alpha)
+    total = sum(alpha)
+    if total == 0:
+        return f
+    new_valid = f.valid_degree - total
+    if new_valid < 0:
+        return zero_series(f.dim, f.degree_cap, f.mode, -1)
+    coeffs = {}
+    for src, v in f.coeffs.items():
+        beta = tuple(s - a for s, a in zip(src, alpha))
+        if any(b < 0 for b in beta) or sum(beta) > new_valid:
+            continue
+        factor = v
+        for mj, bj, aj in zip(m, beta, alpha):
+            if aj:
+                factor = factor * mj.ratio(bj + aj, bj, f.mode)
+        if factor != 0:
+            coeffs[beta] = factor
+    return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode, coeffs=coeffs,
+                       valid_degree=new_valid)
+
+
+def _coeff_product(scalars, truncation, w, mode):
+    """Truncated Cauchy product of a scalar t-series with a TimeSeries."""
+    out_n_max = w.n_max if truncation is None else min(w.n_max, truncation)
+    out = []
+    for n in range(out_n_max + 1):
+        acc = None
+        for p, a in enumerate(scalars):
+            if p > n:
+                break
+            if a == 0:
+                continue
+            piece = series_scale(w.coeffs[n - p], a)
+            acc = piece if acc is None else series_add(acc, piece)
+        if acc is None:
+            acc = zero_series(w.dim, w.coeffs[n].degree_cap, mode,
+                              min(c.valid_degree for c in w.coeffs[: n + 1]))
+        out.append(acc)
+    return TimeSeries(tuple(out))
+
+
+def apply_operator_reference(spec, u, absolute=False):
+    """The operator applied with every D_t^j u materialized as a whole series.
+
+    With absolute=True the coefficients of u and of the a_{j,alpha} are
+    replaced by their absolute values first, which gives the magnitude
+    envelope of the signed application.
+    """
+    work = u.map_z(majorant) if absolute else u
+    diffs = {0: work}
+    for k in range(1, max([spec.M] + [t.j for t in spec.terms]) + 1):
+        diffs[k] = moment_diff_t(diffs[k - 1], spec.m0)
+    contributions = [diffs[spec.M]]
+    for term in spec.terms:
+        zpart = diffs[term.j].map_z(
+            lambda c: moment_diff_z_reference(c, spec.m, term.alpha))
+        scalars = [abs(a) for a in term.coeff] if absolute else list(term.coeff)
+        contributions.append(_coeff_product(scalars, term.truncation_order, zpart, u.mode))
+    n_out = min(c.n_max for c in contributions)
+    out = []
+    for n in range(n_out + 1):
+        acc = contributions[0].coeffs[n]
+        for c in contributions[1:]:
+            acc = series_add(acc, c.coeffs[n])
+        out.append(acc)
+    return TimeSeries(tuple(out))
+
+
+def residual_max_relative_two_pass(problem, sol):
+    """max |P(u) - f| / (|P|(|u|) + |f|) from two whole applications of P."""
+    app = apply_operator_reference(problem.spec, sol.working)
+    envelope = apply_operator_reference(problem.spec, sol.working, absolute=True)
+    worst = mpf(0)
+    for n in range(min(app.n_max, problem.forcing.n_max) + 1):
+        res_n = series_add(app.coeffs[n], series_scale(problem.forcing.coeffs[n], -1))
+        env_n = series_add(envelope.coeffs[n], majorant(problem.forcing.coeffs[n]))
+        vd = min(res_n.valid_degree, env_n.valid_degree)
+        for alpha, v in res_n.coeffs.items():
+            if sum(alpha) > vd:
+                continue
+            denom = env_n.coeffs.get(alpha, 0)
+            if denom == 0:
+                if v != 0:
+                    return mpf("inf")
+                continue
+            worst = max(worst, to_mpf(abs(v)) / to_mpf(denom))
+    return worst

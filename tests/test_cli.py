@@ -202,6 +202,16 @@ class TestBoundaryInputs:
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_unwritable_out_is_error_line(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        code = main(["run", str(PURE_ODE), "--n-max", "20", "--quiet", "--out", str(taken)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write artifacts to {taken}:")
+        assert "Traceback" not in err
+        assert taken.read_text() == "a file, not a directory\n"
+
 
 class TestPrecisionScope:
     def test_main_leaves_precision_unchanged(self, tmp_path, capsys):

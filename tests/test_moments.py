@@ -1,4 +1,7 @@
+import gc
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -9,9 +12,13 @@ from mpde import (
     gamma_moment,
     growth_envelope,
     regularity_constants,
+    pipeline,
     tabulated_moment,
 )
 from mpde.moments import ExactValueUnavailable
+from mpde.problemspec import parse_problem_file
+
+HEAT = Path(__file__).resolve().parent.parent / "problems" / "heat.json"
 
 G1 = gamma_moment(1)
 GH = gamma_moment(Fraction(1, 2))
@@ -181,3 +188,72 @@ class TestInvariants:
         for n in range(1, 501, 7):
             ratio = m.value(n) / m.value(n - 1) / mpmath.power(n, sf)
             assert lo <= ratio <= hi
+
+
+def moment_kinds():
+    """Fresh instances of every kind: gamma, product, quotient, tabulated."""
+    return [
+        gamma_moment(1),
+        gamma_moment(2),
+        combine(gamma_moment(1), gamma_moment(1), "product"),
+        combine(gamma_moment(2), gamma_moment(1), "quotient"),
+        tabulated_moment([Fraction(3) ** n for n in range(30)], order=0),
+        tabulated_moment(lambda n: Fraction(n + 1) ** 2, order=0),
+    ]
+
+
+class TestTables:
+    def test_no_moment_function_outlives_a_run(self):
+        spec_file = parse_problem_file(HEAT, overrides={"n_max": 16})
+        refs = [weakref.ref(spec_file.operator.m0), weakref.ref(spec_file.operator.m[0])]
+        result = pipeline.run(spec_file)
+        assert result.growth.verdict == "consistent"
+        del spec_file, result
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_extended_table_equals_fresh_table(self, mode):
+        for grown, fresh in zip(moment_kinds(), moment_kinds()):
+            short = grown.values(10, mode)
+            assert grown.values(20, mode) == fresh.values(20, mode)
+            assert short == fresh.values(20, mode)[:11]
+            assert len(short) == 11
+
+    def test_float_values_follow_the_precision(self):
+        m = combine(GH, gamma_moment(Fraction(3, 2)), "product")
+        with mpmath.workprec(128):
+            low = m.value(7)
+        high = m.value(7)
+        assert high == combine(GH, gamma_moment(Fraction(3, 2)), "product").value(7)
+        assert high != low
+        assert mpmath.mp.prec == 256
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_shift_ratios_are_single_divisions(self, mode):
+        for m in moment_kinds():
+            for a in (1, 2):
+                ratios = m.shift_ratios(a, 12, mode)
+                assert len(ratios) == 13
+                assert list(ratios) == [m.ratio(b + a, b, mode) for b in range(13)]
+                assert m.shift_ratios(a, 5, mode) == ratios[:6]
+
+    def test_equal_instances_share_nothing(self):
+        a, b = gamma_moment(1), gamma_moment(1)
+        a.values(8, "exact")
+        assert a == b and hash(a) == hash(b)
+        assert b.values(8, "exact") == a.values(8, "exact")
+
+    def test_irrational_entry_raises_only_when_read(self):
+        assert GH.value_exact(2) == 1
+        with pytest.raises(ExactValueUnavailable):
+            GH.values(2, "exact")
+        with pytest.raises(ExactValueUnavailable):
+            GH.shift_ratios(1, 0, "exact")
+
+    def test_tabulated_table_stops_at_its_end(self):
+        m = tabulated_moment([1, 2, 6], order=1)
+        assert m.values(2, "exact") == (1, 2, 6)
+        with pytest.raises(ValueError):
+            m.values(3, "exact")
+        assert m.value_exact(2) == 6

@@ -19,10 +19,14 @@ from mpde import (
     make_series,
     moment_diff_t,
     moment_diff_z,
+    operator_pairs,
+    tabulated_moment,
     time_series,
     zero_time_series,
 )
 from mpde.series import series_equal
+
+from helpers import apply_operator_reference, moment_diff_z_reference
 
 G1 = gamma_moment(1)
 GH = gamma_moment(Fraction(1, 2))
@@ -197,11 +201,11 @@ class TestApplyOperator:
                             terms=(OperatorTerm(j=0, alpha=(1,), coeff=(Fraction(-2),)),))
         u = time_series([make_series(1, {(l,): (-1) ** l for l in range(5)}, 4)
                          for _ in range(4)])
-        plain = apply_operator(spec, u)
-        envelope = apply_operator(spec, u, absolute=True)
-        for n in range(plain.n_max + 1):
-            for alpha, v in plain.coeffs[n].coeffs.items():
-                assert abs(v) <= envelope.coeffs[n].coefficient(alpha)
+        pairs = list(operator_pairs(spec, u))
+        assert [plain for plain, _ in pairs] == list(apply_operator(spec, u).coeffs)
+        for plain, envelope in pairs:
+            for alpha, v in plain.coeffs.items():
+                assert abs(v) <= envelope.coefficient(alpha)
 
 
 class TestCommutation:
@@ -248,3 +252,84 @@ class TestOperatorSpecInvariants:
         assert term.ord_t() == 1
         term2 = OperatorTerm(j=0, alpha=(0,), coeff=(tiny,), ord_override=0)
         assert term2.ord_t() == 0
+
+
+def kernel_moments(mode):
+    """Moment functions of every kind; half orders only where values are floats."""
+    table = [Fraction(2) ** n * math.factorial(n) for n in range(40)]
+    kinds = [
+        G1,
+        combine(G1, gamma_moment(2), "product"),
+        combine(gamma_moment(2), G1, "quotient"),
+        tabulated_moment(table, order=1),
+        tabulated_moment(lambda n: Fraction(math.factorial(2 * n), 2 ** n), order=2),
+    ]
+    if mode == "float":
+        kinds += [GH, combine(G32, GH, "quotient"), combine(GH, GH, "product")]
+    return kinds
+
+
+def kernel_input(rng, dim, degree, mode, complex_values=False):
+    table = {}
+    for _ in range(3 * degree):
+        alpha = tuple(rng.randint(0, degree) for _ in range(dim))
+        if sum(alpha) <= degree:
+            value = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            if complex_values:
+                value = mpmath.mpc(value.numerator, rng.randint(-3, 3)) / value.denominator
+            table[alpha] = value
+    return make_series(dim, table, degree, mode)
+
+
+class TestMomentDiffZOracle:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_table_kernel_equals_per_coefficient_ratios(self, mode, dim):
+        rng = random.Random(dim * 10 + (mode == "exact"))
+        kinds = kernel_moments(mode)
+        for trial in range(12):
+            m = [rng.choice(kinds) for _ in range(dim)]
+            f = kernel_input(rng, dim, 9, mode, complex_values=mode == "float" and trial % 3 == 0)
+            alpha = tuple(rng.randint(0, 3) for _ in range(dim))
+            got = moment_diff_z(f, m, alpha)
+            want = moment_diff_z_reference(f, m, alpha)
+            assert got.coeffs == want.coeffs, (m, alpha)
+            assert (got.valid_degree, got.degree_cap) == (want.valid_degree, want.degree_cap)
+
+    def test_multi_axis_alpha_on_every_kind(self):
+        for mode in ("exact", "float"):
+            kinds = kernel_moments(mode)
+            f = kernel_input(random.Random(7), 2, 12, mode)
+            for m1 in kinds:
+                for m2 in kinds:
+                    for alpha in ((1, 1), (2, 1), (0, 3)):
+                        got = moment_diff_z(f, [m1, m2], alpha)
+                        assert got.coeffs == moment_diff_z_reference(f, [m1, m2], alpha).coeffs
+
+
+class TestOperatorPairs:
+    SPECS = [
+        OperatorSpec(M=1, m0=G1, m=(G1,),
+                     terms=(OperatorTerm(j=0, alpha=(2,), coeff=(Fraction(-1),)),)),
+        OperatorSpec(M=2, m0=G1, m=(G1, combine(G1, G1, "product")), terms=(
+            OperatorTerm(j=1, alpha=(1, 0), coeff=(Fraction(1, 2), Fraction(-3))),
+            OperatorTerm(j=0, alpha=(1, 1), coeff=(Fraction(0), Fraction(0), Fraction(1))),
+            OperatorTerm(j=3, alpha=(0, 1), coeff=(Fraction(0), Fraction(0), Fraction(2),
+                                                   Fraction(-1)), truncated=True),
+        )),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["heat", "mixed"])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_pairs_equal_two_whole_applications(self, spec, mode):
+        rng = random.Random(3)
+        u = time_series([kernel_input(rng, spec.dim, 14, mode) for _ in range(9)])
+        pairs = list(operator_pairs(spec, u))
+        signed = apply_operator_reference(spec, u)
+        envelope = apply_operator_reference(spec, u, absolute=True)
+        assert len(pairs) == signed.n_max + 1 == envelope.n_max + 1
+        for (value, env), want, want_env in zip(pairs, signed.coeffs, envelope.coeffs):
+            assert value.coeffs == want.coeffs
+            assert env.coeffs == want_env.coeffs
+            assert (value.valid_degree, value.degree_cap) == (want.valid_degree, want.degree_cap)
+            assert (env.valid_degree, env.degree_cap) == (want.valid_degree, want.degree_cap)

@@ -27,8 +27,10 @@ from mpde import (
     zero_forcing,
     zero_series,
 )
+from mpde.precision import float_tolerance, to_number
 from mpde.series import series_equal
-from helpers import heat_solution_oracle, random_problem, solve_dropping_boundary
+from helpers import (heat_solution_oracle, random_problem, residual_max_relative_two_pass,
+                     solve_dropping_boundary)
 
 G1 = gamma_moment(1)
 GH = gamma_moment(Fraction(1, 2))
@@ -261,6 +263,101 @@ class TestResidual:
             prob = random_problem(rng, exact=False, n_max=6)
             sol = solve_formal(prob, 6, 1)
             assert residual_max_relative(prob, sol) < tol
+
+
+def oracle_problem(terms, M, m, mode, n_max, twist=1):
+    """A problem over the given terms with geometric data and a time-geometric
+    forcing; the first term's coefficient is multiplied by ``twist``."""
+    terms = tuple(
+        OperatorTerm(j=t.j, alpha=t.alpha, truncated=t.truncated,
+                     coeff=tuple(to_number(c, mode) * (twist if k == 0 else 1)
+                                 for c in t.coeff))
+        for k, t in enumerate(terms))
+    spec = OperatorSpec(M=M, m0=G1, m=m, terms=terms)
+    full = n_max * spec.max_alpha
+    initial = tuple(generator_series("geometric", spec.dim, full, mode,
+                                     ratio=Fraction(1, j + 2) * (-1) ** j) for j in range(M))
+    space = make_series(spec.dim, {(0,) * spec.dim: 1, (1,) + (0,) * (spec.dim - 1): -2},
+                        full, mode)
+    forcing = TimeSeries(tuple(make_series(spec.dim, {a: Fraction(1, 3) ** k * v
+                                                      for a, v in space.coeffs.items()},
+                                           full, mode)
+                               for k in range(n_max - M + 1)))
+    return CauchyProblem(spec=spec, initial=initial, forcing=forcing)
+
+
+def bumped(sol, n, alpha, delta):
+    """sol with delta added to its working coefficient (n, alpha)."""
+    from dataclasses import replace
+
+    coeffs = list(sol.working.coeffs)
+    c = dict(coeffs[n].coeffs)
+    c[alpha] = c.get(alpha, 0) + delta
+    coeffs[n] = replace(coeffs[n], coeffs=c)
+    return replace(sol, working=TimeSeries(tuple(coeffs)))
+
+
+ORACLE_CASES = {
+    # product2d's operator: a term whose leading t-coefficients are 0
+    "leading_zeros": (1, (combine(G1, G1, "product"), G1), (
+        OperatorTerm(j=0, alpha=(1, 0), coeff=(Fraction(1, 2),)),
+        OperatorTerm(j=0, alpha=(1, 1), coeff=(0, 0, 1)),
+    )),
+    # M = 2 with a j = 1 term, and a j = 2 term
+    "m2_j1": (2, (G1,), (
+        OperatorTerm(j=1, alpha=(1,), coeff=(Fraction(-1, 2), 3, -1)),
+        OperatorTerm(j=2, alpha=(1,), coeff=(0, Fraction(2, 3))),
+        OperatorTerm(j=0, alpha=(2,), coeff=(1, 1)),
+    )),
+    # a coefficient known only to its stored length
+    "truncated": (1, (G1,), (
+        OperatorTerm(j=0, alpha=(2,), coeff=(-1, 2, 0, 1, -3, 1, 1, 2), truncated=True),
+        OperatorTerm(j=1, alpha=(0,), coeff=(0, 1)),
+    )),
+}
+
+
+class TestResidualOracle:
+    """The one-pass residual equals two whole applications of the operator."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_streaming_equals_two_pass(self, case, mode):
+        M, m, terms = ORACLE_CASES[case]
+        n_max = 8
+        prob = oracle_problem(terms, M, m, mode, n_max)
+        sol = solve_formal(prob, n_max, 0)
+        wrong = solve_dropping_boundary(prob, n_max)
+        bump = bumped(sol, 4, (1,) + (0,) * (prob.spec.dim - 1), to_number(Fraction(1, 7), mode))
+        values = []
+        for candidate in (sol, wrong, bump):
+            got = residual_max_relative(prob, candidate)
+            assert got == residual_max_relative_two_pass(prob, candidate)
+            values.append(got)
+        if mode == "exact":
+            assert values[0] == 0
+        assert values[2] > 0
+
+    def test_randomized_problems(self):
+        rng = random.Random(2024)
+        for exact in (True, False):
+            for _ in range(4):
+                prob = random_problem(rng, exact=exact, n_max=7)
+                for sol in (solve_formal(prob, 7, 1), solve_dropping_boundary(prob, 7)):
+                    assert residual_max_relative(prob, sol) == \
+                        residual_max_relative_two_pass(prob, sol)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_complex_coefficients_within_tolerance(self, case):
+        M, m, terms = ORACLE_CASES[case]
+        n_max = 8
+        prob = oracle_problem(terms, M, m, "float", n_max, twist=mpmath.mpc(1, -2))
+        sol = solve_formal(prob, n_max, 0)
+        bump = bumped(sol, 4, (1,) + (0,) * (prob.spec.dim - 1), mpmath.mpc(0, 1))
+        for candidate in (sol, bump):
+            got = residual_max_relative(prob, candidate)
+            want = residual_max_relative_two_pass(prob, candidate)
+            assert abs(got - want) <= float_tolerance() * max(abs(want), 1)
 
 
 class TestBorelRoundTrip:

@@ -13,6 +13,7 @@ values.  Everything here is pure and mode-preserving.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,8 +24,10 @@ from .moments import MomentFunction
 from .precision import nonzero_threshold
 from .series import (
     MultiSeries,
+    from_numerators,
     mode_scalar,
     series_scale,
+    to_numerators,
     zero_series,
 )
 
@@ -184,19 +187,37 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
         raise ValueError(
             f"need {f.dim} moment functions and alpha entries, got {len(m)} and {len(alpha)}"
         )
+    if sum(alpha) == 0:
+        return f
+    nums, den = to_numerators(f.coeffs, f.mode)
+    nums, den, valid = moment_diff_z_numerators(nums, den, f.valid_degree, m, alpha, f.mode)
+    return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
+                       coeffs=from_numerators(nums, den, f.mode), valid_degree=valid)
+
+
+def moment_diff_z_numerators(nums: dict, den: int, valid_degree: int,
+                             m: Sequence[MomentFunction], alpha: tuple, mode: str) -> tuple:
+    """D^alpha of the series nums/den (see ``series.to_numerators``).
+
+    Returns (numerators, denominator, valid degree); each ratio table enters
+    as integers over its own common denominator, which multiplies ``den``.
+    """
     total = sum(alpha)
     if total == 0:
-        return f
-    new_valid = f.valid_degree - total
+        return nums, den, valid_degree
+    new_valid = valid_degree - total
     if new_valid < 0:
-        return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
-                           coeffs={}, valid_degree=-1)
+        return {}, 1, -1
     # coefficient beta + alpha -> beta, times m_j(beta_j + alpha_j)/m_j(beta_j) per axis
-    scales = [(j, mj.shift_ratios(aj, new_valid, f.mode))
-              for j, (mj, aj) in enumerate(zip(m, alpha)) if aj]
-    coeffs = {}
-    for src, v in f.coeffs.items():
-        if sum(src) > f.valid_degree:
+    scales = []
+    for j, (mj, aj) in enumerate(zip(m, alpha)):
+        if aj:
+            ratios, ratio_den = to_numerators(mj.shift_ratios(aj, new_valid, mode), mode)
+            scales.append((j, ratios))
+            den *= ratio_den
+    out = {}
+    for src, v in nums.items():
+        if sum(src) > valid_degree:
             continue
         beta = tuple(map(sub, src, alpha))
         if min(beta) < 0:
@@ -204,9 +225,8 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
         for j, ratios in scales:
             v = v * ratios[beta[j]]
         if v != 0:
-            coeffs[beta] = v
-    return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
-                       coeffs=coeffs, valid_degree=new_valid)
+            out[beta] = v
+    return out, den, new_valid
 
 
 def borel_t(u: TimeSeries, m_prime: MomentFunction) -> TimeSeries:
@@ -244,10 +264,21 @@ def operator_pairs(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
 
     P(u)_n is the n-th t-coefficient of the operator applied to u.  The
     envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that P(u)_n
-    sums (and |D_t^M u|), so it bounds the magnitude of what cancelled.  Sums
-    run in a fixed order: the D_t chain, the sum over p within each term,
-    then the sum across terms.  Only the D_t and D_z results that later
-    orders still read are kept.
+    sums (and |D_t^M u|), so it bounds the magnitude of what cancelled.
+    """
+    for values, env, den, valid, cap in operator_numerators(spec, u):
+        yield (_collect(values, den, valid, cap, u.dim, u.mode),
+               _collect(env, den, valid, cap, u.dim, u.mode))
+
+
+def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
+    """The pairs of ``operator_pairs`` as numerators over one denominator.
+
+    Yields (values, envelope, denominator, valid degree, degree cap) per
+    t-order; the dicts may hold zeros and degrees past the valid degree.
+    Sums run in a fixed order: the D_t chain, the sum over p within each
+    term, then the sum across terms.  Only the D_t and D_z results that
+    later orders still read are kept.
     """
     if u.n_max < spec.M:
         raise ValueError(f"need n_max >= M = {spec.M}, got {u.n_max}")
@@ -257,13 +288,18 @@ def operator_pairs(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
     ratios = spec.m0.shift_ratios(1, u.n_max - 1, mode)
     d_t_memo, d_z_memo = defaultdict(dict), defaultdict(dict)
 
-    def d_t(j: int, k: int) -> MultiSeries:
-        """(D_t^j u)_k = m0(k+1)/m0(k) * (D_t^{j-1} u)_{k+1}."""
-        if j == 0:
-            return u.coeffs[k]
+    def d_t(j: int, k: int) -> tuple:
+        """(D_t^j u)_k = m0(k+1)/m0(k) * (D_t^{j-1} u)_{k+1}, as
+        (numerators, denominator, valid degree, degree cap)."""
         memo = d_t_memo[j]
         if k not in memo:
-            memo[k] = series_scale(d_t(j - 1, k + 1), ratios[k])
+            if j == 0:
+                c = u.coeffs[k]
+                memo[k] = (*to_numerators(c.coeffs, mode), c.valid_degree, c.degree_cap)
+            else:
+                nums, den, valid, cap = d_t(j - 1, k + 1)
+                (r,), r_den = to_numerators((ratios[k],), mode)
+                memo[k] = ({alpha: r * v for alpha, v in nums.items()}, den * r_den, valid, cap)
         return memo[k]
 
     n_out = u.n_max - spec.M
@@ -273,32 +309,56 @@ def operator_pairs(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
         if term.truncation_order is not None:
             n_term = min(n_term, term.truncation_order)
         n_out = min(n_out, n_term)
-        terms.append([(p, mode_scalar(a, mode)) for p, a in enumerate(term.coeff) if a != 0])
+        scalars = []
+        for p, a in enumerate(term.coeff):
+            if a != 0:
+                (a,), a_den = to_numerators((mode_scalar(a, mode),), mode)
+                scalars.append((p, a, a_den))
+        terms.append(scalars)
     # order n reads t-indices >= n - span only
     span = max((scalars[-1][0] for scalars in terms if scalars), default=0)
 
-    def d_z(i: int, k: int) -> MultiSeries:
-        """D_z^alpha (D_t^j u)_k for the i-th term."""
+    def d_z(i: int, k: int) -> tuple:
+        """D_z^alpha (D_t^j u)_k for the i-th term, in the form of d_t."""
         memo = d_z_memo[i]
         if k not in memo:
             term = spec.terms[i]
-            memo[k] = moment_diff_z(d_t(term.j, k), spec.m, term.alpha)
+            nums, den, valid, cap = d_t(term.j, k)
+            memo[k] = (*moment_diff_z_numerators(nums, den, valid, spec.m, term.alpha, mode),
+                       cap)
         return memo[k]
 
     for n in range(n_out + 1):
-        lead = d_t(spec.M, n)
-        total = dict(lead.coeffs)
-        total_env = {alpha: abs(v) for alpha, v in lead.coeffs.items()}
-        vd, cap = lead.valid_degree, lead.degree_cap
+        lead, lead_den, vd, cap = d_t(spec.M, n)
+        parts = []
         for i, scalars in enumerate(terms):
-            acc, acc_env, term_vd = {}, {}, None
-            for p, a in scalars:
+            part, term_vd = [], None
+            for p, a, a_den in scalars:
                 if p > n:
                     break
-                w = d_z(i, n - p)
-                term_vd = w.valid_degree if term_vd is None else min(term_vd, w.valid_degree)
-                cap = max(cap, w.degree_cap)
-                for alpha, v in w.coeffs.items():
+                w, w_den, w_vd, w_cap = d_z(i, n - p)
+                term_vd = w_vd if term_vd is None else min(term_vd, w_vd)
+                cap = max(cap, w_cap)
+                part.append((a, a_den * w_den, w))
+            if term_vd is None:
+                # no coefficient power p <= n: the term adds zero, valid where
+                # every D_z^alpha D_t^j u_k, k <= n, is
+                term_vd = min(d_z(i, k)[2] for k in range(n + 1))
+                cap = max(cap, d_z(i, n)[3])
+            vd = min(vd, term_vd)
+            parts.append(part)
+        den = math.lcm(lead_den, *(d for part in parts for _, d, _ in part))
+        if den == lead_den:
+            total = dict(lead)
+        else:
+            total = {alpha: v * (den // lead_den) for alpha, v in lead.items()}
+        total_env = {alpha: abs(v) for alpha, v in total.items()}
+        for part in parts:
+            acc, acc_env = {}, {}
+            for a, d, w in part:
+                if d != den:
+                    a = a * (den // d)
+                for alpha, v in w.items():
                     piece = a * v
                     if alpha in acc:
                         acc[alpha] = acc[alpha] + piece
@@ -306,15 +366,9 @@ def operator_pairs(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
                     else:
                         acc[alpha] = piece
                         acc_env[alpha] = abs(piece)
-            if term_vd is None:
-                # no coefficient power p <= n: the term adds zero, valid where
-                # every D_z^alpha D_t^j u_k, k <= n, is
-                term_vd = min(d_z(i, k).valid_degree for k in range(n + 1))
-                cap = max(cap, d_z(i, n).degree_cap)
-            vd = min(vd, term_vd)
             _add_into(total, acc)
             _add_into(total_env, acc_env)
-        yield _collect(total, vd, cap, u.dim, mode), _collect(total_env, vd, cap, u.dim, mode)
+        yield total, total_env, den, vd, cap
         for memo in (*d_t_memo.values(), *d_z_memo.values()):
             memo.pop(n - span, None)
 
@@ -324,12 +378,13 @@ def _add_into(acc: dict, part: dict) -> None:
         acc[alpha] = acc[alpha] + v if alpha in acc else v
 
 
-def _collect(acc: dict, valid_degree: int, degree_cap: int, dim: int, mode: str) -> MultiSeries:
-    """Accumulated coefficients as a series: zeros and degrees past
+def _collect(nums: dict, den: int, valid_degree: int, degree_cap: int, dim: int,
+             mode: str) -> MultiSeries:
+    """Accumulated numerators as a series: zeros and degrees past
     valid_degree dropped."""
-    coeffs = {alpha: v for alpha, v in acc.items() if v != 0 and sum(alpha) <= valid_degree}
-    return MultiSeries(dim=dim, degree_cap=degree_cap, mode=mode, coeffs=coeffs,
-                       valid_degree=valid_degree)
+    kept = {alpha: v for alpha, v in nums.items() if v != 0 and sum(alpha) <= valid_degree}
+    return MultiSeries(dim=dim, degree_cap=degree_cap, mode=mode,
+                       coeffs=from_numerators(kept, den, mode), valid_degree=valid_degree)
 
 
 def apply_operator(spec: OperatorSpec, u: TimeSeries) -> TimeSeries:

@@ -6,6 +6,12 @@ immutable; every operation returns a new series.  ``valid_degree`` tracks the
 largest total degree whose coefficients are still trustworthy after
 truncation-lossy operations (differentiation shortens it); coefficients above
 it are dropped.
+
+The hot kernels (the z-derivative, the coefficient recurrence and the operator
+pass) work on one z-series at a time as integer numerators over one common
+denominator: ``to_numerators`` splits exact values that way, and
+``from_numerators`` turns the result back into Fractions as it leaves the
+kernel.  Float values pass through both unchanged, with denominator 1.
 """
 
 from __future__ import annotations
@@ -147,6 +153,30 @@ def generator_series(kind: str, dim: int, degree_cap: int, mode: str = "exact",
                     table[alpha] = mpmath.power(to_mpf(fact), to_mpf(sigma))
         return make_series(dim, table, degree_cap, mode)
     raise ValueError(f"unknown generator kind {kind!r}")
+
+
+def to_numerators(values, mode: str) -> tuple:
+    """(numerators, denominator): exact values as integers over their least
+    common denominator.
+
+    ``values`` is a mapping (the result keeps its keys and order) or a
+    sequence (the result is a list).  Float values are returned as they are,
+    uncopied, with denominator 1.
+    """
+    if mode != "exact":
+        return values, 1
+    if isinstance(values, Mapping):
+        den = math.lcm(*(v.denominator for v in values.values()))
+        return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def from_numerators(nums: Mapping, den: int, mode: str) -> dict:
+    """The values nums[k] / den of a kernel result, as coefficients of ``mode``."""
+    if mode != "exact":
+        return nums
+    return {k: Fraction(v, den) for k, v in nums.items()}
 
 
 def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:

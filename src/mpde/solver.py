@@ -18,7 +18,9 @@ recurrence that drops the boundary term (tests/helpers.py).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath import mpf
@@ -27,10 +29,12 @@ from .moments import combine, gamma_moment, regularity_constants
 from .precision import to_mpf
 from .series import (
     MultiSeries,
+    from_numerators,
     majorant,
     mode_scalar,
     series_add,
     series_scale,
+    to_numerators,
     truncate_series,
     zero_series,
 )
@@ -39,8 +43,8 @@ from .operators import (
     TimeSeries,
     apply_operator,
     borel_z,
-    moment_diff_z,
-    operator_pairs,
+    moment_diff_z_numerators,
+    operator_numerators,
 )
 
 
@@ -279,19 +283,23 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
             cs = {p: abs(v) for p, v in cs.items()}
         c_table[(term.j, term.alpha)] = cs
 
-    u = []
+    u, u_nums = [], {}
     for j in range(min(spec.M, n_max + 1)):
         phi = majorant(problem.initial[j]) if majorant_mode else problem.initial[j]
         u.append(series_scale(phi, m0.ratio(0, j, mode)))
+        u_nums[j] = to_numerators(u[j].coeffs, mode)
 
     # step n reads D_z^alpha u_k for k >= n - span only
     span = max((p for cs in c_table.values() for p in cs), default=0)
     diff_cache = {}
 
-    def dz(k: int, alpha: tuple) -> MultiSeries:
+    def dz(k: int, alpha: tuple) -> tuple:
+        """D_z^alpha u_k as (numerators, denominator, valid degree)."""
         row = diff_cache.setdefault(k, {})
         if alpha not in row:
-            row[alpha] = moment_diff_z(u[k], spec.m, alpha)
+            nums, den = u_nums[k]
+            row[alpha] = moment_diff_z_numerators(nums, den, u[k].valid_degree, spec.m,
+                                                  alpha, mode)
         return row[alpha]
 
     sign = 1 if majorant_mode else -1
@@ -299,28 +307,47 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         g_n = problem.forcing.coeffs[n - spec.M]
         if majorant_mode:
             g_n = majorant(g_n)
-        # acc = g_n + sum of sign * c * m0(k)/m0(k-j) * D_z^alpha u_k, in place
-        acc = dict(g_n.coeffs)
+        # u_n = m0(n-M)/m0(n) * (g_n + sum of sign * c * m0(k)/m0(k-j) * D_z^alpha u_k),
+        # every piece as integers over one common denominator
+        g_nums, g_den = to_numerators(g_n.coeffs, mode)
         vd, cap = g_n.valid_degree, g_n.degree_cap
+        pieces = []
         for term in spec.terms:
             cs = c_table[(term.j, term.alpha)]
             for p, c in cs.items():
                 if p > n - term.j:
                     continue
                 k = n - p
-                d = dz(k, term.alpha)
-                vd, cap = min(vd, d.valid_degree), max(cap, d.degree_cap)
+                d, d_den, d_vd = dz(k, term.alpha)
+                vd, cap = min(vd, d_vd), max(cap, u[k].degree_cap)
                 scalar = mode_scalar(sign * (c * m0.ratio(k, k - term.j, mode)), mode)
-                for alpha, v in d.coeffs.items():
-                    piece = scalar * v
-                    acc[alpha] = acc[alpha] + piece if alpha in acc else piece
+                (scalar,), s_den = to_numerators((scalar,), mode)
+                pieces.append((scalar, s_den * d_den, d))
+        den = math.lcm(g_den, *(piece_den for _, piece_den, _ in pieces))
+        if den == g_den:
+            acc = dict(g_nums)
+        else:
+            acc = {alpha: v * (den // g_den) for alpha, v in g_nums.items()}
+        for scalar, piece_den, d in pieces:
+            if piece_den != den:
+                scalar = scalar * (den // piece_den)
+            for alpha, v in d.items():
+                piece = scalar * v
+                acc[alpha] = acc[alpha] + piece if alpha in acc else piece
         scale = mode_scalar(m0.ratio(n - spec.M, n, mode), mode)
-        u.append(MultiSeries(
-            dim=spec.dim, degree_cap=cap, mode=mode, valid_degree=vd,
-            coeffs={alpha: scale * v for alpha, v in acc.items()
-                    if v != 0 and sum(alpha) <= vd},
-        ))
+        (scale,), scale_den = to_numerators((scale,), mode)
+        nums = {alpha: scale * v for alpha, v in acc.items() if v != 0 and sum(alpha) <= vd}
+        den *= scale_den
+        if den != 1:
+            common = math.gcd(den, *nums.values())
+            if common != 1:
+                nums = {alpha: v // common for alpha, v in nums.items()}
+                den //= common
+        u.append(MultiSeries(dim=spec.dim, degree_cap=cap, mode=mode, valid_degree=vd,
+                             coeffs=from_numerators(nums, den, mode)))
+        u_nums[n] = nums, den
         diff_cache.pop(n - span, None)
+        u_nums.pop(n - span, None)
 
     working = TimeSeries(tuple(u))
     reported = working.map_z(
@@ -377,22 +404,37 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
     +inf if a zero envelope meets a nonzero residual, which indicates a
     genuine defect).
     """
-    forcing = problem.forcing
+    forcing, mode = problem.forcing, problem.mode
     worst = mpf(0)
-    for n, (app_n, env_n) in enumerate(operator_pairs(problem.spec, sol.working)):
+    for n, (values, env, den, vd, _) in enumerate(operator_numerators(problem.spec,
+                                                                       sol.working)):
         if n > forcing.n_max:
             break
-        res_n = _minus(app_n, forcing.coeffs[n])
-        env_n = series_add(env_n, majorant(forcing.coeffs[n]))
-        vd = min(res_n.valid_degree, env_n.valid_degree)
-        for alpha, v in res_n.coeffs.items():
+        f_n = forcing.coeffs[n]
+        f_nums, f_den = to_numerators(f_n.coeffs, mode)
+        vd = min(vd, f_n.valid_degree)
+        common = math.lcm(den, f_den)
+        value_scale, f_scale = common // den, common // f_den
+        for alpha in values.keys() | f_nums.keys():
             if sum(alpha) > vd:
                 continue
-            denom = env_n.coeffs.get(alpha, 0)
-            num = abs(v)
-            if denom == 0:
-                if num != 0:
-                    return mpf("inf")
+            v, f = values.get(alpha, 0), f_nums.get(alpha, 0)
+            if value_scale != 1:
+                v = v * value_scale
+            if f_scale != 1:
+                f = f * f_scale
+            num = v - f
+            if num == 0:
                 continue
+            denom = env.get(alpha, 0)
+            if value_scale != 1:
+                denom = denom * value_scale
+            denom = denom + abs(f)
+            if denom == 0:
+                return mpf("inf")
+            num = abs(num)
+            if common != 1:
+                # the reduced Fractions, as to_mpf rounds numerator and denominator apart
+                num, denom = Fraction(num, common), Fraction(denom, common)
             worst = max(worst, to_mpf(num) / to_mpf(denom))
     return worst

@@ -11,6 +11,7 @@ absolute values.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -23,17 +24,31 @@ from mpde import (
     OperatorTerm,
     SolutionSeries,
     TimeSeries,
+    combine,
     gamma_moment,
     generator_series,
     majorant,
     make_series,
     moment_diff_t,
-    moment_diff_z,
     series_add,
     series_scale,
+    tabulated_moment,
+    truncate_series,
     zero_series,
 )
 from mpde.precision import to_mpf
+
+
+def rational_ratio_moments():
+    """(m0, (m1, m2)): moment functions whose shift ratios m(b+a)/m(b) are
+    rationals with denominators other than 1, for the lcm path of the
+    exact kernels."""
+    m0 = tabulated_moment(lambda n: Fraction(math.factorial(n), 2 ** n), order=1)
+    m1 = combine(gamma_moment(2), tabulated_moment(lambda n: 3 ** n * math.factorial(n),
+                                                   order=1), "quotient")
+    m2 = tabulated_moment(lambda n: Fraction(math.factorial(2 * n), 5 ** n), order=2)
+    return m0, (m1, m2)
+
 
 ORDERS_ANY = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
 ORDERS_EXACT = [Fraction(1), Fraction(2)]
@@ -158,28 +173,43 @@ def heat_solution_oracle(n_terms: int, phi_coeffs):
     return out
 
 
-def solve_dropping_boundary(problem: CauchyProblem, n_max: int) -> SolutionSeries:
-    """The coefficient recurrence under the wrong boundary convention.
+def solve_formal_reference(problem: CauchyProblem, n_max: int, report_degree: int = 0,
+                           majorant_mode: bool = False,
+                           drop_boundary: bool = False) -> SolutionSeries:
+    """The coefficient recurrence as a chain of whole-series operations.
 
-    Like solve_formal at report degree 0, except that the p-sum also skips
-    the boundary index n-p-j = 0, whose factor is m0(n-p)/m0(0), not zero.
+    Each step adds sign * c * m0(k)/m0(k-j) * D_z^alpha u_k to g_n with
+    series_scale/series_add, one term and one p at a time, with the
+    per-coefficient z-derivative oracle, then scales by m0(n-M)/m0(n).
+    majorant_mode takes absolute values of the data and coefficients and adds
+    instead of subtracting.  drop_boundary is the wrong convention the
+    residual must reject: the p-sum also skips the boundary index
+    n-p-j = 0, whose factor is m0(n-p)/m0(0), not zero.
     """
     spec, mode = problem.spec, problem.mode
     m0 = spec.m0
-    u = [series_scale(problem.initial[j], m0.ratio(0, j, mode)) for j in range(spec.M)]
+    sign = 1 if majorant_mode else -1
+    data = majorant if majorant_mode else (lambda f: f)
+    u = [series_scale(data(problem.initial[j]), m0.ratio(0, j, mode))
+         for j in range(min(spec.M, n_max + 1))]
     for n in range(spec.M, n_max + 1):
-        acc = problem.forcing.coeffs[n - spec.M]
+        acc = data(problem.forcing.coeffs[n - spec.M])
         for term in spec.terms:
             for idx, c in enumerate(term.coeff):
                 k = n - (idx + spec.M - term.j)
-                if c == 0 or k > n or k - term.j <= 0:
+                if c == 0 or k > n or k - term.j < (1 if drop_boundary else 0):
                     continue
-                dz = moment_diff_z(u[k], spec.m, term.alpha)
-                acc = series_add(acc, series_scale(dz, -c * m0.ratio(k, k - term.j, mode)))
+                c = abs(c) if majorant_mode else c
+                dz = moment_diff_z_reference(u[k], spec.m, term.alpha)
+                acc = series_add(acc, series_scale(dz, sign * (c * m0.ratio(k, k - term.j, mode))))
         u.append(series_scale(acc, m0.ratio(n - spec.M, n, mode)))
     working = TimeSeries(tuple(u))
-    return SolutionSeries(u=working, working=working, provenance="dropped-boundary",
-                          report_degree=0)
+    reported = working.map_z(
+        lambda c: truncate_series(c, report_degree, degree_cap=report_degree))
+    provenance = "dropped-boundary" if drop_boundary else (
+        "majorant" if majorant_mode else "direct")
+    return SolutionSeries(u=reported, working=working, provenance=provenance,
+                          report_degree=report_degree)
 
 
 def moment_diff_z_reference(f, m, alpha):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,8 @@ HEAT = ROOT / "problems" / "heat.json"
 FRACTIONAL = ROOT / "problems" / "fractional.json"
 PURE_ODE = ROOT / "problems" / "pure_ode.json"
 PRODUCT2D = ROOT / "problems" / "product2d.json"
+# artifact digests and report fields of the shipped runs, recorded by bench/record_reference.py
+REFERENCE = ROOT / "bench" / "reference.json"
 
 
 def read(path: Path):
@@ -143,6 +146,13 @@ class TestShippedProblems:
         assert report["gevrey_bound_witness"]["bounded"] is True
         assert report["intermediate_bound"]["bounded"] is True
         assert report["majorant_dominates"] is True
+        # byte-identical to the recorded reference
+        want = json.loads(REFERENCE.read_text())[path.stem]
+        for name in ("coeffs.csv", "bounds.csv", "polygon.svg"):
+            assert hashlib.sha256(read(tmp_path / name)).hexdigest() == want["sha256"][name], name
+        for field in ("verdict", "inverse_k1", "newton_polygon", "residual",
+                      "majorant_dominates"):
+            assert report[field] == want["report"][field], field
 
 
 class TestSvgOutput:

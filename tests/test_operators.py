@@ -26,7 +26,7 @@ from mpde import (
 )
 from mpde.series import series_equal
 
-from helpers import apply_operator_reference, moment_diff_z_reference
+from helpers import apply_operator_reference, moment_diff_z_reference, rational_ratio_moments
 
 G1 = gamma_moment(1)
 GH = gamma_moment(Fraction(1, 2))
@@ -307,6 +307,9 @@ class TestMomentDiffZOracle:
                         assert got.coeffs == moment_diff_z_reference(f, [m1, m2], alpha).coeffs
 
 
+RATIONAL_M0, RATIONAL_M = rational_ratio_moments()
+
+
 class TestOperatorPairs:
     SPECS = [
         OperatorSpec(M=1, m0=G1, m=(G1,),
@@ -317,9 +320,15 @@ class TestOperatorPairs:
             OperatorTerm(j=3, alpha=(0, 1), coeff=(Fraction(0), Fraction(0), Fraction(2),
                                                    Fraction(-1)), truncated=True),
         )),
+        # time and space shift ratios that are non-integer rationals
+        OperatorSpec(M=2, m0=RATIONAL_M0, m=RATIONAL_M, terms=(
+            OperatorTerm(j=1, alpha=(1, 0), coeff=(Fraction(1, 3), Fraction(-2, 5))),
+            OperatorTerm(j=0, alpha=(1, 1), coeff=(Fraction(0), Fraction(3, 7))),
+            OperatorTerm(j=2, alpha=(0, 2), coeff=(Fraction(0), Fraction(-1, 2))),
+        )),
     ]
 
-    @pytest.mark.parametrize("spec", SPECS, ids=["heat", "mixed"])
+    @pytest.mark.parametrize("spec", SPECS, ids=["heat", "mixed", "rational"])
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_pairs_equal_two_whole_applications(self, spec, mode):
         rng = random.Random(3)

@@ -29,8 +29,8 @@ from mpde import (
 )
 from mpde.precision import float_tolerance, to_number
 from mpde.series import series_equal
-from helpers import (heat_solution_oracle, random_problem, residual_max_relative_two_pass,
-                     solve_dropping_boundary)
+from helpers import (heat_solution_oracle, random_problem, rational_ratio_moments,
+                     residual_max_relative_two_pass, solve_formal_reference)
 
 G1 = gamma_moment(1)
 GH = gamma_moment(Fraction(1, 2))
@@ -144,7 +144,7 @@ class TestSolveFormal:
                              forcing=zero_forcing(spec, n_max))
         good = solve_formal(prob, n_max, 0)
         assert residual_max_relative(prob, good) == 0
-        bad = solve_dropping_boundary(prob, n_max)
+        bad = solve_formal_reference(prob, n_max, drop_boundary=True)
         assert residual_max_relative(prob, bad) > 0
 
     def test_insufficient_degree_budget_rejected(self):
@@ -265,7 +265,7 @@ class TestResidual:
             assert residual_max_relative(prob, sol) < tol
 
 
-def oracle_problem(terms, M, m, mode, n_max, twist=1):
+def oracle_problem(terms, M, m, mode, n_max, twist=1, m0=G1):
     """A problem over the given terms with geometric data and a time-geometric
     forcing; the first term's coefficient is multiplied by ``twist``."""
     terms = tuple(
@@ -273,7 +273,7 @@ def oracle_problem(terms, M, m, mode, n_max, twist=1):
                      coeff=tuple(to_number(c, mode) * (twist if k == 0 else 1)
                                  for c in t.coeff))
         for k, t in enumerate(terms))
-    spec = OperatorSpec(M=M, m0=G1, m=m, terms=terms)
+    spec = OperatorSpec(M=M, m0=m0, m=m, terms=terms)
     full = n_max * spec.max_alpha
     initial = tuple(generator_series("geometric", spec.dim, full, mode,
                                      ratio=Fraction(1, j + 2) * (-1) ** j) for j in range(M))
@@ -297,22 +297,30 @@ def bumped(sol, n, alpha, delta):
     return replace(sol, working=TimeSeries(tuple(coeffs)))
 
 
+RATIONAL_M0, RATIONAL_M = rational_ratio_moments()
+
 ORACLE_CASES = {
     # product2d's operator: a term whose leading t-coefficients are 0
-    "leading_zeros": (1, (combine(G1, G1, "product"), G1), (
+    "leading_zeros": (1, G1, (combine(G1, G1, "product"), G1), (
         OperatorTerm(j=0, alpha=(1, 0), coeff=(Fraction(1, 2),)),
         OperatorTerm(j=0, alpha=(1, 1), coeff=(0, 0, 1)),
     )),
     # M = 2 with a j = 1 term, and a j = 2 term
-    "m2_j1": (2, (G1,), (
+    "m2_j1": (2, G1, (G1,), (
         OperatorTerm(j=1, alpha=(1,), coeff=(Fraction(-1, 2), 3, -1)),
         OperatorTerm(j=2, alpha=(1,), coeff=(0, Fraction(2, 3))),
         OperatorTerm(j=0, alpha=(2,), coeff=(1, 1)),
     )),
     # a coefficient known only to its stored length
-    "truncated": (1, (G1,), (
+    "truncated": (1, G1, (G1,), (
         OperatorTerm(j=0, alpha=(2,), coeff=(-1, 2, 0, 1, -3, 1, 1, 2), truncated=True),
         OperatorTerm(j=1, alpha=(0,), coeff=(0, 1)),
+    )),
+    # time and space moments whose shift ratios are non-integer rationals
+    "rational_ratios": (2, RATIONAL_M0, RATIONAL_M, (
+        OperatorTerm(j=1, alpha=(1, 0), coeff=(Fraction(1, 3), Fraction(-2, 5))),
+        OperatorTerm(j=0, alpha=(1, 1), coeff=(0, Fraction(3, 7))),
+        OperatorTerm(j=2, alpha=(0, 1), coeff=(0, Fraction(-1, 2))),
     )),
 }
 
@@ -323,11 +331,11 @@ class TestResidualOracle:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_streaming_equals_two_pass(self, case, mode):
-        M, m, terms = ORACLE_CASES[case]
+        M, m0, m, terms = ORACLE_CASES[case]
         n_max = 8
-        prob = oracle_problem(terms, M, m, mode, n_max)
+        prob = oracle_problem(terms, M, m, mode, n_max, m0=m0)
         sol = solve_formal(prob, n_max, 0)
-        wrong = solve_dropping_boundary(prob, n_max)
+        wrong = solve_formal_reference(prob, n_max, drop_boundary=True)
         bump = bumped(sol, 4, (1,) + (0,) * (prob.spec.dim - 1), to_number(Fraction(1, 7), mode))
         values = []
         for candidate in (sol, wrong, bump):
@@ -343,21 +351,97 @@ class TestResidualOracle:
         for exact in (True, False):
             for _ in range(4):
                 prob = random_problem(rng, exact=exact, n_max=7)
-                for sol in (solve_formal(prob, 7, 1), solve_dropping_boundary(prob, 7)):
+                for sol in (solve_formal(prob, 7, 1),
+                            solve_formal_reference(prob, 7, drop_boundary=True)):
                     assert residual_max_relative(prob, sol) == \
                         residual_max_relative_two_pass(prob, sol)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_complex_coefficients_within_tolerance(self, case):
-        M, m, terms = ORACLE_CASES[case]
+        M, m0, m, terms = ORACLE_CASES[case]
         n_max = 8
-        prob = oracle_problem(terms, M, m, "float", n_max, twist=mpmath.mpc(1, -2))
+        prob = oracle_problem(terms, M, m, "float", n_max, twist=mpmath.mpc(1, -2), m0=m0)
         sol = solve_formal(prob, n_max, 0)
         bump = bumped(sol, 4, (1,) + (0,) * (prob.spec.dim - 1), mpmath.mpc(0, 1))
         for candidate in (sol, bump):
             got = residual_max_relative(prob, candidate)
             want = residual_max_relative_two_pass(prob, candidate)
             assert abs(got - want) <= float_tolerance() * max(abs(want), 1)
+
+
+def assert_same_recurrence(got, want):
+    assert len(got.working.coeffs) == len(want.working.coeffs)
+    for g, w in zip(got.working.coeffs, want.working.coeffs):
+        assert g.coeffs == w.coeffs
+        assert (g.valid_degree, g.degree_cap) == (w.valid_degree, w.degree_cap)
+    assert [c.coeffs for c in got.u.coeffs] == [c.coeffs for c in want.u.coeffs]
+
+
+class TestReferenceRecurrence:
+    """The numerator recurrence equals the whole-series reference exactly."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("majorant_mode", [False, True], ids=["direct", "majorant"])
+    def test_oracle_cases(self, case, mode, majorant_mode):
+        M, m0, m, terms = ORACLE_CASES[case]
+        prob = oracle_problem(terms, M, m, mode, 8, m0=m0)
+        assert_same_recurrence(solve_formal(prob, 8, 0, majorant_mode=majorant_mode),
+                               solve_formal_reference(prob, 8, 0, majorant_mode=majorant_mode))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_randomized_problems(self, exact):
+        rng = random.Random(515 + exact)
+        for _ in range(8):
+            prob = random_problem(rng, exact=exact, n_max=7)
+            for majorant_mode in (False, True):
+                assert_same_recurrence(
+                    solve_formal(prob, 7, 1, majorant_mode=majorant_mode),
+                    solve_formal_reference(prob, 7, 1, majorant_mode=majorant_mode))
+
+
+def as_float(problem):
+    """The same problem with every data coefficient converted to float mode."""
+    from dataclasses import replace
+
+    def convert(f):
+        return replace(f, mode="float", coeffs={a: to_number(v, "float")
+                                                for a, v in f.coeffs.items()})
+
+    return CauchyProblem(spec=problem.spec,
+                         initial=tuple(convert(phi) for phi in problem.initial),
+                         forcing=problem.forcing.map_z(convert))
+
+
+class TestExactVsFloat:
+    """Exact and float solves of one problem agree within float_tolerance()."""
+
+    def assert_agree(self, prob, n_max, report_degree=0):
+        exact = solve_formal(prob, n_max, report_degree)
+        approx = solve_formal(as_float(prob), n_max, report_degree)
+        tol = float_tolerance()
+        for e, f in zip(exact.working.coeffs, approx.working.coeffs):
+            assert (e.valid_degree, e.degree_cap) == (f.valid_degree, f.degree_cap)
+            for alpha in e.coeffs.keys() | f.coeffs.keys():
+                want = to_number(e.coefficient(alpha), "float")
+                got = f.coefficient(alpha)
+                assert abs(got - want) <= tol * abs(want), (alpha, got, want)
+
+    def test_heat(self):
+        self.assert_agree(heat_problem(30), 30)
+
+    def test_product2d_operator(self):
+        M, m0, m, terms = ORACLE_CASES["leading_zeros"]
+        self.assert_agree(oracle_problem(terms, M, m, "exact", 12, m0=m0), 12)
+
+    def test_rational_ratios(self):
+        M, m0, m, terms = ORACLE_CASES["rational_ratios"]
+        self.assert_agree(oracle_problem(terms, M, m, "exact", 10, m0=m0), 10)
+
+    def test_randomized_problems(self):
+        rng = random.Random(4242)
+        for _ in range(8):
+            self.assert_agree(random_problem(rng, exact=True, n_max=8), 8, 1)
 
 
 class TestBorelRoundTrip:

@@ -37,8 +37,6 @@ from .operators import (
     moment_diff_t,
     moment_diff_z,
     operator_pairs,
-    time_series,
-    zero_time_series,
 )
 from .polygon import (
     NewtonPolygon,
@@ -53,15 +51,11 @@ from .solver import (
     ValidationFailure,
     ValidationReport,
     borel_problem,
-    initial_residuals,
-    inverse_borel_solution,
-    residual,
     residual_max_relative,
     solve_formal,
     solve_majorant,
     solve_via_borel,
     validate,
-    zero_forcing,
 )
 from .analysis import (
     BoundWitness,
@@ -77,7 +71,6 @@ from .analysis import (
     verify_gevrey_bound,
     verify_inequality,
 )
-from .precision import default_precision_bits
 from .problemspec import (
     ProblemSpecFile,
     RunConfig,

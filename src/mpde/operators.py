@@ -28,7 +28,6 @@ from .series import (
     mode_scalar,
     series_scale,
     to_numerators,
-    zero_series,
 )
 
 
@@ -58,19 +57,8 @@ class TimeSeries:
     def mode(self) -> str:
         return self.coeffs[0].mode
 
-    def coefficient(self, n: int) -> MultiSeries:
-        return self.coeffs[n]
-
     def map_z(self, fn: Callable[[MultiSeries], MultiSeries]) -> "TimeSeries":
         return TimeSeries(tuple(fn(c) for c in self.coeffs))
-
-
-def time_series(coeffs: Sequence[MultiSeries]) -> TimeSeries:
-    return TimeSeries(tuple(coeffs))
-
-
-def zero_time_series(n_max: int, dim: int, degree_cap: int, mode: str = "exact") -> TimeSeries:
-    return TimeSeries(tuple(zero_series(dim, degree_cap, mode) for _ in range(n_max + 1)))
 
 
 @dataclass(frozen=True)
@@ -191,8 +179,8 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
         return f
     nums, den = to_numerators(f.coeffs, f.mode)
     nums, den, valid = moment_diff_z_numerators(nums, den, f.valid_degree, m, alpha, f.mode)
-    return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
-                       coeffs=from_numerators(nums, den, f.mode), valid_degree=valid)
+    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=from_numerators(nums, den, f.mode),
+                       valid_degree=valid)
 
 
 def moment_diff_z_numerators(nums: dict, den: int, valid_degree: int,
@@ -255,8 +243,7 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
                           else factor * mj.ratio(0, aj, f.mode))
         if factor != 0:
             coeffs[alpha] = factor
-    return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
-                       coeffs=coeffs, valid_degree=f.valid_degree)
+    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
 
 
 def operator_pairs(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
@@ -266,17 +253,16 @@ def operator_pairs(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
     envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that P(u)_n
     sums (and |D_t^M u|), so it bounds the magnitude of what cancelled.
     """
-    for values, env, den, valid, cap in operator_numerators(spec, u):
-        yield (_collect(values, den, valid, cap, u.dim, u.mode),
-               _collect(env, den, valid, cap, u.dim, u.mode))
+    for values, env, den, valid in operator_numerators(spec, u):
+        yield (_collect(values, den, valid, u.dim, u.mode),
+               _collect(env, den, valid, u.dim, u.mode))
 
 
 def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
     """The pairs of ``operator_pairs`` as numerators over one denominator.
 
-    Yields (values, envelope, denominator, valid degree, degree cap) per
-    t-order; the dicts may hold zeros and degrees past the valid degree.
-    Sums run in a fixed order: the D_t chain, the sum over p within each
+    Yields (values, envelope, denominator, valid degree) per t-order; the
+    dicts may hold zeros and degrees past the valid degree.  Sums run in a fixed order: the D_t chain, the sum over p within each
     term, then the sum across terms.  Only the D_t and D_z results that
     later orders still read are kept.
     """
@@ -290,16 +276,16 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
 
     def d_t(j: int, k: int) -> tuple:
         """(D_t^j u)_k = m0(k+1)/m0(k) * (D_t^{j-1} u)_{k+1}, as
-        (numerators, denominator, valid degree, degree cap)."""
+        (numerators, denominator, valid degree)."""
         memo = d_t_memo[j]
         if k not in memo:
             if j == 0:
                 c = u.coeffs[k]
-                memo[k] = (*to_numerators(c.coeffs, mode), c.valid_degree, c.degree_cap)
+                memo[k] = (*to_numerators(c.coeffs, mode), c.valid_degree)
             else:
-                nums, den, valid, cap = d_t(j - 1, k + 1)
+                nums, den, valid = d_t(j - 1, k + 1)
                 (r,), r_den = to_numerators((ratios[k],), mode)
-                memo[k] = ({alpha: r * v for alpha, v in nums.items()}, den * r_den, valid, cap)
+                memo[k] = ({alpha: r * v for alpha, v in nums.items()}, den * r_den, valid)
         return memo[k]
 
     n_out = u.n_max - spec.M
@@ -323,28 +309,24 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
         memo = d_z_memo[i]
         if k not in memo:
             term = spec.terms[i]
-            nums, den, valid, cap = d_t(term.j, k)
-            memo[k] = (*moment_diff_z_numerators(nums, den, valid, spec.m, term.alpha, mode),
-                       cap)
+            memo[k] = moment_diff_z_numerators(*d_t(term.j, k), spec.m, term.alpha, mode)
         return memo[k]
 
     for n in range(n_out + 1):
-        lead, lead_den, vd, cap = d_t(spec.M, n)
+        lead, lead_den, vd = d_t(spec.M, n)
         parts = []
         for i, scalars in enumerate(terms):
             part, term_vd = [], None
             for p, a, a_den in scalars:
                 if p > n:
                     break
-                w, w_den, w_vd, w_cap = d_z(i, n - p)
+                w, w_den, w_vd = d_z(i, n - p)
                 term_vd = w_vd if term_vd is None else min(term_vd, w_vd)
-                cap = max(cap, w_cap)
                 part.append((a, a_den * w_den, w))
             if term_vd is None:
                 # no coefficient power p <= n: the term adds zero, valid where
                 # every D_z^alpha D_t^j u_k, k <= n, is
                 term_vd = min(d_z(i, k)[2] for k in range(n + 1))
-                cap = max(cap, d_z(i, n)[3])
             vd = min(vd, term_vd)
             parts.append(part)
         den = math.lcm(lead_den, *(d for part in parts for _, d, _ in part))
@@ -368,7 +350,7 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
                         acc_env[alpha] = abs(piece)
             _add_into(total, acc)
             _add_into(total_env, acc_env)
-        yield total, total_env, den, vd, cap
+        yield total, total_env, den, vd
         for memo in (*d_t_memo.values(), *d_z_memo.values()):
             memo.pop(n - span, None)
 
@@ -378,13 +360,12 @@ def _add_into(acc: dict, part: dict) -> None:
         acc[alpha] = acc[alpha] + v if alpha in acc else v
 
 
-def _collect(nums: dict, den: int, valid_degree: int, degree_cap: int, dim: int,
-             mode: str) -> MultiSeries:
+def _collect(nums: dict, den: int, valid_degree: int, dim: int, mode: str) -> MultiSeries:
     """Accumulated numerators as a series: zeros and degrees past
     valid_degree dropped."""
     kept = {alpha: v for alpha, v in nums.items() if v != 0 and sum(alpha) <= valid_degree}
-    return MultiSeries(dim=dim, degree_cap=degree_cap, mode=mode,
-                       coeffs=from_numerators(kept, den, mode), valid_degree=valid_degree)
+    return MultiSeries(dim=dim, mode=mode, coeffs=from_numerators(kept, den, mode),
+                       valid_degree=valid_degree)
 
 
 def apply_operator(spec: OperatorSpec, u: TimeSeries) -> TimeSeries:

@@ -51,7 +51,7 @@ def run(spec_file: ProblemSpecFile) -> PipelineResult:
     """
     cfg = spec_file.run
     with mpmath.workprec(cfg.precision_bits):
-        problem, _ = materialize_problem(spec_file)
+        problem = materialize_problem(spec_file)
         report = validate(problem)
         if not report.passed:
             raise ValidationFailure(report)

@@ -11,30 +11,13 @@ touches the float context.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 import mpmath
 from mpmath import mpc, mpf
 
+# mantissa bits of a run whose problem file and command line set none
 DEFAULT_PRECISION_BITS = 256
-PRECISION_ENV_VAR = "MPDE_PRECISION_BITS"
-
-
-def default_precision_bits() -> int:
-    """Default mantissa size in bits, overridable via MPDE_PRECISION_BITS."""
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None or not raw.strip():
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}"
-        ) from exc
-    if bits < 16:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be at least 16, got {bits}")
-    return bits
 
 
 def to_mpf(x) -> mpf:

@@ -3,7 +3,8 @@ functions, the operator, the Cauchy data, and run parameters.
 
 Orders and exact values are written as "p/q" strings so nothing is lost in
 text form; plain integers are accepted too.  Float literals are only legal
-in float mode.  Example:
+in float mode.  Every field must have the JSON type it is read as: objects,
+lists, strings, and integers that are not booleans.  Example:
 
     {
       "name": "heat",
@@ -34,9 +35,9 @@ from fractions import Fraction
 
 from .moments import MomentFunction, combine, gamma_moment
 from .operators import OperatorSpec, OperatorTerm, TimeSeries
-from .precision import default_precision_bits
-from .series import MultiSeries, generator_series, make_series, zero_series
-from .solver import CauchyProblem
+from .precision import DEFAULT_PRECISION_BITS
+from .series import MultiSeries, generator_series, make_series, series_scale, zero_series
+from .solver import CauchyProblem, degree_budget
 
 
 class SpecError(ValueError):
@@ -67,11 +68,38 @@ def _fail(path: str, msg: str):
 
 
 def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
+    if not isinstance(obj, dict):
+        _fail(path, f"must be an object, got {obj!r}")
     if key not in obj:
         if required:
             _fail(path, f"missing field {key!r}")
         return default
     return obj[key]
+
+
+def _parse_int(value, path: str, minimum: int = 0) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        _fail(path, f"must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _parse_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        _fail(path, f"must be a list, got {value!r}")
+    return value
+
+
+def _parse_name(value, path: str) -> str:
+    if not isinstance(value, str):
+        _fail(path, f"must be a moment function name, got {value!r}")
+    return value
+
+
+def _parse_index(value, dim: int, path: str) -> tuple:
+    """A multi-index: a list of dim nonnegative integers."""
+    if not isinstance(value, list) or len(value) != dim:
+        _fail(path, f"must be a list of {dim} integers, got {value!r}")
+    return tuple(_parse_int(a, f"{path}[{k}]") for k, a in enumerate(value))
 
 
 def _parse_fraction(value, path: str) -> Fraction:
@@ -119,12 +147,12 @@ def _parse_moments(section: dict, path: str) -> dict:
             m = gamma_moment(_parse_fraction(_get(decl, "order", where), f"{where}.order"))
         elif kind in ("product", "quotient"):
             if "factors" in decl:
-                names = decl["factors"]
+                names = _parse_list(decl["factors"], f"{where}.factors")
             else:
                 names = [_get(decl, "numerator", where), _get(decl, "denominator", where)]
             if len(names) != 2:
                 _fail(where, "product/quotient needs exactly two operands")
-            children = [resolve(n, trail + (name,)) for n in names]
+            children = [resolve(_parse_name(n, where), trail + (name,)) for n in names]
             try:
                 m = combine(children[0], children[1], kind)
             except ValueError as exc:
@@ -140,38 +168,36 @@ def _parse_moments(section: dict, path: str) -> dict:
 
 
 def _parse_operator(section: dict, moments: dict, mode: str, path: str) -> OperatorSpec:
-    M = _get(section, "M", path)
-    if not isinstance(M, int) or M < 1:
-        _fail(f"{path}.M", f"M must be a positive integer, got {M!r}")
-    tm_name = _get(section, "time_moment", path)
+    M = _parse_int(_get(section, "M", path), f"{path}.M", minimum=1)
+    tm_name = _parse_name(_get(section, "time_moment", path), f"{path}.time_moment")
     if tm_name not in moments:
         _fail(f"{path}.time_moment", f"undeclared moment function {tm_name!r}")
     sm_names = _get(section, "space_moments", path)
     if not isinstance(sm_names, list) or not sm_names:
         _fail(f"{path}.space_moments", "must be a nonempty list of moment names")
     for nm in sm_names:
-        if nm not in moments:
+        if _parse_name(nm, f"{path}.space_moments") not in moments:
             _fail(f"{path}.space_moments", f"undeclared moment function {nm!r}")
     dim = len(sm_names)
     terms = []
-    for i, t in enumerate(_get(section, "terms", path, required=False, default=[])):
+    raw_terms = _get(section, "terms", path, required=False, default=[])
+    for i, t in enumerate(_parse_list(raw_terms, f"{path}.terms")):
         where = f"{path}.terms[{i}]"
-        j = _get(t, "j", where)
-        if not isinstance(j, int) or j < 0:
-            _fail(f"{where}.j", f"j must be a nonnegative integer, got {j!r}")
-        alpha = _get(t, "alpha", where)
-        if not isinstance(alpha, list) or len(alpha) != dim:
-            _fail(f"{where}.alpha", f"alpha must be a list of {dim} integers")
+        j = _parse_int(_get(t, "j", where), f"{where}.j")
+        alpha = _parse_index(_get(t, "alpha", where), dim, f"{where}.alpha")
         coeff_raw = _get(t, "coeff", where)
         if not isinstance(coeff_raw, list) or not coeff_raw:
             _fail(f"{where}.coeff", "coeff must be a nonempty t-coefficient list")
         coeff = tuple(_parse_value(c, mode, f"{where}.coeff[{k}]")
                       for k, c in enumerate(coeff_raw))
-        terms.append(OperatorTerm(
-            j=j, alpha=tuple(alpha), coeff=coeff,
-            truncated=bool(t.get("truncated", False)),
-            ord_override=t.get("ord_override"),
-        ))
+        truncated = t.get("truncated", False)
+        if not isinstance(truncated, bool):
+            _fail(f"{where}.truncated", f"must be true or false, got {truncated!r}")
+        ord_override = t.get("ord_override")
+        if ord_override is not None:
+            ord_override = _parse_int(ord_override, f"{where}.ord_override")
+        terms.append(OperatorTerm(j=j, alpha=alpha, coeff=coeff, truncated=truncated,
+                                  ord_override=ord_override))
     try:
         return OperatorSpec(M=M, m0=moments[tm_name],
                             m=tuple(moments[nm] for nm in sm_names), terms=tuple(terms))
@@ -180,24 +206,20 @@ def _parse_operator(section: dict, moments: dict, mode: str, path: str) -> Opera
 
 
 def _parse_run(section: dict, path: str) -> RunConfig:
-    n_max = _get(section, "n_max", path)
-    if not isinstance(n_max, int) or n_max < 1:
-        _fail(f"{path}.n_max", f"n_max must be a positive integer, got {n_max!r}")
-    report_degree = section.get("report_degree", 0)
-    if not isinstance(report_degree, int) or report_degree < 0:
-        _fail(f"{path}.report_degree", "must be a nonnegative integer")
+    n_max = _parse_int(_get(section, "n_max", path), f"{path}.n_max", minimum=1)
+    report_degree = _parse_int(section.get("report_degree", 0), f"{path}.report_degree")
     mode = section.get("mode", "exact")
     if mode not in ("exact", "float"):
         _fail(f"{path}.mode", f"mode must be 'exact' or 'float', got {mode!r}")
-    bits = section.get("precision_bits", default_precision_bits())
-    if not isinstance(bits, int) or bits < 16:
-        _fail(f"{path}.precision_bits", "must be an integer >= 16")
+    bits = _parse_int(section.get("precision_bits", DEFAULT_PRECISION_BITS),
+                      f"{path}.precision_bits", minimum=16)
     radius = _parse_fraction(section.get("radius", "1/2"), f"{path}.radius")
     if radius <= 0:
         _fail(f"{path}.radius", "radius must be positive")
     window = section.get("fit_window")
     if window is not None and (not isinstance(window, list) or len(window) != 2
-                               or not all(isinstance(w, int) for w in window)):
+                               or not all(isinstance(w, int) and not isinstance(w, bool)
+                                          for w in window)):
         _fail(f"{path}.fit_window", "must be [lo, hi] with integer entries")
     if window is None or window[1] > n_max:
         window = [max(1, n_max // 4), n_max]
@@ -255,7 +277,8 @@ def _materialize_generator(desc: dict, dim: int, degree: int, mode: str, path: s
         return generator_series("geometric", dim, degree, mode, ratio=ratio)
     if kind == "polynomial":
         coeffs = [_parse_value(c, mode, f"{path}.coeffs[{k}]")
-                  for k, c in enumerate(_get(desc, "coeffs", path))]
+                  for k, c in enumerate(_parse_list(_get(desc, "coeffs", path),
+                                                    f"{path}.coeffs"))]
         if len(coeffs) - 1 > degree:
             _fail(f"{path}.coeffs", f"polynomial degree exceeds the budget {degree}")
         return generator_series("polynomial", dim, degree, mode, coeffs=coeffs)
@@ -264,11 +287,9 @@ def _materialize_generator(desc: dict, dim: int, degree: int, mode: str, path: s
         return generator_series("gevrey_factorial", dim, degree, mode, sigma=sigma)
     if kind == "terms":
         table = {}
-        for k, entry in enumerate(_get(desc, "terms", path)):
+        for k, entry in enumerate(_parse_list(_get(desc, "terms", path), f"{path}.terms")):
             where = f"{path}.terms[{k}]"
-            alpha = tuple(_get(entry, "alpha", where))
-            if len(alpha) != dim:
-                _fail(f"{where}.alpha", f"alpha must have {dim} entries")
+            alpha = _parse_index(_get(entry, "alpha", where), dim, f"{where}.alpha")
             if sum(alpha) > degree:
                 _fail(f"{where}.alpha", f"index {alpha} exceeds the degree budget {degree}")
             table[alpha] = _parse_value(_get(entry, "value", where), mode, f"{where}.value")
@@ -286,8 +307,6 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
         space_desc = desc.get("space", {"kind": "terms",
                                         "terms": [{"alpha": [0] * dim, "value": "1"}]})
         space = _materialize_generator(space_desc, dim, degree, mode, f"{path}.space")
-        from .series import series_scale
-
         out = []
         scale = _parse_value("1", mode, path)
         for _ in range(n_top + 1):
@@ -296,14 +315,12 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
         return TimeSeries(tuple(out))
     if kind == "terms":
         tables: dict = {}
-        for k, entry in enumerate(_get(desc, "terms", path)):
+        for k, entry in enumerate(_parse_list(_get(desc, "terms", path), f"{path}.terms")):
             where = f"{path}.terms[{k}]"
-            n = _get(entry, "n", where)
-            if not isinstance(n, int) or n < 0:
-                _fail(f"{where}.n", "n must be a nonnegative integer")
+            n = _parse_int(_get(entry, "n", where), f"{where}.n")
             if n > n_top:
                 continue
-            alpha = tuple(_get(entry, "alpha", where))
+            alpha = _parse_index(_get(entry, "alpha", where), dim, f"{where}.alpha")
             tables.setdefault(n, {})[alpha] = _parse_value(
                 _get(entry, "value", where), mode, f"{where}.value")
         out = []
@@ -313,24 +330,22 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
     _fail(path, f"unknown forcing kind {kind!r}")
 
 
-def materialize_problem(spec_file: ProblemSpecFile) -> tuple:
+def materialize_problem(spec_file: ProblemSpecFile) -> CauchyProblem:
     """Build the CauchyProblem with the degree budget the run demands.
 
-    Initial data are materialized to report_degree + n_max * max|alpha|, the
-    forcing to the degrees its later use requires; returns (problem, run).
+    Initial data are materialized to ``solver.degree_budget`` at step 0, the
+    forcing to its budget at step M, where the recurrence first reads it.
     """
     run = spec_file.run
     op = spec_file.operator
     dim = op.dim
-    a_max = op.max_alpha
-    full_degree = run.report_degree + run.n_max * a_max
     initial = tuple(
-        _materialize_generator(desc, dim, full_degree, run.mode, f"data.initial[{j}]")
+        _materialize_generator(desc, dim, degree_budget(op, run.n_max, run.report_degree),
+                               run.mode, f"data.initial[{j}]")
         for j, desc in enumerate(spec_file.initial_descriptors)
     )
     n_top = max(0, run.n_max - op.M)
-    forcing_degree = run.report_degree + n_top * a_max
     forcing = _materialize_forcing(spec_file.forcing_descriptor, dim, n_top,
-                                   forcing_degree, run.mode, "data.forcing")
-    problem = CauchyProblem(spec=op, initial=initial, forcing=forcing)
-    return problem, run
+                                   degree_budget(op, run.n_max, run.report_degree, op.M),
+                                   run.mode, "data.forcing")
+    return CauchyProblem(spec=op, initial=initial, forcing=forcing)

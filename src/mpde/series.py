@@ -2,10 +2,10 @@
 
 Coefficients live in one of two arithmetic modes: ``exact`` (Fraction) or
 ``float`` (mpmath real/complex at the global precision).  Series are
-immutable; every operation returns a new series.  ``valid_degree`` tracks the
-largest total degree whose coefficients are still trustworthy after
-truncation-lossy operations (differentiation shortens it); coefficients above
-it are dropped.
+immutable; every operation returns a new series.  ``valid_degree`` is the only
+degree a series carries: the largest total degree whose coefficients are
+still trustworthy after truncation-lossy operations (differentiation shortens
+it); coefficients above it are dropped.
 
 The hot kernels (the z-derivative, the coefficient recurrence and the operator
 pass) work on one z-series at a time as integer numerators over one common
@@ -50,7 +50,6 @@ def _compositions(total: int, parts: int):
 @dataclass(frozen=True, eq=True)
 class MultiSeries:
     dim: int
-    degree_cap: int
     mode: str
     coeffs: dict = field(default_factory=dict)
     valid_degree: int = 0
@@ -63,16 +62,10 @@ class MultiSeries:
     def coefficient(self, alpha: Index):
         return self.coeffs.get(tuple(alpha), _zero(self.mode))
 
-    def __add__(self, other: "MultiSeries") -> "MultiSeries":
-        return series_add(self, other)
-
-    def __sub__(self, other: "MultiSeries") -> "MultiSeries":
-        return series_add(self, series_scale(other, -1))
-
     def __repr__(self):
         return (
-            f"MultiSeries(dim={self.dim}, cap={self.degree_cap}, "
-            f"valid={self.valid_degree}, terms={len(self.coeffs)}, mode={self.mode!r})"
+            f"MultiSeries(dim={self.dim}, valid={self.valid_degree}, "
+            f"terms={len(self.coeffs)}, mode={self.mode!r})"
         )
 
 
@@ -80,16 +73,16 @@ def _zero(mode: str):
     return Fraction(0) if mode == "exact" else mpf(0)
 
 
-def make_series(dim: int, coefficients: Mapping, degree_cap: int, mode: str = "exact") -> MultiSeries:
-    """Build a series from an index -> value mapping.
+def make_series(dim: int, coefficients: Mapping, degree: int, mode: str = "exact") -> MultiSeries:
+    """Build a series valid to ``degree`` from an index -> value mapping.
 
-    Indices must fit the cap; values are coerced into the requested mode
+    Indices must fit the degree; values are coerced into the requested mode
     (mixing modes is an error by construction).
     """
     if dim < 1:
         raise ValueError(f"dimension must be >= 1, got {dim}")
-    if degree_cap < 0:
-        raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
     coeffs = {}
     for alpha, value in coefficients.items():
         alpha = (alpha,) if isinstance(alpha, int) else tuple(int(a) for a in alpha)
@@ -97,22 +90,19 @@ def make_series(dim: int, coefficients: Mapping, degree_cap: int, mode: str = "e
             raise ValueError(f"index {alpha} does not have {dim} entries")
         if any(a < 0 for a in alpha):
             raise ValueError(f"negative exponent in index {alpha}")
-        if sum(alpha) > degree_cap:
-            raise ValueError(f"index {alpha} exceeds degree cap {degree_cap}")
+        if sum(alpha) > degree:
+            raise ValueError(f"index {alpha} exceeds degree {degree}")
         value = to_number(value, mode)
         if value != 0:
             coeffs[alpha] = value
-    return MultiSeries(dim=dim, degree_cap=degree_cap, mode=mode,
-                       coeffs=coeffs, valid_degree=degree_cap)
+    return MultiSeries(dim=dim, mode=mode, coeffs=coeffs, valid_degree=degree)
 
 
-def zero_series(dim: int, degree_cap: int, mode: str = "exact",
-                valid_degree: Optional[int] = None) -> MultiSeries:
-    vd = degree_cap if valid_degree is None else valid_degree
-    return MultiSeries(dim=dim, degree_cap=degree_cap, mode=mode, coeffs={}, valid_degree=vd)
+def zero_series(dim: int, degree: int, mode: str = "exact") -> MultiSeries:
+    return MultiSeries(dim=dim, mode=mode, coeffs={}, valid_degree=degree)
 
 
-def generator_series(kind: str, dim: int, degree_cap: int, mode: str = "exact",
+def generator_series(kind: str, dim: int, degree: int, mode: str = "exact",
                      *, ratio=None, coeffs: Optional[Sequence] = None, sigma=None) -> MultiSeries:
     """Stock test-data series.
 
@@ -126,23 +116,23 @@ def generator_series(kind: str, dim: int, degree_cap: int, mode: str = "exact",
         if ratio is None:
             raise ValueError("geometric generator needs ratio=")
         c = to_number(ratio, mode)
-        table = {alpha: c ** sum(alpha) for alpha in indices_up_to(dim, degree_cap)}
-        return make_series(dim, table, degree_cap, mode)
+        table = {alpha: c ** sum(alpha) for alpha in indices_up_to(dim, degree)}
+        return make_series(dim, table, degree, mode)
     if kind == "polynomial":
         if coeffs is None:
             raise ValueError("polynomial generator needs coeffs=")
         if dim != 1:
             raise ValueError("polynomial generator is univariate; use make_series for dim > 1")
-        if len(coeffs) - 1 > degree_cap:
-            raise ValueError("polynomial longer than the degree cap")
-        return make_series(1, {(l,): v for l, v in enumerate(coeffs)}, degree_cap, mode)
+        if len(coeffs) - 1 > degree:
+            raise ValueError("polynomial longer than the degree")
+        return make_series(1, {(l,): v for l, v in enumerate(coeffs)}, degree, mode)
     if kind == "gevrey_factorial":
         sigma = Fraction(sigma)
         if sigma < 0:
             raise ValueError(f"gevrey_factorial exponent must be >= 0, got {sigma}")
         table = {}
         for axis in range(dim):
-            for l in range(degree_cap + 1):
+            for l in range(degree + 1):
                 alpha = tuple(l if j == axis else 0 for j in range(dim))
                 fact = Fraction(math.factorial(l))
                 if mode == "exact":
@@ -151,7 +141,7 @@ def generator_series(kind: str, dim: int, degree_cap: int, mode: str = "exact",
                     table[alpha] = fact ** sigma.numerator
                 else:
                     table[alpha] = mpmath.power(to_mpf(fact), to_mpf(sigma))
-        return make_series(dim, table, degree_cap, mode)
+        return make_series(dim, table, degree, mode)
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -192,8 +182,7 @@ def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
         v = a.coeffs.get(alpha, 0) + b.coeffs.get(alpha, 0)
         if v != 0:
             coeffs[alpha] = v
-    return MultiSeries(dim=a.dim, degree_cap=max(a.degree_cap, b.degree_cap),
-                       mode=a.mode, coeffs=coeffs, valid_degree=vd)
+    return MultiSeries(dim=a.dim, mode=a.mode, coeffs=coeffs, valid_degree=vd)
 
 
 def mode_scalar(scalar, mode: str):
@@ -208,38 +197,16 @@ def mode_scalar(scalar, mode: str):
 def series_scale(f: MultiSeries, scalar) -> MultiSeries:
     scalar = mode_scalar(scalar, f.mode)
     if scalar == 0:
-        return zero_series(f.dim, f.degree_cap, f.mode, f.valid_degree)
+        return zero_series(f.dim, f.valid_degree, f.mode)
     coeffs = {alpha: scalar * v for alpha, v in f.coeffs.items()}
-    return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
-                       coeffs=coeffs, valid_degree=f.valid_degree)
+    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
 
 
-def truncate_series(f: MultiSeries, valid_degree: int, degree_cap: Optional[int] = None) -> MultiSeries:
-    """Restrict to |alpha| <= valid_degree, optionally shrinking the cap."""
-    cap = f.degree_cap if degree_cap is None else degree_cap
-    vd = min(valid_degree, cap)
+def truncate_series(f: MultiSeries, degree: int) -> MultiSeries:
+    """Restrict to |alpha| <= min(degree, valid_degree)."""
+    vd = min(degree, f.valid_degree)
     coeffs = {a: v for a, v in f.coeffs.items() if sum(a) <= vd}
-    return MultiSeries(dim=f.dim, degree_cap=cap, mode=f.mode, coeffs=coeffs, valid_degree=vd)
-
-
-def series_equal(a: MultiSeries, b: MultiSeries) -> bool:
-    """Coefficientwise equality on the shared valid range (float: tolerance)."""
-    if a.dim != b.dim:
-        return False
-    vd = min(a.valid_degree, b.valid_degree)
-    for alpha in set(a.coeffs) | set(b.coeffs):
-        if sum(alpha) > vd:
-            continue
-        va, vb = a.coeffs.get(alpha, 0), b.coeffs.get(alpha, 0)
-        if a.mode == "exact" and b.mode == "exact":
-            if va != vb:
-                return False
-        else:
-            diff = abs(_to_float_scalar(va) - _to_float_scalar(vb))
-            scale = max(abs(_to_float_scalar(va)), abs(_to_float_scalar(vb)), mpf(1))
-            if diff > float_tolerance() * scale:
-                return False
-    return True
+    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=vd)
 
 
 def _to_float_scalar(v):
@@ -270,8 +237,7 @@ def evaluate(f: MultiSeries, point: Sequence) -> object:
 def majorant(f: MultiSeries) -> MultiSeries:
     """Coefficientwise absolute value (complex moduli become mpf)."""
     coeffs = {alpha: abs(v) for alpha, v in f.coeffs.items()}
-    return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode,
-                       coeffs=coeffs, valid_degree=f.valid_degree)
+    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
 
 
 def sup_bound(f: MultiSeries, r):
@@ -349,8 +315,8 @@ class ThetaSeries:
         c = to_mpf(constant)
         hh = to_mpf(h)
         coeffs = {alpha: c * hh ** sum(alpha) * v for alpha, v in self.series.coeffs.items()}
-        return MultiSeries(dim=self.series.dim, degree_cap=self.cutoff, mode="float",
-                           coeffs=coeffs, valid_degree=self.cutoff)
+        return MultiSeries(dim=self.series.dim, mode="float", coeffs=coeffs,
+                           valid_degree=self.cutoff)
 
 
 def theta_series(a, s: Sequence, cutoff: int) -> ThetaSeries:
@@ -365,8 +331,7 @@ def theta_series(a, s: Sequence, cutoff: int) -> ThetaSeries:
     for alpha in indices_up_to(dim, cutoff):
         x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
         coeffs[alpha] = mpmath.gamma(1 + x + af) / mpmath.gamma(1 + x)
-    series = MultiSeries(dim=dim, degree_cap=cutoff, mode="float",
-                         coeffs=coeffs, valid_degree=cutoff)
+    series = MultiSeries(dim=dim, mode="float", coeffs=coeffs, valid_degree=cutoff)
     return ThetaSeries(a=a, s=s, cutoff=cutoff, series=series)
 
 
@@ -397,8 +362,7 @@ def formal_norm(f: MultiSeries, s: Sequence, cutoff: int, at: Optional[Sequence]
         c = val / mpmath.gamma(1 + x)
         if c != 0:
             coeffs[alpha] = c
-    return MultiSeries(dim=f.dim, degree_cap=cutoff, mode="float",
-                       coeffs=coeffs, valid_degree=cutoff)
+    return MultiSeries(dim=f.dim, mode="float", coeffs=coeffs, valid_degree=cutoff)
 
 
 def coefficient_rows(f: MultiSeries) -> list[list[str]]:

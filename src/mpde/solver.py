@@ -32,16 +32,13 @@ from .series import (
     from_numerators,
     majorant,
     mode_scalar,
-    series_add,
     series_scale,
     to_numerators,
     truncate_series,
-    zero_series,
 )
 from .operators import (
     OperatorSpec,
     TimeSeries,
-    apply_operator,
     borel_z,
     moment_diff_z_numerators,
     operator_numerators,
@@ -170,14 +167,11 @@ def validate(problem: CauchyProblem, regularity_n: int = 50) -> ValidationReport
     return ValidationReport(tuple(checks))
 
 
-def zero_forcing(spec: OperatorSpec, n_max: int, report_degree: int = 0,
-                 mode: str = "exact") -> TimeSeries:
-    """A zero forcing materialized to the degrees solve_formal will demand."""
-    n_top = max(0, n_max - spec.M)
-    degree = report_degree + n_top * spec.max_alpha
-    return TimeSeries(tuple(
-        zero_series(spec.dim, degree, mode) for _ in range(n_top + 1)
-    ))
+def degree_budget(spec: OperatorSpec, n_max: int, report_degree: int, n: int = 0) -> int:
+    """The z-degree to which data read at step n must be materialized:
+    report_degree + (n_max - n) * max|alpha|, so that u_{n_max} still reaches
+    report_degree after every D_z^alpha the later steps apply."""
+    return report_degree + max(0, n_max - n) * spec.max_alpha
 
 
 def space_borel_quotients(spec: OperatorSpec) -> list:
@@ -204,17 +198,6 @@ def borel_problem(problem: CauchyProblem) -> CauchyProblem:
     return CauchyProblem(spec=new_spec, initial=initial, forcing=forcing)
 
 
-def inverse_borel_solution(problem: CauchyProblem, sol: SolutionSeries) -> SolutionSeries:
-    """Map a solution of borel_problem(problem) back to the original unknowns."""
-    quotients = space_borel_quotients(problem.spec)
-    return SolutionSeries(
-        u=borel_z(sol.u, quotients, inverse=True),
-        working=borel_z(sol.working, quotients, inverse=True),
-        provenance="via-borel",
-        report_degree=sol.report_degree,
-    )
-
-
 def _shifted_coefficients(term, M: int, n_max: int) -> dict:
     """c_{j,alpha,p}: t-coefficients of t^{M-j} a_{j,alpha}(t), p = q..n_max."""
     out = {}
@@ -229,10 +212,10 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                  majorant_mode: bool = False) -> SolutionSeries:
     """Run the coefficient recurrence up to t^n_max.
 
-    Initial data must be materialized to z-degree report_degree +
-    n_max * max|alpha| so that every reported coefficient is provable; the
-    returned u_n all carry valid_degree = report_degree, with the full
-    working degrees kept alongside.
+    Initial data and forcing must be materialized to ``degree_budget`` so
+    that every reported coefficient is provable; the returned u_n all carry
+    valid_degree = report_degree, with the full working degrees kept
+    alongside.
 
     majorant_mode replaces data and coefficients by absolute values and flips
     the recurrence's subtraction to addition, producing the dominating
@@ -245,14 +228,13 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
     spec = problem.spec
     mode = problem.mode
     m0 = spec.m0
-    a_max = spec.max_alpha
-    needed = report_degree + n_max * a_max
+    needed = degree_budget(spec, n_max, report_degree)
 
     for j, phi in enumerate(problem.initial):
         if phi.valid_degree < needed:
             raise ValueError(
                 f"initial series {j} is materialized to degree {phi.valid_degree}; "
-                f"need {needed} (= report {report_degree} + {n_max}*{a_max}) "
+                f"need {needed} (= report {report_degree} + {n_max}*{spec.max_alpha}) "
                 f"to report degree {report_degree} at n_max {n_max}"
             )
     if n_max >= spec.M:
@@ -261,13 +243,13 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                 f"forcing is truncated at t^{problem.forcing.n_max}; "
                 f"need t^{n_max - spec.M} for n_max {n_max}"
             )
-        forcing_need = report_degree + (n_max - spec.M) * a_max
         for k in range(n_max - spec.M + 1):
             fk = problem.forcing.coeffs[k]
-            if fk.valid_degree < report_degree + (n_max - spec.M - k) * a_max:
+            need = degree_budget(spec, n_max, report_degree, k + spec.M)
+            if fk.valid_degree < need:
                 raise ValueError(
                     f"forcing coefficient {k} is materialized to degree "
-                    f"{fk.valid_degree}; need {forcing_need - k * a_max}"
+                    f"{fk.valid_degree}; need {need}"
                 )
 
     c_table = {}
@@ -310,7 +292,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         # u_n = m0(n-M)/m0(n) * (g_n + sum of sign * c * m0(k)/m0(k-j) * D_z^alpha u_k),
         # every piece as integers over one common denominator
         g_nums, g_den = to_numerators(g_n.coeffs, mode)
-        vd, cap = g_n.valid_degree, g_n.degree_cap
+        vd = g_n.valid_degree
         pieces = []
         for term in spec.terms:
             cs = c_table[(term.j, term.alpha)]
@@ -319,7 +301,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                     continue
                 k = n - p
                 d, d_den, d_vd = dz(k, term.alpha)
-                vd, cap = min(vd, d_vd), max(cap, u[k].degree_cap)
+                vd = min(vd, d_vd)
                 scalar = mode_scalar(sign * (c * m0.ratio(k, k - term.j, mode)), mode)
                 (scalar,), s_den = to_numerators((scalar,), mode)
                 pieces.append((scalar, s_den * d_den, d))
@@ -343,18 +325,15 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
             if common != 1:
                 nums = {alpha: v // common for alpha, v in nums.items()}
                 den //= common
-        u.append(MultiSeries(dim=spec.dim, degree_cap=cap, mode=mode, valid_degree=vd,
+        u.append(MultiSeries(dim=spec.dim, mode=mode, valid_degree=vd,
                              coeffs=from_numerators(nums, den, mode)))
         u_nums[n] = nums, den
         diff_cache.pop(n - span, None)
         u_nums.pop(n - span, None)
 
     working = TimeSeries(tuple(u))
-    reported = working.map_z(
-        lambda c: truncate_series(c, report_degree, degree_cap=report_degree)
-    )
     return SolutionSeries(
-        u=reported,
+        u=working.map_z(lambda c: truncate_series(c, report_degree)),
         working=working,
         provenance="majorant" if majorant_mode else "direct",
         report_degree=report_degree,
@@ -369,29 +348,13 @@ def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -
 def solve_via_borel(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
     """Solve the z-Borel-transformed problem, then map back."""
     bsol = solve_formal(borel_problem(problem), n_max, report_degree)
-    return inverse_borel_solution(problem, bsol)
-
-
-def residual(problem: CauchyProblem, sol: SolutionSeries) -> TimeSeries:
-    """P(u) - f on the jointly valid (t-order, z-degree) window."""
-    app = apply_operator(problem.spec, sol.working)
-    n_res = min(app.n_max, problem.forcing.n_max)
-    return TimeSeries(tuple(_minus(app.coeffs[n], problem.forcing.coeffs[n])
-                            for n in range(n_res + 1)))
-
-
-def _minus(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    return series_add(a, series_scale(b, -1))
-
-
-def initial_residuals(problem: CauchyProblem, sol: SolutionSeries) -> list:
-    """phi_j - m0(j) * u_j for j < M (zero when initial conditions hold)."""
-    spec = problem.spec
-    out = []
-    for j in range(spec.M):
-        scaled = series_scale(sol.working.coeffs[j], spec.m0.ratio(j, 0, problem.mode))
-        out.append(series_add(problem.initial[j], series_scale(scaled, -1)))
-    return out
+    quotients = space_borel_quotients(problem.spec)
+    return SolutionSeries(
+        u=borel_z(bsol.u, quotients, inverse=True),
+        working=borel_z(bsol.working, quotients, inverse=True),
+        provenance="via-borel",
+        report_degree=report_degree,
+    )
 
 
 def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
@@ -406,8 +369,8 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
     """
     forcing, mode = problem.forcing, problem.mode
     worst = mpf(0)
-    for n, (values, env, den, vd, _) in enumerate(operator_numerators(problem.spec,
-                                                                       sol.working)):
+    for n, (values, env, den, vd) in enumerate(operator_numerators(problem.spec,
+                                                                    sol.working)):
         if n > forcing.n_max:
             break
         f_n = forcing.coeffs[n]

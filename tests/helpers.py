@@ -1,4 +1,5 @@
-"""Shared test utilities: random problem generators and independent oracles.
+"""Shared test utilities: series builders, random problem generators and
+independent oracles.
 
 Everything here is deliberately independent of the code paths it checks:
 the hull oracle separates points with explicit support directions, the
@@ -36,7 +37,42 @@ from mpde import (
     truncate_series,
     zero_series,
 )
-from mpde.precision import to_mpf
+from mpde.precision import float_tolerance, to_mpf, to_number
+from mpde.solver import degree_budget
+
+
+def time_series(coeffs) -> TimeSeries:
+    return TimeSeries(tuple(coeffs))
+
+
+def zero_time_series(n_max: int, dim: int, degree: int, mode: str = "exact") -> TimeSeries:
+    return TimeSeries(tuple(zero_series(dim, degree, mode) for _ in range(n_max + 1)))
+
+
+def zero_forcing(spec: OperatorSpec, n_max: int, report_degree: int = 0,
+                 mode: str = "exact") -> TimeSeries:
+    """A zero forcing materialized to the degrees solve_formal will demand."""
+    return zero_time_series(max(0, n_max - spec.M), spec.dim,
+                            degree_budget(spec, n_max, report_degree, spec.M), mode)
+
+
+def series_equal(a: MultiSeries, b: MultiSeries) -> bool:
+    """Coefficientwise equality on the shared valid range (float: tolerance)."""
+    if a.dim != b.dim:
+        return False
+    vd = min(a.valid_degree, b.valid_degree)
+    for alpha in set(a.coeffs) | set(b.coeffs):
+        if sum(alpha) > vd:
+            continue
+        va, vb = a.coeffs.get(alpha, 0), b.coeffs.get(alpha, 0)
+        if a.mode == "exact" and b.mode == "exact":
+            if va != vb:
+                return False
+        else:
+            va, vb = to_number(va, "float"), to_number(vb, "float")
+            if abs(va - vb) > float_tolerance() * max(abs(va), abs(vb), mpf(1)):
+                return False
+    return True
 
 
 def rational_ratio_moments():
@@ -86,7 +122,7 @@ def random_problem(rng: random.Random, exact: bool = True, n_max: int = 8,
     spec = random_operator_spec(rng, exact=exact, max_m=max_m, max_terms=max_terms)
     mode = "exact" if exact else "float"
     dim = spec.dim
-    full = report_degree + n_max * spec.max_alpha
+    full = degree_budget(spec, n_max, report_degree)
     initial = []
     for _ in range(spec.M):
         choice = rng.choice(["geometric", "sparse", "zero"])
@@ -103,7 +139,7 @@ def random_problem(rng: random.Random, exact: bool = True, n_max: int = 8,
         else:
             initial.append(zero_series(dim, full, mode))
     n_top = max(0, n_max - spec.M)
-    fdeg = report_degree + n_top * spec.max_alpha
+    fdeg = degree_budget(spec, n_max, report_degree, spec.M)
     fcoeffs = []
     for _ in range(n_top + 1):
         alpha = tuple(rng.randint(0, 1) for _ in range(dim))
@@ -204,8 +240,7 @@ def solve_formal_reference(problem: CauchyProblem, n_max: int, report_degree: in
                 acc = series_add(acc, series_scale(dz, sign * (c * m0.ratio(k, k - term.j, mode))))
         u.append(series_scale(acc, m0.ratio(n - spec.M, n, mode)))
     working = TimeSeries(tuple(u))
-    reported = working.map_z(
-        lambda c: truncate_series(c, report_degree, degree_cap=report_degree))
+    reported = working.map_z(lambda c: truncate_series(c, report_degree))
     provenance = "dropped-boundary" if drop_boundary else (
         "majorant" if majorant_mode else "direct")
     return SolutionSeries(u=reported, working=working, provenance=provenance,
@@ -220,7 +255,7 @@ def moment_diff_z_reference(f, m, alpha):
         return f
     new_valid = f.valid_degree - total
     if new_valid < 0:
-        return zero_series(f.dim, f.degree_cap, f.mode, -1)
+        return zero_series(f.dim, -1, f.mode)
     coeffs = {}
     for src, v in f.coeffs.items():
         beta = tuple(s - a for s, a in zip(src, alpha))
@@ -232,8 +267,7 @@ def moment_diff_z_reference(f, m, alpha):
                 factor = factor * mj.ratio(bj + aj, bj, f.mode)
         if factor != 0:
             coeffs[beta] = factor
-    return MultiSeries(dim=f.dim, degree_cap=f.degree_cap, mode=f.mode, coeffs=coeffs,
-                       valid_degree=new_valid)
+    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=new_valid)
 
 
 def _coeff_product(scalars, truncation, w, mode):
@@ -250,8 +284,7 @@ def _coeff_product(scalars, truncation, w, mode):
             piece = series_scale(w.coeffs[n - p], a)
             acc = piece if acc is None else series_add(acc, piece)
         if acc is None:
-            acc = zero_series(w.dim, w.coeffs[n].degree_cap, mode,
-                              min(c.valid_degree for c in w.coeffs[: n + 1]))
+            acc = zero_series(w.dim, min(c.valid_degree for c in w.coeffs[: n + 1]), mode)
         out.append(acc)
     return TimeSeries(tuple(out))
 

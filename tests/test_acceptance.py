@@ -32,11 +32,9 @@ from mpde import (
     solve_formal,
     solve_majorant,
     solve_via_borel,
-    time_series,
     make_series,
     validate,
     verify_inequality,
-    zero_forcing,
 )
 from mpde.polygon import generator_points
 from helpers import (
@@ -44,6 +42,8 @@ from helpers import (
     heat_solution_oracle,
     random_operator_spec,
     random_problem,
+    time_series,
+    zero_forcing,
 )
 
 G1 = gamma_moment(1)
@@ -164,7 +164,7 @@ def test_criterion_5_residual_oracle(heat_full, fractional_full):
     problems_dir = Path(__file__).resolve().parent.parent / "problems"
     for name in ("pure_ode.json", "product2d.json"):
         spec_file = parse_problem_file(problems_dir / name)
-        prob, run = materialize_problem(spec_file)
+        prob, run = materialize_problem(spec_file), spec_file.run
         sol = solve_formal(prob, run.n_max, run.report_degree)
         assert residual_max_relative(prob, sol) == 0, name
         checked += 1

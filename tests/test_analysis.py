@@ -32,7 +32,8 @@ class TestCoefficientBounds:
             assert b[n] == Fraction(math.factorial(2 * n), math.factorial(n))
 
     def test_zero_solution(self):
-        from mpde import CauchyProblem, zero_forcing, zero_series
+        from mpde import CauchyProblem, zero_series
+        from helpers import zero_forcing
 
         spec = heat_problem(4).spec
         prob = CauchyProblem(spec=spec, initial=(zero_series(1, 8),),
@@ -41,7 +42,7 @@ class TestCoefficientBounds:
         assert coefficient_bounds(sol, Fraction(1, 2)) == [0] * 5
 
     def test_delta_solution(self):
-        from mpde import time_series
+        from helpers import time_series
 
         ts = time_series([make_series(1, {(0,): 1}, 0)]
                          + [make_series(1, {}, 0) for _ in range(4)])

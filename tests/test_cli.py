@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mpde import pipeline
 from mpde.cli import main, run_pipeline
@@ -189,15 +193,14 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "report.json").exists()
 
-    def test_precision_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MPDE_PRECISION_BITS", "192")
+    def test_precision_default(self, tmp_path):
         doc = json.loads(HEAT.read_text())
         del doc["run"]["precision_bits"]
         spec = tmp_path / "heat_noprec.json"
         spec.write_text(json.dumps(doc))
         assert run_pipeline(spec, tmp_path, n_max=24, quiet=True) == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert report["precision_bits"] == 192
+        assert report["precision_bits"] == 256
 
 
 class TestBoundaryInputs:
@@ -221,6 +224,80 @@ class TestBoundaryInputs:
         assert err.startswith(f"error: cannot write artifacts to {taken}:")
         assert "Traceback" not in err
         assert taken.read_text() == "a file, not a directory\n"
+
+
+def _set(path, value):
+    """A document edit: put ``value`` at ``path`` (keys and list indices)."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+MALFORMED = {
+    "term_not_object": _set(("operator", "terms"), [5]),
+    "alpha_entry_string": _set(("operator", "terms", 0, "alpha"), ["x"]),
+    "ord_override_string": _set(("operator", "terms", 0, "ord_override"), "1"),
+    "forcing_alpha_int": _set(("data", "forcing"), {
+        "kind": "terms", "terms": [{"n": 0, "alpha": 3, "value": "1"}]}),
+    "space_not_object": _set(("data", "forcing"), {
+        "kind": "time_geometric", "ratio": "1", "space": 5}),
+    "M_boolean": _set(("operator", "M"), True),
+    "coeffs_string": _set(("data", "initial"), [{"kind": "polynomial", "coeffs": "12"}]),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_wrong_json_type_is_error_line(self, tmp_path, capsys, edit):
+        doc = json.loads(HEAT.read_text())
+        edit(doc)
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main(["run", str(spec), "--out", str(out), "--n-max", "24", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+
+def _paths(node, prefix=()):
+    """Every path into a JSON document, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+PURE_ODE_DOC = json.loads(PURE_ODE.read_text())
+SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3))
+SMALL_JSON = st.one_of(SMALL_SCALARS, st.just([]), st.just({}),
+                       st.lists(SMALL_SCALARS, min_size=1, max_size=3))
+
+
+class TestFuzzedDocument:
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(list(_paths(PURE_ODE_DOC))), value=SMALL_JSON)
+    def test_one_replaced_subtree(self, path, value):
+        doc = json.loads(json.dumps(PURE_ODE_DOC))
+        if path:
+            _set(path, value)(doc)
+        else:
+            doc = value
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            spec = Path(tmp) / "fuzzed.json"
+            spec.write_text(json.dumps(doc))
+            with contextlib.redirect_stderr(err):
+                code = main(["run", str(spec), "--out", str(Path(tmp) / "out"),
+                             "--n-max", "12", "--degree", "0", "--quiet"])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert any(line.startswith("error:") for line in err.getvalue().splitlines())
 
 
 class TestPrecisionScope:

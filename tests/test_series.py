@@ -21,7 +21,9 @@ from mpde import (
     truncate_series,
     zero_series,
 )
-from mpde.series import coefficient_rows, indices_up_to, series_equal, write_coefficients_csv
+from mpde.series import coefficient_rows, indices_up_to, write_coefficients_csv
+
+from helpers import series_equal
 
 
 class TestMakeSeries:

@@ -3,7 +3,8 @@
 
 Artifacts written to the output directory:
   report.json   validation results, polygon data, exact 1/k_1 ("p/q"),
-                fitted order/constants, verdicts
+                fitted order/constants, the residual (also unrounded, as
+                "residual_full"), verdicts
   coeffs.csv    solution coefficients, one row per (n, alpha)
   bounds.csv    the bound sequence b_n used for fitting
   polygon.svg   deterministic rendering of the Newton polygon
@@ -39,6 +40,16 @@ def _frac_str(f: Fraction) -> str:
 
 def _float_str(x) -> str:
     return mpmath.nstr(x, 12) if x is not None else "n/a"
+
+
+def _binary_str(x) -> str:
+    """The nonnegative mpf x without rounding: "man*2^exp" ("0" for zero,
+    "+inf" for infinity)."""
+    if x == 0:
+        return "0"
+    if not mpmath.isfinite(x):
+        return str(x)
+    return f"{x.man}*2^{x.exp}"
 
 
 def _fit_dict(fit: analysis.FitResult) -> dict:
@@ -89,6 +100,7 @@ def _report_dict(result: pipeline.PipelineResult) -> dict:
             "max_relative": _float_str(result.residual),
             "exact_zero": result.residual == 0,
         },
+        "residual_full": _binary_str(result.residual),
         "majorant_dominates": result.dominated,
         "fit": _fit_dict(growth.fit),
         "gevrey_bound_witness": {

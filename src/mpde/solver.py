@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import mpmath
 from mpmath import mpf
@@ -30,7 +31,7 @@ from .precision import to_mpf
 from .series import (
     MultiSeries,
     from_numerators,
-    majorant,
+    indices_up_to,
     mode_scalar,
     series_scale,
     to_numerators,
@@ -108,7 +109,9 @@ class SolutionSeries:
 
     ``u`` holds every u_n truncated to the uniform report degree; ``working``
     keeps the full materialized degrees (decreasing in n) that the residual
-    check consumes.
+    check consumes.  For a majorant (``provenance == "majorant"``) ``working``
+    holds only the coefficients in the ``dependency_cone`` of ``u``; its
+    ``valid_degree``s are those of the full recurrence.
     """
 
     u: TimeSeries
@@ -208,6 +211,33 @@ def _shifted_coefficients(term, M: int, n_max: int) -> dict:
     return out
 
 
+def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
+    """For each k in 0..n_max, the set of z-indices of u_k that some reported
+    coefficient (|beta| <= report_degree, any n) reads through the recurrence.
+
+    Step n reads (D_z^alpha u_{n-p})_beta = const * (u_{n-p})_{beta+alpha} for
+    every term (j, alpha) and every nonzero c_{j,alpha,p} with p <= n - j, so
+    the walk from n_max down to M adds cone[n] + alpha to cone[n - p].
+    """
+    reported = set(indices_up_to(spec.dim, report_degree))
+    cone = [set(reported) for _ in range(n_max + 1)]
+    pieces = [(term.j, term.alpha, _shifted_coefficients(term, spec.M, n_max))
+              for term in spec.terms]
+    for n in range(n_max, spec.M - 1, -1):
+        for j, alpha, cs in pieces:
+            shifted = {tuple(map(add, beta, alpha)) for beta in cone[n]}
+            for p in cs:
+                if p <= n - j:
+                    cone[n - p] |= shifted
+    return cone
+
+
+def _majorant_on(f: MultiSeries, keep: set) -> MultiSeries:
+    """|f| restricted to the indices in ``keep``."""
+    coeffs = {alpha: abs(v) for alpha, v in f.coeffs.items() if alpha in keep}
+    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
+
+
 def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                  majorant_mode: bool = False) -> SolutionSeries:
     """Run the coefficient recurrence up to t^n_max.
@@ -219,7 +249,10 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
 
     majorant_mode replaces data and coefficients by absolute values and flips
     the recurrence's subtraction to addition, producing the dominating
-    sequence.
+    sequence.  It computes only the ``dependency_cone`` of the reported
+    coefficients: ``working`` holds the cone's coefficients, each equal to
+    the full recurrence's (same pieces summed in the same order), and ``u``
+    is the full recurrence's.
     """
     report = validate(problem)
     if not report.passed:
@@ -265,9 +298,10 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
             cs = {p: abs(v) for p, v in cs.items()}
         c_table[(term.j, term.alpha)] = cs
 
+    cone = dependency_cone(spec, n_max, report_degree) if majorant_mode else None
     u, u_nums = [], {}
     for j in range(min(spec.M, n_max + 1)):
-        phi = majorant(problem.initial[j]) if majorant_mode else problem.initial[j]
+        phi = _majorant_on(problem.initial[j], cone[j]) if majorant_mode else problem.initial[j]
         u.append(series_scale(phi, m0.ratio(0, j, mode)))
         u_nums[j] = to_numerators(u[j].coeffs, mode)
 
@@ -288,7 +322,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
     for n in range(spec.M, n_max + 1):
         g_n = problem.forcing.coeffs[n - spec.M]
         if majorant_mode:
-            g_n = majorant(g_n)
+            g_n = _majorant_on(g_n, cone[n])
         # u_n = m0(n-M)/m0(n) * (g_n + sum of sign * c * m0(k)/m0(k-j) * D_z^alpha u_k),
         # every piece as integers over one common denominator
         g_nums, g_den = to_numerators(g_n.coeffs, mode)
@@ -316,6 +350,8 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
             for alpha, v in d.items():
                 piece = scalar * v
                 acc[alpha] = acc[alpha] + piece if alpha in acc else piece
+        if majorant_mode:
+            acc = {alpha: v for alpha, v in acc.items() if alpha in cone[n]}
         scale = mode_scalar(m0.ratio(n - spec.M, n, mode), mode)
         (scale,), scale_den = to_numerators((scale,), mode)
         nums = {alpha: scale * v for alpha, v in acc.items() if v != 0 and sum(alpha) <= vd}
@@ -341,7 +377,11 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
 
 
 def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
-    """The nonnegative dominating sequence: same recurrence on absolute values."""
+    """The nonnegative dominating sequence: same recurrence on absolute values.
+
+    ``u`` is the full majorant truncated to ``report_degree``; ``working``
+    holds only the ``dependency_cone`` of those coefficients.
+    """
     return solve_formal(problem, n_max, report_degree, majorant_mode=True)
 
 

@@ -247,6 +247,12 @@ def solve_formal_reference(problem: CauchyProblem, n_max: int, report_degree: in
                           report_degree=report_degree)
 
 
+def on_cone(sol: SolutionSeries, cone) -> list:
+    """The working coefficients of ``sol`` whose index lies in cone[n], one dict per u_n."""
+    return [{alpha: v for alpha, v in c.coeffs.items() if alpha in cone[n]}
+            for n, c in enumerate(sol.working.coeffs)]
+
+
 def moment_diff_z_reference(f, m, alpha):
     """D_z^alpha with one ``MomentFunction.ratio`` lookup per coefficient and axis."""
     alpha = tuple(alpha)

@@ -37,11 +37,14 @@ from mpde import (
     verify_inequality,
 )
 from mpde.polygon import generator_points
+from mpde.solver import dependency_cone
 from helpers import (
     bruteforce_hull_vertices,
     heat_solution_oracle,
+    on_cone,
     random_operator_spec,
     random_problem,
+    solve_formal_reference,
     time_series,
     zero_forcing,
 )
@@ -232,9 +235,15 @@ def test_criterion_7_majorant_domination(heat_full, precision_module):
         prob = random_problem(rng, exact=True, n_max=8)
         sol = solve_formal(prob, 8, 1)
         majo = solve_majorant(prob, 8, 1)
+        # solve_majorant keeps the dependency cone of u only: the full majorant
+        # recurrence dominates every working coefficient, and solve_majorant
+        # is that recurrence on the cone
+        full = solve_formal_reference(prob, 8, 1, majorant_mode=True)
         for n in range(9):
             assert majorizes(majo.u.coeffs[n], sol.u.coeffs[n])
-            assert majorizes(majo.working.coeffs[n], sol.working.coeffs[n])
+            assert majorizes(full.working.coeffs[n], sol.working.coeffs[n])
+        assert [c.coeffs for c in majo.working.coeffs] == \
+            on_cone(full, dependency_cone(prob.spec, 8, 1))
         cases += 1
     _ok(7, f"majorant solution dominates the formal solution on {cases} problems, all n")
 

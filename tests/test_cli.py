@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mpde import pipeline
-from mpde.cli import main, run_pipeline
+from mpde.cli import _report_dict, main, run_pipeline
 from mpde.problemspec import parse_problem_file
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +39,7 @@ class TestRunPipeline:
         assert report["validation"]["passed"] is True
         assert report["newton_polygon"]["slopes"] == ["1/1"]
         assert report["residual"]["exact_zero"] is True
+        assert report["residual_full"] == "0"
         assert report["majorant_dominates"] is True
         for name in ("report.json", "coeffs.csv", "bounds.csv", "polygon.svg"):
             assert (tmp_path / name).exists()
@@ -159,6 +161,27 @@ class TestShippedProblems:
             assert report[field] == want["report"][field], field
 
 
+# fractional's residual as report.json's residual_full, recorded before the
+# majorant was pruned to its dependency cone; it pins every bit
+FRACTIONAL_RESIDUAL = ("47985402962147439906421950826999666919229878022895611996802630"
+                       "93612963786649*2^-507")
+
+
+@pytest.fixture(scope="module")
+def fractional_result():
+    return pipeline.run(parse_problem_file(FRACTIONAL))
+
+
+class TestResidualFull:
+    def test_fractional_golden(self, fractional_result):
+        assert _report_dict(fractional_result)["residual_full"] == FRACTIONAL_RESIDUAL
+
+    def test_round_trip(self, fractional_result):
+        man, exp = _report_dict(fractional_result)["residual_full"].split("*2^")
+        with mpmath.workprec(fractional_result.run.precision_bits):
+            assert mpmath.mpf(int(man)) * 2 ** int(exp) == fractional_result.residual
+
+
 class TestSvgOutput:
     def test_heat_svg_labels_slope(self, tmp_path):
         run_pipeline(HEAT, tmp_path, n_max=24, quiet=True)
@@ -186,10 +209,12 @@ class TestEntryPoint:
         assert "1/k1 = 1/1" in out and "verdict: consistent" in out
 
     def test_console_script_subprocess(self, tmp_path):
+        # the child imports mpde from this checkout, installed or not
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "mpde.cli", "run", str(HEAT),
              "--out", str(tmp_path), "--n-max", "24", "--quiet"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         assert (tmp_path / "report.json").exists()
 

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -26,9 +27,14 @@ from mpde import (
     zero_series,
 )
 from mpde.precision import float_tolerance, to_number
-from helpers import (heat_solution_oracle, random_problem,
+from mpde.problemspec import materialize_problem, parse_problem_file
+from mpde.series import indices_up_to
+from mpde.solver import dependency_cone
+from helpers import (heat_solution_oracle, on_cone, random_problem,
                      rational_ratio_moments, residual_max_relative_two_pass, series_equal,
                      solve_formal_reference, time_series, zero_forcing)
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 G1 = gamma_moment(1)
 GH = gamma_moment(Fraction(1, 2))
@@ -160,14 +166,19 @@ class TestSolveFormal:
 
 
 class TestSolveMajorant:
+    # solve_majorant computes the dependency cone only; the full majorant
+    # recurrence is the reference's, and TestDependencyCone ties the two
     def test_sign_stable_problem_is_fixed_point(self):
         # heat: the recurrence's effective coefficients -c are nonnegative, so
         # with nonnegative data the solution is its own majorant
         prob = heat_problem(8)
         sol = solve_formal(prob, 8, 0)
-        maj = solve_majorant(prob, 8, 0)
+        full = solve_formal_reference(prob, 8, 0, majorant_mode=True)
         for n in range(9):
-            assert sol.working.coeffs[n].coeffs == maj.working.coeffs[n].coeffs
+            assert sol.working.coeffs[n].coeffs == full.working.coeffs[n].coeffs
+        maj = solve_majorant(prob, 8, 0)
+        cone = dependency_cone(prob.spec, 8, 0)
+        assert [c.coeffs for c in maj.working.coeffs] == on_cone(sol, cone)
 
     def test_positive_coefficient_gives_alternating_solution(self):
         prob = heat_problem(8)
@@ -175,11 +186,14 @@ class TestSolveMajorant:
                             terms=(OperatorTerm(j=0, alpha=(2,), coeff=(Fraction(1),)),))
         prob = CauchyProblem(spec=spec, initial=prob.initial, forcing=prob.forcing)
         sol = solve_formal(prob, 8, 0)
-        maj = solve_majorant(prob, 8, 0)
+        full = solve_formal_reference(prob, 8, 0, majorant_mode=True)
         for n in range(9):
             for alpha, v in sol.working.coeffs[n].coeffs.items():
-                assert maj.working.coeffs[n].coefficient(alpha) == abs(v)
+                assert full.working.coeffs[n].coefficient(alpha) == abs(v)
                 assert (v < 0) == (n % 2 == 1)
+        maj = solve_majorant(prob, 8, 0)
+        cone = dependency_cone(spec, 8, 0)
+        assert [c.coeffs for c in maj.working.coeffs] == on_cone(full, cone)
 
     def test_alternating_sign_symmetry(self):
         n_max = 8
@@ -188,10 +202,13 @@ class TestSolveMajorant:
         phi_neg = generator_series("geometric", 1, full, ratio=-1)
         prob_neg = CauchyProblem(spec=spec, initial=(phi_neg,),
                                  forcing=zero_forcing(spec, n_max))
-        maj = solve_majorant(prob_neg, n_max, 0)
+        ref = solve_formal_reference(prob_neg, n_max, 0, majorant_mode=True)
         pos = solve_formal(heat_problem(n_max), n_max, 0)
         for n in range(n_max + 1):
-            assert maj.working.coeffs[n].coeffs == pos.working.coeffs[n].coeffs
+            assert ref.working.coeffs[n].coeffs == pos.working.coeffs[n].coeffs
+        maj = solve_majorant(prob_neg, n_max, 0)
+        cone = dependency_cone(spec, n_max, 0)
+        assert [c.coeffs for c in maj.working.coeffs] == on_cone(pos, cone)
 
     def test_zero_data_zero_majorant(self):
         spec = heat_problem(4).spec
@@ -264,16 +281,17 @@ class TestResidual:
             assert residual_max_relative(prob, sol) < tol
 
 
-def oracle_problem(terms, M, m, mode, n_max, twist=1, m0=G1):
+def oracle_problem(terms, M, m, mode, n_max, twist=1, m0=G1, report_degree=0):
     """A problem over the given terms with geometric data and a time-geometric
-    forcing; the first term's coefficient is multiplied by ``twist``."""
+    forcing, materialized for ``report_degree``; the first term's coefficient
+    is multiplied by ``twist``."""
     terms = tuple(
         OperatorTerm(j=t.j, alpha=t.alpha, truncated=t.truncated,
                      coeff=tuple(to_number(c, mode) * (twist if k == 0 else 1)
                                  for c in t.coeff))
         for k, t in enumerate(terms))
     spec = OperatorSpec(M=M, m0=m0, m=m, terms=terms)
-    full = n_max * spec.max_alpha
+    full = report_degree + n_max * spec.max_alpha
     initial = tuple(generator_series("geometric", spec.dim, full, mode,
                                      ratio=Fraction(1, j + 2) * (-1) ** j) for j in range(M))
     space = make_series(spec.dim, {(0,) * spec.dim: 1, (1,) + (0,) * (spec.dim - 1): -2},
@@ -368,16 +386,20 @@ class TestResidualOracle:
             assert abs(got - want) <= float_tolerance() * max(abs(want), 1)
 
 
-def assert_same_recurrence(got, want):
+def assert_same_recurrence(got, want, cone=None):
+    """got's working coefficients are want's; with ``cone``, exactly want's
+    coefficients in cone[n] (each one equal, nothing outside stored)."""
     assert len(got.working.coeffs) == len(want.working.coeffs)
-    for g, w in zip(got.working.coeffs, want.working.coeffs):
-        assert g.coeffs == w.coeffs
+    wanted = [c.coeffs for c in want.working.coeffs] if cone is None else on_cone(want, cone)
+    for g, w, coeffs in zip(got.working.coeffs, want.working.coeffs, wanted):
+        assert g.coeffs == coeffs
         assert g.valid_degree == w.valid_degree
     assert [c.coeffs for c in got.u.coeffs] == [c.coeffs for c in want.u.coeffs]
 
 
 class TestReferenceRecurrence:
-    """The numerator recurrence equals the whole-series reference exactly."""
+    """The numerator recurrence equals the whole-series reference exactly
+    (the majorant on its dependency cone)."""
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -385,8 +407,10 @@ class TestReferenceRecurrence:
     def test_oracle_cases(self, case, mode, majorant_mode):
         M, m0, m, terms = ORACLE_CASES[case]
         prob = oracle_problem(terms, M, m, mode, 8, m0=m0)
+        cone = dependency_cone(prob.spec, 8, 0) if majorant_mode else None
         assert_same_recurrence(solve_formal(prob, 8, 0, majorant_mode=majorant_mode),
-                               solve_formal_reference(prob, 8, 0, majorant_mode=majorant_mode))
+                               solve_formal_reference(prob, 8, 0, majorant_mode=majorant_mode),
+                               cone)
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_randomized_problems(self, exact):
@@ -394,9 +418,71 @@ class TestReferenceRecurrence:
         for _ in range(8):
             prob = random_problem(rng, exact=exact, n_max=7)
             for majorant_mode in (False, True):
+                cone = dependency_cone(prob.spec, 7, 1) if majorant_mode else None
                 assert_same_recurrence(
                     solve_formal(prob, 7, 1, majorant_mode=majorant_mode),
-                    solve_formal_reference(prob, 7, 1, majorant_mode=majorant_mode))
+                    solve_formal_reference(prob, 7, 1, majorant_mode=majorant_mode),
+                    cone)
+
+
+def cone_problems(mode):
+    """(problem, n_max, report_degree): every ORACLE_CASES entry at report
+    degree 2, and 8 random problems at report degree 1."""
+    for case in sorted(ORACLE_CASES):
+        M, m0, m, terms = ORACLE_CASES[case]
+        yield oracle_problem(terms, M, m, mode, 8, m0=m0, report_degree=2), 8, 2
+    rng = random.Random(1729 + (mode == "exact"))
+    for _ in range(8):
+        yield random_problem(rng, exact=mode == "exact", n_max=7), 7, 1
+
+
+class TestDependencyCone:
+    """The majorant is solved on the coefficients that reach a reported one."""
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_closed_under_the_recurrence(self, mode):
+        # every (n - p, beta + alpha) the recurrence reads for a cone
+        # coefficient of step n, enumerated like the reference recurrence
+        for prob, n_max, degree in cone_problems(mode):
+            spec = prob.spec
+            cone = dependency_cone(spec, n_max, degree)
+            assert len(cone) == n_max + 1
+            for n in range(spec.M, n_max + 1):
+                for term in spec.terms:
+                    for idx, c in enumerate(term.coeff):
+                        k = n - (idx + spec.M - term.j)
+                        if c == 0 or k > n or k < term.j:
+                            continue
+                        for beta in cone[n]:
+                            assert tuple(b + a for b, a in zip(beta, term.alpha)) in cone[k]
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_contains_reported_set(self, mode):
+        for prob, n_max, degree in cone_problems(mode):
+            reported = set(indices_up_to(prob.spec.dim, degree))
+            cone = dependency_cone(prob.spec, n_max, degree)
+            assert all(reported <= indices for indices in cone)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_equals_reference_on_cone(self, mode):
+        for prob, n_max, degree in cone_problems(mode):
+            maj = solve_majorant(prob, n_max, degree)
+            ref = solve_formal_reference(prob, n_max, degree, majorant_mode=True)
+            assert_same_recurrence(maj, ref, dependency_cone(prob.spec, n_max, degree))
+
+    @pytest.mark.parametrize("name, stored", [
+        ("product2d", 4410), ("heat", 20301), ("fractional", 20301), ("pure_ode", 201)])
+    def test_shipped_cone_sizes(self, name, stored):
+        # a deterministic work count: the full budget is 77,981 coefficients
+        # on product2d and 40,401 on heat and fractional
+        spec_file = parse_problem_file(PROBLEMS / f"{name}.json")
+        cfg = spec_file.run
+        with mpmath.workprec(cfg.precision_bits):
+            prob = materialize_problem(spec_file)
+            maj = solve_majorant(prob, cfg.n_max, cfg.report_degree)
+        assert sum(len(c.coeffs) for c in maj.working.coeffs) == stored
+        cone = dependency_cone(prob.spec, cfg.n_max, cfg.report_degree)
+        assert sum(map(len, cone)) == stored
 
 
 def as_float(problem):

@@ -12,7 +12,7 @@ from .moments import (
 )
 from .series import (
     MultiSeries,
-    ThetaSeries,
+    dilate,
     evaluate,
     formal_norm,
     generator_series,
@@ -24,7 +24,6 @@ from .series import (
     sup_bound,
     theta_series,
     truncate_series,
-    write_coefficients_csv,
     zero_series,
 )
 from .operators import (
@@ -36,7 +35,6 @@ from .operators import (
     borel_z,
     moment_diff_t,
     moment_diff_z,
-    operator_pairs,
 )
 from .polygon import (
     NewtonPolygon,

@@ -22,7 +22,10 @@ from mpmath import mpf
 from .moments import MomentFunction
 from .precision import to_mpf
 from .series import MultiSeries, sup_bound
-from .operators import moment_diff_z
+from .operators import TimeSeries, moment_diff_z
+
+# the first n whose root enters the witness H of verify_gevrey_bound
+H_FROM_N = 5
 
 
 @dataclass(frozen=True)
@@ -74,10 +77,6 @@ class InequalityReport:
     failed: int
     skipped: int
 
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
 
 @dataclass(frozen=True)
 class GrowthReport:
@@ -91,10 +90,9 @@ class GrowthReport:
     verdict: str
 
 
-def coefficient_bounds(sol, r) -> list:
-    """b_n = sum |u_{n,alpha}| r^{|alpha|} over the reported degrees."""
-    ts = sol.u if hasattr(sol, "u") else sol
-    return [sup_bound(c, r) for c in ts.coeffs]
+def coefficient_bounds(u: TimeSeries, r) -> list:
+    """b_n = sum |u_{n,alpha}| r^{|alpha|} over the stored degrees of each u_n."""
+    return [sup_bound(c, r) for c in u.coeffs]
 
 
 def _log_positive(value) -> Optional[mpf]:
@@ -164,11 +162,10 @@ def _thirds(roots: Sequence) -> tuple:
     return tail_max <= mpf("1.05") * middle_max, tail_max, middle_max
 
 
-def verify_gevrey_bound(b: Sequence, s, n_range: Optional[tuple] = None,
-                        n_start: int = 5) -> BoundWitness:
+def verify_gevrey_bound(b: Sequence, s, n_range: Optional[tuple] = None) -> BoundWitness:
     """Extract empirical (C, H) for b_n <= C H^n (n!)^s and test boundedness.
 
-    H is the max of (b_n/(n!)^s)^{1/n} ignoring n < n_start (tiny n distort
+    H is the max of (b_n/(n!)^s)^{1/n} ignoring n < H_FROM_N (tiny n distort
     the root test; the constant C absorbs the head).  bounded means the root
     sequence does not climb: its last-third max stays within 5% of its
     middle-third max.
@@ -190,7 +187,7 @@ def verify_gevrey_bound(b: Sequence, s, n_range: Optional[tuple] = None,
     if not roots:
         return BoundWitness(order=s, H=mpf(0), C=mpf(0), bounded=True,
                             tail_max=None, middle_max=None, roots=())
-    tail_roots = [r for n, r in zip(ns, roots) if n >= n_start] or roots
+    tail_roots = [r for n, r in zip(ns, roots) if n >= H_FROM_N] or roots
     H = max(tail_roots)
     logH = mpmath.log(H)
     C = mpf(0)
@@ -204,8 +201,7 @@ def verify_gevrey_bound(b: Sequence, s, n_range: Optional[tuple] = None,
                         tail_max=tail_max, middle_max=middle_max, roots=tuple(roots))
 
 
-def intermediate_bound_roots(b: Sequence, M: int, s0, inv_k1,
-                             window: Optional[tuple] = None) -> RootCheck:
+def intermediate_bound_roots(b: Sequence, M: int, s0, inv_k1, window: tuple) -> RootCheck:
     """Root test for b_n * n!^{M s0} / Gamma(1 + d n) with d = M s0 + 1/k1.
 
     A bounded root sequence is the raw numerical shape of the norm bound the
@@ -216,8 +212,7 @@ def intermediate_bound_roots(b: Sequence, M: int, s0, inv_k1,
     d = M * s0 + inv_k1
     df = to_mpf(d)
     ms0 = to_mpf(M * s0)
-    lo, hi = ((1, len(b) - 1) if window is None
-              else (max(1, window[0]), min(window[1], len(b) - 1)))
+    lo, hi = max(1, window[0]), min(window[1], len(b) - 1)
     roots = []
     for n in range(lo, hi + 1):
         logb = _log_positive(b[n])
@@ -267,10 +262,6 @@ def moment_derivative_bound_probe(f: MultiSeries, m: Sequence[MomentFunction],
 # --- inequality suites -----------------------------------------------------
 
 
-def _e() -> mpf:
-    return mpmath.e
-
-
 def _theta_default_grid() -> list:
     grid = []
     for a in (Fraction(1, 2), Fraction(1), Fraction(2)):
@@ -288,7 +279,7 @@ def _check_theta(p: dict) -> InequalityRecord:
     if a <= 0 or bshift < 0:
         return InequalityRecord(tuple(sorted(p.items(), key=str)), None, None, "hypothesis")
     af, bf = to_mpf(a), to_mpf(bshift)
-    scale = _e() * mpmath.power(_e() / (1 + af + bf), af)
+    scale = mpmath.e * mpmath.power(mpmath.e / (1 + af + bf), af)
     worst = None
     for alpha in indices_up_to(len(s), int(p["alpha_cap"])):
         x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
@@ -352,7 +343,7 @@ def _check_gamma_ratio(p: dict) -> InequalityRecord:
     sf, xf = to_mpf(s), to_mpf(x)
     ratio = mpmath.gamma(1 + xf) / mpmath.gamma(1 + xf - sf)
     lower = mpmath.exp(-sf - 1) * mpmath.power(1 + xf, sf)
-    upper = _e() * mpmath.power(1 + xf, sf)
+    upper = mpmath.e * mpmath.power(1 + xf, sf)
     status = "pass" if lower <= ratio <= upper else "fail"
     return InequalityRecord(params, lower, upper, status)
 
@@ -373,7 +364,7 @@ def _check_regularity(p: dict) -> InequalityRecord:
     ns = mpmath.power(n, sf)
     ss = mpmath.power(sf, sf)
     lower = mpmath.exp(-sf - 1) * ss * ns
-    upper = mpmath.power(1 + 1 / sf, sf) * _e() * ss * ns
+    upper = mpmath.power(1 + 1 / sf, sf) * mpmath.e * ss * ns
     status = "pass" if lower <= ratio <= upper else "fail"
     return InequalityRecord(params, lower, upper, status)
 

@@ -143,7 +143,8 @@ def _write_artifacts(result: pipeline.PipelineResult, out: Path) -> None:
             for n, b in enumerate(result.growth.bounds):
                 writer.writerow([str(n), mpmath.nstr(to_mpf(b), mpmath.mp.dps + 2)])
 
-    render_polygon_svg(result.polygon, out / "polygon.svg")
+    with open(out / "polygon.svg", "w") as fh:
+        fh.write(render_polygon_svg(result.polygon))
 
 
 def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
@@ -205,12 +206,9 @@ def main(argv=None) -> int:
     run_p.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
-    if args.command == "run":
-        return run_pipeline(args.spec, args.out, n_max=args.n_max, degree=args.degree,
-                            precision=args.precision, radius=args.radius,
-                            mode=args.mode, quiet=args.quiet)
-    parser.error(f"unknown command {args.command!r}")
-    return 1
+    return run_pipeline(args.spec, args.out, n_max=args.n_max, degree=args.degree,
+                        precision=args.precision, radius=args.radius,
+                        mode=args.mode, quiet=args.quiet)
 
 
 if __name__ == "__main__":

@@ -21,14 +21,8 @@ from operator import sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .moments import MomentFunction
-from .precision import nonzero_threshold
-from .series import (
-    MultiSeries,
-    from_numerators,
-    mode_scalar,
-    series_scale,
-    to_numerators,
-)
+from .precision import nonzero_threshold, to_number
+from .series import MultiSeries, from_numerators, series_scale, to_numerators
 
 
 @dataclass(frozen=True)
@@ -246,25 +240,17 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
     return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
 
 
-def operator_pairs(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
-    """Yield (P(u)_n, envelope_n) for n = 0, 1, ... in turn.
-
-    P(u)_n is the n-th t-coefficient of the operator applied to u.  The
-    envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that P(u)_n
-    sums (and |D_t^M u|), so it bounds the magnitude of what cancelled.
-    """
-    for values, env, den, valid in operator_numerators(spec, u):
-        yield (_collect(values, den, valid, u.dim, u.mode),
-               _collect(env, den, valid, u.dim, u.mode))
-
-
 def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
-    """The pairs of ``operator_pairs`` as numerators over one denominator.
+    """P(u)_n, the n-th t-coefficient of the operator applied to u, and its
+    magnitude envelope, for n = 0, 1, ... in turn.
 
-    Yields (values, envelope, denominator, valid degree) per t-order; the
-    dicts may hold zeros and degrees past the valid degree.  Sums run in a fixed order: the D_t chain, the sum over p within each
-    term, then the sum across terms.  Only the D_t and D_z results that
-    later orders still read are kept.
+    The envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that
+    P(u)_n sums (and |D_t^M u|), so it bounds the magnitude of what
+    cancelled.  Yields (values, envelope, denominator, valid degree) per
+    t-order, both as numerators over the one denominator; the dicts may hold
+    zeros and degrees past the valid degree.  Sums run in a fixed order: the
+    D_t chain, the sum over p within each term, then the sum across terms.
+    Only the D_t and D_z results that later orders still read are kept.
     """
     if u.n_max < spec.M:
         raise ValueError(f"need n_max >= M = {spec.M}, got {u.n_max}")
@@ -298,7 +284,7 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
         scalars = []
         for p, a in enumerate(term.coeff):
             if a != 0:
-                (a,), a_den = to_numerators((mode_scalar(a, mode),), mode)
+                (a,), a_den = to_numerators((to_number(a, mode),), mode)
                 scalars.append((p, a, a_den))
         terms.append(scalars)
     # order n reads t-indices >= n - span only
@@ -370,4 +356,5 @@ def _collect(nums: dict, den: int, valid_degree: int, dim: int, mode: str) -> Mu
 
 def apply_operator(spec: OperatorSpec, u: TimeSeries) -> TimeSeries:
     """Apply the full operator to u."""
-    return TimeSeries(tuple(value for value, _ in operator_pairs(spec, u)))
+    return TimeSeries(tuple(_collect(values, den, valid, u.dim, u.mode)
+                            for values, _, den, valid in operator_numerators(spec, u)))

@@ -67,7 +67,7 @@ def run(spec_file: ProblemSpecFile) -> PipelineResult:
         )
         rel_residual = residual_max_relative(problem, sol)
 
-        bounds = coefficient_bounds(sol, cfg.radius)
+        bounds = coefficient_bounds(sol.u, cfg.radius)
         growth = make_growth_report(bounds, cfg.radius, inv_k1, problem.spec.M,
                                     problem.spec.m0.order, cfg.fit_window)
 

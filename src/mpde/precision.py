@@ -44,9 +44,9 @@ def to_number(x, mode: str):
     if mode == "exact":
         if isinstance(x, bool):
             raise TypeError("bool is not a coefficient")
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, str):
+        if isinstance(x, Fraction):
+            return x
+        if isinstance(x, (int, str)):
             return Fraction(x)
         raise TypeError(f"exact mode cannot hold {type(x).__name__} coefficients")
     if mode == "float":

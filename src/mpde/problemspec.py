@@ -25,6 +25,9 @@ lists, strings, and integers that are not booleans.  Example:
       "run": {"n_max": 200, "report_degree": 0, "radius": "1/2",
               "fit_window": [50, 200], "mode": "exact", "precision_bits": 256}
     }
+
+A product or quotient moment names its two operands in ``factors``, e.g.
+``{"kind": "quotient", "factors": ["g", "m1"]}``.
 """
 
 from __future__ import annotations
@@ -146,10 +149,7 @@ def _parse_moments(section: dict, path: str) -> dict:
         if kind == "gamma":
             m = gamma_moment(_parse_fraction(_get(decl, "order", where), f"{where}.order"))
         elif kind in ("product", "quotient"):
-            if "factors" in decl:
-                names = _parse_list(decl["factors"], f"{where}.factors")
-            else:
-                names = [_get(decl, "numerator", where), _get(decl, "denominator", where)]
+            names = _parse_list(_get(decl, "factors", where), f"{where}.factors")
             if len(names) != 2:
                 _fail(where, "product/quotient needs exactly two operands")
             children = [resolve(_parse_name(n, where), trail + (name,)) for n in names]

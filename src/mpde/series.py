@@ -54,11 +54,6 @@ class MultiSeries:
     coeffs: dict = field(default_factory=dict)
     valid_degree: int = 0
 
-    @property
-    def is_exhausted(self) -> bool:
-        """True when truncation loss has consumed every trustworthy degree."""
-        return self.valid_degree < 0
-
     def coefficient(self, alpha: Index):
         return self.coeffs.get(tuple(alpha), _zero(self.mode))
 
@@ -185,17 +180,8 @@ def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     return MultiSeries(dim=a.dim, mode=a.mode, coeffs=coeffs, valid_degree=vd)
 
 
-def mode_scalar(scalar, mode: str):
-    """A scalar in the arithmetic of ``mode``, as series_scale multiplies by it."""
-    if mode == "float" and not isinstance(scalar, (mpf, mpc)):
-        return to_number(scalar, "float")
-    if mode == "exact" and not isinstance(scalar, Fraction):
-        return to_number(scalar, "exact")
-    return scalar
-
-
 def series_scale(f: MultiSeries, scalar) -> MultiSeries:
-    scalar = mode_scalar(scalar, f.mode)
+    scalar = to_number(scalar, f.mode)
     if scalar == 0:
         return zero_series(f.dim, f.valid_degree, f.mode)
     coeffs = {alpha: scalar * v for alpha, v in f.coeffs.items()}
@@ -209,12 +195,6 @@ def truncate_series(f: MultiSeries, degree: int) -> MultiSeries:
     return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=vd)
 
 
-def _to_float_scalar(v):
-    if isinstance(v, (mpf, mpc)):
-        return v
-    return to_mpf(v)
-
-
 def evaluate(f: MultiSeries, point: Sequence) -> object:
     """Value of the truncated polynomial at a point (stored coefficients only)."""
     if len(point) != f.dim:
@@ -223,10 +203,10 @@ def evaluate(f: MultiSeries, point: Sequence) -> object:
         pt = [Fraction(p) for p in point]
         total = Fraction(0)
     else:
-        pt = [p if isinstance(p, (mpf, mpc)) else to_mpf(p) for p in point]
+        pt = [to_number(p, "float") for p in point]
         total = mpf(0)
     for alpha, v in sorted(f.coeffs.items()):
-        term = v if isinstance(total, Fraction) else _to_float_scalar(v)
+        term = v if isinstance(total, Fraction) else to_number(v, "float")
         for p, a in zip(pt, alpha):
             if a:
                 term = term * p ** a
@@ -252,17 +232,14 @@ def sup_bound(f: MultiSeries, r):
         r = to_mpf(r)
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    if f.mode == "exact" and isinstance(r, Fraction):
+    exact = f.mode == "exact" and isinstance(r, Fraction)
+    if exact:
         total = Fraction(0)
-        for alpha, v in f.coeffs.items():
-            if sum(alpha) <= f.valid_degree:
-                total += abs(v) * r ** sum(alpha)
-        return total
-    rf = to_mpf(r) if isinstance(r, Fraction) else r
-    total = mpf(0)
+    else:
+        r, total = to_mpf(r), mpf(0)
     for alpha, v in f.coeffs.items():
         if sum(alpha) <= f.valid_degree:
-            total += abs(_to_float_scalar(v)) * rf ** sum(alpha)
+            total += abs(v if exact else to_number(v, "float")) * r ** sum(alpha)
     return total
 
 
@@ -289,7 +266,7 @@ def majorizes(g: MultiSeries, f: MultiSeries) -> bool:
         fa = abs(f.coeffs.get(alpha, 0))
         ga = g.coeffs.get(alpha, 0)
         if float_mode:
-            fa, ga = _to_float_scalar(fa), _to_float_scalar(ga)
+            fa, ga = to_number(fa, "float"), to_number(ga, "float")
             if fa > ga + slack * max(fa, ga, mpf(1)):
                 return False
         else:
@@ -298,29 +275,17 @@ def majorizes(g: MultiSeries, f: MultiSeries) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ThetaSeries:
-    """The scale series with coefficients Gamma(1+s.alpha+a)/Gamma(1+s.alpha)."""
-
-    a: Fraction
-    s: tuple
-    cutoff: int
-    series: MultiSeries
-
-    def coefficient(self, alpha: Index) -> mpf:
-        return self.series.coefficient(alpha)
-
-    def scaled(self, constant=1, h=1) -> MultiSeries:
-        """constant * Theta(h*rho) as a plain series: C * h^{|alpha|} * coeff."""
-        c = to_mpf(constant)
-        hh = to_mpf(h)
-        coeffs = {alpha: c * hh ** sum(alpha) * v for alpha, v in self.series.coeffs.items()}
-        return MultiSeries(dim=self.series.dim, mode="float", coeffs=coeffs,
-                           valid_degree=self.cutoff)
+def dilate(f: MultiSeries, constant, h) -> MultiSeries:
+    """constant * f(h*z) as a float series: C * h^{|alpha|} * f_alpha."""
+    c = to_mpf(constant)
+    hh = to_mpf(h)
+    coeffs = {alpha: c * hh ** sum(alpha) * v for alpha, v in f.coeffs.items()}
+    return MultiSeries(dim=f.dim, mode="float", coeffs=coeffs, valid_degree=f.valid_degree)
 
 
-def theta_series(a, s: Sequence, cutoff: int) -> ThetaSeries:
-    """Theta^{(a)} truncated at |alpha| <= cutoff for the Gevrey vector s."""
+def theta_series(a, s: Sequence, cutoff: int) -> MultiSeries:
+    """Theta^{(a)} truncated at |alpha| <= cutoff for the Gevrey vector s: the
+    float scale series with coefficients Gamma(1+s.alpha+a)/Gamma(1+s.alpha)."""
     a = Fraction(a)
     if a < 0:
         raise ValueError(f"shift parameter must be >= 0, got {a}")
@@ -331,8 +296,7 @@ def theta_series(a, s: Sequence, cutoff: int) -> ThetaSeries:
     for alpha in indices_up_to(dim, cutoff):
         x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
         coeffs[alpha] = mpmath.gamma(1 + x + af) / mpmath.gamma(1 + x)
-    series = MultiSeries(dim=dim, mode="float", coeffs=coeffs, valid_degree=cutoff)
-    return ThetaSeries(a=a, s=s, cutoff=cutoff, series=series)
+    return MultiSeries(dim=dim, mode="float", coeffs=coeffs, valid_degree=cutoff)
 
 
 def formal_norm(f: MultiSeries, s: Sequence, cutoff: int, at: Optional[Sequence] = None) -> MultiSeries:
@@ -357,7 +321,7 @@ def formal_norm(f: MultiSeries, s: Sequence, cutoff: int, at: Optional[Sequence]
     coeffs = {}
     for alpha in indices_up_to(f.dim, cutoff):
         g = moment_diff_z(f, ms, alpha)
-        val = abs(_to_float_scalar(evaluate(g, z0)))
+        val = abs(to_number(evaluate(g, z0), "float"))
         x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
         c = val / mpmath.gamma(1 + x)
         if c != 0:
@@ -380,13 +344,4 @@ def _format_value(v) -> tuple[str, str]:
     if isinstance(v, mpc):
         digits = mpmath.mp.dps + 2
         return mpmath.nstr(v.real, digits), mpmath.nstr(v.imag, digits)
-    return mpmath.nstr(_to_float_scalar(v), mpmath.mp.dps + 2), "0"
-
-
-def write_coefficients_csv(f: MultiSeries, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"alpha_{j + 1}" for j in range(f.dim)] + ["re", "im"])
-        writer.writerows(coefficient_rows(f))
+    return mpmath.nstr(to_number(v, "float"), mpmath.mp.dps + 2), "0"

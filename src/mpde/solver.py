@@ -27,12 +27,11 @@ import mpmath
 from mpmath import mpf
 
 from .moments import combine, gamma_moment, regularity_constants
-from .precision import to_mpf
+from .precision import to_mpf, to_number
 from .series import (
     MultiSeries,
     from_numerators,
     indices_up_to,
-    mode_scalar,
     series_scale,
     to_numerators,
     truncate_series,
@@ -128,23 +127,31 @@ class SolutionSeries:
         return tuple(c.valid_degree for c in self.working.coeffs)
 
 
-def validate(problem: CauchyProblem, regularity_n: int = 50) -> ValidationReport:
+# the time moment's regularity constants are estimated on n <= REGULARITY_N
+REGULARITY_N = 50
+
+
+def validate(problem: CauchyProblem) -> ValidationReport:
     """Check the solvability conditions; report-only, never raises.
 
-    Conditions: term_order (ord_t(a) >= max{0, j-M+1}, i.e. q >= 1),
-    time_moment_regular (m0(0)=1 plus empirical regularity constants),
-    positive_orders.
+    Conditions: term_order (ord_t(a) >= max{0, j-M+1}, i.e. q >= 1, and no
+    exactly nonzero stored coefficient below that index, since the
+    recurrence reads every one of them), time_moment_regular (m0(0)=1 plus
+    empirical regularity constants), positive_orders.
     """
     spec = problem.spec
     checks = []
 
     offenders = []
     for term in spec.terms:
+        least = max(0, term.j - spec.M + 1)
         sigma = term.ord_t()
-        if sigma is None:
-            continue
-        if sigma < max(0, term.j - spec.M + 1):
+        first = next((p for p, c in enumerate(term.coeff) if c != 0), None)
+        if sigma is not None and sigma < least:
             offenders.append(f"j={term.j}, alpha={term.alpha} (ord_t={sigma})")
+        elif first is not None and first < least:
+            offenders.append(f"j={term.j}, alpha={term.alpha} "
+                             f"(first nonzero stored coefficient at t^{first})")
     checks.append(ConditionCheck(
         "term_order",
         not offenders,
@@ -155,9 +162,9 @@ def validate(problem: CauchyProblem, regularity_n: int = 50) -> ValidationReport
     m0_ok = spec.m0.value(0) == 1
     detail = "m0(0) = 1"
     if m0_ok and spec.m0.order > 0:
-        a, big_a = regularity_constants(spec.m0, regularity_n)
+        a, big_a = regularity_constants(spec.m0, REGULARITY_N)
         m0_ok = a > 0 and mpmath.isfinite(big_a)
-        detail = (f"m0(0) = 1; ratio envelope on n <= {regularity_n}: "
+        detail = (f"m0(0) = 1; ratio envelope on n <= {REGULARITY_N}: "
                   f"[{mpmath.nstr(a, 8)}, {mpmath.nstr(big_a, 8)}]")
     checks.append(ConditionCheck("time_moment_regular", m0_ok, detail))
 
@@ -336,7 +343,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                 k = n - p
                 d, d_den, d_vd = dz(k, term.alpha)
                 vd = min(vd, d_vd)
-                scalar = mode_scalar(sign * (c * m0.ratio(k, k - term.j, mode)), mode)
+                scalar = to_number(sign * (c * m0.ratio(k, k - term.j, mode)), mode)
                 (scalar,), s_den = to_numerators((scalar,), mode)
                 pieces.append((scalar, s_den * d_den, d))
         den = math.lcm(g_den, *(piece_den for _, piece_den, _ in pieces))
@@ -352,7 +359,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                 acc[alpha] = acc[alpha] + piece if alpha in acc else piece
         if majorant_mode:
             acc = {alpha: v for alpha, v in acc.items() if alpha in cone[n]}
-        scale = mode_scalar(m0.ratio(n - spec.M, n, mode), mode)
+        scale = to_number(m0.ratio(n - spec.M, n, mode), mode)
         (scale,), scale_den = to_numerators((scale,), mode)
         nums = {alpha: scale * v for alpha, v in acc.items() if v != 0 and sum(alpha) <= vd}
         den *= scale_den

@@ -9,8 +9,6 @@ no randomness: identical polygons give identical bytes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .polygon import NewtonPolygon
 
 WIDTH = 640
@@ -22,8 +20,8 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_polygon_svg(poly: NewtonPolygon, path=None) -> str:
-    """Render the polygon; writes to ``path`` when given, returns the SVG text."""
+def render_polygon_svg(poly: NewtonPolygon) -> str:
+    """The SVG text of the polygon."""
     xs = [float(p[0]) for p in poly.points] + [0.0]
     ys = [float(p[1]) for p in poly.points] + [0.0]
     span_x = max(xs) - min(xs) or 1.0
@@ -105,16 +103,8 @@ def render_polygon_svg(poly: NewtonPolygon, path=None) -> str:
         parts.append(
             f'<text x="{_fmt(tx(float(vx)) + 6)}" y="{_fmt(ty(float(vy)) + 16)}" '
             f'font-family="monospace" font-size="11" fill="#333333">'
-            f'({_ratio_label(vx)}, {_ratio_label(vy)})</text>'
+            f'({vx}, {vy})</text>'
         )
 
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def _ratio_label(v: Fraction) -> str:
-    return str(v)
+    return "\n".join(parts) + "\n"

@@ -37,7 +37,9 @@ from mpde import (
     truncate_series,
     zero_series,
 )
+from mpde.operators import operator_numerators
 from mpde.precision import float_tolerance, to_mpf, to_number
+from mpde.series import from_numerators
 from mpde.solver import degree_budget
 
 
@@ -320,6 +322,18 @@ def apply_operator_reference(spec, u, absolute=False):
             acc = series_add(acc, c.coeffs[n])
         out.append(acc)
     return TimeSeries(tuple(out))
+
+
+def operator_pairs_view(spec, u):
+    """(P(u)_n, envelope_n) per t-order as series: ``operator_numerators``,
+    the kernel the residual runs, with zeros and degrees past the valid
+    degree dropped and exact numerators turned back into Fractions."""
+    for values, env, den, vd in operator_numerators(spec, u):
+        yield tuple(
+            MultiSeries(dim=u.dim, mode=u.mode, valid_degree=vd, coeffs=from_numerators(
+                {alpha: v for alpha, v in nums.items() if v != 0 and sum(alpha) <= vd},
+                den, u.mode))
+            for nums in (values, env))
 
 
 def residual_max_relative_two_pass(problem, sol):

@@ -78,7 +78,7 @@ def heat_full(precision_module):
     problem = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, N_FULL))
     start = time.monotonic()
     sol = solve_formal(problem, N_FULL, 0)
-    bounds = coefficient_bounds(sol, Fraction(1, 2))
+    bounds = coefficient_bounds(sol.u, Fraction(1, 2))
     report = make_growth_report(bounds, Fraction(1, 2), inverse_k1(spec), 1, 1, (50, 200))
     elapsed = time.monotonic() - start
     return problem, sol, bounds, report, elapsed
@@ -91,7 +91,7 @@ def fractional_full(precision_module):
     problem = CauchyProblem(spec=spec, initial=(phi,),
                             forcing=zero_forcing(spec, N_FULL, mode="float"))
     sol = solve_formal(problem, N_FULL, 0)
-    bounds = coefficient_bounds(sol, Fraction(1, 2))
+    bounds = coefficient_bounds(sol.u, Fraction(1, 2))
     report = make_growth_report(bounds, Fraction(1, 2), inverse_k1(spec),
                                 1, Fraction(1, 2), (50, 200))
     return problem, sol, bounds, report
@@ -127,7 +127,7 @@ def test_criterion_3_pure_ode_control(precision_module):
     assert inverse_k1(spec) == 0
     assert list(build_polygon(spec).slopes) == []
     sol = solve_formal(problem, N_FULL, 0)
-    bounds = coefficient_bounds(sol, Fraction(1, 2))
+    bounds = coefficient_bounds(sol.u, Fraction(1, 2))
     fit = fit_gevrey_order(bounds, (50, 200))
     assert fit.ok and fit.s_hat <= 0.05
     _ok(3, f"1/k1 = 0; fitted order of the convergent solution = {fit.s_hat:.4f} <= 0.05")

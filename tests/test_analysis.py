@@ -27,7 +27,7 @@ class TestCoefficientBounds:
     def test_heat_degree_zero(self):
         prob = heat_problem(10)
         sol = solve_formal(prob, 10, 0)
-        b = coefficient_bounds(sol, Fraction(1, 2))
+        b = coefficient_bounds(sol.u, Fraction(1, 2))
         for n in range(11):
             assert b[n] == Fraction(math.factorial(2 * n), math.factorial(n))
 
@@ -39,7 +39,7 @@ class TestCoefficientBounds:
         prob = CauchyProblem(spec=spec, initial=(zero_series(1, 8),),
                              forcing=zero_forcing(spec, 4))
         sol = solve_formal(prob, 4, 0)
-        assert coefficient_bounds(sol, Fraction(1, 2)) == [0] * 5
+        assert coefficient_bounds(sol.u, Fraction(1, 2)) == [0] * 5
 
     def test_delta_solution(self):
         from helpers import time_series
@@ -250,7 +250,7 @@ class TestGrowthReport:
     def test_heat_end_to_end_small(self):
         prob = heat_problem(60)
         sol = solve_formal(prob, 60, 0)
-        b = coefficient_bounds(sol, Fraction(1, 2))
+        b = coefficient_bounds(sol.u, Fraction(1, 2))
         rep = make_growth_report(b, Fraction(1, 2), 1, 1, 1, (15, 60))
         assert rep.verdict == "consistent"
         assert rep.d == 2

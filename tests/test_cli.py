@@ -274,19 +274,51 @@ MALFORMED = {
 }
 
 
+def _add_term(term, mode=None):
+    """A document edit: append ``term`` to the operator (and set the run's mode)."""
+    def edit(doc):
+        doc["operator"]["terms"].append(term)
+        if mode is not None:
+            doc["run"]["mode"] = mode
+    return edit
+
+
+# terms whose stored coefficients put a piece of the recurrence at p <= 0, so
+# that step n would read u_n itself: ord_t is raised past the stored prefix by
+# ord_override, or a float coefficient sits below the nonzero threshold
+READS_AHEAD = {
+    "ord_override_past_stored": _add_term(
+        {"j": 1, "alpha": [1], "coeff": ["1"], "ord_override": 1}),
+    "float_below_threshold": _add_term(
+        {"j": 1, "alpha": [1], "coeff": [1e-50, "1"]}, mode="float"),
+}
+
+
 class TestMalformedDocuments:
-    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
-    def test_wrong_json_type_is_error_line(self, tmp_path, capsys, edit):
+    @staticmethod
+    def run_edited(tmp_path, capsys, edit):
+        """Run ``main`` on heat.json after ``edit``; exit code and stderr."""
         doc = json.loads(HEAT.read_text())
         edit(doc)
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(doc))
         out = tmp_path / "out"
         code = main(["run", str(spec), "--out", str(out), "--n-max", "24", "--quiet"])
-        err = capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_wrong_json_type_is_error_line(self, tmp_path, capsys, edit):
+        code, err = self.run_edited(tmp_path, capsys, edit)
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
-        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("edit", READS_AHEAD.values(), ids=READS_AHEAD.keys())
+    def test_piece_reading_ahead_fails_term_order(self, tmp_path, capsys, edit):
+        code, err = self.run_edited(tmp_path, capsys, edit)
+        assert code == 1
+        assert err.startswith("error: condition term_order") and "Traceback" not in err
+        assert "first nonzero stored coefficient at t^0" in err
 
 
 def _paths(node, prefix=()):
@@ -299,9 +331,36 @@ def _paths(node, prefix=()):
 
 
 PURE_ODE_DOC = json.loads(PURE_ODE.read_text())
+FUZZED_DOCS = {"pure_ode": PURE_ODE_DOC, "heat": json.loads(HEAT.read_text())}
 SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=3))
-SMALL_JSON = st.one_of(SMALL_SCALARS, st.just([]), st.just({}),
+# fresh containers each draw: a later edit may write into one
+SMALL_JSON = st.one_of(SMALL_SCALARS, st.builds(list), st.builds(dict),
                        st.lists(SMALL_SCALARS, min_size=1, max_size=3))
+# a field set on an operator term: the optional ones, or its t-derivative power
+TERM_FIELDS = st.one_of(st.tuples(st.just("ord_override"), st.integers(0, 3)),
+                        st.tuples(st.just("truncated"), st.booleans()),
+                        st.tuples(st.just("j"), st.integers(0, 3)))
+
+
+def _object_terms(doc) -> list:
+    """The operator terms of ``doc`` that are still objects after earlier edits."""
+    operator = doc.get("operator") if isinstance(doc, dict) else None
+    terms = operator.get("terms") if isinstance(operator, dict) else None
+    return [t for t in terms if isinstance(t, dict)] if isinstance(terms, list) else []
+
+
+def _assert_clean_exit(doc) -> None:
+    """``mpde run`` on ``doc`` raises nothing and exits 0, 2, or 1 with an error line."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "fuzzed.json"
+        spec.write_text(json.dumps(doc))
+        with contextlib.redirect_stderr(err):
+            code = main(["run", str(spec), "--out", str(Path(tmp) / "out"),
+                         "--n-max", "12", "--degree", "0", "--quiet"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines())
 
 
 class TestFuzzedDocument:
@@ -313,16 +372,25 @@ class TestFuzzedDocument:
             _set(path, value)(doc)
         else:
             doc = value
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            spec = Path(tmp) / "fuzzed.json"
-            spec.write_text(json.dumps(doc))
-            with contextlib.redirect_stderr(err):
-                code = main(["run", str(spec), "--out", str(Path(tmp) / "out"),
-                             "--n-max", "12", "--degree", "0", "--quiet"])
-        assert code in (0, 1, 2)
-        if code == 1:
-            assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+        _assert_clean_exit(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(FUZZED_DOCS)), data=st.data())
+    def test_up_to_three_edits(self, name, data):
+        doc = json.loads(json.dumps(FUZZED_DOCS[name]))
+        for _ in range(data.draw(st.integers(1, 3))):
+            terms = _object_terms(doc)
+            if terms and data.draw(st.booleans()):
+                key, value = data.draw(TERM_FIELDS)
+                data.draw(st.sampled_from(terms))[key] = value
+                continue
+            path = data.draw(st.sampled_from(list(_paths(doc))))
+            value = data.draw(SMALL_JSON)
+            if path:
+                _set(path, value)(doc)
+            else:
+                doc = value
+        _assert_clean_exit(doc)
 
 
 class TestPrecisionScope:

@@ -64,6 +64,7 @@ from .analysis import (
     decide_verdict,
     fit_gevrey_order,
     intermediate_bound_roots,
+    log_bounds,
     make_growth_report,
     moment_derivative_bound_probe,
     verify_gevrey_bound,

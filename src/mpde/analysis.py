@@ -2,8 +2,9 @@
 bound-constant extraction, and numerical verification of the inequality
 toolbox behind the Gevrey estimate.
 
-The fit inverts the growth law b_n ~ C * H^n * Gamma(1 + s*n) by least
-squares on log b_n against [1, n, logGamma(n+1)]; using logGamma as the
+The growth checks read ``log_bounds(b)`` (log b_n, None where b_n = 0), made
+once per sequence.  The fit inverts the growth law b_n ~ C * H^n * Gamma(1 + s*n)
+by least squares on log b_n against [1, n, logGamma(n+1)]; using logGamma as the
 third column absorbs Stirling's lower-order terms into the model instead of
 the residual.
 """
@@ -47,9 +48,6 @@ class BoundWitness:
     H: mpf
     C: mpf
     bounded: bool
-    tail_max: Optional[mpf]
-    middle_max: Optional[mpf]
-    roots: tuple
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,6 @@ class InequalityReport:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    radius: object
     bounds: tuple
     fit: FitResult
     witness: BoundWitness
@@ -96,37 +93,38 @@ def coefficient_bounds(u: TimeSeries, r) -> list:
 
 
 def _log_positive(value) -> Optional[mpf]:
-    if isinstance(value, Fraction):
-        if value <= 0:
-            return None
-        return mpmath.log(to_mpf(value.numerator)) - mpmath.log(to_mpf(value.denominator))
-    v = to_mpf(value)
-    if v <= 0:
+    if value <= 0:
         return None
-    return mpmath.log(v)
+    if isinstance(value, Fraction):
+        return mpmath.log(to_mpf(value.numerator)) - mpmath.log(to_mpf(value.denominator))
+    return mpmath.log(to_mpf(value))
 
 
-def fit_gevrey_order(b: Sequence, window: tuple) -> FitResult:
+def log_bounds(b: Sequence) -> list:
+    """log b_n for each bound, or None where b_n <= 0."""
+    return [_log_positive(v) for v in b]
+
+
+def fit_gevrey_order(logb: Sequence, window: tuple) -> FitResult:
     """Least-squares fit of log b_n = log C + n log H + s logGamma(n+1).
 
-    Zero entries inside the window are skipped and counted; a window shorter
-    than 8 is an error, and fewer than 8 usable points (or a rank-deficient
-    design) yields ok=False rather than a number that means nothing.
+    Zero entries (None in ``logb``) inside the window are skipped and counted; a
+    window shorter than 8 is an error, and fewer than 8 usable points (or a
+    rank-deficient design) yields ok=False rather than a number that means nothing.
     """
     lo, hi = int(window[0]), int(window[1])
     if hi - lo + 1 < 8:
         raise ValueError(f"fit window [{lo}, {hi}] is shorter than 8 points")
-    if hi > len(b) - 1:
-        raise ValueError(f"window end {hi} exceeds the bound sequence (n_max {len(b) - 1})")
+    if hi > len(logb) - 1:
+        raise ValueError(f"window end {hi} exceeds the bound sequence (n_max {len(logb) - 1})")
     rows, ys = [], []
     zero_count = 0
     for n in range(lo, hi + 1):
-        logb = _log_positive(b[n])
-        if logb is None:
+        if logb[n] is None:
             zero_count += 1
             continue
         rows.append([1.0, float(n), math.lgamma(n + 1)])
-        ys.append(float(logb))
+        ys.append(float(logb[n]))
     if len(ys) < 8:
         return FitResult(float("nan"), float("nan"), float("nan"), float("inf"),
                          ok=False, n_used=len(ys), zero_count=zero_count,
@@ -139,8 +137,7 @@ def fit_gevrey_order(b: Sequence, window: tuple) -> FitResult:
                          window=(lo, hi), note="degenerate design matrix")
     coef, *_ = np.linalg.lstsq(x, y, rcond=None)
     resid = y - x @ coef
-    dof = len(ys) - 3
-    sigma2 = float(resid @ resid) / dof if dof > 0 else float("inf")
+    sigma2 = float(resid @ resid) / (len(ys) - 3)
     cov = sigma2 * np.linalg.pinv(x.T @ x)
     stderr = math.sqrt(max(cov[2, 2], 0.0))
     return FitResult(s_hat=float(coef[2]), log_h=float(coef[1]), log_c=float(coef[0]),
@@ -155,14 +152,12 @@ def _thirds(roots: Sequence) -> tuple:
         return True, None, None
     middle = roots[k // 3: 2 * k // 3]
     tail = roots[2 * k // 3:]
-    if not middle or not tail:
-        return True, None, None
     tail_max = max(tail)
     middle_max = max(middle)
     return tail_max <= mpf("1.05") * middle_max, tail_max, middle_max
 
 
-def verify_gevrey_bound(b: Sequence, s, n_range: Optional[tuple] = None) -> BoundWitness:
+def verify_gevrey_bound(logb: Sequence, s, n_range: Optional[tuple] = None) -> BoundWitness:
     """Extract empirical (C, H) for b_n <= C H^n (n!)^s and test boundedness.
 
     H is the max of (b_n/(n!)^s)^{1/n} ignoring n < H_FROM_N (tiny n distort
@@ -174,34 +169,30 @@ def verify_gevrey_bound(b: Sequence, s, n_range: Optional[tuple] = None) -> Boun
     if s < 0:
         raise ValueError(f"Gevrey order must be >= 0, got {s}")
     sf = to_mpf(s)
-    lo, hi = ((1, len(b) - 1) if n_range is None
-              else (max(1, n_range[0]), min(n_range[1], len(b) - 1)))
+    lo, hi = ((1, len(logb) - 1) if n_range is None
+              else (max(1, n_range[0]), min(n_range[1], len(logb) - 1)))
+    lg = [mpmath.loggamma(n + 1) for n in range(hi + 1)]
     roots = []
     ns = []
     for n in range(lo, hi + 1):
-        logb = _log_positive(b[n])
-        if logb is None:
+        if logb[n] is None:
             continue
-        roots.append(mpmath.exp((logb - sf * mpmath.loggamma(n + 1)) / n))
+        roots.append(mpmath.exp((logb[n] - sf * lg[n]) / n))
         ns.append(n)
     if not roots:
-        return BoundWitness(order=s, H=mpf(0), C=mpf(0), bounded=True,
-                            tail_max=None, middle_max=None, roots=())
+        return BoundWitness(order=s, H=mpf(0), C=mpf(0), bounded=True)
     tail_roots = [r for n, r in zip(ns, roots) if n >= H_FROM_N] or roots
     H = max(tail_roots)
     logH = mpmath.log(H)
     C = mpf(0)
     for n in range(0, hi + 1):
-        logb = _log_positive(b[n])
-        if logb is None:
+        if logb[n] is None:
             continue
-        C = max(C, mpmath.exp(logb - n * logH - sf * mpmath.loggamma(n + 1)))
-    bounded, tail_max, middle_max = _thirds(roots)
-    return BoundWitness(order=s, H=H, C=C, bounded=bounded,
-                        tail_max=tail_max, middle_max=middle_max, roots=tuple(roots))
+        C = max(C, mpmath.exp(logb[n] - n * logH - sf * lg[n]))
+    return BoundWitness(order=s, H=H, C=C, bounded=_thirds(roots)[0])
 
 
-def intermediate_bound_roots(b: Sequence, M: int, s0, inv_k1, window: tuple) -> RootCheck:
+def intermediate_bound_roots(logb: Sequence, M: int, s0, inv_k1, window: tuple) -> RootCheck:
     """Root test for b_n * n!^{M s0} / Gamma(1 + d n) with d = M s0 + 1/k1.
 
     A bounded root sequence is the raw numerical shape of the norm bound the
@@ -212,13 +203,12 @@ def intermediate_bound_roots(b: Sequence, M: int, s0, inv_k1, window: tuple) -> 
     d = M * s0 + inv_k1
     df = to_mpf(d)
     ms0 = to_mpf(M * s0)
-    lo, hi = max(1, window[0]), min(window[1], len(b) - 1)
+    lo, hi = max(1, window[0]), min(window[1], len(logb) - 1)
     roots = []
     for n in range(lo, hi + 1):
-        logb = _log_positive(b[n])
-        if logb is None:
+        if logb[n] is None:
             continue
-        val = logb + ms0 * mpmath.loggamma(n + 1) - mpmath.loggamma(1 + df * n)
+        val = logb[n] + ms0 * mpmath.loggamma(n + 1) - mpmath.loggamma(1 + df * n)
         roots.append(mpmath.exp(val / n))
     bounded, tail_max, middle_max = _thirds(roots)
     return RootCheck(d=d, bounded=bounded, tail_max=tail_max,
@@ -414,15 +404,16 @@ def decide_verdict(fit: FitResult, witness: BoundWitness, inv_k1) -> str:
     return "inconclusive"
 
 
-def make_growth_report(bounds: Sequence, radius, inverse_k1, M: int, s0,
+def make_growth_report(bounds: Sequence, inverse_k1, M: int, s0,
                        window: tuple) -> GrowthReport:
     """Assemble the full growth verdict for one solved problem."""
     inverse_k1 = Fraction(inverse_k1)
     s0 = Fraction(s0)
-    fit = fit_gevrey_order(bounds, window)
-    witness = verify_gevrey_bound(bounds, inverse_k1, n_range=window)
-    inter = intermediate_bound_roots(bounds, M, s0, inverse_k1, window=window)
+    logb = log_bounds(bounds)
+    fit = fit_gevrey_order(logb, window)
+    witness = verify_gevrey_bound(logb, inverse_k1, n_range=window)
+    inter = intermediate_bound_roots(logb, M, s0, inverse_k1, window=window)
     verdict = decide_verdict(fit, witness, inverse_k1)
-    return GrowthReport(radius=radius, bounds=tuple(bounds), fit=fit,
+    return GrowthReport(bounds=tuple(bounds), fit=fit,
                         witness=witness, inverse_k1=inverse_k1,
                         d=M * s0 + inverse_k1, intermediate=inter, verdict=verdict)

@@ -19,12 +19,12 @@ import mpmath
 from mpmath import mpf
 
 from .analysis import (FitResult, GrowthReport, coefficient_bounds, fit_gevrey_order,
-                       make_growth_report)
+                       log_bounds, make_growth_report)
 from .polygon import NewtonPolygon, build_polygon, inverse_k1
 from .problemspec import ProblemSpecFile, RunConfig, materialize_problem
 from .series import majorizes
 from .solver import (SolutionSeries, ValidationFailure, ValidationReport,
-                     residual_max_relative, solve_formal, solve_majorant, validate)
+                     residual_max_relative, solve_formal, solve_majorant)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def run(spec_file: ProblemSpecFile) -> PipelineResult:
     cfg = spec_file.run
     with mpmath.workprec(cfg.precision_bits):
         problem = materialize_problem(spec_file)
-        report = validate(problem)
+        report = problem.validation
         if not report.passed:
             raise ValidationFailure(report)
         with warnings.catch_warnings(record=True) as caught:
@@ -68,15 +68,15 @@ def run(spec_file: ProblemSpecFile) -> PipelineResult:
         rel_residual = residual_max_relative(problem, sol)
 
         bounds = coefficient_bounds(sol.u, cfg.radius)
-        growth = make_growth_report(bounds, cfg.radius, inv_k1, problem.spec.M,
-                                    problem.spec.m0.order, cfg.fit_window)
+        growth = make_growth_report(bounds, inv_k1, problem.spec.M, problem.spec.m0.order,
+                                    cfg.fit_window)
 
         # the forcing's own order, fitted from the run's window start to its end
         forcing_fit = None
         f_bounds = coefficient_bounds(problem.forcing, cfg.radius)
         lo, hi = cfg.fit_window[0], len(f_bounds) - 1
         if hi >= 8 and hi - lo + 1 >= 8 and any(f_bounds):
-            forcing_fit = fit_gevrey_order(f_bounds, (lo, hi))
+            forcing_fit = fit_gevrey_order(log_bounds(f_bounds), (lo, hi))
 
     return PipelineResult(
         name=spec_file.name,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 
 import mpmath
@@ -100,6 +101,12 @@ class CauchyProblem:
     @property
     def mode(self) -> str:
         return self.initial[0].mode
+
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """``validate(self)``, computed at the first read and kept; the report
+        reflects the mpmath precision at that first read."""
+        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -261,9 +268,8 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
     the full recurrence's (same pieces summed in the same order), and ``u``
     is the full recurrence's.
     """
-    report = validate(problem)
-    if not report.passed:
-        raise ValidationFailure(report)
+    if not problem.validation.passed:
+        raise ValidationFailure(problem.validation)
 
     spec = problem.spec
     mode = problem.mode

@@ -26,6 +26,7 @@ from mpde import (
     generator_series,
     intermediate_bound_roots,
     inverse_k1,
+    log_bounds,
     majorizes,
     make_growth_report,
     residual_max_relative,
@@ -79,7 +80,7 @@ def heat_full(precision_module):
     start = time.monotonic()
     sol = solve_formal(problem, N_FULL, 0)
     bounds = coefficient_bounds(sol.u, Fraction(1, 2))
-    report = make_growth_report(bounds, Fraction(1, 2), inverse_k1(spec), 1, 1, (50, 200))
+    report = make_growth_report(bounds, inverse_k1(spec), 1, 1, (50, 200))
     elapsed = time.monotonic() - start
     return problem, sol, bounds, report, elapsed
 
@@ -92,8 +93,7 @@ def fractional_full(precision_module):
                             forcing=zero_forcing(spec, N_FULL, mode="float"))
     sol = solve_formal(problem, N_FULL, 0)
     bounds = coefficient_bounds(sol.u, Fraction(1, 2))
-    report = make_growth_report(bounds, Fraction(1, 2), inverse_k1(spec),
-                                1, Fraction(1, 2), (50, 200))
+    report = make_growth_report(bounds, inverse_k1(spec), 1, Fraction(1, 2), (50, 200))
     return problem, sol, bounds, report
 
 
@@ -128,7 +128,7 @@ def test_criterion_3_pure_ode_control(precision_module):
     assert list(build_polygon(spec).slopes) == []
     sol = solve_formal(problem, N_FULL, 0)
     bounds = coefficient_bounds(sol.u, Fraction(1, 2))
-    fit = fit_gevrey_order(bounds, (50, 200))
+    fit = fit_gevrey_order(log_bounds(bounds), (50, 200))
     assert fit.ok and fit.s_hat <= 0.05
     _ok(3, f"1/k1 = 0; fitted order of the convergent solution = {fit.s_hat:.4f} <= 0.05")
 
@@ -265,7 +265,7 @@ def test_criterion_9_fit_calibration(precision_module):
     for sigma in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
         sf = mpf(sigma.numerator) / sigma.denominator
         b = [mpmath.gamma(1 + sf * n) for n in range(201)]
-        fit = fit_gevrey_order(b, (50, 200))
+        fit = fit_gevrey_order(log_bounds(b), (50, 200))
         err = abs(fit.s_hat - float(sigma))
         assert err < 0.03, f"sigma={sigma}: s_hat={fit.s_hat}"
         worst = max(worst, err)
@@ -274,13 +274,13 @@ def test_criterion_9_fit_calibration(precision_module):
 
 def test_criterion_10_intermediate_bound_shape(heat_full, fractional_full):
     _, _, heat_bounds, heat_report, _ = heat_full
-    check1 = intermediate_bound_roots(heat_bounds, 1, 1, 1, window=(50, 200))
+    check1 = intermediate_bound_roots(log_bounds(heat_bounds), 1, 1, 1, window=(50, 200))
     assert check1.d == 2 and check1.bounded
     assert check1.tail_max <= mpf("1.05") * check1.middle_max
 
     _, _, frac_bounds, frac_report = fractional_full
-    check2 = intermediate_bound_roots(frac_bounds, 1, Fraction(1, 2), Fraction(3, 2),
-                                      window=(50, 200))
+    check2 = intermediate_bound_roots(log_bounds(frac_bounds), 1, Fraction(1, 2),
+                                      Fraction(3, 2), window=(50, 200))
     assert check2.d == 2 and check2.bounded
     assert check2.tail_max <= mpf("1.05") * check2.middle_max
     _ok(10, f"n-th roots of b_n n!^(M s0)/Gamma(1+dn) bounded: heat tail/middle = "

@@ -12,6 +12,7 @@ from mpde import (
     gamma_moment,
     generator_series,
     intermediate_bound_roots,
+    log_bounds,
     make_growth_report,
     make_series,
     moment_derivative_bound_probe,
@@ -49,75 +50,83 @@ class TestCoefficientBounds:
         assert coefficient_bounds(ts, Fraction(1, 3)) == [1, 0, 0, 0, 0]
 
 
+class TestLogBounds:
+    def test_zero_negative_fraction_mpf(self):
+        logs = log_bounds([Fraction(0), mpf(-2), Fraction(3, 7), mpf("2.5")])
+        assert logs[0] is None and logs[1] is None
+        assert abs(logs[2] - mpmath.log(mpf(3) / 7)) < mpf("1e-30")
+        assert logs[3] == mpmath.log(mpf("2.5"))
+
+
 class TestFitGevreyOrder:
     def test_factorial_sequence(self):
         b = [Fraction(math.factorial(n)) for n in range(201)]
-        fit = fit_gevrey_order(b, (20, 200))
+        fit = fit_gevrey_order(log_bounds(b), (20, 200))
         assert fit.ok and abs(fit.s_hat - 1) < 0.02
 
     def test_pure_exponential(self):
         b = [Fraction(2) ** n for n in range(201)]
-        fit = fit_gevrey_order(b, (20, 200))
+        fit = fit_gevrey_order(log_bounds(b), (20, 200))
         assert abs(fit.s_hat) < 0.02
         assert abs(fit.log_h - math.log(2)) < 0.01
 
     def test_heat_shape(self):
         b = [Fraction(math.factorial(2 * n), math.factorial(n)) for n in range(201)]
-        fit = fit_gevrey_order(b, (20, 200))
+        fit = fit_gevrey_order(log_bounds(b), (20, 200))
         assert abs(fit.s_hat - 1) < 0.05
 
     @pytest.mark.parametrize("sigma", [0, Fraction(1, 2), 1, Fraction(3, 2), 2])
     def test_calibration_on_gamma_growth(self, sigma):
         sf = mpf(Fraction(sigma).numerator) / Fraction(sigma).denominator
         b = [mpmath.gamma(1 + sf * n) for n in range(201)]
-        fit = fit_gevrey_order(b, (50, 200))
+        fit = fit_gevrey_order(log_bounds(b), (50, 200))
         assert abs(fit.s_hat - float(Fraction(sigma))) < 0.03
 
     def test_zero_entries_skipped_and_counted(self):
         b = [Fraction(math.factorial(n)) if n % 3 else Fraction(0) for n in range(80)]
-        fit = fit_gevrey_order(b, (10, 70))
+        fit = fit_gevrey_order(log_bounds(b), (10, 70))
         assert fit.zero_count > 0 and fit.ok
         assert abs(fit.s_hat - 1) < 0.1
 
     def test_too_few_usable_points_flagged(self):
         b = [Fraction(0)] * 30
         b[12] = Fraction(5)
-        fit = fit_gevrey_order(b, (10, 25))
+        fit = fit_gevrey_order(log_bounds(b), (10, 25))
         assert not fit.ok
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
-            fit_gevrey_order([1] * 10, (2, 8))
+            fit_gevrey_order(log_bounds([1] * 10), (2, 8))
 
 
 class TestVerifyGevreyBound:
     def test_factorial_at_order_one(self):
         b = [Fraction(math.factorial(n)) for n in range(121)]
-        w = verify_gevrey_bound(b, 1)
+        w = verify_gevrey_bound(log_bounds(b), 1)
         assert abs(w.H - 1) < mpf("1e-30")
         assert abs(w.C - 1) < mpf("1e-30")
         assert w.bounded
 
     def test_factorial_squared_unbounded_at_order_one(self):
         b = [Fraction(math.factorial(n)) ** 2 for n in range(121)]
-        w = verify_gevrey_bound(b, 1)
+        w = verify_gevrey_bound(log_bounds(b), 1)
         assert not w.bounded
 
     def test_heat_H_near_four(self):
         b = [Fraction(math.factorial(2 * n), math.factorial(n)) for n in range(201)]
-        w = verify_gevrey_bound(b, 1, n_range=(1, 200))
+        w = verify_gevrey_bound(log_bounds(b), 1, n_range=(1, 200))
         assert mpf("3.5") < w.H < mpf("4.0")
         assert w.bounded
 
     def test_bound_actually_bounds(self):
         b = [Fraction(math.factorial(2 * n), math.factorial(n)) for n in range(101)]
-        w = verify_gevrey_bound(b, 1, n_range=(1, 100))
+        w = verify_gevrey_bound(log_bounds(b), 1, n_range=(1, 100))
         for n in range(101):
             bound = w.C * w.H ** n * mpmath.gamma(n + 1)
             assert mpf(b[n].numerator) / b[n].denominator <= bound * (1 + mpf("1e-40"))
 
     def test_all_zero_sequence(self):
-        w = verify_gevrey_bound([Fraction(0)] * 20, 1)
+        w = verify_gevrey_bound(log_bounds([Fraction(0)] * 20), 1)
         assert w.H == 0 and w.C == 0 and w.bounded
 
 
@@ -208,7 +217,7 @@ class TestDerivativeBoundProbe:
 class TestIntermediateRoots:
     def test_heat_shape_is_bounded(self):
         b = [Fraction(math.factorial(2 * n), math.factorial(n)) for n in range(201)]
-        check = intermediate_bound_roots(b, 1, 1, 1, window=(50, 200))
+        check = intermediate_bound_roots(log_bounds(b), 1, 1, 1, window=(50, 200))
         assert check.d == 2
         assert check.bounded
         for root in check.roots:
@@ -216,7 +225,7 @@ class TestIntermediateRoots:
 
     def test_exploding_sequence_detected(self):
         b = [Fraction(math.factorial(n)) ** 3 for n in range(101)]
-        check = intermediate_bound_roots(b, 1, 1, 1, window=(20, 100))
+        check = intermediate_bound_roots(log_bounds(b), 1, 1, 1, window=(20, 100))
         assert not check.bounded
 
 
@@ -226,8 +235,7 @@ class TestVerdict:
                          n_used=100, zero_count=0, window=(50, 200))
 
     def _witness(self, bounded):
-        return BoundWitness(order=Fraction(1), H=mpf(2), C=mpf(1), bounded=bounded,
-                            tail_max=None, middle_max=None, roots=())
+        return BoundWitness(order=Fraction(1), H=mpf(2), C=mpf(1), bounded=bounded)
 
     def test_consistent(self):
         assert decide_verdict(self._fit(1.04), self._witness(True), 1) == "consistent"
@@ -251,7 +259,7 @@ class TestGrowthReport:
         prob = heat_problem(60)
         sol = solve_formal(prob, 60, 0)
         b = coefficient_bounds(sol.u, Fraction(1, 2))
-        rep = make_growth_report(b, Fraction(1, 2), 1, 1, 1, (15, 60))
+        rep = make_growth_report(b, 1, 1, 1, (15, 60))
         assert rep.verdict == "consistent"
         assert rep.d == 2
         assert rep.witness.bounded and rep.intermediate.bounded

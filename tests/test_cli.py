@@ -12,7 +12,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpde import pipeline
+from mpde import pipeline, solver
 from mpde.cli import _report_dict, main, run_pipeline
 from mpde.problemspec import parse_problem_file
 
@@ -23,6 +23,56 @@ PURE_ODE = ROOT / "problems" / "pure_ode.json"
 PRODUCT2D = ROOT / "problems" / "product2d.json"
 # artifact digests and report fields of the shipped runs, recorded by bench/record_reference.py
 REFERENCE = ROOT / "bench" / "reference.json"
+
+
+def _fit(window, points_used, s_hat, stderr, log_h, log_c):
+    return {"ok": True, "window": list(window), "points_used": points_used,
+            "zero_entries": 0, "note": "",
+            "s_hat": s_hat, "stderr": stderr, "log_H": log_h, "log_C": log_c}
+
+
+# the growth blocks of the shipped runs' report.json, recorded before the growth
+# checks read the log-bound sequence; the fitted floats come from numpy's least
+# squares, whose last bits may differ with another LAPACK
+SHIPPED_ANALYSIS = {
+    "heat": {
+        "fit": _fit((50, 200), 151, 1.004579831129439, 4.4893400452522866e-05,
+                    1.3600047004425435, -1.909977945754485),
+        "forcing_fit": None,
+        "gevrey_bound_witness": {"order": "1/1", "H": "3.93607336301", "C": "1.0",
+                                 "bounded": True},
+        "intermediate_bound": {"d": "2/1", "bounded": True, "tail_max": "1.0",
+                               "middle_max": "1.0"},
+    },
+    "fractional": {
+        "fit": _fit((50, 200), 151, 1.5068584503660754, 6.711410163201158e-05,
+                    1.6934927978437746, -2.6941438883597217),
+        "forcing_fit": None,
+        "gevrey_bound_witness": {"order": "3/2", "H": "5.52656634286", "C": "1.0",
+                                 "bounded": True},
+        "intermediate_bound": {"d": "2/1", "bounded": True, "tail_max": "1.40408113192",
+                               "middle_max": "1.40131963317"},
+    },
+    "pure_ode": {
+        "fit": _fit((50, 200), 151, 0.009204855619471984, 9.069116476304262e-05,
+                    -0.052816711671003665, -2.665369748976368),
+        "forcing_fit": _fit((50, 199), 150, 0.0, 0.0, 0.0, 0.0),
+        "gevrey_bound_witness": {"order": "0/1", "H": "0.973856237016", "C": "1.0268456082",
+                                 "bounded": True},
+        "intermediate_bound": {"d": "1/1", "bounded": True, "tail_max": "0.973856237016",
+                               "middle_max": "0.966974134328"},
+    },
+    "product2d": {
+        "fit": _fit((10, 40), 31, 1.0215777909020776, 0.0005956884367045066,
+                    -1.4665754225291123, 0.978367501457567),
+        "forcing_fit": _fit((10, 39), 30, -9.423324235366153e-16, 2.303858789448667e-15,
+                            -1.3862943611198872, -4.491926928094834e-14),
+        "gevrey_bound_witness": {"order": "1/1", "H": "0.263115065296", "C": "2.85046391835",
+                                 "bounded": True},
+        "intermediate_bound": {"d": "2/1", "bounded": True, "tail_max": "0.0678486838305",
+                               "middle_max": "0.0703211636816"},
+    },
+}
 
 
 def read(path: Path):
@@ -159,6 +209,38 @@ class TestShippedProblems:
         for field in ("verdict", "inverse_k1", "newton_polygon", "residual",
                       "majorant_dominates"):
             assert report[field] == want["report"][field], field
+        # the growth blocks, against the values recorded above; the fitted
+        # floats within 1e-9 relative (1e-12 absolute for the noise-level
+        # values of a constant forcing)
+        pinned = SHIPPED_ANALYSIS[path.stem]
+        for block in ("gevrey_bound_witness", "intermediate_bound"):
+            assert report[block] == pinned[block], block
+        for block in ("fit", "forcing_fit"):
+            got, expected = report[block], pinned[block]
+            if expected is None:
+                assert got is None, block
+                continue
+            for key in ("ok", "window", "points_used", "zero_entries", "note"):
+                assert got[key] == expected[key], (block, key)
+            for key in ("s_hat", "stderr", "log_H", "log_C"):
+                assert got[key] == pytest.approx(expected[key], rel=1e-9, abs=1e-12), (block, key)
+
+
+class TestValidateOnce:
+    def test_heat_run_validates_once(self, monkeypatch):
+        # the problem is validated once, not again by each solve
+        original = solver.validate
+        calls = []
+
+        def counting(problem):
+            calls.append(problem)
+            return original(problem)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mpde") and getattr(module, "validate", None) is original:
+                monkeypatch.setattr(module, "validate", counting)
+        pipeline.run(parse_problem_file(HEAT))
+        assert len(calls) == 1
 
 
 # fractional's residual as report.json's residual_full, recorded before the

@@ -3,7 +3,8 @@ bound-constant extraction, and numerical verification of the inequality
 toolbox behind the Gevrey estimate.
 
 The growth checks read ``log_bounds(b)`` (log b_n, None where b_n = 0), made
-once per sequence.  The fit inverts the growth law b_n ~ C * H^n * Gamma(1 + s*n)
+once per sequence, and the two root tests share one ``log_factorials`` table
+per report.  The fit inverts the growth law b_n ~ C * H^n * Gamma(1 + s*n)
 by least squares on log b_n against [1, n, logGamma(n+1)]; using logGamma as the
 third column absorbs Stirling's lower-order terms into the model instead of
 the residual.
@@ -157,13 +158,20 @@ def _thirds(roots: Sequence) -> tuple:
     return tail_max <= mpf("1.05") * middle_max, tail_max, middle_max
 
 
-def verify_gevrey_bound(logb: Sequence, s, n_range: Optional[tuple] = None) -> BoundWitness:
+def log_factorials(hi: int) -> list:
+    """[log n! for n = 0..hi], as ``mpmath.loggamma(n + 1)``."""
+    return [mpmath.loggamma(n + 1) for n in range(hi + 1)]
+
+
+def verify_gevrey_bound(logb: Sequence, s, n_range: Optional[tuple] = None,
+                        lg: Optional[Sequence] = None) -> BoundWitness:
     """Extract empirical (C, H) for b_n <= C H^n (n!)^s and test boundedness.
 
     H is the max of (b_n/(n!)^s)^{1/n} ignoring n < H_FROM_N (tiny n distort
     the root test; the constant C absorbs the head).  bounded means the root
     sequence does not climb: its last-third max stays within 5% of its
-    middle-third max.
+    middle-third max.  ``lg`` is ``log_factorials`` to at least the range's
+    end, computed here when not given.
     """
     s = Fraction(s)
     if s < 0:
@@ -171,7 +179,8 @@ def verify_gevrey_bound(logb: Sequence, s, n_range: Optional[tuple] = None) -> B
     sf = to_mpf(s)
     lo, hi = ((1, len(logb) - 1) if n_range is None
               else (max(1, n_range[0]), min(n_range[1], len(logb) - 1)))
-    lg = [mpmath.loggamma(n + 1) for n in range(hi + 1)]
+    if lg is None:
+        lg = log_factorials(hi)
     roots = []
     ns = []
     for n in range(lo, hi + 1):
@@ -192,11 +201,14 @@ def verify_gevrey_bound(logb: Sequence, s, n_range: Optional[tuple] = None) -> B
     return BoundWitness(order=s, H=H, C=C, bounded=_thirds(roots)[0])
 
 
-def intermediate_bound_roots(logb: Sequence, M: int, s0, inv_k1, window: tuple) -> RootCheck:
+def intermediate_bound_roots(logb: Sequence, M: int, s0, inv_k1, window: tuple,
+                             lg: Optional[Sequence] = None) -> RootCheck:
     """Root test for b_n * n!^{M s0} / Gamma(1 + d n) with d = M s0 + 1/k1.
 
     A bounded root sequence is the raw numerical shape of the norm bound the
     induction produces before the final Gevrey estimate is read off at rho=0.
+    ``lg`` is ``log_factorials`` to at least the window's end, computed here
+    when not given.
     """
     s0 = Fraction(s0)
     inv_k1 = Fraction(inv_k1)
@@ -204,11 +216,13 @@ def intermediate_bound_roots(logb: Sequence, M: int, s0, inv_k1, window: tuple) 
     df = to_mpf(d)
     ms0 = to_mpf(M * s0)
     lo, hi = max(1, window[0]), min(window[1], len(logb) - 1)
+    if lg is None:
+        lg = log_factorials(hi)
     roots = []
     for n in range(lo, hi + 1):
         if logb[n] is None:
             continue
-        val = logb[n] + ms0 * mpmath.loggamma(n + 1) - mpmath.loggamma(1 + df * n)
+        val = logb[n] + ms0 * lg[n] - mpmath.loggamma(1 + df * n)
         roots.append(mpmath.exp(val / n))
     bounded, tail_max, middle_max = _thirds(roots)
     return RootCheck(d=d, bounded=bounded, tail_max=tail_max,
@@ -410,9 +424,10 @@ def make_growth_report(bounds: Sequence, inverse_k1, M: int, s0,
     inverse_k1 = Fraction(inverse_k1)
     s0 = Fraction(s0)
     logb = log_bounds(bounds)
+    lg = log_factorials(min(window[1], len(logb) - 1))
     fit = fit_gevrey_order(logb, window)
-    witness = verify_gevrey_bound(logb, inverse_k1, n_range=window)
-    inter = intermediate_bound_roots(logb, M, s0, inverse_k1, window=window)
+    witness = verify_gevrey_bound(logb, inverse_k1, n_range=window, lg=lg)
+    inter = intermediate_bound_roots(logb, M, s0, inverse_k1, window=window, lg=lg)
     verdict = decide_verdict(fit, witness, inverse_k1)
     return GrowthReport(bounds=tuple(bounds), fit=fit,
                         witness=witness, inverse_k1=inverse_k1,

@@ -62,7 +62,7 @@ class MomentFunction:
 
     def shift_ratios(self, a: int, n: int, mode: str) -> tuple:
         """(r_0, ..., r_n) with r_b = m(b+a)/m(b), each one division."""
-        ratios = self._tables.setdefault((_arithmetic(mode), a), [])
+        ratios = self._tables.setdefault((arithmetic(mode), a), [])
         for b in range(len(ratios), n + 1):
             ratios.append(self._entry(b + a, mode) / self._entry(b, mode))
         return tuple(ratios[: n + 1])
@@ -79,7 +79,7 @@ class MomentFunction:
         """The value table of ``mode``, extended to hold m(n); None marks an
         irrational value in exact mode."""
         exact = mode == "exact"
-        col = self._tables.setdefault((_arithmetic(mode), None), [])
+        col = self._tables.setdefault((arithmetic(mode), None), [])
         new = range(len(col), n + 1)
         if not new:
             return col
@@ -116,7 +116,7 @@ class MomentFunction:
         return f"tabulated_moment(order={self.order})"
 
 
-def _arithmetic(mode: str):
+def arithmetic(mode: str):
     """Table key of an arithmetic: exact, or float at the current precision."""
     return "exact" if mode == "exact" else mpmath.mp.prec
 

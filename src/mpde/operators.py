@@ -9,20 +9,29 @@ which is the standard definition rewritten for the raw representation; the
 z-moment derivative shifts indices by alpha and multiplies by the analogous
 ratio in each variable.  Borel transforms divide coefficients by moment
 values.  Everything here is pure and mode-preserving.
+
+The z-derivative has one kernel, ``ZKernel.diff``, on the kernel form of
+``series`` (a dense list over the graded layout): a gather through one
+precomputed map per alpha, then one multiply per axis by a ratio vector.
+``KernelTimeSeries`` is a time series in that form; the recurrence keeps its
+solution in it, and ``operator_numerators`` applies the operator to it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from functools import cached_property
+from itertools import islice, repeat
+from operator import add, mul
 from typing import Callable, Iterator, Optional, Sequence
 
-from .moments import MomentFunction
+from .moments import MomentFunction, arithmetic
 from .precision import nonzero_threshold, to_number
-from .series import MultiSeries, from_numerators, series_scale, to_numerators
+from .series import Grading, MultiSeries, from_kernel, series_scale, to_kernel, to_numerators
 
 
 @dataclass(frozen=True)
@@ -53,6 +62,43 @@ class TimeSeries:
 
     def map_z(self, fn: Callable[[MultiSeries], MultiSeries]) -> "TimeSeries":
         return TimeSeries(tuple(fn(c) for c in self.coeffs))
+
+
+@dataclass(frozen=True, eq=False)
+class KernelTimeSeries:
+    """A time series whose t-coefficients are in the kernel form of
+    ``series``: ``steps[n]`` is (vec, den, valid degree) of the n-th one.
+
+    vec holds the first ``grading.count(valid degree)`` graded indices, or,
+    when ``ranks`` is set, the indices of the graded ranks ``ranks[n]``
+    (increasing), as the majorant's dependency cone does.
+    """
+
+    grading: Grading
+    mode: str
+    steps: tuple
+    ranks: Optional[tuple] = None
+
+    @classmethod
+    def of(cls, u: TimeSeries, grading: Grading) -> "KernelTimeSeries":
+        return cls(grading, u.mode, tuple((*to_kernel(c, grading, c.valid_degree), c.valid_degree)
+                                          for c in u.coeffs))
+
+    @property
+    def valid_degrees(self) -> tuple:
+        return tuple(vd for _, _, vd in self.steps)
+
+    def series(self, n: int, degree: Optional[int] = None) -> MultiSeries:
+        """The n-th t-coefficient as a series, truncated to ``degree``."""
+        vec, den, vd = self.steps[n]
+        if degree is not None:
+            vd = min(vd, degree)
+        ranks = range(len(vec)) if self.ranks is None else self.ranks[n]
+        end = bisect_left(ranks, self.grading.count(vd))
+        return from_kernel(vec[:end], den, vd, self.grading, self.mode, ranks[:end])
+
+    def time_series(self, degree: Optional[int] = None) -> TimeSeries:
+        return TimeSeries(tuple(self.series(n, degree) for n in range(len(self.steps))))
 
 
 @dataclass(frozen=True)
@@ -151,6 +197,12 @@ class OperatorSpec:
         """Largest |alpha| over the terms (degree consumed per recurrence step)."""
         return max((sum(t.alpha) for t in self.terms), default=0)
 
+    @cached_property
+    def z_kernel(self) -> "ZKernel":
+        """The z-derivative kernel of the space moments, whose gather maps
+        and ratio vectors the solve, the majorant and the residual share."""
+        return ZKernel(self.m)
+
 
 def moment_diff_t(u: TimeSeries, m0: MomentFunction) -> TimeSeries:
     """One t-moment derivative; the t-truncation order drops by one."""
@@ -162,6 +214,74 @@ def moment_diff_t(u: TimeSeries, m0: MomentFunction) -> TimeSeries:
     return TimeSeries(tuple(out))
 
 
+class ZKernel:
+    """D_z^alpha on kernel-form series, for one tuple of space moments.
+
+    The coefficient of beta + alpha moves to beta and is multiplied, for
+    each axis j with alpha_j > 0 in axis order, by m_j(beta_j + alpha_j) /
+    m_j(beta_j).  Per alpha the kernel keeps the gather map (the rank of
+    beta + alpha for each beta in graded order) and, per arithmetic, one
+    ratio vector per axis over the same order, exact ratios as integers over
+    their common denominator.  Both are built on the first read and extended
+    only to the largest degree read since, so no moment value is evaluated
+    that the derivatives do not use.
+    """
+
+    def __init__(self, m: Sequence[MomentFunction]):
+        self.m = tuple(m)
+        self.grading = Grading(len(self.m))
+        self._gathers = {}   # alpha -> [rank(beta + alpha) for beta in graded order]
+        self._ratios = {}    # (arithmetic, alpha) -> (degree, den, one vector per axis)
+
+    def gather(self, alpha: tuple, degree: int) -> list:
+        """The gather map of alpha, covering at least |beta| <= degree."""
+        ranks = self._gathers.setdefault(alpha, [])
+        need = self.grading.count(degree)
+        if len(ranks) < need:
+            self.grading.extend(degree + sum(alpha))
+            indices, rank = self.grading.indices, self.grading.rank
+            ranks.extend(rank[tuple(map(add, indices[r], alpha))]
+                         for r in range(len(ranks), need))
+        return ranks
+
+    def ratios(self, alpha: tuple, degree: int, mode: str) -> tuple:
+        """(den, vectors): the ratio vectors of alpha in the arithmetic of
+        ``mode``, covering at least |beta| <= degree."""
+        key = (arithmetic(mode), alpha)
+        table = self._ratios.get(key)
+        if table is None or table[0] < degree:
+            self.grading.extend(degree)
+            betas = self.grading.indices[: self.grading.count(degree)]
+            den, vectors = 1, []
+            for j, (mj, aj) in enumerate(zip(self.m, alpha)):
+                if aj:
+                    nums, ratio_den = to_numerators(mj.shift_ratios(aj, degree, mode), mode)
+                    vectors.append([nums[beta[j]] for beta in betas])
+                    den *= ratio_den
+            table = self._ratios[key] = (degree, den, vectors)
+        return table[1], table[2]
+
+    @staticmethod
+    def degree(valid_degree: int, alpha: tuple) -> int:
+        """The valid degree of D_z^alpha of a series valid to valid_degree
+        (-1 once the budget is exhausted)."""
+        return max(valid_degree - sum(alpha), -1) if sum(alpha) else valid_degree
+
+    def diff(self, vec: list, den: int, valid_degree: int, alpha: tuple, mode: str) -> tuple:
+        """D_z^alpha of the kernel-form series vec/den, as (vec, den, valid degree)."""
+        if not sum(alpha):
+            return vec, den, valid_degree
+        new_valid = self.degree(valid_degree, alpha)
+        if new_valid < 0:
+            return [], 1, -1
+        count = self.grading.count(new_valid)
+        out = list(map(vec.__getitem__, islice(self.gather(alpha, new_valid), count)))
+        ratio_den, vectors = self.ratios(alpha, new_valid, mode)
+        for ratios in vectors:
+            out = list(map(mul, out, ratios))
+        return out, den * ratio_den, new_valid
+
+
 def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[int]) -> MultiSeries:
     """The mixed z-moment derivative D^alpha; valid degree drops by |alpha|."""
     alpha = tuple(int(a) for a in alpha)
@@ -171,44 +291,10 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
         )
     if sum(alpha) == 0:
         return f
-    nums, den = to_numerators(f.coeffs, f.mode)
-    nums, den, valid = moment_diff_z_numerators(nums, den, f.valid_degree, m, alpha, f.mode)
-    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=from_numerators(nums, den, f.mode),
-                       valid_degree=valid)
-
-
-def moment_diff_z_numerators(nums: dict, den: int, valid_degree: int,
-                             m: Sequence[MomentFunction], alpha: tuple, mode: str) -> tuple:
-    """D^alpha of the series nums/den (see ``series.to_numerators``).
-
-    Returns (numerators, denominator, valid degree); each ratio table enters
-    as integers over its own common denominator, which multiplies ``den``.
-    """
-    total = sum(alpha)
-    if total == 0:
-        return nums, den, valid_degree
-    new_valid = valid_degree - total
-    if new_valid < 0:
-        return {}, 1, -1
-    # coefficient beta + alpha -> beta, times m_j(beta_j + alpha_j)/m_j(beta_j) per axis
-    scales = []
-    for j, (mj, aj) in enumerate(zip(m, alpha)):
-        if aj:
-            ratios, ratio_den = to_numerators(mj.shift_ratios(aj, new_valid, mode), mode)
-            scales.append((j, ratios))
-            den *= ratio_den
-    out = {}
-    for src, v in nums.items():
-        if sum(src) > valid_degree:
-            continue
-        beta = tuple(map(sub, src, alpha))
-        if min(beta) < 0:
-            continue
-        for j, ratios in scales:
-            v = v * ratios[beta[j]]
-        if v != 0:
-            out[beta] = v
-    return out, den, new_valid
+    kernel = ZKernel(m)
+    vec, den = to_kernel(f, kernel.grading, f.valid_degree)
+    vec, den, valid = kernel.diff(vec, den, f.valid_degree, alpha, f.mode)
+    return from_kernel(vec, den, valid, kernel.grading, f.mode)
 
 
 def borel_t(u: TimeSeries, m_prime: MomentFunction) -> TimeSeries:
@@ -240,44 +326,46 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
     return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
 
 
-def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
+def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tuple]:
     """P(u)_n, the n-th t-coefficient of the operator applied to u, and its
     magnitude envelope, for n = 0, 1, ... in turn.
 
     The envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that
     P(u)_n sums (and |D_t^M u|), so it bounds the magnitude of what
     cancelled.  Yields (values, envelope, denominator, valid degree) per
-    t-order, both as numerators over the one denominator; the dicts may hold
-    zeros and degrees past the valid degree.  Sums run in a fixed order: the
+    t-order, both in kernel form over the one denominator and exactly as long
+    as the valid degree; they may hold zeros.  Sums run in a fixed order: the
     D_t chain, the sum over p within each term, then the sum across terms.
     Only the D_t and D_z results that later orders still read are kept.
     """
-    if u.n_max < spec.M:
-        raise ValueError(f"need n_max >= M = {spec.M}, got {u.n_max}")
-    if max([spec.M] + [t.j for t in spec.terms]) > u.n_max:
+    if u.ranks is not None:
+        raise ValueError("the operator reads series over the whole graded layout")
+    n_max = len(u.steps) - 1
+    if n_max < spec.M:
+        raise ValueError(f"need n_max >= M = {spec.M}, got {n_max}")
+    if max([spec.M] + [t.j for t in spec.terms]) > n_max:
         raise ValueError("time series too short to differentiate")
-    mode = u.mode
-    ratios = spec.m0.shift_ratios(1, u.n_max - 1, mode)
+    mode, kernel = u.mode, spec.z_kernel
+    ratios = spec.m0.shift_ratios(1, n_max - 1, mode)
     d_t_memo, d_z_memo = defaultdict(dict), defaultdict(dict)
 
     def d_t(j: int, k: int) -> tuple:
         """(D_t^j u)_k = m0(k+1)/m0(k) * (D_t^{j-1} u)_{k+1}, as
-        (numerators, denominator, valid degree)."""
+        (vec, denominator, valid degree)."""
         memo = d_t_memo[j]
         if k not in memo:
             if j == 0:
-                c = u.coeffs[k]
-                memo[k] = (*to_numerators(c.coeffs, mode), c.valid_degree)
+                memo[k] = u.steps[k]
             else:
-                nums, den, valid = d_t(j - 1, k + 1)
+                vec, den, valid = d_t(j - 1, k + 1)
                 (r,), r_den = to_numerators((ratios[k],), mode)
-                memo[k] = ({alpha: r * v for alpha, v in nums.items()}, den * r_den, valid)
+                memo[k] = (list(map(mul, repeat(r), vec)), den * r_den, valid)
         return memo[k]
 
-    n_out = u.n_max - spec.M
+    n_out = n_max - spec.M
     terms = []
     for term in spec.terms:
-        n_term = u.n_max - term.j
+        n_term = n_max - term.j
         if term.truncation_order is not None:
             n_term = min(n_term, term.truncation_order)
         n_out = min(n_out, n_term)
@@ -295,7 +383,7 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
         memo = d_z_memo[i]
         if k not in memo:
             term = spec.terms[i]
-            memo[k] = moment_diff_z_numerators(*d_t(term.j, k), spec.m, term.alpha, mode)
+            memo[k] = kernel.diff(*d_t(term.j, k), term.alpha, mode)
         return memo[k]
 
     for n in range(n_out + 1):
@@ -315,46 +403,34 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries) -> Iterator[tuple]:
                 term_vd = min(d_z(i, k)[2] for k in range(n + 1))
             vd = min(vd, term_vd)
             parts.append(part)
+        count = kernel.grading.count(vd)
         den = math.lcm(lead_den, *(d for part in parts for _, d, _ in part))
-        if den == lead_den:
-            total = dict(lead)
-        else:
-            total = {alpha: v * (den // lead_den) for alpha, v in lead.items()}
-        total_env = {alpha: abs(v) for alpha, v in total.items()}
+        total = lead[:count]
+        if den != lead_den:
+            total = list(map(mul, total, repeat(den // lead_den)))
+        total_env = list(map(abs, total))
         for part in parts:
-            acc, acc_env = {}, {}
+            acc = acc_env = None
             for a, d, w in part:
                 if d != den:
                     a = a * (den // d)
-                for alpha, v in w.items():
-                    piece = a * v
-                    if alpha in acc:
-                        acc[alpha] = acc[alpha] + piece
-                        acc_env[alpha] = acc_env[alpha] + abs(piece)
-                    else:
-                        acc[alpha] = piece
-                        acc_env[alpha] = abs(piece)
-            _add_into(total, acc)
-            _add_into(total_env, acc_env)
+                pieces = list(map(mul, repeat(a, count), w))
+                if acc is None:
+                    acc, acc_env = pieces, list(map(abs, pieces))
+                else:
+                    acc = list(map(add, acc, pieces))
+                    acc_env = list(map(add, acc_env, map(abs, pieces)))
+            if acc is not None:
+                total = list(map(add, total, acc))
+                total_env = list(map(add, total_env, acc_env))
         yield total, total_env, den, vd
         for memo in (*d_t_memo.values(), *d_z_memo.values()):
             memo.pop(n - span, None)
 
 
-def _add_into(acc: dict, part: dict) -> None:
-    for alpha, v in part.items():
-        acc[alpha] = acc[alpha] + v if alpha in acc else v
-
-
-def _collect(nums: dict, den: int, valid_degree: int, dim: int, mode: str) -> MultiSeries:
-    """Accumulated numerators as a series: zeros and degrees past
-    valid_degree dropped."""
-    kept = {alpha: v for alpha, v in nums.items() if v != 0 and sum(alpha) <= valid_degree}
-    return MultiSeries(dim=dim, mode=mode, coeffs=from_numerators(kept, den, mode),
-                       valid_degree=valid_degree)
-
-
 def apply_operator(spec: OperatorSpec, u: TimeSeries) -> TimeSeries:
     """Apply the full operator to u."""
-    return TimeSeries(tuple(_collect(values, den, valid, u.dim, u.mode)
-                            for values, _, den, valid in operator_numerators(spec, u)))
+    grading = spec.z_kernel.grading
+    return TimeSeries(tuple(from_kernel(values, den, valid, grading, u.mode)
+                            for values, _, den, valid in
+                            operator_numerators(spec, KernelTimeSeries.of(u, grading))))

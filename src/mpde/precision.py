@@ -4,9 +4,9 @@ All big-float computation goes through mpmath at the precision of its
 global context.  ``pipeline.run`` scopes that precision to one run with
 ``mpmath.workprec`` and restores it afterwards; tests pin it in a fixture.
 Exact-mode series hold ``fractions.Fraction`` coefficients; the hot kernels
-compute on integer numerators over a common denominator and return
-Fractions (``series.to_numerators``/``from_numerators``).  Exact mode never
-touches the float context.
+compute on integer numerators over a common denominator, the kernel form of
+``series`` (``to_kernel``/``from_kernel``).  Exact mode never touches the
+float context.
 """
 
 from __future__ import annotations

@@ -8,10 +8,14 @@ still trustworthy after truncation-lossy operations (differentiation shortens
 it); coefficients above it are dropped.
 
 The hot kernels (the z-derivative, the coefficient recurrence and the operator
-pass) work on one z-series at a time as integer numerators over one common
-denominator: ``to_numerators`` splits exact values that way, and
-``from_numerators`` turns the result back into Fractions as it leaves the
-kernel.  Float values pass through both unchanged, with denominator 1.
+pass) work on one layout, the kernel form: a series valid to degree ``vd`` is
+a dense list over ``indices_up_to(dim, vd)`` in that graded order, where the
+indices of every lower degree are a prefix, together with one denominator and
+``vd``.  Exact values are integer numerators over that denominator; float
+values are kept as they are, with denominator 1.  ``Grading`` owns the
+layout (enumeration, rank, count by degree); ``to_kernel`` and
+``from_kernel`` convert a ``MultiSeries``, which stays the only public
+coefficient type, to and from it.
 """
 
 from __future__ import annotations
@@ -45,6 +49,32 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+class Grading:
+    """The layout of kernel-form series of one dimension: the multi-indices
+    in the order of ``indices_up_to``, enumerated on demand.
+
+    ``indices[r]`` is the index of rank r and ``rank`` inverts it;
+    ``count(d)`` indices have |alpha| <= d, and they are the first ones.
+    """
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.indices = []
+        self.rank = {}
+        self.degree = -1
+
+    def count(self, degree: int) -> int:
+        return math.comb(degree + self.dim, self.dim) if degree >= 0 else 0
+
+    def extend(self, degree: int) -> None:
+        """Enumerate every index with |alpha| <= degree."""
+        for total in range(self.degree + 1, degree + 1):
+            for alpha in _compositions(total, self.dim):
+                self.rank[alpha] = len(self.indices)
+                self.indices.append(alpha)
+        self.degree = max(self.degree, degree)
 
 
 @dataclass(frozen=True, eq=True)
@@ -140,28 +170,43 @@ def generator_series(kind: str, dim: int, degree: int, mode: str = "exact",
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def to_numerators(values, mode: str) -> tuple:
-    """(numerators, denominator): exact values as integers over their least
-    common denominator.
-
-    ``values`` is a mapping (the result keeps its keys and order) or a
-    sequence (the result is a list).  Float values are returned as they are,
-    uncopied, with denominator 1.
-    """
+def to_numerators(values: Sequence, mode: str) -> tuple:
+    """(numerators, denominator): exact values as a list of integers over
+    their least common denominator.  Float values are returned as they are,
+    uncopied, with denominator 1."""
     if mode != "exact":
         return values, 1
-    if isinstance(values, Mapping):
-        den = math.lcm(*(v.denominator for v in values.values()))
-        return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def from_numerators(nums: Mapping, den: int, mode: str) -> dict:
-    """The values nums[k] / den of a kernel result, as coefficients of ``mode``."""
-    if mode != "exact":
-        return nums
-    return {k: Fraction(v, den) for k, v in nums.items()}
+def to_kernel(f: MultiSeries, grading: Grading, degree: int) -> tuple:
+    """(vec, den): the coefficients of f with |alpha| <= degree in kernel
+    form, over the first ``grading.count(degree)`` indices (zeros where f
+    stores none)."""
+    grading.extend(degree)
+    rank = grading.rank
+    items = [(rank[alpha], v) for alpha, v in f.coeffs.items() if sum(alpha) <= degree]
+    ranks = [r for r, _ in items]
+    values, den = to_numerators([v for _, v in items], f.mode)
+    vec = [0] * grading.count(degree)
+    for r, v in zip(ranks, values):
+        vec[r] = v
+    return vec, den
+
+
+def from_kernel(vec: Sequence, den: int, valid_degree: int, grading: Grading, mode: str,
+                ranks: Optional[Sequence] = None) -> MultiSeries:
+    """The series vec/den valid to ``valid_degree``, zeros dropped; entry i
+    sits at graded rank ``ranks[i]`` (default i)."""
+    indices = grading.indices
+    if ranks is None:
+        ranks = range(len(vec))
+    if mode == "exact":
+        coeffs = {indices[r]: Fraction(v, den) for r, v in zip(ranks, vec) if v != 0}
+    else:
+        coeffs = {indices[r]: v for r, v in zip(ranks, vec) if v != 0}
+    return MultiSeries(dim=grading.dim, mode=mode, coeffs=coeffs, valid_degree=valid_degree)
 
 
 def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:

@@ -19,29 +19,24 @@ recurrence that drops the boundary term (tests/helpers.py).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from itertools import repeat
+from operator import add, mul
 
 import mpmath
 from mpmath import mpf
 
 from .moments import combine, gamma_moment, regularity_constants
 from .precision import to_mpf, to_number
-from .series import (
-    MultiSeries,
-    from_numerators,
-    indices_up_to,
-    series_scale,
-    to_numerators,
-    truncate_series,
-)
+from .series import Grading, indices_up_to, to_kernel, to_numerators
 from .operators import (
+    KernelTimeSeries,
     OperatorSpec,
     TimeSeries,
     borel_z,
-    moment_diff_z_numerators,
     operator_numerators,
 )
 
@@ -113,17 +108,26 @@ class CauchyProblem:
 class SolutionSeries:
     """Solution coefficients of the recurrence.
 
-    ``u`` holds every u_n truncated to the uniform report degree; ``working``
-    keeps the full materialized degrees (decreasing in n) that the residual
-    check consumes.  For a majorant (``provenance == "majorant"``) ``working``
-    holds only the coefficients in the ``dependency_cone`` of ``u``; its
-    ``valid_degree``s are those of the full recurrence.
+    ``u`` holds every u_n truncated to the uniform report degree.
+    ``kernel`` keeps the full materialized degrees (decreasing in n) in
+    kernel form, which the residual check reads; ``working`` is the same
+    coefficients as a ``TimeSeries`` of ``MultiSeries``, built at its first
+    read.  For a majorant (``provenance == "majorant"``) ``kernel`` holds
+    only the coefficients in the ``dependency_cone`` of ``u``; its valid
+    degrees are those of the full recurrence.
     """
 
     u: TimeSeries
-    working: TimeSeries
+    kernel: KernelTimeSeries
     provenance: str
     report_degree: int
+
+    @classmethod
+    def from_working(cls, u: TimeSeries, working: TimeSeries, provenance: str,
+                     report_degree: int) -> "SolutionSeries":
+        """A solution given by its working coefficients as series."""
+        return cls(u, KernelTimeSeries.of(working, Grading(working.dim)), provenance,
+                   report_degree)
 
     @property
     def n_max(self) -> int:
@@ -131,7 +135,11 @@ class SolutionSeries:
 
     @property
     def valid_degrees(self) -> tuple:
-        return tuple(c.valid_degree for c in self.working.coeffs)
+        return self.kernel.valid_degrees
+
+    @cached_property
+    def working(self) -> TimeSeries:
+        return self.kernel.time_series()
 
 
 # the time moment's regularity constants are estimated on n <= REGULARITY_N
@@ -246,10 +254,17 @@ def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     return cone
 
 
-def _majorant_on(f: MultiSeries, keep: set) -> MultiSeries:
-    """|f| restricted to the indices in ``keep``."""
-    coeffs = {alpha: abs(v) for alpha, v in f.coeffs.items() if alpha in keep}
-    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
+def _scaled(vec: list, den: int, scale, mode: str) -> tuple:
+    """scale * vec/den in kernel form, exact values in lowest terms."""
+    (scale,), scale_den = to_numerators((to_number(scale, mode),), mode)
+    vec = list(map(mul, repeat(scale), vec))
+    den *= scale_den
+    if den != 1:
+        common = math.gcd(den, *vec)
+        if common != 1:
+            vec = [v // common for v in vec]
+            den //= common
+    return vec, den
 
 
 def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
@@ -258,15 +273,19 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
 
     Initial data and forcing must be materialized to ``degree_budget`` so
     that every reported coefficient is provable; the returned u_n all carry
-    valid_degree = report_degree, with the full working degrees kept
-    alongside.
+    valid_degree = report_degree, and ``kernel`` keeps the full working
+    degrees.  Every u_n is computed and kept in kernel form: each step sums
+    g_n and its pieces c * D_z^alpha u_k (``ZKernel.diff``) as integers
+    over one common denominator (or as floats), and Fractions are built only
+    for the reported ``u``.
 
     majorant_mode replaces data and coefficients by absolute values and flips
     the recurrence's subtraction to addition, producing the dominating
     sequence.  It computes only the ``dependency_cone`` of the reported
-    coefficients: ``working`` holds the cone's coefficients, each equal to
-    the full recurrence's (same pieces summed in the same order), and ``u``
-    is the full recurrence's.
+    coefficients: each step's layout is the cone's graded ranks, its pieces
+    gather from the cone layout of u_k, and each kept coefficient equals the
+    full recurrence's (same pieces summed in the same order); ``u`` is the
+    full recurrence's.
     """
     if not problem.validation.passed:
         raise ValidationFailure(problem.validation)
@@ -311,79 +330,95 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
             cs = {p: abs(v) for p, v in cs.items()}
         c_table[(term.j, term.alpha)] = cs
 
-    cone = dependency_cone(spec, n_max, report_degree) if majorant_mode else None
-    u, u_nums = [], {}
+    kernel = spec.z_kernel
+    grading = kernel.grading
+    steps, layouts = [], []   # u_k as (vec, den, valid degree); the majorant's graded ranks of u_k
+    if majorant_mode:
+        cone = dependency_cone(spec, n_max, report_degree)
+        grading.extend(max(sum(beta) for indices in cone for beta in indices))
+        cone_ranks = [sorted(grading.rank[beta] for beta in indices) for indices in cone]
+
+    def on_cone(n: int, vec: list, vd: int) -> tuple:
+        """(|vec| at the ranks, the ranks): the cone's graded ranks of step n
+        with degree <= vd."""
+        ranks = cone_ranks[n][: bisect_left(cone_ranks[n], grading.count(vd))]
+        return [abs(vec[r]) for r in ranks], ranks
+
     for j in range(min(spec.M, n_max + 1)):
-        phi = _majorant_on(problem.initial[j], cone[j]) if majorant_mode else problem.initial[j]
-        u.append(series_scale(phi, m0.ratio(0, j, mode)))
-        u_nums[j] = to_numerators(u[j].coeffs, mode)
+        phi = problem.initial[j]
+        vec, den = to_kernel(phi, grading, phi.valid_degree)
+        ranks = None
+        if majorant_mode:
+            vec, ranks = on_cone(j, vec, phi.valid_degree)
+        steps.append((*_scaled(vec, den, m0.ratio(0, j, mode), mode), phi.valid_degree))
+        layouts.append(ranks)
 
     # step n reads D_z^alpha u_k for k >= n - span only
     span = max((p for cs in c_table.values() for p in cs), default=0)
     diff_cache = {}
 
     def dz(k: int, alpha: tuple) -> tuple:
-        """D_z^alpha u_k as (numerators, denominator, valid degree)."""
+        """D_z^alpha u_k as (vec, denominator), all of it."""
         row = diff_cache.setdefault(k, {})
         if alpha not in row:
-            nums, den = u_nums[k]
-            row[alpha] = moment_diff_z_numerators(nums, den, u[k].valid_degree, spec.m,
-                                                  alpha, mode)
+            row[alpha] = kernel.diff(*steps[k], alpha, mode)[:2]
         return row[alpha]
+
+    def dz_on(k: int, alpha: tuple, ranks: list) -> tuple:
+        """D_z^alpha u_k at the graded ranks ``ranks`` only, read from the
+        cone layout of u_k, as (vec, denominator)."""
+        vec, den, vd = steps[k]
+        d_vd = kernel.degree(vd, alpha)
+        at = {r: i for i, r in enumerate(layouts[k])}
+        sources = kernel.gather(alpha, d_vd)
+        out = [vec[at[sources[r]]] for r in ranks]
+        ratio_den, vectors = kernel.ratios(alpha, d_vd, mode)
+        for ratios in vectors:
+            out = [v * ratios[r] for v, r in zip(out, ranks)]
+        return out, den * ratio_den
 
     sign = 1 if majorant_mode else -1
     for n in range(spec.M, n_max + 1):
         g_n = problem.forcing.coeffs[n - spec.M]
-        if majorant_mode:
-            g_n = _majorant_on(g_n, cone[n])
         # u_n = m0(n-M)/m0(n) * (g_n + sum of sign * c * m0(k)/m0(k-j) * D_z^alpha u_k),
         # every piece as integers over one common denominator
-        g_nums, g_den = to_numerators(g_n.coeffs, mode)
         vd = g_n.valid_degree
-        pieces = []
+        reads = []
         for term in spec.terms:
             cs = c_table[(term.j, term.alpha)]
             for p, c in cs.items():
                 if p > n - term.j:
                     continue
                 k = n - p
-                d, d_den, d_vd = dz(k, term.alpha)
-                vd = min(vd, d_vd)
+                vd = min(vd, kernel.degree(steps[k][2], term.alpha))
                 scalar = to_number(sign * (c * m0.ratio(k, k - term.j, mode)), mode)
                 (scalar,), s_den = to_numerators((scalar,), mode)
-                pieces.append((scalar, s_den * d_den, d))
+                reads.append((scalar, s_den, k, term.alpha))
+        g_vec, g_den = to_kernel(g_n, grading, vd)
+        ranks = None
+        if majorant_mode:
+            g_vec, ranks = on_cone(n, g_vec, vd)
+        pieces = []
+        for scalar, s_den, k, alpha in reads:
+            d, d_den = dz_on(k, alpha, ranks) if majorant_mode else dz(k, alpha)
+            pieces.append((scalar, s_den * d_den, d))
         den = math.lcm(g_den, *(piece_den for _, piece_den, _ in pieces))
-        if den == g_den:
-            acc = dict(g_nums)
-        else:
-            acc = {alpha: v * (den // g_den) for alpha, v in g_nums.items()}
+        acc = g_vec
+        if den != g_den:
+            acc = list(map(mul, acc, repeat(den // g_den)))
         for scalar, piece_den, d in pieces:
             if piece_den != den:
                 scalar = scalar * (den // piece_den)
-            for alpha, v in d.items():
-                piece = scalar * v
-                acc[alpha] = acc[alpha] + piece if alpha in acc else piece
-        if majorant_mode:
-            acc = {alpha: v for alpha, v in acc.items() if alpha in cone[n]}
-        scale = to_number(m0.ratio(n - spec.M, n, mode), mode)
-        (scale,), scale_den = to_numerators((scale,), mode)
-        nums = {alpha: scale * v for alpha, v in acc.items() if v != 0 and sum(alpha) <= vd}
-        den *= scale_den
-        if den != 1:
-            common = math.gcd(den, *nums.values())
-            if common != 1:
-                nums = {alpha: v // common for alpha, v in nums.items()}
-                den //= common
-        u.append(MultiSeries(dim=spec.dim, mode=mode, valid_degree=vd,
-                             coeffs=from_numerators(nums, den, mode)))
-        u_nums[n] = nums, den
+            acc = list(map(add, acc, map(mul, repeat(scalar), d)))
+        steps.append((*_scaled(acc, den, m0.ratio(n - spec.M, n, mode), mode), vd))
+        layouts.append(ranks)
         diff_cache.pop(n - span, None)
-        u_nums.pop(n - span, None)
 
-    working = TimeSeries(tuple(u))
+    working = KernelTimeSeries(grading, mode, tuple(steps),
+                               tuple(layouts) if majorant_mode else None)
     return SolutionSeries(
-        u=working.map_z(lambda c: truncate_series(c, report_degree)),
-        working=working,
+        u=working.time_series(report_degree),
+        kernel=working,
         provenance="majorant" if majorant_mode else "direct",
         report_degree=report_degree,
     )
@@ -392,8 +427,8 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
 def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
     """The nonnegative dominating sequence: same recurrence on absolute values.
 
-    ``u`` is the full majorant truncated to ``report_degree``; ``working``
-    holds only the ``dependency_cone`` of those coefficients.
+    ``u`` is the full majorant truncated to ``report_degree``; ``kernel`` (and
+    so ``working``) holds only the ``dependency_cone`` of those coefficients.
     """
     return solve_formal(problem, n_max, report_degree, majorant_mode=True)
 
@@ -402,7 +437,7 @@ def solve_via_borel(problem: CauchyProblem, n_max: int, report_degree: int = 0) 
     """Solve the z-Borel-transformed problem, then map back."""
     bsol = solve_formal(borel_problem(problem), n_max, report_degree)
     quotients = space_borel_quotients(problem.spec)
-    return SolutionSeries(
+    return SolutionSeries.from_working(
         u=borel_z(bsol.u, quotients, inverse=True),
         working=borel_z(bsol.working, quotients, inverse=True),
         provenance="via-borel",
@@ -420,32 +455,24 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
     +inf if a zero envelope meets a nonzero residual, which indicates a
     genuine defect).
     """
-    forcing, mode = problem.forcing, problem.mode
+    forcing, grading = problem.forcing, sol.kernel.grading
     worst = mpf(0)
-    for n, (values, env, den, vd) in enumerate(operator_numerators(problem.spec,
-                                                                    sol.working)):
+    for n, (values, env, den, vd) in enumerate(operator_numerators(problem.spec, sol.kernel)):
         if n > forcing.n_max:
             break
         f_n = forcing.coeffs[n]
-        f_nums, f_den = to_numerators(f_n.coeffs, mode)
         vd = min(vd, f_n.valid_degree)
+        f_nums, f_den = to_kernel(f_n, grading, vd)
         common = math.lcm(den, f_den)
         value_scale, f_scale = common // den, common // f_den
-        for alpha in values.keys() | f_nums.keys():
-            if sum(alpha) > vd:
-                continue
-            v, f = values.get(alpha, 0), f_nums.get(alpha, 0)
+        for num, denom, f in zip(values, env, f_nums):
             if value_scale != 1:
-                v = v * value_scale
+                num, denom = num * value_scale, denom * value_scale
             if f_scale != 1:
                 f = f * f_scale
-            num = v - f
+            num, denom = num - f, denom + abs(f)
             if num == 0:
                 continue
-            denom = env.get(alpha, 0)
-            if value_scale != 1:
-                denom = denom * value_scale
-            denom = denom + abs(f)
             if denom == 0:
                 return mpf("inf")
             num = abs(num)

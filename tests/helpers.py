@@ -37,9 +37,9 @@ from mpde import (
     truncate_series,
     zero_series,
 )
-from mpde.operators import operator_numerators
+from mpde.operators import KernelTimeSeries, operator_numerators
 from mpde.precision import float_tolerance, to_mpf, to_number
-from mpde.series import from_numerators
+from mpde.series import from_kernel
 from mpde.solver import degree_budget
 
 
@@ -245,8 +245,8 @@ def solve_formal_reference(problem: CauchyProblem, n_max: int, report_degree: in
     reported = working.map_z(lambda c: truncate_series(c, report_degree))
     provenance = "dropped-boundary" if drop_boundary else (
         "majorant" if majorant_mode else "direct")
-    return SolutionSeries(u=reported, working=working, provenance=provenance,
-                          report_degree=report_degree)
+    return SolutionSeries.from_working(u=reported, working=working, provenance=provenance,
+                                       report_degree=report_degree)
 
 
 def on_cone(sol: SolutionSeries, cone) -> list:
@@ -326,14 +326,11 @@ def apply_operator_reference(spec, u, absolute=False):
 
 def operator_pairs_view(spec, u):
     """(P(u)_n, envelope_n) per t-order as series: ``operator_numerators``,
-    the kernel the residual runs, with zeros and degrees past the valid
-    degree dropped and exact numerators turned back into Fractions."""
-    for values, env, den, vd in operator_numerators(spec, u):
-        yield tuple(
-            MultiSeries(dim=u.dim, mode=u.mode, valid_degree=vd, coeffs=from_numerators(
-                {alpha: v for alpha, v in nums.items() if v != 0 and sum(alpha) <= vd},
-                den, u.mode))
-            for nums in (values, env))
+    the kernel the residual runs, on the kernel form of u, with its output
+    turned back into series (zeros dropped)."""
+    grading = spec.z_kernel.grading
+    for values, env, den, vd in operator_numerators(spec, KernelTimeSeries.of(u, grading)):
+        yield tuple(from_kernel(vec, den, vd, grading, u.mode) for vec in (values, env))
 
 
 def residual_max_relative_two_pass(problem, sol):

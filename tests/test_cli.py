@@ -1,20 +1,25 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpde import pipeline, solver
+from mpde import MultiSeries, cli, pipeline, solver, tabulated_moment
 from mpde.cli import _report_dict, main, run_pipeline
-from mpde.problemspec import parse_problem_file
+from mpde.problemspec import materialize_problem, parse_problem_file
+from helpers import solve_formal_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAT = ROOT / "problems" / "heat.json"
@@ -241,6 +246,86 @@ class TestValidateOnce:
                 monkeypatch.setattr(module, "validate", counting)
         pipeline.run(parse_problem_file(HEAT))
         assert len(calls) == 1
+
+
+class TestKernelForm:
+    def test_run_builds_no_unreported_coefficient(self, monkeypatch):
+        # the working coefficients stay in kernel form: pipeline.run builds
+        # series (so Fractions) for the data and the reported u only, and the
+        # lazy working view waits for its first read
+        spec_file = parse_problem_file(HEAT, overrides={"n_max": 12})
+        original = MultiSeries.__init__
+        built = []
+
+        def counting(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(len(self.coeffs))
+
+        monkeypatch.setattr(MultiSeries, "__init__", counting)
+        data = materialize_problem(spec_file)
+        in_data = sum(built)
+        built.clear()
+        result = pipeline.run(spec_file)
+        sol = result.solution
+        assert "working" not in vars(sol)
+        # the solve's and the majorant's u: one coefficient per t-order each
+        assert sum(built) == in_data + 2 * 13
+        monkeypatch.undo()
+        assert sol.valid_degrees == tuple(2 * (12 - n) for n in range(13))
+        want = solve_formal_reference(data, 12)
+        assert [c.coeffs for c in sol.working.coeffs] == [c.coeffs for c in want.working.coeffs]
+
+
+class TestExactMomentRange:
+    """Exact heat with a tabulated space moment: the run evaluates m1(0..2 n_max)
+    and no further, so a value past that range may be irrational."""
+
+    N_MAX = 12
+
+    def run(self, tmp_path, capsys, monkeypatch, first_irrational):
+        def m1(n):
+            return math.factorial(n) * (math.sqrt(2) if n >= first_irrational else 1)
+
+        spec_file = parse_problem_file(HEAT, overrides={"n_max": self.N_MAX})
+        space = tabulated_moment(m1, order=1)
+        spec_file = replace(spec_file, operator=replace(spec_file.operator, m=(space,)))
+        monkeypatch.setattr(cli, "parse_problem_file", lambda *args: spec_file)
+        out = tmp_path / "out"
+        code = main(["run", "tabulated.json", "--out", str(out), "--quiet"])
+        return code, capsys.readouterr().err, out
+
+    def test_irrational_past_the_read_range(self, tmp_path, capsys, monkeypatch):
+        code, err, out = self.run(tmp_path, capsys, monkeypatch, 2 * self.N_MAX + 1)
+        assert code == 0 and err == ""
+        report = json.loads((out / "report.json").read_text())
+        assert report["residual"]["exact_zero"] is True
+        plain = tmp_path / "plain"
+        assert main(["run", str(HEAT), "--n-max", str(self.N_MAX), "--out", str(plain),
+                     "--quiet"]) == 0
+        assert (out / "coeffs.csv").read_bytes() == (plain / "coeffs.csv").read_bytes()
+
+    def test_irrational_inside_the_read_range(self, tmp_path, capsys, monkeypatch):
+        code, err, out = self.run(tmp_path, capsys, monkeypatch, 2 * self.N_MAX)
+        assert code == 1
+        assert err.startswith("error:") and "not rational" in err and "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+
+class TestSparseData:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_no_zero_rows_in_coeffs_csv(self, tmp_path, mode):
+        # polynomial data: most of every graded layout is zero
+        doc = json.loads(HEAT.read_text())
+        doc["data"]["initial"] = [{"kind": "polynomial", "coeffs": ["1", "0", "3"]}]
+        spec = tmp_path / "sparse.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--n-max", "20", "--degree", "2", "--mode", mode,
+                     "--out", str(out), "--quiet"]) in (0, 2)
+        rows = list(csv.reader(io.StringIO((out / "coeffs.csv").read_text())))[1:]
+        # u_0 = 1 + 3z^2 and u_1 = 6 are the only nonzero coefficients
+        assert [row[:2] for row in rows] == [["0", "0"], ["0", "2"], ["1", "0"]]
+        assert all(Fraction(re) != 0 for _, _, re, _ in rows)
 
 
 # fractional's residual as report.json's residual_full, recorded before the

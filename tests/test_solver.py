@@ -10,6 +10,7 @@ from mpde import (
     CauchyProblem,
     OperatorSpec,
     OperatorTerm,
+    SolutionSeries,
     TimeSeries,
     ValidationFailure,
     apply_operator,
@@ -266,9 +267,8 @@ class TestResidual:
         c3 = dict(bumped[3].coeffs)
         c3[(2,)] = c3.get((2,), Fraction(0)) + 1
         bumped[3] = make_series(1, c3, bumped[3].valid_degree)
-        from dataclasses import replace
-
-        sol2 = replace(sol, working=TimeSeries(tuple(bumped)))
+        sol2 = SolutionSeries.from_working(sol.u, TimeSeries(tuple(bumped)), sol.provenance,
+                                           sol.report_degree)
         # the forcing is zero, so the residual is P(u)
         res = apply_operator(prob.spec, sol2.working)
         # P(delta) with delta = t^3 z^2: D_t -> 3 t^2 z^2; -D_z^2 -> -2 t^3
@@ -328,7 +328,8 @@ def bumped(sol, n, alpha, delta):
     c = dict(coeffs[n].coeffs)
     c[alpha] = c.get(alpha, 0) + delta
     coeffs[n] = replace(coeffs[n], coeffs=c)
-    return replace(sol, working=TimeSeries(tuple(coeffs)))
+    return SolutionSeries.from_working(sol.u, TimeSeries(tuple(coeffs)), sol.provenance,
+                                       sol.report_degree)
 
 
 RATIONAL_M0, RATIONAL_M = rational_ratio_moments()
@@ -359,17 +360,32 @@ ORACLE_CASES = {
 }
 
 
+def sparse_problem(case, mode, n_max, report_degree=2):
+    """An ORACLE_CASES operator with polynomial initial data of degree <= 2 and
+    zero forcing: most of every graded layout holds zeros."""
+    M, m0, m, terms = ORACLE_CASES[case]
+    prob = oracle_problem(terms, M, m, mode, n_max, m0=m0, report_degree=report_degree)
+    spec = prob.spec
+    full = report_degree + n_max * spec.max_alpha
+    if spec.dim == 1:
+        tables = [{(0,): 1, (1,): -2, (2,): 3}, {(2,): Fraction(1, 2)}]
+    else:
+        tables = [{(0, 0): 1, (1, 0): -2, (1, 1): 3}, {(0, 2): Fraction(1, 2)}]
+    initial = tuple(make_series(spec.dim, tables[j], full, mode) for j in range(M))
+    return CauchyProblem(spec=spec, initial=initial,
+                         forcing=zero_forcing(spec, n_max, report_degree, mode))
+
+
 class TestResidualOracle:
     """The one-pass residual equals two whole applications of the operator."""
 
-    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_streaming_equals_two_pass(self, case, mode):
-        M, m0, m, terms = ORACLE_CASES[case]
-        n_max = 8
-        prob = oracle_problem(terms, M, m, mode, n_max, m0=m0)
-        sol = solve_formal(prob, n_max, 0)
-        wrong = solve_formal_reference(prob, n_max, drop_boundary=True)
+    @staticmethod
+    def assert_flags_candidates(prob, n_max, report_degree, mode):
+        """The residual of the solve, of the dropped-boundary recurrence and of a
+        bumped solve equals the two-pass one; it is 0 for the exact solve and
+        positive for the bumped one."""
+        sol = solve_formal(prob, n_max, report_degree)
+        wrong = solve_formal_reference(prob, n_max, report_degree, drop_boundary=True)
         bump = bumped(sol, 4, (1,) + (0,) * (prob.spec.dim - 1), to_number(Fraction(1, 7), mode))
         values = []
         for candidate in (sol, wrong, bump):
@@ -379,6 +395,19 @@ class TestResidualOracle:
         if mode == "exact":
             assert values[0] == 0
         assert values[2] > 0
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_streaming_equals_two_pass(self, case, mode):
+        M, m0, m, terms = ORACLE_CASES[case]
+        n_max = 8
+        prob = oracle_problem(terms, M, m, mode, n_max, m0=m0)
+        self.assert_flags_candidates(prob, n_max, 0, mode)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_sparse_data(self, case, mode):
+        self.assert_flags_candidates(sparse_problem(case, mode, 8), 8, 2, mode)
 
     def test_randomized_problems(self):
         rng = random.Random(2024)
@@ -428,6 +457,22 @@ class TestReferenceRecurrence:
         assert_same_recurrence(solve_formal(prob, 8, 0, majorant_mode=majorant_mode),
                                solve_formal_reference(prob, 8, 0, majorant_mode=majorant_mode),
                                cone)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    @pytest.mark.parametrize("majorant_mode", [False, True], ids=["direct", "majorant"])
+    def test_sparse_data(self, case, mode, majorant_mode):
+        prob = sparse_problem(case, mode, 8)
+        sol = solve_formal(prob, 8, 2, majorant_mode=majorant_mode)
+        cone = dependency_cone(prob.spec, 8, 2) if majorant_mode else None
+        assert_same_recurrence(sol, solve_formal_reference(prob, 8, 2, majorant_mode=majorant_mode),
+                               cone)
+        # the graded layouts hold zeros, and neither working nor u stores one
+        dim = prob.spec.dim
+        assert any(len(c.coeffs) < math.comb(c.valid_degree + dim, dim)
+                   for c in sol.working.coeffs)
+        assert all(v != 0 for c in (*sol.working.coeffs, *sol.u.coeffs)
+                   for v in c.coeffs.values())
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_randomized_problems(self, exact):

@@ -6,7 +6,6 @@ from .moments import (
     MomentFunction,
     combine,
     gamma_moment,
-    growth_envelope,
     regularity_constants,
     tabulated_moment,
 )
@@ -23,7 +22,6 @@ from .series import (
     series_scale,
     sup_bound,
     theta_series,
-    truncate_series,
     zero_series,
 )
 from .operators import (
@@ -41,7 +39,6 @@ from .polygon import (
     build_polygon,
     generator_points,
     inverse_k1,
-    polygon_contains,
 )
 from .solver import (
     CauchyProblem,

@@ -11,7 +11,11 @@ Artifacts written to the output directory:
 
 Exit status: 0 when the fitted order is consistent with 1/k_1 (or the fit is
 inconclusive), 2 when inconsistent, 1 with an ``error:`` line on stderr for
-input or validation errors (no artifacts are written then).
+input or validation errors (no artifacts are written then), and 3 with an
+``error: self-check failed: ...`` line when the run contradicts a claim it
+checks: the majorant does not dominate the solution, or the residual is
+nonzero in exact mode or above 2^-(prec-32) relative in float mode (the
+artifacts are written first).
 """
 
 from __future__ import annotations
@@ -184,6 +188,10 @@ def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
         return 1
     if not quiet:
         print(f"artifacts written to {out}")
+    failed = result.failed_claims()
+    if failed:
+        print(f"error: self-check failed: {'; '.join(failed)}", file=sys.stderr)
+        return 3
     return 2 if growth.verdict == "inconsistent" else 0
 
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 import mpmath
 from mpmath import mpf
 
-from .precision import to_mpf
+from .precision import table_key, to_mpf
 
 
 class ExactValueUnavailable(ValueError):
@@ -41,7 +41,7 @@ class MomentFunction:
     left: Optional["MomentFunction"] = None
     right: Optional["MomentFunction"] = None
     table: Union[tuple, Callable, None] = None
-    # (arithmetic, None) -> [m(0), m(1), ...]; (arithmetic, a) -> [m(a)/m(0), ...]
+    # (table_key, None) -> [m(0), m(1), ...]; (table_key, a) -> [m(a)/m(0), ...]
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def value(self, n: int) -> mpf:
@@ -62,7 +62,7 @@ class MomentFunction:
 
     def shift_ratios(self, a: int, n: int, mode: str) -> tuple:
         """(r_0, ..., r_n) with r_b = m(b+a)/m(b), each one division."""
-        ratios = self._tables.setdefault((arithmetic(mode), a), [])
+        ratios = self._tables.setdefault((table_key(mode), a), [])
         for b in range(len(ratios), n + 1):
             ratios.append(self._entry(b + a, mode) / self._entry(b, mode))
         return tuple(ratios[: n + 1])
@@ -79,7 +79,7 @@ class MomentFunction:
         """The value table of ``mode``, extended to hold m(n); None marks an
         irrational value in exact mode."""
         exact = mode == "exact"
-        col = self._tables.setdefault((arithmetic(mode), None), [])
+        col = self._tables.setdefault((table_key(mode), None), [])
         new = range(len(col), n + 1)
         if not new:
             return col
@@ -114,11 +114,6 @@ class MomentFunction:
         if self.kind in ("product", "quotient"):
             return f"{self.kind}({self.left!r}, {self.right!r})"
         return f"tabulated_moment(order={self.order})"
-
-
-def arithmetic(mode: str):
-    """Table key of an arithmetic: exact, or float at the current precision."""
-    return "exact" if mode == "exact" else mpmath.mp.prec
 
 
 def gamma_moment(s) -> MomentFunction:
@@ -204,18 +199,4 @@ def regularity_constants(m: MomentFunction, n_max: int) -> tuple[mpf, mpf]:
             ratio = ratio / mpmath.power(n, s)
         lo = ratio if lo is None else min(lo, ratio)
         hi = ratio if hi is None else max(hi, ratio)
-    return lo, hi
-
-
-def growth_envelope(m: MomentFunction, n_max: int) -> tuple[mpf, mpf]:
-    """Empirical (a, A) with a^n*Gamma_s(n) <= m(n) <= A^n*Gamma_s(n) on 1..n_max."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    s = to_mpf(m.order)
-    lo, hi = None, None
-    for n in range(1, n_max + 1):
-        gs = mpmath.gamma(1 + s * n)
-        root = mpmath.power(m.value(n) / gs, mpf(1) / n)
-        lo = root if lo is None else min(lo, root)
-        hi = root if hi is None else max(hi, root)
     return lo, hi

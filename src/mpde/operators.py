@@ -11,10 +11,11 @@ ratio in each variable.  Borel transforms divide coefficients by moment
 values.  Everything here is pure and mode-preserving.
 
 The z-derivative has one kernel, ``ZKernel.diff``, on the kernel form of
-``series`` (a dense list over the graded layout): a gather through one
-precomputed map per alpha, then one multiply per axis by a ratio vector.
-``KernelTimeSeries`` is a time series in that form; the recurrence keeps its
-solution in it, and ``operator_numerators`` applies the operator to it.
+``series`` (a dense list of the elements of one ``precision.Arithmetic`` over
+the graded layout): a gather through one precomputed map per alpha, then one
+multiply per axis by a ratio vector.  ``KernelTimeSeries`` is a time series
+in that form; the recurrence keeps its solution in it, and
+``operator_numerators`` applies the operator to it.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, repeat
-from operator import add, mul
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import chain, islice
+from operator import add
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .moments import MomentFunction, arithmetic
-from .precision import nonzero_threshold, to_number
-from .series import Grading, MultiSeries, from_kernel, series_scale, to_kernel, to_numerators
+from .moments import MomentFunction
+from .precision import Arithmetic, arithmetic, nonzero_threshold
+from .series import Grading, MultiSeries, from_kernel, series_scale, to_kernel
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,8 @@ class TimeSeries:
 @dataclass(frozen=True, eq=False)
 class KernelTimeSeries:
     """A time series whose t-coefficients are in the kernel form of
-    ``series``: ``steps[n]`` is (vec, den, valid degree) of the n-th one.
+    ``series``: ``steps[n]`` is (vec, den, valid degree) of the n-th one,
+    vec holding elements of ``arithmetic``.
 
     vec holds the first ``grading.count(valid degree)`` graded indices, or,
     when ``ranks`` is set, the indices of the graded ranks ``ranks[n]``
@@ -75,14 +77,14 @@ class KernelTimeSeries:
     """
 
     grading: Grading
-    mode: str
+    arithmetic: Arithmetic
     steps: tuple
     ranks: Optional[tuple] = None
 
     @classmethod
-    def of(cls, u: TimeSeries, grading: Grading) -> "KernelTimeSeries":
-        return cls(grading, u.mode, tuple((*to_kernel(c, grading, c.valid_degree), c.valid_degree)
-                                          for c in u.coeffs))
+    def of(cls, u: TimeSeries, grading: Grading, arith: Arithmetic) -> "KernelTimeSeries":
+        return cls(grading, arith, tuple((*to_kernel(c, grading, c.valid_degree, arith),
+                                          c.valid_degree) for c in u.coeffs))
 
     @property
     def valid_degrees(self) -> tuple:
@@ -95,10 +97,18 @@ class KernelTimeSeries:
             vd = min(vd, degree)
         ranks = range(len(vec)) if self.ranks is None else self.ranks[n]
         end = bisect_left(ranks, self.grading.count(vd))
-        return from_kernel(vec[:end], den, vd, self.grading, self.mode, ranks[:end])
+        return from_kernel(vec[:end], den, vd, self.grading, self.arithmetic, ranks[:end])
 
     def time_series(self, degree: Optional[int] = None) -> TimeSeries:
         return TimeSeries(tuple(self.series(n, degree) for n in range(len(self.steps))))
+
+    def holding(self, values: Iterable) -> "KernelTimeSeries":
+        """This series, re-encoded in ``arithmetic.holding(values)`` when that
+        is another arithmetic."""
+        arith = self.arithmetic.holding(values)
+        if arith == self.arithmetic:
+            return self
+        return KernelTimeSeries.of(self.time_series(), self.grading, arith)
 
 
 @dataclass(frozen=True)
@@ -221,17 +231,17 @@ class ZKernel:
     each axis j with alpha_j > 0 in axis order, by m_j(beta_j + alpha_j) /
     m_j(beta_j).  Per alpha the kernel keeps the gather map (the rank of
     beta + alpha for each beta in graded order) and, per arithmetic, one
-    ratio vector per axis over the same order, exact ratios as integers over
-    their common denominator.  Both are built on the first read and extended
-    only to the largest degree read since, so no moment value is evaluated
-    that the derivatives do not use.
+    ratio vector per axis over the same order, encoded in that arithmetic
+    (exact ratios as integers over their common denominator).  Both are
+    built on the first read and extended only to the largest degree read
+    since, so no moment value is evaluated that the derivatives do not use.
     """
 
     def __init__(self, m: Sequence[MomentFunction]):
         self.m = tuple(m)
         self.grading = Grading(len(self.m))
         self._gathers = {}   # alpha -> [rank(beta + alpha) for beta in graded order]
-        self._ratios = {}    # (arithmetic, alpha) -> (degree, den, one vector per axis)
+        self._ratios = {}    # (Arithmetic, alpha) -> (degree, den, one vector per axis)
 
     def gather(self, alpha: tuple, degree: int) -> list:
         """The gather map of alpha, covering at least |beta| <= degree."""
@@ -244,10 +254,10 @@ class ZKernel:
                          for r in range(len(ranks), need))
         return ranks
 
-    def ratios(self, alpha: tuple, degree: int, mode: str) -> tuple:
-        """(den, vectors): the ratio vectors of alpha in the arithmetic of
-        ``mode``, covering at least |beta| <= degree."""
-        key = (arithmetic(mode), alpha)
+    def ratios(self, alpha: tuple, degree: int, arith: Arithmetic) -> tuple:
+        """(den, vectors): the ratio vectors of alpha in ``arith``, covering
+        at least |beta| <= degree."""
+        key = (arith, alpha)
         table = self._ratios.get(key)
         if table is None or table[0] < degree:
             self.grading.extend(degree)
@@ -255,7 +265,7 @@ class ZKernel:
             den, vectors = 1, []
             for j, (mj, aj) in enumerate(zip(self.m, alpha)):
                 if aj:
-                    nums, ratio_den = to_numerators(mj.shift_ratios(aj, degree, mode), mode)
+                    nums, ratio_den = arith.encode(mj.shift_ratios(aj, degree, arith.mode))
                     vectors.append([nums[beta[j]] for beta in betas])
                     den *= ratio_den
             table = self._ratios[key] = (degree, den, vectors)
@@ -267,7 +277,8 @@ class ZKernel:
         (-1 once the budget is exhausted)."""
         return max(valid_degree - sum(alpha), -1) if sum(alpha) else valid_degree
 
-    def diff(self, vec: list, den: int, valid_degree: int, alpha: tuple, mode: str) -> tuple:
+    def diff(self, vec: list, den: int, valid_degree: int, alpha: tuple,
+             arith: Arithmetic) -> tuple:
         """D_z^alpha of the kernel-form series vec/den, as (vec, den, valid degree)."""
         if not sum(alpha):
             return vec, den, valid_degree
@@ -276,9 +287,9 @@ class ZKernel:
             return [], 1, -1
         count = self.grading.count(new_valid)
         out = list(map(vec.__getitem__, islice(self.gather(alpha, new_valid), count)))
-        ratio_den, vectors = self.ratios(alpha, new_valid, mode)
+        ratio_den, vectors = self.ratios(alpha, new_valid, arith)
         for ratios in vectors:
-            out = list(map(mul, out, ratios))
+            out = arith.mul(out, ratios)
         return out, den * ratio_den, new_valid
 
 
@@ -292,9 +303,10 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
     if sum(alpha) == 0:
         return f
     kernel = ZKernel(m)
-    vec, den = to_kernel(f, kernel.grading, f.valid_degree)
-    vec, den, valid = kernel.diff(vec, den, f.valid_degree, alpha, f.mode)
-    return from_kernel(vec, den, valid, kernel.grading, f.mode)
+    arith = arithmetic(f.mode, f.coeffs.values())
+    vec, den = to_kernel(f, kernel.grading, f.valid_degree, arith)
+    vec, den, valid = kernel.diff(vec, den, f.valid_degree, alpha, arith)
+    return from_kernel(vec, den, valid, kernel.grading, arith)
 
 
 def borel_t(u: TimeSeries, m_prime: MomentFunction) -> TimeSeries:
@@ -326,6 +338,14 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
     return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
 
 
+def kernel_arithmetic(spec: OperatorSpec, series: Iterable[MultiSeries]) -> Arithmetic:
+    """The arithmetic, at the current precision, in which the operator of
+    ``spec`` acts on the given series (of one mode)."""
+    series = tuple(series)
+    return arithmetic(series[0].mode, chain((a for t in spec.terms for a in t.coeff),
+                                            (v for f in series for v in f.coeffs.values())))
+
+
 def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tuple]:
     """P(u)_n, the n-th t-coefficient of the operator applied to u, and its
     magnitude envelope, for n = 0, 1, ... in turn.
@@ -333,10 +353,12 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
     The envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that
     P(u)_n sums (and |D_t^M u|), so it bounds the magnitude of what
     cancelled.  Yields (values, envelope, denominator, valid degree) per
-    t-order, both in kernel form over the one denominator and exactly as long
-    as the valid degree; they may hold zeros.  Sums run in a fixed order: the
-    D_t chain, the sum over p within each term, then the sum across terms.
-    Only the D_t and D_z results that later orders still read are kept.
+    t-order, both in the kernel form of u's arithmetic (which must hold the
+    operator's coefficients, see ``kernel_arithmetic``) over the one
+    denominator and exactly as long as the valid degree; they may hold
+    zeros.  Sums run in a fixed order: the D_t chain, the sum over p within
+    each term, then the sum across terms.  Only the D_t and D_z results that
+    later orders still read are kept.
     """
     if u.ranks is not None:
         raise ValueError("the operator reads series over the whole graded layout")
@@ -345,8 +367,8 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
         raise ValueError(f"need n_max >= M = {spec.M}, got {n_max}")
     if max([spec.M] + [t.j for t in spec.terms]) > n_max:
         raise ValueError("time series too short to differentiate")
-    mode, kernel = u.mode, spec.z_kernel
-    ratios = spec.m0.shift_ratios(1, n_max - 1, mode)
+    arith, kernel = u.arithmetic, spec.z_kernel
+    ratios = spec.m0.shift_ratios(1, n_max - 1, arith.mode)
     d_t_memo, d_z_memo = defaultdict(dict), defaultdict(dict)
 
     def d_t(j: int, k: int) -> tuple:
@@ -358,8 +380,8 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
                 memo[k] = u.steps[k]
             else:
                 vec, den, valid = d_t(j - 1, k + 1)
-                (r,), r_den = to_numerators((ratios[k],), mode)
-                memo[k] = (list(map(mul, repeat(r), vec)), den * r_den, valid)
+                r, r_den = arith.scalar(ratios[k])
+                memo[k] = (arith.scale(r, vec), den * r_den, valid)
         return memo[k]
 
     n_out = n_max - spec.M
@@ -372,8 +394,7 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
         scalars = []
         for p, a in enumerate(term.coeff):
             if a != 0:
-                (a,), a_den = to_numerators((to_number(a, mode),), mode)
-                scalars.append((p, a, a_den))
+                scalars.append((p, *arith.scalar(a)))
         terms.append(scalars)
     # order n reads t-indices >= n - span only
     span = max((scalars[-1][0] for scalars in terms if scalars), default=0)
@@ -383,7 +404,7 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
         memo = d_z_memo[i]
         if k not in memo:
             term = spec.terms[i]
-            memo[k] = kernel.diff(*d_t(term.j, k), term.alpha, mode)
+            memo[k] = kernel.diff(*d_t(term.j, k), term.alpha, arith)
         return memo[k]
 
     for n in range(n_out + 1):
@@ -407,22 +428,22 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
         den = math.lcm(lead_den, *(d for part in parts for _, d, _ in part))
         total = lead[:count]
         if den != lead_den:
-            total = list(map(mul, total, repeat(den // lead_den)))
-        total_env = list(map(abs, total))
+            total = arith.scale(den // lead_den, total)
+        total_env = arith.abs(total)
         for part in parts:
             acc = acc_env = None
             for a, d, w in part:
                 if d != den:
                     a = a * (den // d)
-                pieces = list(map(mul, repeat(a, count), w))
+                pieces = arith.scale(a, islice(w, count))
                 if acc is None:
-                    acc, acc_env = pieces, list(map(abs, pieces))
+                    acc, acc_env = pieces, arith.abs(pieces)
                 else:
-                    acc = list(map(add, acc, pieces))
-                    acc_env = list(map(add, acc_env, map(abs, pieces)))
+                    acc = arith.add(acc, pieces)
+                    acc_env = arith.add_abs(acc_env, pieces)
             if acc is not None:
-                total = list(map(add, total, acc))
-                total_env = list(map(add, total_env, acc_env))
+                total = arith.add(total, acc)
+                total_env = arith.add(total_env, acc_env)
         yield total, total_env, den, vd
         for memo in (*d_t_memo.values(), *d_z_memo.values()):
             memo.pop(n - span, None)
@@ -430,7 +451,7 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
 
 def apply_operator(spec: OperatorSpec, u: TimeSeries) -> TimeSeries:
     """Apply the full operator to u."""
-    grading = spec.z_kernel.grading
-    return TimeSeries(tuple(from_kernel(values, den, valid, grading, u.mode)
+    grading, arith = spec.z_kernel.grading, kernel_arithmetic(spec, u.coeffs)
+    return TimeSeries(tuple(from_kernel(values, den, valid, grading, arith)
                             for values, _, den, valid in
-                            operator_numerators(spec, KernelTimeSeries.of(u, grading))))
+                            operator_numerators(spec, KernelTimeSeries.of(u, grading, arith))))

@@ -42,6 +42,21 @@ class PipelineResult:
     growth: GrowthReport
     forcing_fit: Optional[FitResult]
 
+    def failed_claims(self) -> list:
+        """The paper's claims that this run contradicts, one message each:
+        the majorant dominates the solution, and the relative residual is 0
+        in exact mode and at most 2^-(prec-32) in float mode."""
+        failed = []
+        if not self.dominated:
+            failed.append("the majorant does not dominate the solution")
+        residual = mpmath.nstr(self.residual, 12)
+        if self.run.mode == "exact":
+            if self.residual != 0:
+                failed.append(f"the exact residual is {residual}, not 0")
+        elif not self.residual <= mpmath.ldexp(1, 32 - self.run.precision_bits):
+            failed.append(f"the float residual {residual} exceeds 2^-(prec-32)")
+        return failed
+
 
 def run(spec_file: ProblemSpecFile) -> PipelineResult:
     """Run every stage on a parsed problem file.

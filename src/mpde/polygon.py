@@ -101,18 +101,6 @@ def build_polygon(spec: OperatorSpec) -> NewtonPolygon:
     return NewtonPolygon(points=tuple(sorted(set(pts))), vertices=tuple(chain), slopes=slopes)
 
 
-def polygon_contains(poly: NewtonPolygon, point) -> bool:
-    """Whether a point lies inside or on the boundary of the hull region."""
-    x, y = Fraction(point[0]), Fraction(point[1])
-    first, last = poly.vertices[0], poly.vertices[-1]
-    if x > last[0] or y < first[1]:
-        return False
-    for (vx, vy), _, k in poly.segments:
-        if y - vy < k * (x - vx):
-            return False
-    return True
-
-
 def inverse_k1(spec: OperatorSpec) -> Fraction:
     """Exact 1/k_1 = max{0, max over terms of (s0(j-M) + s.alpha)/q}.
 

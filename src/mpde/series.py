@@ -11,11 +11,12 @@ The hot kernels (the z-derivative, the coefficient recurrence and the operator
 pass) work on one layout, the kernel form: a series valid to degree ``vd`` is
 a dense list over ``indices_up_to(dim, vd)`` in that graded order, where the
 indices of every lower degree are a prefix, together with one denominator and
-``vd``.  Exact values are integer numerators over that denominator; float
-values are kept as they are, with denominator 1.  ``Grading`` owns the
-layout (enumeration, rank, count by degree); ``to_kernel`` and
-``from_kernel`` convert a ``MultiSeries``, which stays the only public
-coefficient type, to and from it.
+``vd``.  The list holds the elements of one ``precision.Arithmetic``: integer
+numerators over the denominator in exact mode, raw ``mpmath.libmp`` tuples
+for real float data and mpmath numbers for complex float data, both with
+denominator 1.  ``Grading`` owns the layout (enumeration, rank, count by
+degree); ``to_kernel`` and ``from_kernel`` convert a ``MultiSeries``, which
+stays the only public coefficient type, to and from it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import mpmath
 from mpmath import mpc, mpf
 
-from .precision import float_tolerance, to_mpf, to_number
+from .precision import Arithmetic, float_tolerance, to_mpf, to_number
 
 Index = tuple
 
@@ -170,43 +171,29 @@ def generator_series(kind: str, dim: int, degree: int, mode: str = "exact",
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def to_numerators(values: Sequence, mode: str) -> tuple:
-    """(numerators, denominator): exact values as a list of integers over
-    their least common denominator.  Float values are returned as they are,
-    uncopied, with denominator 1."""
-    if mode != "exact":
-        return values, 1
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def to_kernel(f: MultiSeries, grading: Grading, degree: int) -> tuple:
-    """(vec, den): the coefficients of f with |alpha| <= degree in kernel
-    form, over the first ``grading.count(degree)`` indices (zeros where f
-    stores none)."""
+def to_kernel(f: MultiSeries, grading: Grading, degree: int, arith: Arithmetic) -> tuple:
+    """(vec, den): the coefficients of f with |alpha| <= degree in the kernel
+    form of ``arith``, over the first ``grading.count(degree)`` indices (zeros
+    where f stores none)."""
     grading.extend(degree)
     rank = grading.rank
     items = [(rank[alpha], v) for alpha, v in f.coeffs.items() if sum(alpha) <= degree]
-    ranks = [r for r, _ in items]
-    values, den = to_numerators([v for _, v in items], f.mode)
-    vec = [0] * grading.count(degree)
-    for r, v in zip(ranks, values):
+    values, den = arith.encode([v for _, v in items])
+    vec = [arith.zero] * grading.count(degree)
+    for (r, _), v in zip(items, values):
         vec[r] = v
     return vec, den
 
 
-def from_kernel(vec: Sequence, den: int, valid_degree: int, grading: Grading, mode: str,
+def from_kernel(vec: Sequence, den: int, valid_degree: int, grading: Grading, arith: Arithmetic,
                 ranks: Optional[Sequence] = None) -> MultiSeries:
     """The series vec/den valid to ``valid_degree``, zeros dropped; entry i
     sits at graded rank ``ranks[i]`` (default i)."""
-    indices = grading.indices
+    indices, zero, decode = grading.indices, arith.zero, arith.decode
     if ranks is None:
         ranks = range(len(vec))
-    if mode == "exact":
-        coeffs = {indices[r]: Fraction(v, den) for r, v in zip(ranks, vec) if v != 0}
-    else:
-        coeffs = {indices[r]: v for r, v in zip(ranks, vec) if v != 0}
-    return MultiSeries(dim=grading.dim, mode=mode, coeffs=coeffs, valid_degree=valid_degree)
+    coeffs = {indices[r]: decode(v, den) for r, v in zip(ranks, vec) if v != zero}
+    return MultiSeries(dim=grading.dim, mode=arith.mode, coeffs=coeffs, valid_degree=valid_degree)
 
 
 def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
@@ -231,13 +218,6 @@ def series_scale(f: MultiSeries, scalar) -> MultiSeries:
         return zero_series(f.dim, f.valid_degree, f.mode)
     coeffs = {alpha: scalar * v for alpha, v in f.coeffs.items()}
     return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
-
-
-def truncate_series(f: MultiSeries, degree: int) -> MultiSeries:
-    """Restrict to |alpha| <= min(degree, valid_degree)."""
-    vd = min(degree, f.valid_degree)
-    coeffs = {a: v for a, v in f.coeffs.items() if sum(a) <= vd}
-    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=vd)
 
 
 def evaluate(f: MultiSeries, point: Sequence) -> object:

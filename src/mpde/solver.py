@@ -21,22 +21,22 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from operator import add, mul
+from itertools import chain
+from operator import add
 
 import mpmath
 from mpmath import mpf
 
 from .moments import combine, gamma_moment, regularity_constants
-from .precision import to_mpf, to_number
-from .series import Grading, indices_up_to, to_kernel, to_numerators
+from .precision import Arithmetic, arithmetic
+from .series import Grading, indices_up_to, to_kernel
 from .operators import (
     KernelTimeSeries,
     OperatorSpec,
     TimeSeries,
     borel_z,
+    kernel_arithmetic,
     operator_numerators,
 )
 
@@ -97,6 +97,10 @@ class CauchyProblem:
     def mode(self) -> str:
         return self.initial[0].mode
 
+    def arithmetic(self) -> Arithmetic:
+        """The kernel arithmetic of the problem at the current precision."""
+        return kernel_arithmetic(self.spec, (*self.initial, *self.forcing.coeffs))
+
     @cached_property
     def validation(self) -> "ValidationReport":
         """``validate(self)``, computed at the first read and kept; the report
@@ -125,8 +129,10 @@ class SolutionSeries:
     @classmethod
     def from_working(cls, u: TimeSeries, working: TimeSeries, provenance: str,
                      report_degree: int) -> "SolutionSeries":
-        """A solution given by its working coefficients as series."""
-        return cls(u, KernelTimeSeries.of(working, Grading(working.dim)), provenance,
+        """A solution given by its working coefficients as series, kept in
+        the arithmetic of their values."""
+        arith = arithmetic(working.mode, (v for c in working.coeffs for v in c.coeffs.values()))
+        return cls(u, KernelTimeSeries.of(working, Grading(working.dim), arith), provenance,
                    report_degree)
 
     @property
@@ -254,10 +260,10 @@ def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     return cone
 
 
-def _scaled(vec: list, den: int, scale, mode: str) -> tuple:
+def _scaled(vec: list, den: int, scale, arith: Arithmetic) -> tuple:
     """scale * vec/den in kernel form, exact values in lowest terms."""
-    (scale,), scale_den = to_numerators((to_number(scale, mode),), mode)
-    vec = list(map(mul, repeat(scale), vec))
+    scale, scale_den = arith.scalar(scale)
+    vec = arith.scale(scale, vec)
     den *= scale_den
     if den != 1:
         common = math.gcd(den, *vec)
@@ -274,10 +280,11 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
     Initial data and forcing must be materialized to ``degree_budget`` so
     that every reported coefficient is provable; the returned u_n all carry
     valid_degree = report_degree, and ``kernel`` keeps the full working
-    degrees.  Every u_n is computed and kept in kernel form: each step sums
-    g_n and its pieces c * D_z^alpha u_k (``ZKernel.diff``) as integers
-    over one common denominator (or as floats), and Fractions are built only
-    for the reported ``u``.
+    degrees.  Every u_n is computed and kept in the kernel form of
+    ``problem.arithmetic()``: each step sums g_n and its pieces
+    c * D_z^alpha u_k (``ZKernel.diff``) as integers over one common
+    denominator (or as floats), and coefficients are decoded only for the
+    reported ``u``.
 
     majorant_mode replaces data and coefficients by absolute values and flips
     the recurrence's subtraction to addition, producing the dominating
@@ -291,7 +298,8 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         raise ValidationFailure(problem.validation)
 
     spec = problem.spec
-    mode = problem.mode
+    arith = problem.arithmetic()
+    mode = arith.mode
     m0 = spec.m0
     needed = degree_budget(spec, n_max, report_degree)
 
@@ -342,15 +350,15 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         """(|vec| at the ranks, the ranks): the cone's graded ranks of step n
         with degree <= vd."""
         ranks = cone_ranks[n][: bisect_left(cone_ranks[n], grading.count(vd))]
-        return [abs(vec[r]) for r in ranks], ranks
+        return arith.abs(map(vec.__getitem__, ranks)), ranks
 
     for j in range(min(spec.M, n_max + 1)):
         phi = problem.initial[j]
-        vec, den = to_kernel(phi, grading, phi.valid_degree)
+        vec, den = to_kernel(phi, grading, phi.valid_degree, arith)
         ranks = None
         if majorant_mode:
             vec, ranks = on_cone(j, vec, phi.valid_degree)
-        steps.append((*_scaled(vec, den, m0.ratio(0, j, mode), mode), phi.valid_degree))
+        steps.append((*_scaled(vec, den, m0.ratio(0, j, mode), arith), phi.valid_degree))
         layouts.append(ranks)
 
     # step n reads D_z^alpha u_k for k >= n - span only
@@ -361,7 +369,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         """D_z^alpha u_k as (vec, denominator), all of it."""
         row = diff_cache.setdefault(k, {})
         if alpha not in row:
-            row[alpha] = kernel.diff(*steps[k], alpha, mode)[:2]
+            row[alpha] = kernel.diff(*steps[k], alpha, arith)[:2]
         return row[alpha]
 
     def dz_on(k: int, alpha: tuple, ranks: list) -> tuple:
@@ -372,9 +380,9 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         at = {r: i for i, r in enumerate(layouts[k])}
         sources = kernel.gather(alpha, d_vd)
         out = [vec[at[sources[r]]] for r in ranks]
-        ratio_den, vectors = kernel.ratios(alpha, d_vd, mode)
+        ratio_den, vectors = kernel.ratios(alpha, d_vd, arith)
         for ratios in vectors:
-            out = [v * ratios[r] for v, r in zip(out, ranks)]
+            out = arith.mul(out, map(ratios.__getitem__, ranks))
         return out, den * ratio_den
 
     sign = 1 if majorant_mode else -1
@@ -391,10 +399,9 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                     continue
                 k = n - p
                 vd = min(vd, kernel.degree(steps[k][2], term.alpha))
-                scalar = to_number(sign * (c * m0.ratio(k, k - term.j, mode)), mode)
-                (scalar,), s_den = to_numerators((scalar,), mode)
+                scalar, s_den = arith.scalar(sign * (c * m0.ratio(k, k - term.j, mode)))
                 reads.append((scalar, s_den, k, term.alpha))
-        g_vec, g_den = to_kernel(g_n, grading, vd)
+        g_vec, g_den = to_kernel(g_n, grading, vd, arith)
         ranks = None
         if majorant_mode:
             g_vec, ranks = on_cone(n, g_vec, vd)
@@ -405,16 +412,16 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         den = math.lcm(g_den, *(piece_den for _, piece_den, _ in pieces))
         acc = g_vec
         if den != g_den:
-            acc = list(map(mul, acc, repeat(den // g_den)))
+            acc = arith.scale(den // g_den, acc)
         for scalar, piece_den, d in pieces:
             if piece_den != den:
                 scalar = scalar * (den // piece_den)
-            acc = list(map(add, acc, map(mul, repeat(scalar), d)))
-        steps.append((*_scaled(acc, den, m0.ratio(n - spec.M, n, mode), mode), vd))
+            acc = arith.add_scaled(acc, scalar, d)
+        steps.append((*_scaled(acc, den, m0.ratio(n - spec.M, n, mode), arith), vd))
         layouts.append(ranks)
         diff_cache.pop(n - span, None)
 
-    working = KernelTimeSeries(grading, mode, tuple(steps),
+    working = KernelTimeSeries(grading, arith, tuple(steps),
                                tuple(layouts) if majorant_mode else None)
     return SolutionSeries(
         u=working.time_series(report_degree),
@@ -455,29 +462,33 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
     +inf if a zero envelope meets a nonzero residual, which indicates a
     genuine defect).
     """
-    forcing, grading = problem.forcing, sol.kernel.grading
+    forcing = problem.forcing
+    # a solution given as series is kept in the arithmetic of its values,
+    # which need not hold the operator's coefficients or the forcing
+    kernel = sol.kernel.holding(chain((a for t in problem.spec.terms for a in t.coeff),
+                                      (v for f in forcing.coeffs for v in f.coeffs.values())))
+    arith, zero = kernel.arithmetic, kernel.arithmetic.zero
     worst = mpf(0)
-    for n, (values, env, den, vd) in enumerate(operator_numerators(problem.spec, sol.kernel)):
+    for n, (values, env, den, vd) in enumerate(operator_numerators(problem.spec, kernel)):
         if n > forcing.n_max:
             break
         f_n = forcing.coeffs[n]
         vd = min(vd, f_n.valid_degree)
-        f_nums, f_den = to_kernel(f_n, grading, vd)
+        f_nums, f_den = to_kernel(f_n, kernel.grading, vd, arith)
         common = math.lcm(den, f_den)
-        value_scale, f_scale = common // den, common // f_den
-        for num, denom, f in zip(values, env, f_nums):
-            if value_scale != 1:
-                num, denom = num * value_scale, denom * value_scale
-            if f_scale != 1:
-                f = f * f_scale
-            num, denom = num - f, denom + abs(f)
-            if num == 0:
+        if common != den:
+            values = arith.scale(common // den, values)
+        if common != f_den:
+            f_nums = arith.scale(common // f_den, f_nums)
+        residual = arith.sub(values, f_nums)
+        if residual.count(zero) == len(residual):
+            continue    # an identically zero order needs no envelope
+        if common != den:
+            env = arith.scale(common // den, env)
+        for num, denom in zip(residual, arith.add_abs(env, f_nums)):
+            if num == zero:
                 continue
-            if denom == 0:
+            if denom == zero:
                 return mpf("inf")
-            num = abs(num)
-            if common != 1:
-                # the reduced Fractions, as to_mpf rounds numerator and denominator apart
-                num, denom = Fraction(num, common), Fraction(denom, common)
-            worst = max(worst, to_mpf(num) / to_mpf(denom))
+            worst = max(worst, arith.quotient(num, denom, common))
     return worst

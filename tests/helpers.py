@@ -7,7 +7,8 @@ heat-solution oracle differentiates coefficient lists by hand, the
 dropped-boundary recurrence is a wrong convention the residual must reject,
 the z-derivative oracle looks up one moment ratio per coefficient, and the
 two-pass residual applies the whole operator once signed and once to
-absolute values.
+absolute values.  ``truncate_series``, ``polygon_contains`` and
+``growth_envelope`` are used by the tests only.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 from mpmath import mpf
 
 from mpde import (
@@ -34,10 +36,9 @@ from mpde import (
     series_add,
     series_scale,
     tabulated_moment,
-    truncate_series,
     zero_series,
 )
-from mpde.operators import KernelTimeSeries, operator_numerators
+from mpde.operators import KernelTimeSeries, kernel_arithmetic, operator_numerators
 from mpde.precision import float_tolerance, to_mpf, to_number
 from mpde.series import from_kernel
 from mpde.solver import degree_budget
@@ -56,6 +57,41 @@ def zero_forcing(spec: OperatorSpec, n_max: int, report_degree: int = 0,
     """A zero forcing materialized to the degrees solve_formal will demand."""
     return zero_time_series(max(0, n_max - spec.M), spec.dim,
                             degree_budget(spec, n_max, report_degree, spec.M), mode)
+
+
+def truncate_series(f: MultiSeries, degree: int) -> MultiSeries:
+    """Restrict to |alpha| <= min(degree, valid_degree)."""
+    vd = min(degree, f.valid_degree)
+    coeffs = {a: v for a, v in f.coeffs.items() if sum(a) <= vd}
+    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=vd)
+
+
+def polygon_contains(poly, point) -> bool:
+    """Whether a point lies inside or on the boundary of the hull region of
+    a ``NewtonPolygon``."""
+    x, y = Fraction(point[0]), Fraction(point[1])
+    first, last = poly.vertices[0], poly.vertices[-1]
+    if x > last[0] or y < first[1]:
+        return False
+    for (vx, vy), _, k in poly.segments:
+        if y - vy < k * (x - vx):
+            return False
+    return True
+
+
+def growth_envelope(m, n_max: int) -> tuple:
+    """Empirical (a, A) with a^n*Gamma_s(n) <= m(n) <= A^n*Gamma_s(n) on 1..n_max
+    for a ``MomentFunction`` m."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    s = to_mpf(m.order)
+    lo, hi = None, None
+    for n in range(1, n_max + 1):
+        gs = mpmath.gamma(1 + s * n)
+        root = mpmath.power(m.value(n) / gs, mpf(1) / n)
+        lo = root if lo is None else min(lo, root)
+        hi = root if hi is None else max(hi, root)
+    return lo, hi
 
 
 def series_equal(a: MultiSeries, b: MultiSeries) -> bool:
@@ -328,9 +364,9 @@ def operator_pairs_view(spec, u):
     """(P(u)_n, envelope_n) per t-order as series: ``operator_numerators``,
     the kernel the residual runs, on the kernel form of u, with its output
     turned back into series (zeros dropped)."""
-    grading = spec.z_kernel.grading
-    for values, env, den, vd in operator_numerators(spec, KernelTimeSeries.of(u, grading)):
-        yield tuple(from_kernel(vec, den, vd, grading, u.mode) for vec in (values, env))
+    grading, arith = spec.z_kernel.grading, kernel_arithmetic(spec, u.coeffs)
+    for values, env, den, vd in operator_numerators(spec, KernelTimeSeries.of(u, grading, arith)):
+        yield tuple(from_kernel(vec, den, vd, grading, arith) for vec in (values, env))
 
 
 def residual_max_relative_two_pass(problem, sol):

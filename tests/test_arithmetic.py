@@ -1,0 +1,86 @@
+"""The kernel arithmetics: real float mode on raw ``mpmath.libmp`` tuples
+computes, bit for bit, what the mpf objects compute."""
+
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mpc
+from mpmath.libmp import fzero
+
+from mpde.precision import EXACT, arithmetic
+
+PRECISIONS = (53, 113, 256)
+
+# (mantissa, exponent, precision the value is rounded to): zeros, short and
+# long mantissas of either sign, at the run's precision and at another one
+mantissas = st.one_of(
+    st.just(0),
+    st.integers(-2 ** 20, 2 ** 20),
+    st.builds(lambda bits, low, neg: (-1) ** neg * ((1 << bits) | low),
+              st.integers(0, 400), st.integers(0, 2 ** 64), st.booleans()),
+)
+values = st.tuples(mantissas, st.integers(-300, 300), st.sampled_from(PRECISIONS + (512,)))
+
+
+def to_mpf(value):
+    man, exp, prec = value
+    with mpmath.workprec(prec):
+        return mpmath.ldexp(mpmath.mpf(man), exp)
+
+
+def bits(xs) -> list:
+    return [x._mpf_ for x in xs]
+
+
+@settings(max_examples=150)
+@given(prec=st.sampled_from(PRECISIONS), pairs=st.lists(st.tuples(values, values), min_size=1,
+                                                      max_size=6), c=values)
+def test_real_ops_equal_mpf_objects(prec, pairs, c):
+    xs = [to_mpf(x) for x, _ in pairs]
+    ys = [to_mpf(y) for _, y in pairs]
+    c = to_mpf(c)
+    with mpmath.workprec(prec):
+        arith = arithmetic("float", xs + ys + [c])
+        assert arith.name == "real" and arith.key == prec
+        ex, den = arith.encode(xs)
+        ey, _ = arith.encode(ys)
+        assert den == 1
+        (ec,), _ = arith.encode([c])
+        assert arith.mul(ex, ey) == bits(x * y for x, y in zip(xs, ys))
+        assert arith.scale(ec, ex) == bits(c * x for x in xs)
+        assert arith.add(ex, ey) == bits(x + y for x, y in zip(xs, ys))
+        assert arith.sub(ex, ey) == bits(x - y for x, y in zip(xs, ys))
+        assert arith.abs(ex) == bits(abs(x) for x in xs)
+        assert arith.add_scaled(ex, ec, ey) == bits(x + c * y for x, y in zip(xs, ys))
+        assert arith.add_abs(ex, ey) == bits(x + abs(y) for x, y in zip(xs, ys))
+        for x, y, a, b in zip(ex, ey, xs, ys):
+            if b:
+                assert arith.quotient(x, arith.abs([y])[0], 1)._mpf_ == (abs(a) / abs(b))._mpf_
+        assert bits(arith.decode(x, den) for x in ex) == bits(xs)
+        # x + (-x) and x - x cancel to exactly the zero element (x at the precision)
+        at_prec = [+x for x in xs]
+        negated, _ = arith.encode([-x for x in at_prec])
+        assert arith.add(arith.encode(at_prec)[0], negated) == [fzero] * len(xs)
+        assert arith.sub(ex, ex) == [fzero] * len(xs)
+        assert arith.scale(arith.zero, ex) == [fzero] * len(xs)
+
+
+def test_zero_element_is_mpf_zero():
+    arith = arithmetic("float")
+    assert arith.zero == mpmath.mpf(0)._mpf_ == fzero
+    assert arith.decode(arith.zero, 1) == 0
+
+
+def test_arithmetic_is_derived_from_the_data():
+    assert arithmetic("exact", [mpc(1, 2)]) is EXACT
+    assert arithmetic("float", [Fraction(1, 2), mpmath.mpf(3)]).name == "real"
+    assert arithmetic("float", [mpmath.mpf(3), mpc(1, 2)]).name == "complex"
+    assert arithmetic("float", [complex(1, 0)]).name == "complex"
+    with mpmath.workprec(53):
+        at_53 = arithmetic("float")
+        assert arithmetic("float") == at_53
+    assert at_53.key == 53 and arithmetic("float") != at_53
+    with pytest.raises(ValueError):
+        arithmetic("interval")

@@ -231,6 +231,48 @@ class TestShippedProblems:
                 assert got[key] == pytest.approx(expected[key], rel=1e-9, abs=1e-12), (block, key)
 
 
+class TestSelfCheck:
+    """A run that contradicts a claim it checks writes its artifacts, then
+    ends in ``error: self-check failed: ...`` and exit 3."""
+
+    @staticmethod
+    def run(tmp_path, capsys, path, n_max):
+        code = run_pipeline(path, tmp_path, n_max=n_max, quiet=True)
+        assert (tmp_path / "report.json").exists()
+        assert (tmp_path / "coeffs.csv").exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor, code", [(2, 3), (1, 0)], ids=["above", "at"])
+    def test_float_residual_bound(self, tmp_path, capsys, monkeypatch, factor, code):
+        bound = mpmath.ldexp(1, -(256 - 32))
+        monkeypatch.setattr(pipeline, "residual_max_relative", lambda problem, sol: bound * factor)
+        got, err = self.run(tmp_path, capsys, FRACTIONAL, 48)
+        assert got == code
+        if code:
+            assert err == ("error: self-check failed: the float residual "
+                           f"{mpmath.nstr(bound * 2, 12)} exceeds 2^-(prec-32)\n")
+        else:
+            assert err == ""
+
+    def test_nonzero_exact_residual(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "residual_max_relative",
+                            lambda problem, sol: mpmath.ldexp(1, -300))
+        code, err = self.run(tmp_path, capsys, HEAT, 40)
+        assert code == 3
+        assert err.startswith("error: self-check failed: the exact residual is ")
+        assert err.endswith(", not 0\n")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["residual"]["exact_zero"] is False
+
+    def test_majorant_not_dominating(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "majorizes", lambda g, f: False)
+        code, err = self.run(tmp_path, capsys, HEAT, 40)
+        assert code == 3
+        assert err == "error: self-check failed: the majorant does not dominate the solution\n"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["majorant_dominates"] is False
+
+
 class TestValidateOnce:
     def test_heat_run_validates_once(self, monkeypatch):
         # the problem is validated once, not again by each solve

@@ -10,13 +10,14 @@ from mpmath import mpf
 from mpde import (
     combine,
     gamma_moment,
-    growth_envelope,
     regularity_constants,
     pipeline,
     tabulated_moment,
 )
 from mpde.moments import ExactValueUnavailable
 from mpde.problemspec import parse_problem_file
+
+from helpers import growth_envelope
 
 HEAT = Path(__file__).resolve().parent.parent / "problems" / "heat.json"
 

@@ -11,9 +11,8 @@ from mpde import (
     gamma_moment,
     generator_points,
     inverse_k1,
-    polygon_contains,
 )
-from helpers import bruteforce_hull_vertices, random_operator_spec
+from helpers import bruteforce_hull_vertices, polygon_contains, random_operator_spec
 
 G1 = gamma_moment(1)
 GH = gamma_moment(Fraction(1, 2))

@@ -19,12 +19,11 @@ from mpde import (
     series_add,
     sup_bound,
     theta_series,
-    truncate_series,
     zero_series,
 )
 from mpde.series import coefficient_rows, indices_up_to
 
-from helpers import series_equal
+from helpers import series_equal, truncate_series
 
 
 class TestMakeSeries:

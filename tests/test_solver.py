@@ -282,6 +282,19 @@ class TestResidual:
         sol = solve_formal(prob, 4, 0)
         assert residual_max_relative(prob, sol) == 0
 
+    def test_real_solution_of_a_complex_operator(self):
+        """A solution given as series keeps the arithmetic of its values; the
+        residual re-encodes it for an operator with complex coefficients."""
+        spec = OperatorSpec(M=1, m0=G1, m=(G1,), terms=(
+            OperatorTerm(j=0, alpha=(1,), coeff=(mpmath.mpc(1, 2),)),))
+        prob = CauchyProblem(spec=spec, initial=(zero_series(1, 8, "float"),),
+                             forcing=zero_forcing(spec, 8, 0, "float"))
+        sol = solve_via_borel(prob, 8, 0)
+        assert sol.kernel.arithmetic.name == "real"
+        assert residual_max_relative(prob, sol) == 0
+        bump = bumped(sol, 4, (1,), mpmath.mpf(1) / 7)
+        assert residual_max_relative(prob, bump) == residual_max_relative_two_pass(prob, bump) > 0
+
     def test_randomized_residuals_exact(self):
         rng = random.Random(5150)
         for _ in range(5)        :
@@ -485,6 +498,31 @@ class TestReferenceRecurrence:
                     solve_formal(prob, 7, 1, majorant_mode=majorant_mode),
                     solve_formal_reference(prob, 7, 1, majorant_mode=majorant_mode),
                     cone)
+
+
+class TestPrecisionScope:
+    def test_shared_kernel_keeps_each_precision(self):
+        """One problem solved at 53, 256 and again 53 bits, each inside
+        ``workprec``: every solve equals the reference at its precision, so
+        the shared ``spec.z_kernel`` serves no ratio vector of another one."""
+        spec = OperatorSpec(M=1, m0=GH, m=(GH,),
+                            terms=(OperatorTerm(j=0, alpha=(2,), coeff=(Fraction(-1),)),))
+        n_max = 8
+        phi = generator_series("geometric", 1, 2 * n_max, "float", ratio=Fraction(1, 3))
+        prob = CauchyProblem(spec=spec, initial=(phi,),
+                             forcing=zero_forcing(spec, n_max, 0, "float"))
+        cone = dependency_cone(spec, n_max, 0)
+        solved = []
+        for prec in (53, 256, 53):
+            with mpmath.workprec(prec):
+                sol = solve_formal(prob, n_max, 0)
+                assert_same_recurrence(sol, solve_formal_reference(prob, n_max, 0))
+                assert_same_recurrence(solve_majorant(prob, n_max, 0),
+                                       solve_formal_reference(prob, n_max, 0, majorant_mode=True),
+                                       cone)
+                solved.append([c.coeffs for c in sol.working.coeffs])
+        assert mpmath.mp.prec == 256
+        assert solved[0] == solved[2] != solved[1]
 
 
 def cone_problems(mode):

@@ -10,29 +10,29 @@ z-moment derivative shifts indices by alpha and multiplies by the analogous
 ratio in each variable.  Borel transforms divide coefficients by moment
 values.  Everything here is pure and mode-preserving.
 
-The z-derivative has one kernel, ``ZKernel.diff``, on the kernel form of
-``series`` (a dense list of the elements of one ``precision.Arithmetic`` over
-the graded layout): a gather through one precomputed map per alpha, then one
-multiply per axis by a ratio vector.  ``KernelTimeSeries`` is a time series
-in that form; the recurrence keeps its solution in it, and
-``operator_numerators`` applies the operator to it.
+The z-derivative has one kernel, ``ZKernel.diff``, on the element vector of
+a ``series.MultiSeries`` (a dense list of the elements of one
+``precision.Arithmetic`` over the graded layout): a gather through one
+precomputed map per alpha, then one multiply per axis by a ratio vector.
+``operator_numerators`` applies the operator to a ``TimeSeries`` of such
+series, and the recurrence, the residual and ``apply_operator`` share it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from operator import add
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .moments import MomentFunction
-from .precision import Arithmetic, arithmetic, nonzero_threshold
-from .series import Grading, MultiSeries, from_kernel, series_scale, to_kernel
+from .precision import Arithmetic, nonzero_threshold, to_number
+from .series import (MultiSeries, _reduced, arithmetic_of, graded_count, indices_up_to,
+                     series_scale)
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class TimeSeries:
         if not self.coeffs:
             raise ValueError("time series needs at least one coefficient")
         dims = {c.dim for c in self.coeffs}
-        modes = {c.mode for c in self.coeffs}
+        modes = {c.arithmetic.mode for c in self.coeffs}
         if len(dims) != 1 or len(modes) != 1:
             raise ValueError("all t-coefficients must share dimension and mode")
 
@@ -63,52 +63,6 @@ class TimeSeries:
 
     def map_z(self, fn: Callable[[MultiSeries], MultiSeries]) -> "TimeSeries":
         return TimeSeries(tuple(fn(c) for c in self.coeffs))
-
-
-@dataclass(frozen=True, eq=False)
-class KernelTimeSeries:
-    """A time series whose t-coefficients are in the kernel form of
-    ``series``: ``steps[n]`` is (vec, den, valid degree) of the n-th one,
-    vec holding elements of ``arithmetic``.
-
-    vec holds the first ``grading.count(valid degree)`` graded indices, or,
-    when ``ranks`` is set, the indices of the graded ranks ``ranks[n]``
-    (increasing), as the majorant's dependency cone does.
-    """
-
-    grading: Grading
-    arithmetic: Arithmetic
-    steps: tuple
-    ranks: Optional[tuple] = None
-
-    @classmethod
-    def of(cls, u: TimeSeries, grading: Grading, arith: Arithmetic) -> "KernelTimeSeries":
-        return cls(grading, arith, tuple((*to_kernel(c, grading, c.valid_degree, arith),
-                                          c.valid_degree) for c in u.coeffs))
-
-    @property
-    def valid_degrees(self) -> tuple:
-        return tuple(vd for _, _, vd in self.steps)
-
-    def series(self, n: int, degree: Optional[int] = None) -> MultiSeries:
-        """The n-th t-coefficient as a series, truncated to ``degree``."""
-        vec, den, vd = self.steps[n]
-        if degree is not None:
-            vd = min(vd, degree)
-        ranks = range(len(vec)) if self.ranks is None else self.ranks[n]
-        end = bisect_left(ranks, self.grading.count(vd))
-        return from_kernel(vec[:end], den, vd, self.grading, self.arithmetic, ranks[:end])
-
-    def time_series(self, degree: Optional[int] = None) -> TimeSeries:
-        return TimeSeries(tuple(self.series(n, degree) for n in range(len(self.steps))))
-
-    def holding(self, values: Iterable) -> "KernelTimeSeries":
-        """This series, re-encoded in ``arithmetic.holding(values)`` when that
-        is another arithmetic."""
-        arith = self.arithmetic.holding(values)
-        if arith == self.arithmetic:
-            return self
-        return KernelTimeSeries.of(self.time_series(), self.grading, arith)
 
 
 @dataclass(frozen=True)
@@ -225,7 +179,7 @@ def moment_diff_t(u: TimeSeries, m0: MomentFunction) -> TimeSeries:
 
 
 class ZKernel:
-    """D_z^alpha on kernel-form series, for one tuple of space moments.
+    """D_z^alpha on the element vectors of series, for one tuple of moments.
 
     The coefficient of beta + alpha moves to beta and is multiplied, for
     each axis j with alpha_j > 0 in axis order, by m_j(beta_j + alpha_j) /
@@ -239,19 +193,19 @@ class ZKernel:
 
     def __init__(self, m: Sequence[MomentFunction]):
         self.m = tuple(m)
-        self.grading = Grading(len(self.m))
+        self.dim = len(self.m)
         self._gathers = {}   # alpha -> [rank(beta + alpha) for beta in graded order]
         self._ratios = {}    # (Arithmetic, alpha) -> (degree, den, one vector per axis)
 
     def gather(self, alpha: tuple, degree: int) -> list:
         """The gather map of alpha, covering at least |beta| <= degree."""
         ranks = self._gathers.setdefault(alpha, [])
-        need = self.grading.count(degree)
+        need = graded_count(self.dim, degree)
         if len(ranks) < need:
-            self.grading.extend(degree + sum(alpha))
-            indices, rank = self.grading.indices, self.grading.rank
-            ranks.extend(rank[tuple(map(add, indices[r], alpha))]
-                         for r in range(len(ranks), need))
+            # one dict lookup per entry: graded_rank costs about 30 of them
+            rank = {beta: r for r, beta in enumerate(indices_up_to(self.dim, degree + sum(alpha)))}
+            ranks.extend(rank[tuple(map(add, beta, alpha))]
+                         for beta in islice(rank, len(ranks), need))
         return ranks
 
     def ratios(self, alpha: tuple, degree: int, arith: Arithmetic) -> tuple:
@@ -260,8 +214,7 @@ class ZKernel:
         key = (arith, alpha)
         table = self._ratios.get(key)
         if table is None or table[0] < degree:
-            self.grading.extend(degree)
-            betas = self.grading.indices[: self.grading.count(degree)]
+            betas = list(indices_up_to(self.dim, degree))
             den, vectors = 1, []
             for j, (mj, aj) in enumerate(zip(self.m, alpha)):
                 if aj:
@@ -279,13 +232,14 @@ class ZKernel:
 
     def diff(self, vec: list, den: int, valid_degree: int, alpha: tuple,
              arith: Arithmetic) -> tuple:
-        """D_z^alpha of the kernel-form series vec/den, as (vec, den, valid degree)."""
+        """D_z^alpha of the series vec/den (vec dense to valid_degree), as
+        (vec, den, valid degree)."""
         if not sum(alpha):
             return vec, den, valid_degree
         new_valid = self.degree(valid_degree, alpha)
         if new_valid < 0:
             return [], 1, -1
-        count = self.grading.count(new_valid)
+        count = graded_count(self.dim, new_valid)
         out = list(map(vec.__getitem__, islice(self.gather(alpha, new_valid), count)))
         ratio_den, vectors = self.ratios(alpha, new_valid, arith)
         for ratios in vectors:
@@ -302,11 +256,9 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
         )
     if sum(alpha) == 0:
         return f
-    kernel = ZKernel(m)
-    arith = arithmetic(f.mode, f.coeffs.values())
-    vec, den = to_kernel(f, kernel.grading, f.valid_degree, arith)
-    vec, den, valid = kernel.diff(vec, den, f.valid_degree, alpha, arith)
-    return from_kernel(vec, den, valid, kernel.grading, arith)
+    arith = arithmetic_of(f)
+    vec = f.dense(graded_count(f.dim, f.valid_degree), arith)
+    return MultiSeries(f.dim, arith, *ZKernel(m).diff(vec, f.den, f.valid_degree, alpha, arith))
 
 
 def borel_t(u: TimeSeries, m_prime: MomentFunction) -> TimeSeries:
@@ -326,48 +278,44 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
         return f.map_z(lambda c: borel_z(c, m_prime, inverse))
     if len(m_prime) != f.dim:
         raise ValueError(f"need {f.dim} moment functions, got {len(m_prime)}")
-    coeffs = {}
-    for alpha, v in f.coeffs.items():
-        factor = v
-        for mj, aj in zip(m_prime, alpha):
-            if aj:
-                factor = (factor * mj.ratio(aj, 0, f.mode) if inverse
-                          else factor * mj.ratio(0, aj, f.mode))
-        if factor != 0:
-            coeffs[alpha] = factor
-    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
+    arith, mode = arithmetic_of(f), f.mode
+    vec, den, zero = f.elements(arith), f.den, arith.zero
+    # the moments are read at the degrees of the nonzero entries only
+    held = [alpha if x != zero else None for alpha, x in zip(f.indices(), vec)]
+    for j, mj in enumerate(m_prime):
+        degrees = sorted({alpha[j] for alpha in held if alpha})
+        nums, ratio_den = arith.encode([
+            (mj.ratio(a, 0, mode) if inverse else mj.ratio(0, a, mode)) if a
+            else to_number(1, mode) for a in degrees])
+        factor = dict(zip(degrees, nums))
+        vec = arith.mul(vec, [factor[alpha[j]] if alpha else zero for alpha in held])
+        den *= ratio_den
+    return _reduced(f.dim, arith, vec, den, f.valid_degree, f.ranks)
 
 
-def kernel_arithmetic(spec: OperatorSpec, series: Iterable[MultiSeries]) -> Arithmetic:
-    """The arithmetic, at the current precision, in which the operator of
-    ``spec`` acts on the given series (of one mode)."""
-    series = tuple(series)
-    return arithmetic(series[0].mode, chain((a for t in spec.terms for a in t.coeff),
-                                            (v for f in series for v in f.coeffs.values())))
-
-
-def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tuple]:
+def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) -> Iterator[tuple]:
     """P(u)_n, the n-th t-coefficient of the operator applied to u, and its
     magnitude envelope, for n = 0, 1, ... in turn.
 
     The envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that
     P(u)_n sums (and |D_t^M u|), so it bounds the magnitude of what
     cancelled.  Yields (values, envelope, denominator, valid degree) per
-    t-order, both in the kernel form of u's arithmetic (which must hold the
-    operator's coefficients, see ``kernel_arithmetic``) over the one
-    denominator and exactly as long as the valid degree; they may hold
-    zeros.  Sums run in a fixed order: the D_t chain, the sum over p within
-    each term, then the sum across terms.  Only the D_t and D_z results that
-    later orders still read are kept.
+    t-order, both element vectors of ``arith`` (which must hold u's elements
+    and the operator's coefficients, see ``series.arithmetic_of``) over the
+    one denominator and exactly as long as the valid degree; they may hold
+    zeros.  Sums run in a fixed
+    order: the D_t chain, the sum over p within each term, then the sum
+    across terms.  Only the D_t and D_z results that later orders still read
+    are kept.
     """
-    if u.ranks is not None:
+    if any(c.ranks is not None for c in u.coeffs):
         raise ValueError("the operator reads series over the whole graded layout")
-    n_max = len(u.steps) - 1
+    n_max = u.n_max
     if n_max < spec.M:
         raise ValueError(f"need n_max >= M = {spec.M}, got {n_max}")
     if max([spec.M] + [t.j for t in spec.terms]) > n_max:
         raise ValueError("time series too short to differentiate")
-    arith, kernel = u.arithmetic, spec.z_kernel
+    kernel = spec.z_kernel
     ratios = spec.m0.shift_ratios(1, n_max - 1, arith.mode)
     d_t_memo, d_z_memo = defaultdict(dict), defaultdict(dict)
 
@@ -377,7 +325,9 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
         memo = d_t_memo[j]
         if k not in memo:
             if j == 0:
-                memo[k] = u.steps[k]
+                c = u.coeffs[k]
+                memo[k] = (c.dense(graded_count(c.dim, c.valid_degree), arith), c.den,
+                           c.valid_degree)
             else:
                 vec, den, valid = d_t(j - 1, k + 1)
                 r, r_den = arith.scalar(ratios[k])
@@ -424,7 +374,7 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
                 term_vd = min(d_z(i, k)[2] for k in range(n + 1))
             vd = min(vd, term_vd)
             parts.append(part)
-        count = kernel.grading.count(vd)
+        count = graded_count(u.dim, vd)
         den = math.lcm(lead_den, *(d for part in parts for _, d, _ in part))
         total = lead[:count]
         if den != lead_den:
@@ -451,7 +401,6 @@ def operator_numerators(spec: OperatorSpec, u: KernelTimeSeries) -> Iterator[tup
 
 def apply_operator(spec: OperatorSpec, u: TimeSeries) -> TimeSeries:
     """Apply the full operator to u."""
-    grading, arith = spec.z_kernel.grading, kernel_arithmetic(spec, u.coeffs)
-    return TimeSeries(tuple(from_kernel(values, den, valid, grading, arith)
-                            for values, _, den, valid in
-                            operator_numerators(spec, KernelTimeSeries.of(u, grading, arith))))
+    arith = arithmetic_of(*u.coeffs, values=(a for t in spec.terms for a in t.coeff))
+    return TimeSeries(tuple(MultiSeries(u.dim, arith, values, den, valid)
+                            for values, _, den, valid in operator_numerators(spec, u, arith)))

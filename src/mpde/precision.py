@@ -3,14 +3,14 @@
 All big-float computation goes through mpmath at the precision of its
 global context.  ``pipeline.run`` scopes that precision to one run with
 ``mpmath.workprec`` and restores it afterwards; tests pin it in a fixture.
-Exact-mode series hold ``fractions.Fraction`` coefficients, float-mode series
+Exact-mode coefficients are ``fractions.Fraction`` values, float-mode ones
 mpmath numbers.
 
-The hot kernels (the kernel form of ``series``) compute in one
+Every ``series.MultiSeries`` holds its coefficients as the elements of one
 ``Arithmetic``, derived from the mode and the data: it encodes coefficients
-as kernel elements, holds the vector operations on elements and decodes them
-back.  Exact elements are integer numerators over a common denominator.
-Float elements are raw ``mpmath.libmp`` tuples when every value is real, each
+as elements, holds the vector operations on elements and decodes them back.
+Exact elements are integer numerators over a common denominator.  Float
+elements are raw ``mpmath.libmp`` tuples when every value is real, each
 operation the correctly rounded one that ``mpf`` makes, at the precision read
 when the arithmetic is built; they are mpmath numbers when some value is
 complex.  Exact mode never touches the float context.
@@ -78,8 +78,8 @@ def table_key(mode: str):
 
 @dataclass(frozen=True)
 class Arithmetic:
-    """The arithmetic of the kernel form: how a coefficient is held as a
-    kernel element, and the operations on elements.
+    """The arithmetic of a series' elements: how a coefficient is held as
+    an element, and the operations on elements.
 
     ``name`` is exact, real or complex and ``key`` the ``table_key`` of its
     values; two arithmetics are equal when both are.  ``encode(values)``
@@ -115,13 +115,6 @@ class Arithmetic:
         """(element, denominator) of the scalar x, coerced into the mode."""
         (x,), den = self.encode((to_number(x, self.mode),))
         return x, den
-
-    def holding(self, values: Iterable) -> "Arithmetic":
-        """This arithmetic, or the complex one at its precision when it is
-        real and some value is complex."""
-        if self.name == "real" and any(isinstance(v, (mpc, complex)) for v in values):
-            return _complex(self.key)
-        return self
 
 
 def _exact_encode(values) -> tuple:
@@ -170,15 +163,23 @@ def _real(prec: int) -> Arithmetic:
         **_vector_ops(mpf_mul, mpf_add, mpf_sub, mpf_abs, repeat(prec), repeat(round_nearest)))
 
 
-def arithmetic(mode: str, values: Iterable = ()) -> Arithmetic:
-    """The kernel arithmetic of ``mode`` for the given values: exact; or
-    float at the current precision, complex when some value is complex and
-    real otherwise."""
+def arithmetic(mode: str, values: Iterable = (), held: Iterable[Arithmetic] = ()) -> Arithmetic:
+    """The arithmetic of ``mode`` at the current precision that holds
+    the given values and the elements of the ``held`` arithmetics (of the
+    same mode): exact; or float, complex when some value or held arithmetic
+    is complex and real otherwise.  A held arithmetic that is already the
+    one is returned as it is."""
     if mode == "exact":
         return EXACT
     if mode != "float":
         raise ValueError(f"unknown arithmetic mode {mode!r}")
-    return _real(mpmath.mp.prec).holding(values)
+    held, prec = tuple(held), mpmath.mp.prec
+    name = "complex" if (any(a.name == "complex" for a in held)
+                         or any(isinstance(v, (mpc, complex)) for v in values)) else "real"
+    for a in held:
+        if a.name == name and a.key == prec:
+            return a
+    return _complex(prec) if name == "complex" else _real(prec)
 
 
 def float_tolerance() -> mpf:

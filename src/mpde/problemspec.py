@@ -273,19 +273,17 @@ def _materialize_generator(desc: dict, dim: int, degree: int, mode: str, path: s
     if kind == "zero":
         return zero_series(dim, degree, mode)
     if kind == "geometric":
-        ratio = _parse_value(_get(desc, "ratio", path), mode, f"{path}.ratio")
-        return generator_series("geometric", dim, degree, mode, ratio=ratio)
-    if kind == "polynomial":
+        params = {"ratio": _parse_value(_get(desc, "ratio", path), mode, f"{path}.ratio")}
+    elif kind == "polynomial":
         coeffs = [_parse_value(c, mode, f"{path}.coeffs[{k}]")
                   for k, c in enumerate(_parse_list(_get(desc, "coeffs", path),
                                                     f"{path}.coeffs"))]
         if len(coeffs) - 1 > degree:
             _fail(f"{path}.coeffs", f"polynomial degree exceeds the budget {degree}")
-        return generator_series("polynomial", dim, degree, mode, coeffs=coeffs)
-    if kind == "gevrey_factorial":
-        sigma = _parse_fraction(_get(desc, "sigma", path), f"{path}.sigma")
-        return generator_series("gevrey_factorial", dim, degree, mode, sigma=sigma)
-    if kind == "terms":
+        params = {"coeffs": coeffs}
+    elif kind == "gevrey_factorial":
+        params = {"sigma": _parse_fraction(_get(desc, "sigma", path), f"{path}.sigma")}
+    elif kind == "terms":
         table = {}
         for k, entry in enumerate(_parse_list(_get(desc, "terms", path), f"{path}.terms")):
             where = f"{path}.terms[{k}]"
@@ -294,14 +292,19 @@ def _materialize_generator(desc: dict, dim: int, degree: int, mode: str, path: s
                 _fail(f"{where}.alpha", f"index {alpha} exceeds the degree budget {degree}")
             table[alpha] = _parse_value(_get(entry, "value", where), mode, f"{where}.value")
         return make_series(dim, table, degree, mode)
-    _fail(path, f"unknown series kind {kind!r}")
+    else:
+        _fail(path, f"unknown series kind {kind!r}")
+    try:
+        return generator_series(kind, dim, degree, mode, **params)
+    except ValueError as e:
+        _fail(path, str(e))
 
 
 def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: str,
                          path: str) -> TimeSeries:
     kind = _get(desc, "kind", path)
     if kind == "zero":
-        return TimeSeries(tuple(zero_series(dim, degree, mode) for _ in range(n_top + 1)))
+        return TimeSeries((zero_series(dim, degree, mode),) * (n_top + 1))
     if kind == "time_geometric":
         ratio = _parse_value(_get(desc, "ratio", path), mode, f"{path}.ratio")
         space_desc = desc.get("space", {"kind": "terms",

@@ -1,35 +1,40 @@
 """Truncated formal power series in N complex variables.
 
-Coefficients live in one of two arithmetic modes: ``exact`` (Fraction) or
-``float`` (mpmath real/complex at the global precision).  Series are
-immutable; every operation returns a new series.  ``valid_degree`` is the only
-degree a series carries: the largest total degree whose coefficients are
-still trustworthy after truncation-lossy operations (differentiation shortens
-it); coefficients above it are dropped.
+Coefficients are exact (Fraction) or float (mpmath real/complex).  Series are
+immutable; every operation returns a new series, float operations at the
+current precision.  ``valid_degree`` is the only degree a series carries:
+the largest total degree whose coefficients are still trustworthy after
+truncation-lossy operations (differentiation shortens it); coefficients
+above it are dropped.
 
-The hot kernels (the z-derivative, the coefficient recurrence and the operator
-pass) work on one layout, the kernel form: a series valid to degree ``vd`` is
-a dense list over ``indices_up_to(dim, vd)`` in that graded order, where the
-indices of every lower degree are a prefix, together with one denominator and
-``vd``.  The list holds the elements of one ``precision.Arithmetic``: integer
-numerators over the denominator in exact mode, raw ``mpmath.libmp`` tuples
-for real float data and mpmath numbers for complex float data, both with
-denominator 1.  ``Grading`` owns the layout (enumeration, rank, count by
-degree); ``to_kernel`` and ``from_kernel`` convert a ``MultiSeries``, which
-stays the only public coefficient type, to and from it.
+A ``MultiSeries`` valid to degree ``vd`` holds its coefficients in the one
+form that the hot kernels (the z-derivative, the coefficient recurrence and
+the operator pass) and the functions below work on: a list ``vec`` of the
+elements of one ``precision.Arithmetic`` over the graded order of
+``indices_up_to(dim, vd)``, where the indices of every lower degree are a
+prefix, and one denominator ``den``.  Exact elements are integer numerators
+over ``den``; float elements are raw ``mpmath.libmp`` tuples for real data
+and mpmath numbers for complex data, with ``den`` 1.  ``vec`` may end early,
+the entries after its end being zero, so sparse data stay small.  When
+``ranks`` is set, ``vec[i]`` sits at the graded rank ``ranks[i]``
+(increasing), as in the majorant's dependency cone.  ``coeffs``, the
+index -> value dict with zeros dropped, is decoded at its first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import mpmath
 from mpmath import mpc, mpf
+from mpmath.libmp import fzero
 
-from .precision import Arithmetic, float_tolerance, to_mpf, to_number
+from .precision import Arithmetic, _real, arithmetic, float_tolerance, to_mpf, to_number
 
 Index = tuple
 
@@ -44,6 +49,8 @@ def indices_up_to(dim: int, degree: int) -> Iterable[Index]:
 
 
 def _compositions(total: int, parts: int):
+    """The indices alpha in ``parts`` variables with |alpha| = total, in the
+    order of ``indices_up_to``."""
     if parts == 1:
         yield (total,)
         return
@@ -52,51 +59,143 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-class Grading:
-    """The layout of kernel-form series of one dimension: the multi-indices
-    in the order of ``indices_up_to``, enumerated on demand.
+def graded_count(dim: int, degree: int) -> int:
+    """The number of indices alpha in dim variables with |alpha| <= degree."""
+    return math.comb(degree + dim, dim) if degree >= 0 else 0
 
-    ``indices[r]`` is the index of rank r and ``rank`` inverts it;
-    ``count(d)`` indices have |alpha| <= d, and they are the first ones.
+
+def graded_rank(alpha: Index) -> int:
+    """The position of alpha in ``indices_up_to(len(alpha), d)``, any
+    d >= |alpha|, by the combinatorial number system: the indices of lower
+    degree, then per axis the indices of degree |alpha| that agree with alpha
+    before that axis and hold less on it."""
+    dim, rest = len(alpha), sum(alpha)
+    rank = graded_count(dim, rest - 1)
+    for parts, a in zip(range(dim - 1, 0, -1), alpha):
+        rank += math.comb(rest + parts, parts) - math.comb(rest - a + parts, parts)
+        rest -= a
+    return rank
+
+
+@dataclass(eq=False)
+class MultiSeries:
+    """A truncated series in the layout of the module docstring.
+
+    No operation changes a series once built (the dataclass is not frozen
+    only because its hot constructor is then cheaper).  ``vec`` holds no
+    entry above ``valid_degree``.  A series in the complex
+    arithmetic holds some complex value: one that holds none is kept in the
+    real arithmetic of its precision.  Two series are equal when their
+    dimension, mode, valid degree and values are.
     """
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.indices = []
-        self.rank = {}
-        self.degree = -1
-
-    def count(self, degree: int) -> int:
-        return math.comb(degree + self.dim, self.dim) if degree >= 0 else 0
-
-    def extend(self, degree: int) -> None:
-        """Enumerate every index with |alpha| <= degree."""
-        for total in range(self.degree + 1, degree + 1):
-            for alpha in _compositions(total, self.dim):
-                self.rank[alpha] = len(self.indices)
-                self.indices.append(alpha)
-        self.degree = max(self.degree, degree)
-
-
-@dataclass(frozen=True, eq=True)
-class MultiSeries:
     dim: int
-    mode: str
-    coeffs: dict = field(default_factory=dict)
+    arithmetic: Arithmetic
+    vec: list
+    den: int = 1
     valid_degree: int = 0
+    ranks: Optional[Sequence] = None
+
+    def __post_init__(self):
+        arith = self.arithmetic
+        if arith.name == "complex" and not any(isinstance(x, mpc) and x for x in self.vec):
+            # the complex elements that are not mpf numbers are zeros
+            self.arithmetic = _real(arith.key)
+            self.vec = [x._mpf_ if isinstance(x, mpf) else fzero for x in self.vec]
+
+    @property
+    def mode(self) -> str:
+        return self.arithmetic.mode
+
+    @cached_property
+    def coeffs(self) -> dict:
+        """index -> value, zeros dropped, in graded order; built at the first
+        read."""
+        decode, zero, den = self.arithmetic.decode, self.arithmetic.zero, self.den
+        return {alpha: decode(x, den) for alpha, x in zip(self.indices(), self.vec) if x != zero}
+
+    def indices(self) -> Iterator[Index]:
+        """The index of each entry of ``vec``, in order."""
+        indices = indices_up_to(self.dim, self.valid_degree)
+        if self.ranks is None:
+            return indices
+        held = set(self.ranks)
+        return (alpha for r, alpha in enumerate(indices) if r in held)
 
     def coefficient(self, alpha: Index):
-        return self.coeffs.get(tuple(alpha), _zero(self.mode))
+        alpha, x = tuple(alpha), self.arithmetic.zero
+        if len(alpha) == self.dim and min(alpha) >= 0 and sum(alpha) <= self.valid_degree:
+            r = graded_rank(alpha)
+            i = r if self.ranks is None else bisect_left(self.ranks, r)
+            if i < len(self.vec) and (self.ranks is None or self.ranks[i] == r):
+                x = self.vec[i]
+        if x == self.arithmetic.zero:
+            return Fraction(0) if self.mode == "exact" else mpf(0)
+        return self.arithmetic.decode(x, self.den)
+
+    def elements(self, arith: Arithmetic) -> list:
+        """``vec`` as elements of ``arith``, which holds this series' own: real
+        tuples become mpf numbers for the complex arithmetic, and anything
+        else is kept, raw tuples of another precision too."""
+        if self.arithmetic.name == "real" and arith.name == "complex":
+            return list(map(mpmath.mp.make_mpf, self.vec))
+        return self.vec
+
+    def dense(self, count: int, arith: Optional[Arithmetic] = None) -> list:
+        """The elements of the graded ranks below ``count`` (<= the count of
+        the valid degree) in ``arith``, by default the series' own: zeros
+        where the series stores none, and ``vec`` itself when it is that."""
+        arith = arith or self.arithmetic
+        vec = self.vec if arith is self.arithmetic else self.elements(arith)
+        zero = arith.zero
+        if self.ranks is not None:
+            out = [zero] * count
+            for r, x in zip(self.ranks, vec):
+                if r >= count:
+                    break
+                out[r] = x
+            return out
+        if len(vec) != count:
+            vec = vec[:count] + [zero] * (count - len(vec))
+        return vec
+
+    def truncated(self, degree: int) -> "MultiSeries":
+        """The series restricted to |alpha| <= min(degree, valid_degree)."""
+        vd = min(degree, self.valid_degree)
+        count, ranks = graded_count(self.dim, vd), self.ranks
+        end = count if ranks is None else bisect_left(ranks, count)
+        return MultiSeries(self.dim, self.arithmetic, self.vec[:end], self.den, vd,
+                           ranks and ranks[:end])
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiSeries):
+            return NotImplemented
+        return ((self.dim, self.mode, self.valid_degree, self.coeffs)
+                == (other.dim, other.mode, other.valid_degree, other.coeffs))
 
     def __repr__(self):
-        return (
-            f"MultiSeries(dim={self.dim}, valid={self.valid_degree}, "
-            f"terms={len(self.coeffs)}, mode={self.mode!r})"
-        )
+        return (f"MultiSeries(dim={self.dim}, valid={self.valid_degree}, "
+                f"stored={len(self.vec)}, arithmetic={self.arithmetic.name!r})")
 
 
-def _zero(mode: str):
-    return Fraction(0) if mode == "exact" else mpf(0)
+def _reduced(dim: int, arith: Arithmetic, vec: list, den: int, valid_degree: int,
+             ranks: Optional[Sequence] = None) -> MultiSeries:
+    """The series vec/den, exact values over their least common denominator."""
+    if den != 1:
+        common = math.gcd(den, *vec)
+        if common != 1:
+            vec = [v // common for v in vec]
+            den //= common
+    return MultiSeries(dim, arith, vec, den, valid_degree, ranks)
+
+
+def arithmetic_of(*series: MultiSeries, values: Iterable = ()) -> Arithmetic:
+    """The arithmetic, at the current precision, that holds the elements of
+    every one of the series (of one mode) and the values."""
+    modes = {f.arithmetic.mode for f in series}
+    if len(modes) != 1:
+        raise ValueError(f"arithmetic mode mismatch: {' vs '.join(sorted(modes))}")
+    return arithmetic(modes.pop(), values, (f.arithmetic for f in series))
 
 
 def make_series(dim: int, coefficients: Mapping, degree: int, mode: str = "exact") -> MultiSeries:
@@ -105,11 +204,7 @@ def make_series(dim: int, coefficients: Mapping, degree: int, mode: str = "exact
     Indices must fit the degree; values are coerced into the requested mode
     (mixing modes is an error by construction).
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    coeffs = {}
+    table = {}
     for alpha, value in coefficients.items():
         alpha = (alpha,) if isinstance(alpha, int) else tuple(int(a) for a in alpha)
         if len(alpha) != dim:
@@ -118,14 +213,27 @@ def make_series(dim: int, coefficients: Mapping, degree: int, mode: str = "exact
             raise ValueError(f"negative exponent in index {alpha}")
         if sum(alpha) > degree:
             raise ValueError(f"index {alpha} exceeds degree {degree}")
-        value = to_number(value, mode)
-        if value != 0:
-            coeffs[alpha] = value
-    return MultiSeries(dim=dim, mode=mode, coeffs=coeffs, valid_degree=degree)
+        table[graded_rank(alpha)] = to_number(value, mode)
+    return _encoded(dim, table, degree, mode)
+
+
+def _encoded(dim: int, table: Mapping, degree: int, mode: str) -> MultiSeries:
+    """The series valid to ``degree`` with the value table[r] at graded rank r."""
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    table = {r: v for r, v in table.items() if v != 0}
+    arith = arithmetic(mode, table.values())
+    elements, den = arith.encode(list(table.values()))
+    vec = [arith.zero] * (max(table, default=-1) + 1)
+    for r, x in zip(table, elements):
+        vec[r] = x
+    return MultiSeries(dim, arith, vec, den, degree)
 
 
 def zero_series(dim: int, degree: int, mode: str = "exact") -> MultiSeries:
-    return MultiSeries(dim=dim, mode=mode, coeffs={}, valid_degree=degree)
+    return MultiSeries(dim, arithmetic(mode), [], 1, degree)
 
 
 def generator_series(kind: str, dim: int, degree: int, mode: str = "exact",
@@ -142,28 +250,29 @@ def generator_series(kind: str, dim: int, degree: int, mode: str = "exact",
         if ratio is None:
             raise ValueError("geometric generator needs ratio=")
         c = to_number(ratio, mode)
-        table = {alpha: c ** sum(alpha) for alpha in indices_up_to(dim, degree)}
-        return make_series(dim, table, degree, mode)
+        powers = [c ** d for d in range(degree + 1)]
+        return _encoded(dim, dict(enumerate(powers[sum(alpha)]
+                                            for alpha in indices_up_to(dim, degree))), degree, mode)
     if kind == "polynomial":
         if coeffs is None:
             raise ValueError("polynomial generator needs coeffs=")
         if dim != 1:
-            raise ValueError("polynomial generator is univariate; use make_series for dim > 1")
+            raise ValueError(f"a polynomial series is univariate, got {dim} variables")
         if len(coeffs) - 1 > degree:
             raise ValueError("polynomial longer than the degree")
         return make_series(1, {(l,): v for l, v in enumerate(coeffs)}, degree, mode)
     if kind == "gevrey_factorial":
         sigma = Fraction(sigma)
         if sigma < 0:
-            raise ValueError(f"gevrey_factorial exponent must be >= 0, got {sigma}")
+            raise ValueError(f"gevrey_factorial sigma must be >= 0, got {sigma}")
+        if mode == "exact" and sigma.denominator != 1:
+            raise ValueError(f"gevrey_factorial sigma {sigma} is fractional: use float mode")
         table = {}
         for axis in range(dim):
             for l in range(degree + 1):
                 alpha = tuple(l if j == axis else 0 for j in range(dim))
                 fact = Fraction(math.factorial(l))
                 if mode == "exact":
-                    if sigma.denominator != 1:
-                        raise ValueError("fractional sigma needs float mode")
                     table[alpha] = fact ** sigma.numerator
                 else:
                     table[alpha] = mpmath.power(to_mpf(fact), to_mpf(sigma))
@@ -171,67 +280,40 @@ def generator_series(kind: str, dim: int, degree: int, mode: str = "exact",
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def to_kernel(f: MultiSeries, grading: Grading, degree: int, arith: Arithmetic) -> tuple:
-    """(vec, den): the coefficients of f with |alpha| <= degree in the kernel
-    form of ``arith``, over the first ``grading.count(degree)`` indices (zeros
-    where f stores none)."""
-    grading.extend(degree)
-    rank = grading.rank
-    items = [(rank[alpha], v) for alpha, v in f.coeffs.items() if sum(alpha) <= degree]
-    values, den = arith.encode([v for _, v in items])
-    vec = [arith.zero] * grading.count(degree)
-    for (r, _), v in zip(items, values):
-        vec[r] = v
-    return vec, den
-
-
-def from_kernel(vec: Sequence, den: int, valid_degree: int, grading: Grading, arith: Arithmetic,
-                ranks: Optional[Sequence] = None) -> MultiSeries:
-    """The series vec/den valid to ``valid_degree``, zeros dropped; entry i
-    sits at graded rank ``ranks[i]`` (default i)."""
-    indices, zero, decode = grading.indices, arith.zero, arith.decode
-    if ranks is None:
-        ranks = range(len(vec))
-    coeffs = {indices[r]: decode(v, den) for r, v in zip(ranks, vec) if v != zero}
-    return MultiSeries(dim=grading.dim, mode=arith.mode, coeffs=coeffs, valid_degree=valid_degree)
-
-
 def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if a.mode != b.mode:
-        raise ValueError(f"arithmetic mode mismatch: {a.mode} vs {b.mode}")
+    arith = arithmetic_of(a, b)
     vd = min(a.valid_degree, b.valid_degree)
-    coeffs = {}
-    for alpha in set(a.coeffs) | set(b.coeffs):
-        if sum(alpha) > vd:
-            continue
-        v = a.coeffs.get(alpha, 0) + b.coeffs.get(alpha, 0)
-        if v != 0:
-            coeffs[alpha] = v
-    return MultiSeries(dim=a.dim, mode=a.mode, coeffs=coeffs, valid_degree=vd)
+    count = graded_count(a.dim, vd)
+    den = math.lcm(a.den, b.den)
+    xs, ys = a.dense(count, arith), b.dense(count, arith)
+    if a.den != den:
+        xs = arith.scale(den // a.den, xs)
+    if b.den != den:
+        ys = arith.scale(den // b.den, ys)
+    return MultiSeries(a.dim, arith, arith.add(xs, ys), den, vd)
 
 
 def series_scale(f: MultiSeries, scalar) -> MultiSeries:
+    """scalar * f, exact values over their least common denominator."""
     scalar = to_number(scalar, f.mode)
-    if scalar == 0:
-        return zero_series(f.dim, f.valid_degree, f.mode)
-    coeffs = {alpha: scalar * v for alpha, v in f.coeffs.items()}
-    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
+    arith = arithmetic_of(f, values=(scalar,))
+    (c,), c_den = arith.encode((scalar,))
+    return _reduced(f.dim, arith, arith.scale(c, f.elements(arith)), f.den * c_den,
+                    f.valid_degree, f.ranks)
 
 
 def evaluate(f: MultiSeries, point: Sequence) -> object:
-    """Value of the truncated polynomial at a point (stored coefficients only)."""
+    """Value of the truncated polynomial at a point (stored coefficients
+    only), summed in lexicographic order of the indices."""
     if len(point) != f.dim:
         raise ValueError(f"point has {len(point)} entries, series has dim {f.dim}")
-    if f.mode == "exact" and all(isinstance(p, (int, Fraction)) for p in point):
-        pt = [Fraction(p) for p in point]
-        total = Fraction(0)
-    else:
-        pt = [to_number(p, "float") for p in point]
-        total = mpf(0)
+    exact = f.mode == "exact" and all(isinstance(p, (int, Fraction)) for p in point)
+    pt = [Fraction(p) if exact else to_number(p, "float") for p in point]
+    total = Fraction(0) if exact else mpf(0)
     for alpha, v in sorted(f.coeffs.items()):
-        term = v if isinstance(total, Fraction) else to_number(v, "float")
+        term = v if exact else to_number(v, "float")
         for p, a in zip(pt, alpha):
             if a:
                 term = term * p ** a
@@ -241,30 +323,25 @@ def evaluate(f: MultiSeries, point: Sequence) -> object:
 
 def majorant(f: MultiSeries) -> MultiSeries:
     """Coefficientwise absolute value (complex moduli become mpf)."""
-    coeffs = {alpha: abs(v) for alpha, v in f.coeffs.items()}
-    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=f.valid_degree)
+    arith = arithmetic_of(f)
+    return MultiSeries(f.dim, arith, arith.abs(f.elements(arith)), f.den, f.valid_degree,
+                       f.ranks)
 
 
 def sup_bound(f: MultiSeries, r):
-    """Sum |f_alpha| r^{|alpha|} over stored coefficients up to valid_degree.
+    """Sum |f_alpha| r^{|alpha|} over stored coefficients up to valid_degree,
+    in graded order.
 
     Upper-bounds the sup of the truncated series over the closed polydisc of
     radius r; exact when coefficients and r are rational.
     """
-    if isinstance(r, (int, Fraction)):
-        r = Fraction(r)
-    else:
-        r = to_mpf(r)
+    r = Fraction(r) if isinstance(r, (int, Fraction)) else to_mpf(r)
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
     exact = f.mode == "exact" and isinstance(r, Fraction)
-    if exact:
-        total = Fraction(0)
-    else:
-        r, total = to_mpf(r), mpf(0)
+    r, total = (r, Fraction(0)) if exact else (to_mpf(r), mpf(0))
     for alpha, v in f.coeffs.items():
-        if sum(alpha) <= f.valid_degree:
-            total += abs(v if exact else to_number(v, "float")) * r ** sum(alpha)
+        total += abs(v if exact else to_number(v, "float")) * r ** sum(alpha)
     return total
 
 
@@ -278,34 +355,36 @@ def majorizes(g: MultiSeries, f: MultiSeries) -> bool:
     if g.dim != f.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {f.dim}")
     for alpha, v in g.coeffs.items():
-        if isinstance(v, mpc) or isinstance(v, complex):
+        if isinstance(v, (mpc, complex)):
             raise ValueError(f"majorant coefficients must be real, got {v} at {alpha}")
         if v < 0:
             raise ValueError(f"majorant coefficients must be >= 0, got {v} at {alpha}")
     vd = min(g.valid_degree, f.valid_degree)
-    float_mode = g.mode == "float" or f.mode == "float"
-    slack = float_tolerance() if float_mode else 0
-    for alpha in set(g.coeffs) | set(f.coeffs):
-        if sum(alpha) > vd:
-            continue
-        fa = abs(f.coeffs.get(alpha, 0))
-        ga = g.coeffs.get(alpha, 0)
-        if float_mode:
-            fa, ga = to_number(fa, "float"), to_number(ga, "float")
-            if fa > ga + slack * max(fa, ga, mpf(1)):
-                return False
-        else:
-            if fa > ga:
-                return False
+    count = graded_count(g.dim, vd)
+    gs, fs = g.dense(count), f.dense(count)
+    if g.mode == "exact" and f.mode == "exact":
+        return all(abs(x) * g.den <= y * f.den for x, y in zip(fs, gs))
+    slack = float_tolerance()
+    g_decode, f_decode = g.arithmetic.decode, f.arithmetic.decode
+    for x, y in zip(fs, gs):
+        fa = to_number(abs(f_decode(x, f.den)), "float")
+        ga = to_number(g_decode(y, g.den), "float")
+        if fa > ga + slack * max(fa, ga, mpf(1)):
+            return False
     return True
 
 
 def dilate(f: MultiSeries, constant, h) -> MultiSeries:
     """constant * f(h*z) as a float series: C * h^{|alpha|} * f_alpha."""
-    c = to_mpf(constant)
-    hh = to_mpf(h)
-    coeffs = {alpha: c * hh ** sum(alpha) * v for alpha, v in f.coeffs.items()}
-    return MultiSeries(dim=f.dim, mode="float", coeffs=coeffs, valid_degree=f.valid_degree)
+    c, hh = to_mpf(constant), to_mpf(h)
+    if f.mode == "exact":
+        f = make_series(f.dim, {a: to_mpf(v) for a, v in f.coeffs.items()}, f.valid_degree,
+                        "float")
+    arith = arithmetic_of(f)
+    weights, _ = arith.encode([c * hh ** d for d in range(f.valid_degree + 1)])
+    scales = [weights[sum(alpha)] for alpha in f.indices()]
+    return MultiSeries(f.dim, arith, arith.mul(scales, f.elements(arith)), 1, f.valid_degree,
+                       f.ranks)
 
 
 def theta_series(a, s: Sequence, cutoff: int) -> MultiSeries:
@@ -321,7 +400,7 @@ def theta_series(a, s: Sequence, cutoff: int) -> MultiSeries:
     for alpha in indices_up_to(dim, cutoff):
         x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
         coeffs[alpha] = mpmath.gamma(1 + x + af) / mpmath.gamma(1 + x)
-    return MultiSeries(dim=dim, mode="float", coeffs=coeffs, valid_degree=cutoff)
+    return make_series(dim, coeffs, cutoff, "float")
 
 
 def formal_norm(f: MultiSeries, s: Sequence, cutoff: int, at: Optional[Sequence] = None) -> MultiSeries:
@@ -348,19 +427,13 @@ def formal_norm(f: MultiSeries, s: Sequence, cutoff: int, at: Optional[Sequence]
         g = moment_diff_z(f, ms, alpha)
         val = abs(to_number(evaluate(g, z0), "float"))
         x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
-        c = val / mpmath.gamma(1 + x)
-        if c != 0:
-            coeffs[alpha] = c
-    return MultiSeries(dim=f.dim, mode="float", coeffs=coeffs, valid_degree=cutoff)
+        coeffs[alpha] = val / mpmath.gamma(1 + x)
+    return make_series(f.dim, coeffs, cutoff, "float")
 
 
 def coefficient_rows(f: MultiSeries) -> list[list[str]]:
     """CSV rows (without header): alpha_1..alpha_N, re, im, sorted by degree."""
-    rows = []
-    for alpha in sorted(f.coeffs, key=lambda a: (sum(a), a)):
-        v = f.coeffs[alpha]
-        rows.append([str(a) for a in alpha] + list(_format_value(v)))
-    return rows
+    return [[str(a) for a in alpha] + list(_format_value(v)) for alpha, v in f.coeffs.items()]
 
 
 def _format_value(v) -> tuple[str, str]:

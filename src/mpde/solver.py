@@ -13,7 +13,8 @@ t^{M-j} a_{j,alpha}(t), and q = ord_t(a) - j + M.  The inner sum runs while
 n-p-j >= 0: the boundary index n-p-j = 0 contributes m0(n-p)/m0(0) = m0(n-p),
 which is exactly what term-by-term differentiation of t^{n-p} gives.  The
 residual check in the test suite adjudicates this convention against a
-recurrence that drops the boundary term (tests/helpers.py).
+recurrence that drops the boundary term (tests/helpers.py).  Every u_n is
+a ``series.MultiSeries``, kept as the elements of one arithmetic.
 """
 
 from __future__ import annotations
@@ -22,23 +23,14 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import add
 
 import mpmath
 from mpmath import mpf
 
 from .moments import combine, gamma_moment, regularity_constants
-from .precision import Arithmetic, arithmetic
-from .series import Grading, indices_up_to, to_kernel
-from .operators import (
-    KernelTimeSeries,
-    OperatorSpec,
-    TimeSeries,
-    borel_z,
-    kernel_arithmetic,
-    operator_numerators,
-)
+from .series import MultiSeries, arithmetic_of, graded_count, indices_up_to, series_scale
+from .operators import OperatorSpec, TimeSeries, borel_z, operator_numerators
 
 
 class ValidationFailure(ValueError):
@@ -97,10 +89,6 @@ class CauchyProblem:
     def mode(self) -> str:
         return self.initial[0].mode
 
-    def arithmetic(self) -> Arithmetic:
-        """The kernel arithmetic of the problem at the current precision."""
-        return kernel_arithmetic(self.spec, (*self.initial, *self.forcing.coeffs))
-
     @cached_property
     def validation(self) -> "ValidationReport":
         """``validate(self)``, computed at the first read and kept; the report
@@ -112,28 +100,17 @@ class CauchyProblem:
 class SolutionSeries:
     """Solution coefficients of the recurrence.
 
-    ``u`` holds every u_n truncated to the uniform report degree.
-    ``kernel`` keeps the full materialized degrees (decreasing in n) in
-    kernel form, which the residual check reads; ``working`` is the same
-    coefficients as a ``TimeSeries`` of ``MultiSeries``, built at its first
-    read.  For a majorant (``provenance == "majorant"``) ``kernel`` holds
-    only the coefficients in the ``dependency_cone`` of ``u``; its valid
-    degrees are those of the full recurrence.
+    ``u`` holds every u_n truncated to the uniform report degree, and
+    ``working`` the full materialized degrees (decreasing in n), which the
+    residual check reads.  For a majorant (``provenance == "majorant"``)
+    ``working`` holds only the ``dependency_cone`` of ``u``, in the layout of
+    its cone ranks; its valid degrees are those of the full recurrence.
     """
 
     u: TimeSeries
-    kernel: KernelTimeSeries
+    working: TimeSeries
     provenance: str
     report_degree: int
-
-    @classmethod
-    def from_working(cls, u: TimeSeries, working: TimeSeries, provenance: str,
-                     report_degree: int) -> "SolutionSeries":
-        """A solution given by its working coefficients as series, kept in
-        the arithmetic of their values."""
-        arith = arithmetic(working.mode, (v for c in working.coeffs for v in c.coeffs.values()))
-        return cls(u, KernelTimeSeries.of(working, Grading(working.dim), arith), provenance,
-                   report_degree)
 
     @property
     def n_max(self) -> int:
@@ -141,11 +118,7 @@ class SolutionSeries:
 
     @property
     def valid_degrees(self) -> tuple:
-        return self.kernel.valid_degrees
-
-    @cached_property
-    def working(self) -> TimeSeries:
-        return self.kernel.time_series()
+        return tuple(c.valid_degree for c in self.working.coeffs)
 
 
 # the time moment's regularity constants are estimated on n <= REGULARITY_N
@@ -260,31 +233,17 @@ def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     return cone
 
 
-def _scaled(vec: list, den: int, scale, arith: Arithmetic) -> tuple:
-    """scale * vec/den in kernel form, exact values in lowest terms."""
-    scale, scale_den = arith.scalar(scale)
-    vec = arith.scale(scale, vec)
-    den *= scale_den
-    if den != 1:
-        common = math.gcd(den, *vec)
-        if common != 1:
-            vec = [v // common for v in vec]
-            den //= common
-    return vec, den
-
-
 def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                  majorant_mode: bool = False) -> SolutionSeries:
     """Run the coefficient recurrence up to t^n_max.
 
     Initial data and forcing must be materialized to ``degree_budget`` so
     that every reported coefficient is provable; the returned u_n all carry
-    valid_degree = report_degree, and ``kernel`` keeps the full working
-    degrees.  Every u_n is computed and kept in the kernel form of
-    ``problem.arithmetic()``: each step sums g_n and its pieces
+    valid_degree = report_degree, and ``working`` keeps the full working
+    degrees.  Every u_n is a ``MultiSeries`` in the arithmetic that holds the
+    data and the operator's coefficients: each step sums g_n and its pieces
     c * D_z^alpha u_k (``ZKernel.diff``) as integers over one common
-    denominator (or as floats), and coefficients are decoded only for the
-    reported ``u``.
+    denominator (or as floats), and no coefficient is decoded.
 
     majorant_mode replaces data and coefficients by absolute values and flips
     the recurrence's subtraction to addition, producing the dominating
@@ -298,7 +257,8 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         raise ValidationFailure(problem.validation)
 
     spec = problem.spec
-    arith = problem.arithmetic()
+    arith = arithmetic_of(*problem.initial, *problem.forcing.coeffs,
+                          values=(a for t in spec.terms for a in t.coeff))
     mode = arith.mode
     m0 = spec.m0
     needed = degree_budget(spec, n_max, report_degree)
@@ -338,28 +298,27 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
             cs = {p: abs(v) for p, v in cs.items()}
         c_table[(term.j, term.alpha)] = cs
 
-    kernel = spec.z_kernel
-    grading = kernel.grading
-    steps, layouts = [], []   # u_k as (vec, den, valid degree); the majorant's graded ranks of u_k
+    kernel, dim = spec.z_kernel, spec.dim
+    steps = []   # u_k; the majorant's in the layout of its cone ranks
     if majorant_mode:
         cone = dependency_cone(spec, n_max, report_degree)
-        grading.extend(max(sum(beta) for indices in cone for beta in indices))
-        cone_ranks = [sorted(grading.rank[beta] for beta in indices) for indices in cone]
+        degree = max(sum(beta) for indices in cone for beta in indices)
+        rank = {beta: r for r, beta in enumerate(indices_up_to(dim, degree))}
+        cone_ranks = [sorted(map(rank.__getitem__, indices)) for indices in cone]
 
     def on_cone(n: int, vec: list, vd: int) -> tuple:
         """(|vec| at the ranks, the ranks): the cone's graded ranks of step n
         with degree <= vd."""
-        ranks = cone_ranks[n][: bisect_left(cone_ranks[n], grading.count(vd))]
+        ranks = cone_ranks[n][: bisect_left(cone_ranks[n], graded_count(dim, vd))]
         return arith.abs(map(vec.__getitem__, ranks)), ranks
 
     for j in range(min(spec.M, n_max + 1)):
         phi = problem.initial[j]
-        vec, den = to_kernel(phi, grading, phi.valid_degree, arith)
-        ranks = None
+        vec, ranks = phi.dense(graded_count(dim, phi.valid_degree), arith), None
         if majorant_mode:
             vec, ranks = on_cone(j, vec, phi.valid_degree)
-        steps.append((*_scaled(vec, den, m0.ratio(0, j, mode), arith), phi.valid_degree))
-        layouts.append(ranks)
+        steps.append(series_scale(MultiSeries(dim, arith, vec, phi.den, phi.valid_degree,
+                                              ranks), m0.ratio(0, j, mode)))
 
     # step n reads D_z^alpha u_k for k >= n - span only
     span = max((p for cs in c_table.values() for p in cs), default=0)
@@ -369,21 +328,23 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         """D_z^alpha u_k as (vec, denominator), all of it."""
         row = diff_cache.setdefault(k, {})
         if alpha not in row:
-            row[alpha] = kernel.diff(*steps[k], alpha, arith)[:2]
+            u_k = steps[k]
+            row[alpha] = kernel.diff(u_k.elements(arith), u_k.den, u_k.valid_degree, alpha,
+                                     arith)[:2]
         return row[alpha]
 
     def dz_on(k: int, alpha: tuple, ranks: list) -> tuple:
         """D_z^alpha u_k at the graded ranks ``ranks`` only, read from the
         cone layout of u_k, as (vec, denominator)."""
-        vec, den, vd = steps[k]
-        d_vd = kernel.degree(vd, alpha)
-        at = {r: i for i, r in enumerate(layouts[k])}
+        u_k = steps[k]
+        vec, d_vd = u_k.elements(arith), kernel.degree(u_k.valid_degree, alpha)
+        at = {r: i for i, r in enumerate(u_k.ranks)}
         sources = kernel.gather(alpha, d_vd)
         out = [vec[at[sources[r]]] for r in ranks]
         ratio_den, vectors = kernel.ratios(alpha, d_vd, arith)
         for ratios in vectors:
             out = arith.mul(out, map(ratios.__getitem__, ranks))
-        return out, den * ratio_den
+        return out, u_k.den * ratio_den
 
     sign = 1 if majorant_mode else -1
     for n in range(spec.M, n_max + 1):
@@ -398,10 +359,10 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                 if p > n - term.j:
                     continue
                 k = n - p
-                vd = min(vd, kernel.degree(steps[k][2], term.alpha))
+                vd = min(vd, kernel.degree(steps[k].valid_degree, term.alpha))
                 scalar, s_den = arith.scalar(sign * (c * m0.ratio(k, k - term.j, mode)))
                 reads.append((scalar, s_den, k, term.alpha))
-        g_vec, g_den = to_kernel(g_n, grading, vd, arith)
+        g_vec, g_den = g_n.dense(graded_count(dim, vd), arith), g_n.den
         ranks = None
         if majorant_mode:
             g_vec, ranks = on_cone(n, g_vec, vd)
@@ -417,15 +378,13 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
             if piece_den != den:
                 scalar = scalar * (den // piece_den)
             acc = arith.add_scaled(acc, scalar, d)
-        steps.append((*_scaled(acc, den, m0.ratio(n - spec.M, n, mode), arith), vd))
-        layouts.append(ranks)
+        steps.append(series_scale(MultiSeries(dim, arith, acc, den, vd, ranks),
+                                  m0.ratio(n - spec.M, n, mode)))
         diff_cache.pop(n - span, None)
 
-    working = KernelTimeSeries(grading, arith, tuple(steps),
-                               tuple(layouts) if majorant_mode else None)
     return SolutionSeries(
-        u=working.time_series(report_degree),
-        kernel=working,
+        u=TimeSeries(tuple(u_n.truncated(report_degree) for u_n in steps)),
+        working=TimeSeries(tuple(steps)),
         provenance="majorant" if majorant_mode else "direct",
         report_degree=report_degree,
     )
@@ -434,8 +393,8 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
 def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
     """The nonnegative dominating sequence: same recurrence on absolute values.
 
-    ``u`` is the full majorant truncated to ``report_degree``; ``kernel`` (and
-    so ``working``) holds only the ``dependency_cone`` of those coefficients.
+    ``u`` is the full majorant truncated to ``report_degree``; ``working``
+    holds only the ``dependency_cone`` of those coefficients.
     """
     return solve_formal(problem, n_max, report_degree, majorant_mode=True)
 
@@ -444,7 +403,7 @@ def solve_via_borel(problem: CauchyProblem, n_max: int, report_degree: int = 0) 
     """Solve the z-Borel-transformed problem, then map back."""
     bsol = solve_formal(borel_problem(problem), n_max, report_degree)
     quotients = space_borel_quotients(problem.spec)
-    return SolutionSeries.from_working(
+    return SolutionSeries(
         u=borel_z(bsol.u, quotients, inverse=True),
         working=borel_z(bsol.working, quotients, inverse=True),
         provenance="via-borel",
@@ -462,19 +421,18 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
     +inf if a zero envelope meets a nonzero residual, which indicates a
     genuine defect).
     """
-    forcing = problem.forcing
-    # a solution given as series is kept in the arithmetic of its values,
-    # which need not hold the operator's coefficients or the forcing
-    kernel = sol.kernel.holding(chain((a for t in problem.spec.terms for a in t.coeff),
-                                      (v for f in forcing.coeffs for v in f.coeffs.values())))
-    arith, zero = kernel.arithmetic, kernel.arithmetic.zero
+    forcing, u = problem.forcing, sol.working
+    # the solution need not hold the operator's coefficients or the forcing
+    arith = arithmetic_of(*u.coeffs, *forcing.coeffs,
+                          values=(a for t in problem.spec.terms for a in t.coeff))
+    zero = arith.zero
     worst = mpf(0)
-    for n, (values, env, den, vd) in enumerate(operator_numerators(problem.spec, kernel)):
+    for n, (values, env, den, vd) in enumerate(operator_numerators(problem.spec, u, arith)):
         if n > forcing.n_max:
             break
         f_n = forcing.coeffs[n]
         vd = min(vd, f_n.valid_degree)
-        f_nums, f_den = to_kernel(f_n, kernel.grading, vd, arith)
+        f_nums, f_den = f_n.dense(graded_count(f_n.dim, vd), arith), f_n.den
         common = math.lcm(den, f_den)
         if common != den:
             values = arith.scale(common // den, values)

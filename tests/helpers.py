@@ -38,9 +38,9 @@ from mpde import (
     tabulated_moment,
     zero_series,
 )
-from mpde.operators import KernelTimeSeries, kernel_arithmetic, operator_numerators
+from mpde.operators import operator_numerators
 from mpde.precision import float_tolerance, to_mpf, to_number
-from mpde.series import from_kernel
+from mpde.series import arithmetic_of
 from mpde.solver import degree_budget
 
 
@@ -63,7 +63,7 @@ def truncate_series(f: MultiSeries, degree: int) -> MultiSeries:
     """Restrict to |alpha| <= min(degree, valid_degree)."""
     vd = min(degree, f.valid_degree)
     coeffs = {a: v for a, v in f.coeffs.items() if sum(a) <= vd}
-    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=vd)
+    return make_series(f.dim, coeffs, vd, f.mode)
 
 
 def polygon_contains(poly, point) -> bool:
@@ -111,6 +111,86 @@ def series_equal(a: MultiSeries, b: MultiSeries) -> bool:
             if abs(va - vb) > float_tolerance() * max(abs(va), abs(vb), mpf(1)):
                 return False
     return True
+
+
+# Per-coefficient arithmetic on the ``coeffs`` dicts, in Fraction, mpf and
+# mpc values: the oracle of the vector operations of ``mpde.series``.
+
+def add_reference(a: MultiSeries, b: MultiSeries) -> tuple:
+    """(coefficients, valid degree) of a + b."""
+    vd = min(a.valid_degree, b.valid_degree)
+    out = {}
+    for alpha in set(a.coeffs) | set(b.coeffs):
+        if sum(alpha) <= vd:
+            v = a.coeffs.get(alpha, 0) + b.coeffs.get(alpha, 0)
+            if v != 0:
+                out[alpha] = v
+    return out, vd
+
+
+def scale_reference(f: MultiSeries, scalar) -> dict:
+    scalar = to_number(scalar, f.mode)
+    return {alpha: scalar * v for alpha, v in f.coeffs.items()} if scalar != 0 else {}
+
+
+def majorant_reference(f: MultiSeries) -> dict:
+    return {alpha: abs(v) for alpha, v in f.coeffs.items()}
+
+
+def sup_bound_reference(f: MultiSeries, r):
+    exact = f.mode == "exact" and isinstance(r, (int, Fraction))
+    r = Fraction(r) if exact else to_mpf(r)
+    total = Fraction(0) if exact else mpf(0)
+    for alpha, v in f.coeffs.items():
+        total += abs(v if exact else to_number(v, "float")) * r ** sum(alpha)
+    return total
+
+
+def majorizes_reference(g: MultiSeries, f: MultiSeries) -> bool:
+    vd = min(g.valid_degree, f.valid_degree)
+    float_mode = "float" in (g.mode, f.mode)
+    slack = float_tolerance() if float_mode else 0
+    for alpha in set(g.coeffs) | set(f.coeffs):
+        if sum(alpha) > vd:
+            continue
+        fa, ga = abs(f.coeffs.get(alpha, 0)), g.coeffs.get(alpha, 0)
+        if float_mode:
+            fa, ga = to_number(fa, "float"), to_number(ga, "float")
+            if fa > ga + slack * max(fa, ga, mpf(1)):
+                return False
+        elif fa > ga:
+            return False
+    return True
+
+
+def borel_z_reference(f: MultiSeries, m_prime, inverse: bool = False) -> dict:
+    out = {}
+    for alpha, v in f.coeffs.items():
+        for mj, aj in zip(m_prime, alpha):
+            if aj:
+                v = v * (mj.ratio(aj, 0, f.mode) if inverse else mj.ratio(0, aj, f.mode))
+        if v != 0:
+            out[alpha] = v
+    return out
+
+
+def evaluate_reference(f: MultiSeries, point):
+    exact = f.mode == "exact" and all(isinstance(p, (int, Fraction)) for p in point)
+    pt = [Fraction(p) if exact else to_number(p, "float") for p in point]
+    total = Fraction(0) if exact else mpf(0)
+    for alpha, v in sorted(f.coeffs.items()):
+        term = v if exact else to_number(v, "float")
+        for p, a in zip(pt, alpha):
+            if a:
+                term = term * p ** a
+        total += term
+    return total
+
+
+def dilate_reference(f: MultiSeries, constant, h) -> dict:
+    c, hh = to_mpf(constant), to_mpf(h)
+    out = {alpha: c * hh ** sum(alpha) * to_number(v, "float") for alpha, v in f.coeffs.items()}
+    return {alpha: v for alpha, v in out.items() if v != 0}
 
 
 def rational_ratio_moments():
@@ -281,8 +361,8 @@ def solve_formal_reference(problem: CauchyProblem, n_max: int, report_degree: in
     reported = working.map_z(lambda c: truncate_series(c, report_degree))
     provenance = "dropped-boundary" if drop_boundary else (
         "majorant" if majorant_mode else "direct")
-    return SolutionSeries.from_working(u=reported, working=working, provenance=provenance,
-                                       report_degree=report_degree)
+    return SolutionSeries(u=reported, working=working, provenance=provenance,
+                          report_degree=report_degree)
 
 
 def on_cone(sol: SolutionSeries, cone) -> list:
@@ -311,7 +391,7 @@ def moment_diff_z_reference(f, m, alpha):
                 factor = factor * mj.ratio(bj + aj, bj, f.mode)
         if factor != 0:
             coeffs[beta] = factor
-    return MultiSeries(dim=f.dim, mode=f.mode, coeffs=coeffs, valid_degree=new_valid)
+    return make_series(f.dim, coeffs, new_valid, f.mode)
 
 
 def _coeff_product(scalars, truncation, w, mode):
@@ -362,11 +442,10 @@ def apply_operator_reference(spec, u, absolute=False):
 
 def operator_pairs_view(spec, u):
     """(P(u)_n, envelope_n) per t-order as series: ``operator_numerators``,
-    the kernel the residual runs, on the kernel form of u, with its output
-    turned back into series (zeros dropped)."""
-    grading, arith = spec.z_kernel.grading, kernel_arithmetic(spec, u.coeffs)
-    for values, env, den, vd in operator_numerators(spec, KernelTimeSeries.of(u, grading, arith)):
-        yield tuple(from_kernel(vec, den, vd, grading, arith) for vec in (values, env))
+    the kernel the residual runs, with its output turned into series."""
+    arith = arithmetic_of(*u.coeffs, values=(a for t in spec.terms for a in t.coeff))
+    for values, env, den, vd in operator_numerators(spec, u, arith):
+        yield tuple(MultiSeries(u.dim, arith, vec, den, vd) for vec in (values, env))
 
 
 def residual_max_relative_two_pass(problem, sol):

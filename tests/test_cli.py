@@ -16,8 +16,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpde import MultiSeries, cli, pipeline, solver, tabulated_moment
+from mpde import cli, pipeline, solver, tabulated_moment
 from mpde.cli import _report_dict, main, run_pipeline
+from mpde.precision import EXACT
 from mpde.problemspec import materialize_problem, parse_problem_file
 from helpers import solve_formal_reference
 
@@ -292,26 +293,25 @@ class TestValidateOnce:
 
 class TestKernelForm:
     def test_run_builds_no_unreported_coefficient(self, monkeypatch):
-        # the working coefficients stay in kernel form: pipeline.run builds
-        # series (so Fractions) for the data and the reported u only, and the
-        # lazy working view waits for its first read
+        # every series holds its coefficients as integer numerators over one
+        # denominator: materializing the data decodes no value, pipeline.run
+        # decodes one (so builds one Fraction) per reported coefficient of
+        # the solve and the majorant, and no working series builds its
+        # coefficient dict before its first read
         spec_file = parse_problem_file(HEAT, overrides={"n_max": 12})
-        original = MultiSeries.__init__
-        built = []
+        decoded = []
 
-        def counting(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            built.append(len(self.coeffs))
+        def counting(x, den):
+            decoded.append(x)
+            return Fraction(x, den)
 
-        monkeypatch.setattr(MultiSeries, "__init__", counting)
+        monkeypatch.setitem(vars(EXACT), "decode", counting)
         data = materialize_problem(spec_file)
-        in_data = sum(built)
-        built.clear()
         result = pipeline.run(spec_file)
         sol = result.solution
-        assert "working" not in vars(sol)
+        assert not any("coeffs" in vars(c) for c in sol.working.coeffs)
         # the solve's and the majorant's u: one coefficient per t-order each
-        assert sum(built) == in_data + 2 * 13
+        assert len(decoded) == 2 * 13
         monkeypatch.undo()
         assert sol.valid_degrees == tuple(2 * (12 - n) for n in range(13))
         want = solve_formal_reference(data, 12)
@@ -528,6 +528,43 @@ class TestMalformedDocuments:
         assert code == 1
         assert err.startswith("error: condition term_order") and "Traceback" not in err
         assert "first nonzero stored coefficient at t^0" in err
+
+
+def _set_data(problem: Path, field: str, value) -> dict:
+    doc = json.loads(problem.read_text())
+    doc["data"][field] = value
+    return doc
+
+
+GEVREY_HALF = {"kind": "gevrey_factorial", "sigma": "1/2"}
+# (problem document, the field path the error line names)
+GENERATOR_ERRORS = {
+    "polynomial_in_two_variables": (
+        _set_data(PRODUCT2D, "initial", [{"kind": "polynomial", "coeffs": ["1", "2"]}]),
+        "data.initial[0]"),
+    "fractional_sigma_exact": (_set_data(HEAT, "initial", [GEVREY_HALF]), "data.initial[0]"),
+    "negative_sigma": (
+        _set_data(HEAT, "initial", [{"kind": "gevrey_factorial", "sigma": "-1"}]),
+        "data.initial[0]"),
+    "fractional_sigma_exact_forcing": (
+        _set_data(HEAT, "forcing", {"kind": "time_geometric", "ratio": "1/2",
+                                    "space": GEVREY_HALF}),
+        "data.forcing.space"),
+}
+
+
+class TestGeneratorErrors:
+    @pytest.mark.parametrize("doc, field", GENERATOR_ERRORS.values(),
+                             ids=GENERATOR_ERRORS.keys())
+    def test_error_names_the_field(self, tmp_path, capsys, doc, field):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", str(spec), "--out", str(out), "--n-max", "12", "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+        assert "make_series" not in err
+        assert not out.exists() or not any(out.iterdir())
 
 
 def _paths(node, prefix=()):

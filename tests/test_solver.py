@@ -24,6 +24,7 @@ from mpde import (
     solve_formal,
     solve_majorant,
     solve_via_borel,
+    tabulated_moment,
     validate,
     zero_series,
 )
@@ -124,6 +125,19 @@ class TestBorelProblem:
     def test_zero_forcing_stays_zero(self):
         prob = heat_problem(5)
         assert all(not c.coeffs for c in borel_problem(prob).forcing.coeffs)
+
+    def test_short_table_reads_only_stored_degrees(self):
+        # m1 is known to degree 3 only, far below the valid degree 10:
+        # psi_l = phi_l * m1(l) / l! needs m1 where phi is nonzero, no further
+        m1 = tabulated_moment([1, 1, Fraction(5, 2), 4], order=1)
+        spec = OperatorSpec(M=1, m0=G1, m=(m1,),
+                            terms=(OperatorTerm(j=0, alpha=(1,), coeff=(Fraction(1),)),))
+        phi = generator_series("polynomial", 1, 10, coeffs=[1, 0, 0, Fraction(1, 3)])
+        prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 5))
+        bp = borel_problem(prob)
+        assert bp.initial[0].coeffs == {(0,): 1, (3,): Fraction(4, 18)}
+        assert bp.initial[0].valid_degree == 10
+        assert all(not c.coeffs for c in bp.forcing.coeffs)
 
 
 class TestSolveFormal:
@@ -267,8 +281,8 @@ class TestResidual:
         c3 = dict(bumped[3].coeffs)
         c3[(2,)] = c3.get((2,), Fraction(0)) + 1
         bumped[3] = make_series(1, c3, bumped[3].valid_degree)
-        sol2 = SolutionSeries.from_working(sol.u, TimeSeries(tuple(bumped)), sol.provenance,
-                                           sol.report_degree)
+        sol2 = SolutionSeries(sol.u, TimeSeries(tuple(bumped)), sol.provenance,
+                              sol.report_degree)
         # the forcing is zero, so the residual is P(u)
         res = apply_operator(prob.spec, sol2.working)
         # P(delta) with delta = t^3 z^2: D_t -> 3 t^2 z^2; -D_z^2 -> -2 t^3
@@ -290,7 +304,7 @@ class TestResidual:
         prob = CauchyProblem(spec=spec, initial=(zero_series(1, 8, "float"),),
                              forcing=zero_forcing(spec, 8, 0, "float"))
         sol = solve_via_borel(prob, 8, 0)
-        assert sol.kernel.arithmetic.name == "real"
+        assert {c.arithmetic.name for c in sol.working.coeffs} == {"real"}
         assert residual_max_relative(prob, sol) == 0
         bump = bumped(sol, 4, (1,), mpmath.mpf(1) / 7)
         assert residual_max_relative(prob, bump) == residual_max_relative_two_pass(prob, bump) > 0
@@ -335,14 +349,11 @@ def oracle_problem(terms, M, m, mode, n_max, twist=1, m0=G1, report_degree=0):
 
 def bumped(sol, n, alpha, delta):
     """sol with delta added to its working coefficient (n, alpha)."""
-    from dataclasses import replace
-
     coeffs = list(sol.working.coeffs)
     c = dict(coeffs[n].coeffs)
     c[alpha] = c.get(alpha, 0) + delta
-    coeffs[n] = replace(coeffs[n], coeffs=c)
-    return SolutionSeries.from_working(sol.u, TimeSeries(tuple(coeffs)), sol.provenance,
-                                       sol.report_degree)
+    coeffs[n] = make_series(coeffs[n].dim, c, coeffs[n].valid_degree, coeffs[n].mode)
+    return SolutionSeries(sol.u, TimeSeries(tuple(coeffs)), sol.provenance, sol.report_degree)
 
 
 RATIONAL_M0, RATIONAL_M = rational_ratio_moments()
@@ -587,11 +598,9 @@ class TestDependencyCone:
 
 def as_float(problem):
     """The same problem with every data coefficient converted to float mode."""
-    from dataclasses import replace
-
     def convert(f):
-        return replace(f, mode="float", coeffs={a: to_number(v, "float")
-                                                for a, v in f.coeffs.items()})
+        return make_series(f.dim, {a: to_number(v, "float") for a, v in f.coeffs.items()},
+                           f.valid_degree, "float")
 
     return CauchyProblem(spec=problem.spec,
                          initial=tuple(convert(phi) for phi in problem.initial),

@@ -281,7 +281,8 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
     arith, mode = arithmetic_of(f), f.mode
     vec, den, zero = f.elements(arith), f.den, arith.zero
     # the moments are read at the degrees of the nonzero entries only
-    held = [alpha if x != zero else None for alpha, x in zip(f.indices(), vec)]
+    held = [alpha if x != zero else None
+            for alpha, x in zip(indices_up_to(f.dim, f.valid_degree), vec)]
     for j, mj in enumerate(m_prime):
         degrees = sorted({alpha[j] for alpha in held if alpha})
         nums, ratio_den = arith.encode([
@@ -290,7 +291,7 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
         factor = dict(zip(degrees, nums))
         vec = arith.mul(vec, [factor[alpha[j]] if alpha else zero for alpha in held])
         den *= ratio_den
-    return _reduced(f.dim, arith, vec, den, f.valid_degree, f.ranks)
+    return _reduced(f.dim, arith, vec, den, f.valid_degree)
 
 
 def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) -> Iterator[tuple]:
@@ -308,8 +309,6 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
     across terms.  Only the D_t and D_z results that later orders still read
     are kept.
     """
-    if any(c.ranks is not None for c in u.coeffs):
-        raise ValueError("the operator reads series over the whole graded layout")
     n_max = u.n_max
     if n_max < spec.M:
         raise ValueError(f"need n_max >= M = {spec.M}, got {n_max}")

@@ -278,8 +278,6 @@ def _materialize_generator(desc: dict, dim: int, degree: int, mode: str, path: s
         coeffs = [_parse_value(c, mode, f"{path}.coeffs[{k}]")
                   for k, c in enumerate(_parse_list(_get(desc, "coeffs", path),
                                                     f"{path}.coeffs"))]
-        if len(coeffs) - 1 > degree:
-            _fail(f"{path}.coeffs", f"polynomial degree exceeds the budget {degree}")
         params = {"coeffs": coeffs}
     elif kind == "gevrey_factorial":
         params = {"sigma": _parse_fraction(_get(desc, "sigma", path), f"{path}.sigma")}

@@ -15,20 +15,19 @@ elements of one ``precision.Arithmetic`` over the graded order of
 prefix, and one denominator ``den``.  Exact elements are integer numerators
 over ``den``; float elements are raw ``mpmath.libmp`` tuples for real data
 and mpmath numbers for complex data, with ``den`` 1.  ``vec`` may end early,
-the entries after its end being zero, so sparse data stay small.  When
-``ranks`` is set, ``vec[i]`` sits at the graded rank ``ranks[i]``
-(increasing), as in the majorant's dependency cone.  ``coeffs``, the
-index -> value dict with zeros dropped, is decoded at its first read.
+the entries after its end being zero, so sparse data stay small; zeros may
+also sit between values, as in the majorant, which fills every rank outside
+its dependency cone with zero.  ``coeffs``, the index -> value dict with
+zeros dropped, is decoded at its first read.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import mpmath
 from mpmath import mpc, mpf
@@ -94,7 +93,6 @@ class MultiSeries:
     vec: list
     den: int = 1
     valid_degree: int = 0
-    ranks: Optional[Sequence] = None
 
     def __post_init__(self):
         arith = self.arithmetic
@@ -112,23 +110,16 @@ class MultiSeries:
         """index -> value, zeros dropped, in graded order; built at the first
         read."""
         decode, zero, den = self.arithmetic.decode, self.arithmetic.zero, self.den
-        return {alpha: decode(x, den) for alpha, x in zip(self.indices(), self.vec) if x != zero}
-
-    def indices(self) -> Iterator[Index]:
-        """The index of each entry of ``vec``, in order."""
-        indices = indices_up_to(self.dim, self.valid_degree)
-        if self.ranks is None:
-            return indices
-        held = set(self.ranks)
-        return (alpha for r, alpha in enumerate(indices) if r in held)
+        return {alpha: decode(x, den)
+                for alpha, x in zip(indices_up_to(self.dim, self.valid_degree), self.vec)
+                if x != zero}
 
     def coefficient(self, alpha: Index):
         alpha, x = tuple(alpha), self.arithmetic.zero
         if len(alpha) == self.dim and min(alpha) >= 0 and sum(alpha) <= self.valid_degree:
             r = graded_rank(alpha)
-            i = r if self.ranks is None else bisect_left(self.ranks, r)
-            if i < len(self.vec) and (self.ranks is None or self.ranks[i] == r):
-                x = self.vec[i]
+            if r < len(self.vec):
+                x = self.vec[r]
         if x == self.arithmetic.zero:
             return Fraction(0) if self.mode == "exact" else mpf(0)
         return self.arithmetic.decode(x, self.den)
@@ -147,25 +138,15 @@ class MultiSeries:
         where the series stores none, and ``vec`` itself when it is that."""
         arith = arith or self.arithmetic
         vec = self.vec if arith is self.arithmetic else self.elements(arith)
-        zero = arith.zero
-        if self.ranks is not None:
-            out = [zero] * count
-            for r, x in zip(self.ranks, vec):
-                if r >= count:
-                    break
-                out[r] = x
-            return out
         if len(vec) != count:
-            vec = vec[:count] + [zero] * (count - len(vec))
+            vec = vec[:count] + [arith.zero] * (count - len(vec))
         return vec
 
     def truncated(self, degree: int) -> "MultiSeries":
         """The series restricted to |alpha| <= min(degree, valid_degree)."""
         vd = min(degree, self.valid_degree)
-        count, ranks = graded_count(self.dim, vd), self.ranks
-        end = count if ranks is None else bisect_left(ranks, count)
-        return MultiSeries(self.dim, self.arithmetic, self.vec[:end], self.den, vd,
-                           ranks and ranks[:end])
+        return MultiSeries(self.dim, self.arithmetic, self.vec[:graded_count(self.dim, vd)],
+                           self.den, vd)
 
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
@@ -178,15 +159,14 @@ class MultiSeries:
                 f"stored={len(self.vec)}, arithmetic={self.arithmetic.name!r})")
 
 
-def _reduced(dim: int, arith: Arithmetic, vec: list, den: int, valid_degree: int,
-             ranks: Optional[Sequence] = None) -> MultiSeries:
+def _reduced(dim: int, arith: Arithmetic, vec: list, den: int, valid_degree: int) -> MultiSeries:
     """The series vec/den, exact values over their least common denominator."""
     if den != 1:
         common = math.gcd(den, *vec)
         if common != 1:
             vec = [v // common for v in vec]
             den //= common
-    return MultiSeries(dim, arith, vec, den, valid_degree, ranks)
+    return MultiSeries(dim, arith, vec, den, valid_degree)
 
 
 def arithmetic_of(*series: MultiSeries, values: Iterable = ()) -> Arithmetic:
@@ -259,7 +239,7 @@ def generator_series(kind: str, dim: int, degree: int, mode: str = "exact",
         if dim != 1:
             raise ValueError(f"a polynomial series is univariate, got {dim} variables")
         if len(coeffs) - 1 > degree:
-            raise ValueError("polynomial longer than the degree")
+            raise ValueError(f"polynomial of degree {len(coeffs) - 1} exceeds the degree {degree}")
         return make_series(1, {(l,): v for l, v in enumerate(coeffs)}, degree, mode)
     if kind == "gevrey_factorial":
         sigma = Fraction(sigma)
@@ -301,7 +281,7 @@ def series_scale(f: MultiSeries, scalar) -> MultiSeries:
     arith = arithmetic_of(f, values=(scalar,))
     (c,), c_den = arith.encode((scalar,))
     return _reduced(f.dim, arith, arith.scale(c, f.elements(arith)), f.den * c_den,
-                    f.valid_degree, f.ranks)
+                    f.valid_degree)
 
 
 def evaluate(f: MultiSeries, point: Sequence) -> object:
@@ -324,8 +304,7 @@ def evaluate(f: MultiSeries, point: Sequence) -> object:
 def majorant(f: MultiSeries) -> MultiSeries:
     """Coefficientwise absolute value (complex moduli become mpf)."""
     arith = arithmetic_of(f)
-    return MultiSeries(f.dim, arith, arith.abs(f.elements(arith)), f.den, f.valid_degree,
-                       f.ranks)
+    return MultiSeries(f.dim, arith, arith.abs(f.elements(arith)), f.den, f.valid_degree)
 
 
 def sup_bound(f: MultiSeries, r):
@@ -382,9 +361,9 @@ def dilate(f: MultiSeries, constant, h) -> MultiSeries:
                         "float")
     arith = arithmetic_of(f)
     weights, _ = arith.encode([c * hh ** d for d in range(f.valid_degree + 1)])
-    scales = [weights[sum(alpha)] for alpha in f.indices()]
-    return MultiSeries(f.dim, arith, arith.mul(scales, f.elements(arith)), 1, f.valid_degree,
-                       f.ranks)
+    indices = indices_up_to(f.dim, f.valid_degree)
+    scales = [weights[sum(alpha)] for alpha, _ in zip(indices, f.vec)]
+    return MultiSeries(f.dim, arith, arith.mul(scales, f.elements(arith)), 1, f.valid_degree)
 
 
 def theta_series(a, s: Sequence, cutoff: int) -> MultiSeries:

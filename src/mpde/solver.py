@@ -20,16 +20,14 @@ a ``series.MultiSeries``, kept as the elements of one arithmetic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 
 import mpmath
 from mpmath import mpf
 
 from .moments import combine, gamma_moment, regularity_constants
-from .series import MultiSeries, arithmetic_of, graded_count, indices_up_to, series_scale
+from .series import MultiSeries, _reduced, arithmetic_of, graded_count
 from .operators import OperatorSpec, TimeSeries, borel_z, operator_numerators
 
 
@@ -103,8 +101,9 @@ class SolutionSeries:
     ``u`` holds every u_n truncated to the uniform report degree, and
     ``working`` the full materialized degrees (decreasing in n), which the
     residual check reads.  For a majorant (``provenance == "majorant"``)
-    ``working`` holds only the ``dependency_cone`` of ``u``, in the layout of
-    its cone ranks; its valid degrees are those of the full recurrence.
+    ``working`` holds only the dependency cone of ``u``: each vector is
+    zero off the cone and ends at its last cone rank, and its valid degrees
+    are those of the full recurrence.
     """
 
     u: TimeSeries
@@ -213,24 +212,30 @@ def _shifted_coefficients(term, M: int, n_max: int) -> dict:
 
 
 def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
-    """For each k in 0..n_max, the set of z-indices of u_k that some reported
-    coefficient (|beta| <= report_degree, any n) reads through the recurrence.
+    """For each k in 0..n_max, the sorted graded ranks of the z-indices of
+    u_k that some reported coefficient (|beta| <= report_degree, any n)
+    reads through the recurrence.
 
     Step n reads (D_z^alpha u_{n-p})_beta = const * (u_{n-p})_{beta+alpha} for
     every term (j, alpha) and every nonzero c_{j,alpha,p} with p <= n - j, so
-    the walk from n_max down to M adds cone[n] + alpha to cone[n - p].
+    the walk from n_max down to M maps cone[n] through the gather map of
+    alpha into cone[n - p].  It relies on validate's term_order: every shift
+    p is at least 1, so step n's cone stays within
+    ``degree_budget(spec, n_max, report_degree, n)`` and one gather map per
+    alpha, to the budget of step M, covers every step.
     """
-    reported = set(indices_up_to(spec.dim, report_degree))
-    cone = [set(reported) for _ in range(n_max + 1)]
-    pieces = [(term.j, term.alpha, _shifted_coefficients(term, spec.M, n_max))
-              for term in spec.terms]
+    kernel = spec.z_kernel
+    top = degree_budget(spec, n_max, report_degree, spec.M)
+    cone = [set(range(graded_count(spec.dim, report_degree))) for _ in range(n_max + 1)]
+    pieces = [(term.j, kernel.gather(term.alpha, top),
+               _shifted_coefficients(term, spec.M, n_max)) for term in spec.terms]
     for n in range(n_max, spec.M - 1, -1):
-        for j, alpha, cs in pieces:
-            shifted = {tuple(map(add, beta, alpha)) for beta in cone[n]}
+        for j, sources, cs in pieces:
+            shifted = set(map(sources.__getitem__, cone[n]))
             for p in cs:
                 if p <= n - j:
                     cone[n - p] |= shifted
-    return cone
+    return [sorted(ranks) for ranks in cone]
 
 
 def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
@@ -248,10 +253,11 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
     majorant_mode replaces data and coefficients by absolute values and flips
     the recurrence's subtraction to addition, producing the dominating
     sequence.  It computes only the ``dependency_cone`` of the reported
-    coefficients: each step's layout is the cone's graded ranks, its pieces
-    gather from the cone layout of u_k, and each kept coefficient equals the
-    full recurrence's (same pieces summed in the same order); ``u`` is the
-    full recurrence's.
+    coefficients: each step sums its pieces at the cone's graded ranks,
+    gathering from the stored u_k, and each kept coefficient equals the full
+    recurrence's (same pieces summed in the same order).  The step is stored
+    as a vector that is zero off the cone and ends at its last cone rank;
+    ``u`` is the full recurrence's.
     """
     if not problem.validation.passed:
         raise ValidationFailure(problem.validation)
@@ -299,26 +305,30 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         c_table[(term.j, term.alpha)] = cs
 
     kernel, dim = spec.z_kernel, spec.dim
-    steps = []   # u_k; the majorant's in the layout of its cone ranks
-    if majorant_mode:
-        cone = dependency_cone(spec, n_max, report_degree)
-        degree = max(sum(beta) for indices in cone for beta in indices)
-        rank = {beta: r for r, beta in enumerate(indices_up_to(dim, degree))}
-        cone_ranks = [sorted(map(rank.__getitem__, indices)) for indices in cone]
+    # the majorant's steps hold the cone ranks only; every one lies below the
+    # count of the step's valid degree, which is at least its degree_budget
+    cone = dependency_cone(spec, n_max, report_degree) if majorant_mode else None
 
-    def on_cone(n: int, vec: list, vd: int) -> tuple:
-        """(|vec| at the ranks, the ranks): the cone's graded ranks of step n
-        with degree <= vd."""
-        ranks = cone_ranks[n][: bisect_left(cone_ranks[n], graded_count(dim, vd))]
-        return arith.abs(map(vec.__getitem__, ranks)), ranks
+    def step(vec: list, den: int, vd: int, ratio, n: int) -> MultiSeries:
+        """u_n = ratio * vec/den; for the majorant, vec holds |values| at the
+        cone ranks of step n, scaled before the zeros off the cone fill in."""
+        scalar, s_den = arith.scalar(ratio)
+        vec = arith.scale(scalar, vec)
+        if majorant_mode:
+            values, vec = vec, [arith.zero] * (cone[n][-1] + 1)
+            for r, x in zip(cone[n], values):
+                vec[r] = x
+        return _reduced(dim, arith, vec, den * s_den, vd)
 
+    def on_cone(n: int, vec: list) -> list:
+        """|vec| at the cone ranks of step n (the majorant), else vec."""
+        return arith.abs(map(vec.__getitem__, cone[n])) if majorant_mode else vec
+
+    steps = []
     for j in range(min(spec.M, n_max + 1)):
         phi = problem.initial[j]
-        vec, ranks = phi.dense(graded_count(dim, phi.valid_degree), arith), None
-        if majorant_mode:
-            vec, ranks = on_cone(j, vec, phi.valid_degree)
-        steps.append(series_scale(MultiSeries(dim, arith, vec, phi.den, phi.valid_degree,
-                                              ranks), m0.ratio(0, j, mode)))
+        vec = on_cone(j, phi.dense(graded_count(dim, phi.valid_degree), arith))
+        steps.append(step(vec, phi.den, phi.valid_degree, m0.ratio(0, j, mode), j))
 
     # step n reads D_z^alpha u_k for k >= n - span only
     span = max((p for cs in c_table.values() for p in cs), default=0)
@@ -334,13 +344,13 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         return row[alpha]
 
     def dz_on(k: int, alpha: tuple, ranks: list) -> tuple:
-        """D_z^alpha u_k at the graded ranks ``ranks`` only, read from the
-        cone layout of u_k, as (vec, denominator)."""
+        """D_z^alpha u_k at the graded ranks ``ranks`` only, as (vec,
+        denominator); the cone's closure keeps every source inside u_k's
+        vector."""
         u_k = steps[k]
         vec, d_vd = u_k.elements(arith), kernel.degree(u_k.valid_degree, alpha)
-        at = {r: i for i, r in enumerate(u_k.ranks)}
         sources = kernel.gather(alpha, d_vd)
-        out = [vec[at[sources[r]]] for r in ranks]
+        out = [vec[sources[r]] for r in ranks]
         ratio_den, vectors = kernel.ratios(alpha, d_vd, arith)
         for ratios in vectors:
             out = arith.mul(out, map(ratios.__getitem__, ranks))
@@ -362,13 +372,10 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                 vd = min(vd, kernel.degree(steps[k].valid_degree, term.alpha))
                 scalar, s_den = arith.scalar(sign * (c * m0.ratio(k, k - term.j, mode)))
                 reads.append((scalar, s_den, k, term.alpha))
-        g_vec, g_den = g_n.dense(graded_count(dim, vd), arith), g_n.den
-        ranks = None
-        if majorant_mode:
-            g_vec, ranks = on_cone(n, g_vec, vd)
+        g_vec, g_den = on_cone(n, g_n.dense(graded_count(dim, vd), arith)), g_n.den
         pieces = []
         for scalar, s_den, k, alpha in reads:
-            d, d_den = dz_on(k, alpha, ranks) if majorant_mode else dz(k, alpha)
+            d, d_den = dz_on(k, alpha, cone[n]) if majorant_mode else dz(k, alpha)
             pieces.append((scalar, s_den * d_den, d))
         den = math.lcm(g_den, *(piece_den for _, piece_den, _ in pieces))
         acc = g_vec
@@ -378,8 +385,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
             if piece_den != den:
                 scalar = scalar * (den // piece_den)
             acc = arith.add_scaled(acc, scalar, d)
-        steps.append(series_scale(MultiSeries(dim, arith, acc, den, vd, ranks),
-                                  m0.ratio(n - spec.M, n, mode)))
+        steps.append(step(acc, den, vd, m0.ratio(n - spec.M, n, mode), n))
         diff_cache.pop(n - span, None)
 
     return SolutionSeries(
@@ -394,7 +400,8 @@ def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -
     """The nonnegative dominating sequence: same recurrence on absolute values.
 
     ``u`` is the full majorant truncated to ``report_degree``; ``working``
-    holds only the ``dependency_cone`` of those coefficients.
+    holds only the ``dependency_cone`` of those coefficients, with zeros at
+    every other rank.
     """
     return solve_formal(problem, n_max, report_degree, majorant_mode=True)
 

@@ -7,7 +7,7 @@ heat-solution oracle differentiates coefficient lists by hand, the
 dropped-boundary recurrence is a wrong convention the residual must reject,
 the z-derivative oracle looks up one moment ratio per coefficient, and the
 two-pass residual applies the whole operator once signed and once to
-absolute values.  ``truncate_series``, ``polygon_contains`` and
+absolute values, and the dependency-cone walk runs on sets of index tuples.  ``truncate_series``, ``polygon_contains`` and
 ``growth_envelope`` are used by the tests only.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import add
 
 import mpmath
 from mpmath import mpf
@@ -40,7 +41,7 @@ from mpde import (
 )
 from mpde.operators import operator_numerators
 from mpde.precision import float_tolerance, to_mpf, to_number
-from mpde.series import arithmetic_of
+from mpde.series import arithmetic_of, indices_up_to
 from mpde.solver import degree_budget
 
 
@@ -365,8 +366,29 @@ def solve_formal_reference(problem: CauchyProblem, n_max: int, report_degree: in
                           report_degree=report_degree)
 
 
+def dependency_cone_reference(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
+    """For each k in 0..n_max, the set of z-indices of u_k that some reported
+    coefficient (|beta| <= report_degree, any n) reads through the recurrence,
+    walked on sets of index tuples: step n reads (u_{n-p})_{beta+alpha} for
+    every term (j, alpha), every nonzero t-coefficient a_{j,alpha} at shift
+    p = idx + M - j with p <= n - j, and every beta in cone[n]."""
+    reported = set(indices_up_to(spec.dim, report_degree))
+    cone = [set(reported) for _ in range(n_max + 1)]
+    pieces = [(term.j, term.alpha,
+               [idx + spec.M - term.j for idx, c in enumerate(term.coeff) if c != 0])
+              for term in spec.terms]
+    for n in range(n_max, spec.M - 1, -1):
+        for j, alpha, shifts in pieces:
+            shifted = {tuple(map(add, beta, alpha)) for beta in cone[n]}
+            for p in shifts:
+                if 0 <= p <= n - j:
+                    cone[n - p] |= shifted
+    return cone
+
+
 def on_cone(sol: SolutionSeries, cone) -> list:
-    """The working coefficients of ``sol`` whose index lies in cone[n], one dict per u_n."""
+    """The working coefficients of ``sol`` whose index lies in cone[n] (a
+    set of indices, as ``dependency_cone_reference`` gives), one dict per u_n."""
     return [{alpha: v for alpha, v in c.coeffs.items() if alpha in cone[n]}
             for n, c in enumerate(sol.working.coeffs)]
 

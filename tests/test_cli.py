@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpde import cli, pipeline, solver, tabulated_moment
+from mpde import cli, pipeline, series, solver, tabulated_moment
 from mpde.cli import _report_dict, main, run_pipeline
 from mpde.precision import EXACT
 from mpde.problemspec import materialize_problem, parse_problem_file
@@ -291,6 +291,26 @@ class TestValidateOnce:
         assert len(calls) == 1
 
 
+class TestSeriesScaleCalls:
+    @pytest.mark.parametrize("problem, calls", [
+        (PRODUCT2D, 40), (HEAT, 0), (FRACTIONAL, 0), (PURE_ODE, 200)])
+    def test_only_the_data_is_scaled(self, monkeypatch, problem, calls):
+        # the solve scales its steps in its own arithmetic; series_scale
+        # builds the time-geometric forcing, one call per t-order
+        original = series.series_scale
+        counted = []
+
+        def counting(f, scalar):
+            counted.append(scalar)
+            return original(f, scalar)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mpde") and getattr(module, "series_scale", None) is original:
+                monkeypatch.setattr(module, "series_scale", counting)
+        pipeline.run(parse_problem_file(problem))
+        assert len(counted) == calls
+
+
 class TestKernelForm:
     def test_run_builds_no_unreported_coefficient(self, monkeypatch):
         # every series holds its coefficients as integer numerators over one
@@ -543,6 +563,10 @@ GENERATOR_ERRORS = {
         _set_data(PRODUCT2D, "initial", [{"kind": "polynomial", "coeffs": ["1", "2"]}]),
         "data.initial[0]"),
     "fractional_sigma_exact": (_set_data(HEAT, "initial", [GEVREY_HALF]), "data.initial[0]"),
+    # degree 25 against the budget 2 * 12 of --n-max 12
+    "polynomial_longer_than_budget": (
+        _set_data(HEAT, "initial", [{"kind": "polynomial", "coeffs": ["1"] * 26}]),
+        "data.initial[0]"),
     "negative_sigma": (
         _set_data(HEAT, "initial", [{"kind": "gevrey_factorial", "sigma": "-1"}]),
         "data.initial[0]"),

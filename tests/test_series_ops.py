@@ -1,8 +1,9 @@
 """The vector operations of ``mpde.series`` against per-coefficient
 arithmetic on the ``coeffs`` dicts (``tests/helpers.py``): exact, real float
 and complex float series in 1-3 variables, of unequal valid degrees, over
-denominators that are not the least, with zeros, short vectors and the
-layout of a dependency cone.  Float results agree bit for bit."""
+denominators that are not the least, with zeros, short vectors and vectors
+padded with zeros, as the majorant stores them.  Float results agree bit
+for bit."""
 
 import math
 from fractions import Fraction
@@ -43,20 +44,19 @@ def values(kind: str):
 def series(draw, kind: str, dim: int, degree: int = 6) -> MultiSeries:
     """A series valid to at most ``degree``, as make_series builds it (a
     vector that ends at its last nonzero entry), or with its values over a
-    larger denominator, or in the layout of some of its graded ranks."""
+    larger denominator, or padded: explicit zeros between and after the
+    values, up to a drawn length no greater than the graded count."""
     vd = draw(st.integers(0, degree))
     indices = list(indices_up_to(dim, vd))
     entries = draw(st.dictionaries(st.sampled_from(indices), values(kind), max_size=8))
     f = make_series(dim, entries, vd, "exact" if kind == "exact" else "float")
-    layout = draw(st.sampled_from(("made", "denominator", "ranks")))
+    layout = draw(st.sampled_from(("made", "denominator", "padded")))
     if layout == "denominator" and kind == "exact":
         k = draw(st.integers(2, 6))
         return MultiSeries(dim, f.arithmetic, [k * x for x in f.vec], k * f.den, vd)
-    if layout == "ranks":
-        count = graded_count(dim, vd)
-        ranks = sorted(draw(st.sets(st.integers(0, count - 1), max_size=count)))
-        dense = f.dense(count)
-        return MultiSeries(dim, f.arithmetic, [dense[r] for r in ranks], f.den, vd, ranks)
+    if layout == "padded":
+        length = draw(st.integers(len(f.vec), graded_count(dim, vd)))
+        return MultiSeries(dim, f.arithmetic, f.dense(length), f.den, vd)
     return f
 
 
@@ -176,8 +176,7 @@ def test_coeffs_decode_what_make_series_encodes(case):
 
 @given(st.integers(1, 3).flatmap(lambda dim: series("exact", dim)), st.integers(2, 30))
 def test_equality_is_by_value_across_denominators(f, k):
-    wider = MultiSeries(f.dim, f.arithmetic, [k * x for x in f.vec], k * f.den, f.valid_degree,
-                        f.ranks)
+    wider = MultiSeries(f.dim, f.arithmetic, [k * x for x in f.vec], k * f.den, f.valid_degree)
     assert wider == f and wider.den != f.den
     bumped = series_add(f, make_series(f.dim, {(0,) * f.dim: Fraction(1, k)}, f.valid_degree))
     assert bumped != f

@@ -30,9 +30,9 @@ from mpde import (
 )
 from mpde.precision import float_tolerance, to_number
 from mpde.problemspec import materialize_problem, parse_problem_file
-from mpde.series import indices_up_to
-from mpde.solver import dependency_cone
-from helpers import (heat_solution_oracle, on_cone, random_problem,
+from mpde.series import graded_rank, indices_up_to
+from mpde.solver import degree_budget, dependency_cone
+from helpers import (dependency_cone_reference, heat_solution_oracle, on_cone, random_problem,
                      rational_ratio_moments, residual_max_relative_two_pass, series_equal,
                      solve_formal_reference, time_series, zero_forcing)
 
@@ -209,7 +209,7 @@ class TestSolveMajorant:
         for n in range(9):
             assert sol.working.coeffs[n].coeffs == full.working.coeffs[n].coeffs
         maj = solve_majorant(prob, 8, 0)
-        cone = dependency_cone(prob.spec, 8, 0)
+        cone = dependency_cone_reference(prob.spec, 8, 0)
         assert [c.coeffs for c in maj.working.coeffs] == on_cone(sol, cone)
 
     def test_positive_coefficient_gives_alternating_solution(self):
@@ -224,7 +224,7 @@ class TestSolveMajorant:
                 assert full.working.coeffs[n].coefficient(alpha) == abs(v)
                 assert (v < 0) == (n % 2 == 1)
         maj = solve_majorant(prob, 8, 0)
-        cone = dependency_cone(spec, 8, 0)
+        cone = dependency_cone_reference(spec, 8, 0)
         assert [c.coeffs for c in maj.working.coeffs] == on_cone(full, cone)
 
     def test_alternating_sign_symmetry(self):
@@ -239,7 +239,7 @@ class TestSolveMajorant:
         for n in range(n_max + 1):
             assert ref.working.coeffs[n].coeffs == pos.working.coeffs[n].coeffs
         maj = solve_majorant(prob_neg, n_max, 0)
-        cone = dependency_cone(spec, n_max, 0)
+        cone = dependency_cone_reference(spec, n_max, 0)
         assert [c.coeffs for c in maj.working.coeffs] == on_cone(pos, cone)
 
     def test_zero_data_zero_majorant(self):
@@ -477,7 +477,7 @@ class TestReferenceRecurrence:
     def test_oracle_cases(self, case, mode, majorant_mode):
         M, m0, m, terms = ORACLE_CASES[case]
         prob = oracle_problem(terms, M, m, mode, 8, m0=m0)
-        cone = dependency_cone(prob.spec, 8, 0) if majorant_mode else None
+        cone = dependency_cone_reference(prob.spec, 8, 0) if majorant_mode else None
         assert_same_recurrence(solve_formal(prob, 8, 0, majorant_mode=majorant_mode),
                                solve_formal_reference(prob, 8, 0, majorant_mode=majorant_mode),
                                cone)
@@ -488,7 +488,7 @@ class TestReferenceRecurrence:
     def test_sparse_data(self, case, mode, majorant_mode):
         prob = sparse_problem(case, mode, 8)
         sol = solve_formal(prob, 8, 2, majorant_mode=majorant_mode)
-        cone = dependency_cone(prob.spec, 8, 2) if majorant_mode else None
+        cone = dependency_cone_reference(prob.spec, 8, 2) if majorant_mode else None
         assert_same_recurrence(sol, solve_formal_reference(prob, 8, 2, majorant_mode=majorant_mode),
                                cone)
         # the graded layouts hold zeros, and neither working nor u stores one
@@ -504,7 +504,7 @@ class TestReferenceRecurrence:
         for _ in range(8):
             prob = random_problem(rng, exact=exact, n_max=7)
             for majorant_mode in (False, True):
-                cone = dependency_cone(prob.spec, 7, 1) if majorant_mode else None
+                cone = dependency_cone_reference(prob.spec, 7, 1) if majorant_mode else None
                 assert_same_recurrence(
                     solve_formal(prob, 7, 1, majorant_mode=majorant_mode),
                     solve_formal_reference(prob, 7, 1, majorant_mode=majorant_mode),
@@ -522,7 +522,7 @@ class TestPrecisionScope:
         phi = generator_series("geometric", 1, 2 * n_max, "float", ratio=Fraction(1, 3))
         prob = CauchyProblem(spec=spec, initial=(phi,),
                              forcing=zero_forcing(spec, n_max, 0, "float"))
-        cone = dependency_cone(spec, n_max, 0)
+        cone = dependency_cone_reference(spec, n_max, 0)
         solved = []
         for prec in (53, 256, 53):
             with mpmath.workprec(prec):
@@ -547,6 +547,13 @@ def cone_problems(mode):
         yield random_problem(rng, exact=mode == "exact", n_max=7), 7, 1
 
 
+def cone_indices(spec, n_max, degree) -> list:
+    """``dependency_cone`` with each step's graded ranks as a set of indices."""
+    cone = dependency_cone(spec, n_max, degree)
+    indices = list(indices_up_to(spec.dim, degree_budget(spec, n_max, degree)))
+    return [{indices[r] for r in ranks} for ranks in cone]
+
+
 class TestDependencyCone:
     """The majorant is solved on the coefficients that reach a reported one."""
 
@@ -556,7 +563,7 @@ class TestDependencyCone:
         # coefficient of step n, enumerated like the reference recurrence
         for prob, n_max, degree in cone_problems(mode):
             spec = prob.spec
-            cone = dependency_cone(spec, n_max, degree)
+            cone = cone_indices(spec, n_max, degree)
             assert len(cone) == n_max + 1
             for n in range(spec.M, n_max + 1):
                 for term in spec.terms:
@@ -571,15 +578,23 @@ class TestDependencyCone:
     def test_contains_reported_set(self, mode):
         for prob, n_max, degree in cone_problems(mode):
             reported = set(indices_up_to(prob.spec.dim, degree))
-            cone = dependency_cone(prob.spec, n_max, degree)
+            cone = cone_indices(prob.spec, n_max, degree)
             assert all(reported <= indices for indices in cone)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_ranks_of_the_reference_walk(self, mode):
+        # the graded ranks, sorted, of the walk on sets of index tuples
+        for prob, n_max, degree in cone_problems(mode):
+            want = dependency_cone_reference(prob.spec, n_max, degree)
+            assert dependency_cone(prob.spec, n_max, degree) == \
+                [sorted(map(graded_rank, indices)) for indices in want]
 
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_equals_reference_on_cone(self, mode):
         for prob, n_max, degree in cone_problems(mode):
             maj = solve_majorant(prob, n_max, degree)
             ref = solve_formal_reference(prob, n_max, degree, majorant_mode=True)
-            assert_same_recurrence(maj, ref, dependency_cone(prob.spec, n_max, degree))
+            assert_same_recurrence(maj, ref, dependency_cone_reference(prob.spec, n_max, degree))
 
     @pytest.mark.parametrize("name, stored", [
         ("product2d", 4410), ("heat", 20301), ("fractional", 20301), ("pure_ode", 201)])
@@ -594,6 +609,10 @@ class TestDependencyCone:
         assert sum(len(c.coeffs) for c in maj.working.coeffs) == stored
         cone = dependency_cone(prob.spec, cfg.n_max, cfg.report_degree)
         assert sum(map(len, cone)) == stored
+        want = dependency_cone_reference(prob.spec, cfg.n_max, cfg.report_degree)
+        assert cone == [sorted(map(graded_rank, indices)) for indices in want]
+        # zeros off the cone, each vector ending at its last cone rank
+        assert [len(c.vec) for c in maj.working.coeffs] == [ranks[-1] + 1 for ranks in cone]
 
 
 def as_float(problem):

@@ -7,7 +7,8 @@ once per sequence, and the two root tests share one ``log_factorials`` table
 per report.  The fit inverts the growth law b_n ~ C * H^n * Gamma(1 + s*n)
 by least squares on log b_n against [1, n, logGamma(n+1)]; using logGamma as the
 third column absorbs Stirling's lower-order terms into the model instead of
-the residual.
+the residual.  Three columns and a few hundred rows at most: the fit is a
+modified Gram-Schmidt QR in plain floats.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 import mpmath
-import numpy as np
 from mpmath import mpf
 
 from .moments import MomentFunction
@@ -110,40 +111,39 @@ def fit_gevrey_order(logb: Sequence, window: tuple) -> FitResult:
     """Least-squares fit of log b_n = log C + n log H + s logGamma(n+1).
 
     Zero entries (None in ``logb``) inside the window are skipped and counted; a
-    window shorter than 8 is an error, and fewer than 8 usable points (or a
-    rank-deficient design) yields ok=False rather than a number that means nothing.
+    window shorter than 8 is an error, and fewer than 8 usable points yields
+    ok=False rather than a number that means nothing (8 distinct n keep the
+    columns independent, as logGamma(n+1) is strictly convex).  The solve is
+    modified Gram-Schmidt on [1, n, logGamma(n+1), y] (Bjorck, BIT 7, 1967):
+    R's last column is Q^T y, what is left of y the residual, and 1/r_22^2
+    the last diagonal entry of (X^T X)^-1 = R^-1 R^-T.
     """
     lo, hi = int(window[0]), int(window[1])
     if hi - lo + 1 < 8:
         raise ValueError(f"fit window [{lo}, {hi}] is shorter than 8 points")
     if hi > len(logb) - 1:
         raise ValueError(f"window end {hi} exceeds the bound sequence (n_max {len(logb) - 1})")
-    rows, ys = [], []
-    zero_count = 0
-    for n in range(lo, hi + 1):
-        if logb[n] is None:
-            zero_count += 1
-            continue
-        rows.append([1.0, float(n), math.lgamma(n + 1)])
-        ys.append(float(logb[n]))
-    if len(ys) < 8:
+    used = [n for n in range(lo, hi + 1) if logb[n] is not None]
+    zero_count = hi - lo + 1 - len(used)
+    if len(used) < 8:
         return FitResult(float("nan"), float("nan"), float("nan"), float("inf"),
-                         ok=False, n_used=len(ys), zero_count=zero_count,
+                         ok=False, n_used=len(used), zero_count=zero_count,
                          window=(lo, hi), note="fewer than 8 usable points")
-    x = np.asarray(rows)
-    y = np.asarray(ys)
-    if np.linalg.matrix_rank(x) < 3:
-        return FitResult(float("nan"), float("nan"), float("nan"), float("inf"),
-                         ok=False, n_used=len(ys), zero_count=zero_count,
-                         window=(lo, hi), note="degenerate design matrix")
-    coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-    resid = y - x @ coef
-    sigma2 = float(resid @ resid) / (len(ys) - 3)
-    cov = sigma2 * np.linalg.pinv(x.T @ x)
-    stderr = math.sqrt(max(cov[2, 2], 0.0))
-    return FitResult(s_hat=float(coef[2]), log_h=float(coef[1]), log_c=float(coef[0]),
-                     stderr=stderr, ok=True, n_used=len(ys), zero_count=zero_count,
-                     window=(lo, hi))
+    cols = [[1.0] * len(used), [float(n) for n in used],
+            [math.lgamma(n + 1) for n in used], [float(logb[n]) for n in used]]
+    r = [[0.0] * 4 for _ in range(3)]
+    for k in range(3):
+        r[k][k] = math.hypot(*cols[k])
+        q = [v / r[k][k] for v in cols[k]]
+        for j in range(k + 1, 4):
+            r[k][j] = math.fsum(map(mul, q, cols[j]))
+            cols[j] = [v - r[k][j] * w for v, w in zip(cols[j], q)]
+    s_hat = r[2][3] / r[2][2]
+    log_h = (r[1][3] - r[1][2] * s_hat) / r[1][1]
+    log_c = (r[0][3] - r[0][1] * log_h - r[0][2] * s_hat) / r[0][0]
+    sigma = math.hypot(*cols[3]) / math.sqrt(len(used) - 3)
+    return FitResult(s_hat=s_hat, log_h=log_h, log_c=log_c, stderr=sigma / r[2][2],
+                     ok=True, n_used=len(used), zero_count=zero_count, window=(lo, hi))
 
 
 def _thirds(roots: Sequence) -> tuple:

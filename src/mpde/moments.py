@@ -31,9 +31,9 @@ class MomentFunction:
     Gamma(1 + order*n); product/quotient compose two children pointwise;
     tabulated wraps user-supplied values.
 
-    Values and shift ratios are kept in tables on the instance, one per
-    arithmetic (exact, or float at one mpmath precision), computed once and
-    extended on demand; nothing is cached across instances.
+    Values are kept in tables on the instance, one per arithmetic (exact, or
+    float at one mpmath precision), computed once and extended on demand;
+    nothing is cached across instances.
     """
 
     kind: str
@@ -41,7 +41,7 @@ class MomentFunction:
     left: Optional["MomentFunction"] = None
     right: Optional["MomentFunction"] = None
     table: Union[tuple, Callable, None] = None
-    # (table_key, None) -> [m(0), m(1), ...]; (table_key, a) -> [m(a)/m(0), ...]
+    # table_key -> [m(0), m(1), ...]
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def value(self, n: int) -> mpf:
@@ -60,13 +60,6 @@ class MomentFunction:
         """(m(0), ..., m(n)) in the arithmetic of ``mode``."""
         return tuple(self._entry(k, mode) for k in range(n + 1))
 
-    def shift_ratios(self, a: int, n: int, mode: str) -> tuple:
-        """(r_0, ..., r_n) with r_b = m(b+a)/m(b), each one division."""
-        ratios = self._tables.setdefault((table_key(mode), a), [])
-        for b in range(len(ratios), n + 1):
-            ratios.append(self._entry(b + a, mode) / self._entry(b, mode))
-        return tuple(ratios[: n + 1])
-
     def _entry(self, n: int, mode: str):
         if n < 0:
             raise ValueError(f"moment functions are defined on n >= 0, got {n}")
@@ -79,7 +72,7 @@ class MomentFunction:
         """The value table of ``mode``, extended to hold m(n); None marks an
         irrational value in exact mode."""
         exact = mode == "exact"
-        col = self._tables.setdefault((table_key(mode), None), [])
+        col = self._tables.setdefault(table_key(mode), [])
         new = range(len(col), n + 1)
         if not new:
             return col

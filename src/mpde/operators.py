@@ -218,7 +218,8 @@ class ZKernel:
             den, vectors = 1, []
             for j, (mj, aj) in enumerate(zip(self.m, alpha)):
                 if aj:
-                    nums, ratio_den = arith.encode(mj.shift_ratios(aj, degree, arith.mode))
+                    nums, ratio_den = arith.encode(
+                        [mj.ratio(b + aj, b, arith.mode) for b in range(degree + 1)])
                     vectors.append([nums[beta[j]] for beta in betas])
                     den *= ratio_den
             table = self._ratios[key] = (degree, den, vectors)
@@ -315,7 +316,6 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
     if max([spec.M] + [t.j for t in spec.terms]) > n_max:
         raise ValueError("time series too short to differentiate")
     kernel = spec.z_kernel
-    ratios = spec.m0.shift_ratios(1, n_max - 1, arith.mode)
     d_t_memo, d_z_memo = defaultdict(dict), defaultdict(dict)
 
     def d_t(j: int, k: int) -> tuple:
@@ -329,7 +329,7 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
                            c.valid_degree)
             else:
                 vec, den, valid = d_t(j - 1, k + 1)
-                r, r_den = arith.scalar(ratios[k])
+                r, r_den = arith.scalar(spec.m0.ratio(k + 1, k, arith.mode))
                 memo[k] = (arith.scale(r, vec), den * r_den, valid)
         return memo[k]
 

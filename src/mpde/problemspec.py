@@ -3,8 +3,9 @@ functions, the operator, the Cauchy data, and run parameters.
 
 Orders and exact values are written as "p/q" strings so nothing is lost in
 text form; plain integers are accepted too.  Float literals are only legal
-in float mode.  Every field must have the JSON type it is read as: objects,
-lists, strings, and integers that are not booleans.  Example:
+in float mode, and must be finite.  Every field must have the JSON type it
+is read as: objects, lists, strings, and integers that are not booleans.
+Example:
 
     {
       "name": "heat",
@@ -33,6 +34,7 @@ A product or quotient moment names its two operands in ``factors``, e.g.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,6 +129,9 @@ def _parse_value(value, mode: str, path: str):
     if isinstance(value, float):
         if mode != "float":
             _fail(path, "float literals are only allowed in float mode; use 'p/q'")
+        # json reads NaN, Infinity and out-of-range literals such as 1e400
+        if not math.isfinite(value):
+            _fail(path, f"must be a finite number, got {value!r}")
         return value
     _fail(path, f"cannot parse value {value!r}")
 

@@ -38,8 +38,9 @@ def _fit(window, points_used, s_hat, stderr, log_h, log_c):
 
 
 # the growth blocks of the shipped runs' report.json, recorded before the growth
-# checks read the log-bound sequence; the fitted floats come from numpy's least
-# squares, whose last bits may differ with another LAPACK
+# checks read the log-bound sequence; the fitted floats were recorded from a LAPACK
+# least squares, and the Gram-Schmidt fit differs from them in the last bits (at
+# most 2.1e-11 relative, and 4.5e-14 absolute near zero)
 SHIPPED_ANALYSIS = {
     "heat": {
         "fit": _fit((50, 200), 151, 1.004579831129439, 4.4893400452522866e-05,
@@ -447,6 +448,23 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert (tmp_path / "report.json").exists()
 
+    def test_runs_without_numpy(self, tmp_path):
+        # a None entry in sys.modules makes every import of numpy fail
+        script = ("import sys; sys.modules['numpy'] = None\n"
+                  "from mpde.cli import main\n"
+                  f"sys.exit(main(['run', {str(HEAT)!r}, '--out', {str(tmp_path)!r},"
+                  " '--n-max', '20', '--quiet']))\n")
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "report.json").exists()
+
+    def test_mpmath_is_the_only_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        assert [dep.split(">")[0] for dep in project["dependencies"]] == ["mpmath"]
+
     def test_precision_default(self, tmp_path):
         doc = json.loads(HEAT.read_text())
         del doc["run"]["precision_bits"]
@@ -577,18 +595,53 @@ GENERATOR_ERRORS = {
 }
 
 
+# a placeholder that the file text replaces with a bare JSON number literal
+LITERAL = "@literal@"
+# the literals json reads as a nan or an infinity (1e400 overflows to inf)
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
+# (edit of heat.json in float mode, the field path the error line names)
+NON_FINITE_FIELDS = {
+    "operator_coeff": (_set(("operator", "terms", 0, "coeff"), [LITERAL]),
+                       "operator.terms[0].coeff[0]"),
+    "geometric_ratio": (_set(("data", "initial"), [{"kind": "geometric", "ratio": LITERAL}]),
+                        "data.initial[0].ratio"),
+    "terms_value": (_set(("data", "initial"), [{"kind": "terms", "terms": [
+        {"alpha": [0], "value": LITERAL}]}]), "data.initial[0].terms[0].value"),
+    "polynomial_coeff": (_set(("data", "initial"), [{"kind": "polynomial",
+                                                     "coeffs": ["1", LITERAL]}]),
+                         "data.initial[0].coeffs[1]"),
+}
+
+
 class TestGeneratorErrors:
-    @pytest.mark.parametrize("doc, field", GENERATOR_ERRORS.values(),
-                             ids=GENERATOR_ERRORS.keys())
-    def test_error_names_the_field(self, tmp_path, capsys, doc, field):
+    @staticmethod
+    def assert_error_names(tmp_path, capsys, text, field):
+        """``mpde run`` on the document ``text`` exits 1 with an error line
+        naming ``field`` and writes no artifact."""
         spec = tmp_path / "bad.json"
-        spec.write_text(json.dumps(doc))
+        spec.write_text(text)
         out = tmp_path / "out"
         assert main(["run", str(spec), "--out", str(out), "--n-max", "12", "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}: ") and "Traceback" not in err
         assert "make_series" not in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("doc, field", GENERATOR_ERRORS.values(),
+                             ids=GENERATOR_ERRORS.keys())
+    def test_error_names_the_field(self, tmp_path, capsys, doc, field):
+        self.assert_error_names(tmp_path, capsys, json.dumps(doc), field)
+
+    @pytest.mark.parametrize("literal", NON_FINITE)
+    @pytest.mark.parametrize("edit, field", NON_FINITE_FIELDS.values(),
+                             ids=NON_FINITE_FIELDS.keys())
+    def test_non_finite_float_literal(self, tmp_path, capsys, edit, field, literal):
+        doc = json.loads(HEAT.read_text())
+        doc["run"]["mode"] = "float"
+        edit(doc)
+        text = json.dumps(doc).replace(json.dumps(LITERAL), literal)
+        assert literal in text
+        self.assert_error_names(tmp_path, capsys, text, field)
 
 
 def _paths(node, prefix=()):

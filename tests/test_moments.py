@@ -230,15 +230,6 @@ class TestTables:
         assert high != low
         assert mpmath.mp.prec == 256
 
-    @pytest.mark.parametrize("mode", ["exact", "float"])
-    def test_shift_ratios_are_single_divisions(self, mode):
-        for m in moment_kinds():
-            for a in (1, 2):
-                ratios = m.shift_ratios(a, 12, mode)
-                assert len(ratios) == 13
-                assert list(ratios) == [m.ratio(b + a, b, mode) for b in range(13)]
-                assert m.shift_ratios(a, 5, mode) == ratios[:6]
-
     def test_equal_instances_share_nothing(self):
         a, b = gamma_moment(1), gamma_moment(1)
         a.values(8, "exact")
@@ -249,8 +240,6 @@ class TestTables:
         assert GH.value_exact(2) == 1
         with pytest.raises(ExactValueUnavailable):
             GH.values(2, "exact")
-        with pytest.raises(ExactValueUnavailable):
-            GH.shift_ratios(1, 0, "exact")
 
     def test_tabulated_table_stops_at_its_end(self):
         m = tabulated_moment([1, 2, 6], order=1)

@@ -329,7 +329,7 @@ def majorizes(g: MultiSeries, f: MultiSeries) -> bool:
 
     g must have nonnegative real coefficients.  In float mode the comparison
     carries the standard relative slack so that equal-up-to-rounding
-    sequences still dominate themselves.
+    sequences still dominate themselves, and a NaN on either side fails it.
     """
     if g.dim != f.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {f.dim}")
@@ -348,7 +348,7 @@ def majorizes(g: MultiSeries, f: MultiSeries) -> bool:
     for x, y in zip(fs, gs):
         fa = to_number(abs(f_decode(x, f.den)), "float")
         ga = to_number(g_decode(y, g.den), "float")
-        if fa > ga + slack * max(fa, ga, mpf(1)):
+        if not fa <= ga + slack * max(fa, ga, mpf(1)):
             return False
     return True
 

@@ -99,11 +99,11 @@ class SolutionSeries:
     """Solution coefficients of the recurrence.
 
     ``u`` holds every u_n truncated to the uniform report degree, and
-    ``working`` the full materialized degrees (decreasing in n), which the
-    residual check reads.  For a majorant (``provenance == "majorant"``)
-    ``working`` holds only the dependency cone of ``u``: each vector is
-    zero off the cone and ends at its last cone rank, and its valid degrees
-    are those of the full recurrence.
+    ``working`` every u_n to its degree in ``degree_envelope``, the largest
+    degree that a reported coefficient reads, which the residual check
+    reads.  For a majorant (``provenance == "majorant"``) ``working`` holds
+    only the dependency cone of ``u``: each vector is zero off the cone and
+    ends at its last cone rank.
     """
 
     u: TimeSeries
@@ -173,7 +173,9 @@ def validate(problem: CauchyProblem) -> ValidationReport:
 def degree_budget(spec: OperatorSpec, n_max: int, report_degree: int, n: int = 0) -> int:
     """The z-degree to which data read at step n must be materialized:
     report_degree + (n_max - n) * max|alpha|, so that u_{n_max} still reaches
-    report_degree after every D_z^alpha the later steps apply."""
+    report_degree after every D_z^alpha the later steps apply.  It is the
+    materialization contract of the problem data and an upper bound on the
+    ``degree_envelope`` that the solves compute to."""
     return report_degree + max(0, n_max - n) * spec.max_alpha
 
 
@@ -211,6 +213,28 @@ def _shifted_coefficients(term, M: int, n_max: int) -> dict:
     return out
 
 
+def degree_envelope(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
+    """For each k in 0..n_max, the largest z-degree of u_k that some reported
+    coefficient (|beta| <= report_degree, any n) reads through the recurrence.
+
+    Step n reads u_{n-p} to degree e[n] + |alpha| for every term (j, alpha)
+    and every nonzero c_{j,alpha,p} with p <= n - j, so one walk from n_max
+    down to M gives every e[k]: it is the largest |beta| in
+    ``dependency_cone(...)[k]`` and at most
+    ``degree_budget(spec, n_max, report_degree, k)``.  Both solves compute
+    step k to degree e[k] and no further.
+    """
+    envelope = [report_degree] * (n_max + 1)
+    pieces = [(term.j, sum(term.alpha), _shifted_coefficients(term, spec.M, n_max))
+              for term in spec.terms]
+    for n in range(n_max, spec.M - 1, -1):
+        for j, order, cs in pieces:
+            for p in cs:
+                if p <= n - j:
+                    envelope[n - p] = max(envelope[n - p], envelope[n] + order)
+    return envelope
+
+
 def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     """For each k in 0..n_max, the sorted graded ranks of the z-indices of
     u_k that some reported coefficient (|beta| <= report_degree, any n)
@@ -220,12 +244,13 @@ def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     every term (j, alpha) and every nonzero c_{j,alpha,p} with p <= n - j, so
     the walk from n_max down to M maps cone[n] through the gather map of
     alpha into cone[n - p].  It relies on validate's term_order: every shift
-    p is at least 1, so step n's cone stays within
-    ``degree_budget(spec, n_max, report_degree, n)`` and one gather map per
-    alpha, to the budget of step M, covers every step.
+    p is at least 1, so step n's cone stays within ``degree_envelope(...)[n]``
+    and one gather map per alpha, to the largest envelope of the steps
+    n >= M, covers every step.  (The envelope need not peak at step M: a
+    term with j > M reads no step below j.)
     """
     kernel = spec.z_kernel
-    top = degree_budget(spec, n_max, report_degree, spec.M)
+    top = max(degree_envelope(spec, n_max, report_degree)[spec.M:], default=report_degree)
     cone = [set(range(graded_count(spec.dim, report_degree))) for _ in range(n_max + 1)]
     pieces = [(term.j, kernel.gather(term.alpha, top),
                _shifted_coefficients(term, spec.M, n_max)) for term in spec.terms]
@@ -244,8 +269,10 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
 
     Initial data and forcing must be materialized to ``degree_budget`` so
     that every reported coefficient is provable; the returned u_n all carry
-    valid_degree = report_degree, and ``working`` keeps the full working
-    degrees.  Every u_n is a ``MultiSeries`` in the arithmetic that holds the
+    valid_degree = report_degree.  Step n is computed to degree
+    ``degree_envelope(...)[n]`` only, the largest degree of u_n that a
+    reported coefficient reads, and ``working`` keeps every step to that
+    degree.  Every u_n is a ``MultiSeries`` in the arithmetic that holds the
     data and the operator's coefficients: each step sums g_n and its pieces
     c * D_z^alpha u_k (``ZKernel.diff``) as integers over one common
     denominator (or as floats), and no coefficient is decoded.
@@ -253,11 +280,11 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
     majorant_mode replaces data and coefficients by absolute values and flips
     the recurrence's subtraction to addition, producing the dominating
     sequence.  It computes only the ``dependency_cone`` of the reported
-    coefficients: each step sums its pieces at the cone's graded ranks,
-    gathering from the stored u_k, and each kept coefficient equals the full
-    recurrence's (same pieces summed in the same order).  The step is stored
-    as a vector that is zero off the cone and ends at its last cone rank;
-    ``u`` is the full recurrence's.
+    coefficients, whose degrees the envelope bounds: each step sums its
+    pieces at the cone's graded ranks, gathering from the stored u_k, and
+    each kept coefficient equals the full recurrence's (same pieces summed
+    in the same order).  The step is stored as a vector that is zero off the
+    cone and ends at its last cone rank; ``u`` is the full recurrence's.
     """
     if not problem.validation.passed:
         raise ValidationFailure(problem.validation)
@@ -305,8 +332,9 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         c_table[(term.j, term.alpha)] = cs
 
     kernel, dim = spec.z_kernel, spec.dim
+    envelope = degree_envelope(spec, n_max, report_degree)
     # the majorant's steps hold the cone ranks only; every one lies below the
-    # count of the step's valid degree, which is at least its degree_budget
+    # count of the step's valid degree, its envelope
     cone = dependency_cone(spec, n_max, report_degree) if majorant_mode else None
 
     def step(vec: list, den: int, vd: int, ratio, n: int) -> MultiSeries:
@@ -327,8 +355,9 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
     steps = []
     for j in range(min(spec.M, n_max + 1)):
         phi = problem.initial[j]
-        vec = on_cone(j, phi.dense(graded_count(dim, phi.valid_degree), arith))
-        steps.append(step(vec, phi.den, phi.valid_degree, m0.ratio(0, j, mode), j))
+        vd = min(phi.valid_degree, envelope[j])
+        vec = on_cone(j, phi.dense(graded_count(dim, vd), arith))
+        steps.append(step(vec, phi.den, vd, m0.ratio(0, j, mode), j))
 
     # step n reads D_z^alpha u_k for k >= n - span only
     span = max((p for cs in c_table.values() for p in cs), default=0)
@@ -361,7 +390,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         g_n = problem.forcing.coeffs[n - spec.M]
         # u_n = m0(n-M)/m0(n) * (g_n + sum of sign * c * m0(k)/m0(k-j) * D_z^alpha u_k),
         # every piece as integers over one common denominator
-        vd = g_n.valid_degree
+        vd = min(g_n.valid_degree, envelope[n])
         reads = []
         for term in spec.terms:
             cs = c_table[(term.j, term.alpha)]
@@ -426,7 +455,7 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
     forces an exactly zero residual.  Each t-order is reduced before the next
     one is computed.  Returns an mpf (0 for an identically zero residual;
     +inf if a zero envelope meets a nonzero residual, which indicates a
-    genuine defect).
+    genuine defect; NaN at the first NaN quotient, which no bound accepts).
     """
     forcing, u = problem.forcing, sol.working
     # the solution need not hold the operator's coefficients or the forcing
@@ -455,5 +484,9 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
                 continue
             if denom == zero:
                 return mpf("inf")
-            worst = max(worst, arith.quotient(num, denom, common))
+            q = arith.quotient(num, denom, common)
+            if not q <= worst:
+                if mpmath.isnan(q):
+                    return q
+                worst = q
     return worst

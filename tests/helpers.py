@@ -239,6 +239,13 @@ def random_problem(rng: random.Random, exact: bool = True, n_max: int = 8,
                    max_terms: int = 3):
     """A random solvable Cauchy problem with a sufficient degree budget."""
     spec = random_operator_spec(rng, exact=exact, max_m=max_m, max_terms=max_terms)
+    return random_data(rng, spec, exact, n_max, report_degree)
+
+
+def random_data(rng: random.Random, spec: OperatorSpec, exact: bool = True, n_max: int = 8,
+                report_degree: int = 1) -> CauchyProblem:
+    """The Cauchy problem of ``spec`` with random initial data and forcing,
+    materialized to the degree budget."""
     mode = "exact" if exact else "float"
     dim = spec.dim
     full = degree_budget(spec, n_max, report_degree)

@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpde import cli, pipeline, series, solver, tabulated_moment
+from mpde import TimeSeries, cli, pipeline, series, solver, tabulated_moment
 from mpde.cli import _report_dict, main, run_pipeline
 from mpde.precision import EXACT
 from mpde.problemspec import materialize_problem, parse_problem_file
@@ -79,6 +79,16 @@ SHIPPED_ANALYSIS = {
         "intermediate_bound": {"d": "2/1", "bounded": True, "tail_max": "0.0678486838305",
                                "middle_max": "0.0703211636816"},
     },
+}
+
+
+# solution.working_degrees of the shipped runs: the degree of u_n that a
+# reported coefficient reads, n = 0..n_max
+WORKING_DEGREES = {
+    "heat": list(range(400, -1, -2)),
+    "fractional": list(range(400, -1, -2)),
+    "pure_ode": [0] * 201,
+    "product2d": list(range(40, -1, -1)),
 }
 
 
@@ -216,6 +226,7 @@ class TestShippedProblems:
         for field in ("verdict", "inverse_k1", "newton_polygon", "residual",
                       "majorant_dominates"):
             assert report[field] == want["report"][field], field
+        assert report["solution"]["working_degrees"] == WORKING_DEGREES[path.stem]
         # the growth blocks, against the values recorded above; the fitted
         # floats within 1e-9 relative (1e-12 absolute for the noise-level
         # values of a constant forcing)
@@ -273,6 +284,43 @@ class TestSelfCheck:
         assert err == "error: self-check failed: the majorant does not dominate the solution\n"
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["majorant_dominates"] is False
+
+
+class TestNaNContradictsClaims:
+    """One NaN element in a float solution or majorant fails the claim that
+    reads it: the residual and the domination check do not skip it."""
+
+    @staticmethod
+    def fractional_run():
+        spec_file = parse_problem_file(FRACTIONAL, overrides={"n_max": 12})
+        return materialize_problem(spec_file), pipeline.run(spec_file)
+
+    @staticmethod
+    def with_nan(ts, n, alpha):
+        """The time series with the coefficient (n, alpha) replaced by NaN."""
+        coeffs = list(ts.coeffs)
+        c = coeffs[n]
+        coeffs[n] = series.make_series(c.dim, {**c.coeffs, alpha: mpmath.nan},
+                                       c.valid_degree, "float")
+        return TimeSeries(tuple(coeffs))
+
+    def test_nan_in_the_solution_fails_the_residual(self):
+        problem, result = self.fractional_run()
+        sol = result.solution
+        nan_sol = replace(sol, working=self.with_nan(sol.working, 4, (1,)))
+        residual = solver.residual_max_relative(problem, nan_sol)
+        assert mpmath.isnan(residual)
+        assert replace(result, residual=residual).failed_claims() == [
+            "the float residual nan exceeds 2^-(prec-32)"]
+
+    def test_nan_in_the_majorant_fails_domination(self):
+        problem, result = self.fractional_run()
+        maj = solver.solve_majorant(problem, 12, 0)
+        nan_u = self.with_nan(maj.u, 4, (0,))
+        dominated = all(series.majorizes(g, f)
+                        for g, f in zip(nan_u.coeffs, result.solution.u.coeffs))
+        assert replace(result, dominated=dominated).failed_claims() == [
+            "the majorant does not dominate the solution"]
 
 
 class TestValidateOnce:

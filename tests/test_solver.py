@@ -5,6 +5,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from mpde import (
     CauchyProblem,
@@ -31,10 +32,11 @@ from mpde import (
 from mpde.precision import float_tolerance, to_number
 from mpde.problemspec import materialize_problem, parse_problem_file
 from mpde.series import graded_rank, indices_up_to
-from mpde.solver import degree_budget, dependency_cone
-from helpers import (dependency_cone_reference, heat_solution_oracle, on_cone, random_problem,
-                     rational_ratio_moments, residual_max_relative_two_pass, series_equal,
-                     solve_formal_reference, time_series, zero_forcing)
+from mpde.solver import degree_budget, degree_envelope, dependency_cone
+from helpers import (dependency_cone_reference, heat_solution_oracle, on_cone, random_data,
+                     random_operator_spec, random_problem, rational_ratio_moments,
+                     residual_max_relative_two_pass, series_equal, solve_formal_reference,
+                     time_series, zero_forcing)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -456,14 +458,16 @@ class TestResidualOracle:
             assert abs(got - want) <= float_tolerance() * max(abs(want), 1)
 
 
-def assert_same_recurrence(got, want, cone=None):
-    """got's working coefficients are want's; with ``cone``, exactly want's
+def assert_same_recurrence(got, want, cone, majorant=False):
+    """got computes step n to the largest degree in cone[n] (a set of
+    indices, as ``dependency_cone_reference`` gives), and its working
+    coefficients are want's to that degree; for the majorant, exactly want's
     coefficients in cone[n] (each one equal, nothing outside stored)."""
-    assert len(got.working.coeffs) == len(want.working.coeffs)
-    wanted = [c.coeffs for c in want.working.coeffs] if cone is None else on_cone(want, cone)
-    for g, w, coeffs in zip(got.working.coeffs, want.working.coeffs, wanted):
-        assert g.coeffs == coeffs
-        assert g.valid_degree == w.valid_degree
+    assert len(got.working.coeffs) == len(want.working.coeffs) == len(cone)
+    wanted = on_cone(want, cone) if majorant else [c.coeffs for c in want.working.coeffs]
+    for g, w, coeffs, indices in zip(got.working.coeffs, want.working.coeffs, wanted, cone):
+        assert g.valid_degree == max(map(sum, indices)) <= w.valid_degree
+        assert g.coeffs == {a: v for a, v in coeffs.items() if sum(a) <= g.valid_degree}
     assert [c.coeffs for c in got.u.coeffs] == [c.coeffs for c in want.u.coeffs]
 
 
@@ -477,10 +481,9 @@ class TestReferenceRecurrence:
     def test_oracle_cases(self, case, mode, majorant_mode):
         M, m0, m, terms = ORACLE_CASES[case]
         prob = oracle_problem(terms, M, m, mode, 8, m0=m0)
-        cone = dependency_cone_reference(prob.spec, 8, 0) if majorant_mode else None
         assert_same_recurrence(solve_formal(prob, 8, 0, majorant_mode=majorant_mode),
                                solve_formal_reference(prob, 8, 0, majorant_mode=majorant_mode),
-                               cone)
+                               dependency_cone_reference(prob.spec, 8, 0), majorant_mode)
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -488,9 +491,8 @@ class TestReferenceRecurrence:
     def test_sparse_data(self, case, mode, majorant_mode):
         prob = sparse_problem(case, mode, 8)
         sol = solve_formal(prob, 8, 2, majorant_mode=majorant_mode)
-        cone = dependency_cone_reference(prob.spec, 8, 2) if majorant_mode else None
         assert_same_recurrence(sol, solve_formal_reference(prob, 8, 2, majorant_mode=majorant_mode),
-                               cone)
+                               dependency_cone_reference(prob.spec, 8, 2), majorant_mode)
         # the graded layouts hold zeros, and neither working nor u stores one
         dim = prob.spec.dim
         assert any(len(c.coeffs) < math.comb(c.valid_degree + dim, dim)
@@ -504,11 +506,10 @@ class TestReferenceRecurrence:
         for _ in range(8):
             prob = random_problem(rng, exact=exact, n_max=7)
             for majorant_mode in (False, True):
-                cone = dependency_cone_reference(prob.spec, 7, 1) if majorant_mode else None
                 assert_same_recurrence(
                     solve_formal(prob, 7, 1, majorant_mode=majorant_mode),
                     solve_formal_reference(prob, 7, 1, majorant_mode=majorant_mode),
-                    cone)
+                    dependency_cone_reference(prob.spec, 7, 1), majorant_mode)
 
 
 class TestPrecisionScope:
@@ -527,10 +528,10 @@ class TestPrecisionScope:
         for prec in (53, 256, 53):
             with mpmath.workprec(prec):
                 sol = solve_formal(prob, n_max, 0)
-                assert_same_recurrence(sol, solve_formal_reference(prob, n_max, 0))
+                assert_same_recurrence(sol, solve_formal_reference(prob, n_max, 0), cone)
                 assert_same_recurrence(solve_majorant(prob, n_max, 0),
                                        solve_formal_reference(prob, n_max, 0, majorant_mode=True),
-                                       cone)
+                                       cone, majorant=True)
                 solved.append([c.coeffs for c in sol.working.coeffs])
         assert mpmath.mp.prec == 256
         assert solved[0] == solved[2] != solved[1]
@@ -594,13 +595,15 @@ class TestDependencyCone:
         for prob, n_max, degree in cone_problems(mode):
             maj = solve_majorant(prob, n_max, degree)
             ref = solve_formal_reference(prob, n_max, degree, majorant_mode=True)
-            assert_same_recurrence(maj, ref, dependency_cone_reference(prob.spec, n_max, degree))
+            assert_same_recurrence(maj, ref, dependency_cone_reference(prob.spec, n_max, degree),
+                                   majorant=True)
 
     @pytest.mark.parametrize("name, stored", [
         ("product2d", 4410), ("heat", 20301), ("fractional", 20301), ("pure_ode", 201)])
     def test_shipped_cone_sizes(self, name, stored):
-        # a deterministic work count: the full budget is 77,981 coefficients
-        # on product2d and 40,401 on heat and fractional
+        # a deterministic work count: the direct solve computes 12,341
+        # coefficients on product2d (77,981 to the full degree budget) and
+        # 40,401 on heat and fractional
         spec_file = parse_problem_file(PROBLEMS / f"{name}.json")
         cfg = spec_file.run
         with mpmath.workprec(cfg.precision_bits):
@@ -613,6 +616,64 @@ class TestDependencyCone:
         assert cone == [sorted(map(graded_rank, indices)) for indices in want]
         # zeros off the cone, each vector ending at its last cone rank
         assert [len(c.vec) for c in maj.working.coeffs] == [ranks[-1] + 1 for ranks in cone]
+
+
+@st.composite
+def slow_term_problems(draw):
+    """(problem, n_max, report_degree): a ``random_data`` problem whose
+    ``random_operator_spec`` gains one or two drawn terms at t-shift p >= 2,
+    the first with |alpha| one above the spec's max|alpha|: its |alpha|/p
+    falls below the new max|alpha|, so the envelope sits strictly below the
+    degree budget."""
+    exact = draw(st.booleans(), label="exact")
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    spec = random_operator_spec(rng, exact=exact, max_m=2, max_terms=3)
+    seen = {(t.j, t.alpha) for t in spec.terms}
+    terms = []
+    for k in range(draw(st.integers(1, 2))):
+        order = spec.max_alpha + 1 if k == 0 else draw(st.integers(1, spec.max_alpha + 1))
+        head = draw(st.integers(0, order)) if spec.dim == 2 else order
+        alpha = (head, order - head)[:spec.dim]
+        j = draw(st.integers(0, spec.M))
+        # p = idx + M - j >= 2, which also meets term_order (idx >= j - M + 1)
+        idx = draw(st.integers(max(0, 2 - spec.M + j), 4))
+        if (j, alpha) in seen:
+            continue
+        seen.add((j, alpha))
+        coeff = [Fraction(0)] * idx + [Fraction(draw(st.sampled_from([-2, -1, 1, 3])))]
+        terms.append(OperatorTerm(j=j, alpha=alpha, coeff=tuple(coeff)))
+    spec = OperatorSpec(M=spec.M, m0=spec.m0, m=spec.m, terms=spec.terms + tuple(terms))
+    return random_data(rng, spec, exact, n_max=6, report_degree=1), 6, 1
+
+
+class TestDegreeEnvelope:
+    """Both solves compute each step to the degree that a reported
+    coefficient reads, and no further."""
+
+    @given(case=slow_term_problems())
+    def test_envelope_of_slow_terms(self, case):
+        prob, n_max, degree = case
+        spec = prob.spec
+        envelope = degree_envelope(spec, n_max, degree)
+        cone = dependency_cone_reference(spec, n_max, degree)
+        budgets = [degree_budget(spec, n_max, degree, n) for n in range(n_max + 1)]
+        assert envelope == [max(map(sum, indices)) for indices in cone]
+        assert all(e <= b for e, b in zip(envelope, budgets))
+        assert envelope[n_max - 1] < budgets[n_max - 1]
+
+        sol = solve_formal(prob, n_max, degree)
+        assert list(sol.valid_degrees) == envelope
+        assert list(solve_majorant(prob, n_max, degree).valid_degrees) == envelope
+        ref = solve_formal_reference(prob, n_max, degree)
+        assert [c.coeffs for c in sol.u.coeffs] == [c.coeffs for c in ref.u.coeffs]
+        residual = residual_max_relative(prob, sol)
+        if prob.mode == "exact":
+            assert residual == 0
+        else:
+            assert residual <= mpmath.ldexp(1, 32 - mpmath.mp.prec)
+        via = solve_via_borel(prob, n_max, degree)
+        assert list(via.valid_degrees) == envelope
+        assert all(map(series_equal, sol.u.coeffs, via.u.coeffs))
 
 
 def as_float(problem):

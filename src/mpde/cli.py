@@ -95,7 +95,7 @@ def _report_dict(result: pipeline.PipelineResult) -> dict:
         "inverse_k1": _frac_str(growth.inverse_k1),
         "d": _frac_str(growth.d),
         "solution": {
-            "provenance": sol.provenance,
+            "provenance": "direct",
             "n_max": sol.n_max,
             "report_degree": sol.report_degree,
             "working_degrees": list(sol.valid_degrees),

@@ -187,7 +187,7 @@ def regularity_constants(m: MomentFunction, n_max: int) -> tuple[mpf, mpf]:
     s = to_mpf(m.order)
     lo, hi = None, None
     for n in range(1, n_max + 1):
-        ratio = m.value(n) / m.value(n - 1)
+        ratio = m.ratio(n, n - 1, "float")
         if m.order > 0:
             ratio = ratio / mpmath.power(n, s)
         lo = ratio if lo is None else min(lo, ratio)

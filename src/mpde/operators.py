@@ -305,10 +305,12 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
     t-order, both element vectors of ``arith`` (which must hold u's elements
     and the operator's coefficients, see ``series.arithmetic_of``) over the
     one denominator and exactly as long as the valid degree; they may hold
-    zeros.  Sums run in a fixed
-    order: the D_t chain, the sum over p within each term, then the sum
-    across terms.  Only the D_t and D_z results that later orders still read
-    are kept.
+    zeros.  The valid degree is the smallest over the pieces summed; a term
+    with no coefficient power p <= n adds nothing and caps nothing, so on a
+    ``solve_formal`` result order n is valid to the degree of u_{n+M}.  Sums
+    run in a fixed order: the D_t chain, the sum over p within each term,
+    then the sum across terms.  Only the D_t and D_z results that later
+    orders still read are kept.
     """
     n_max = u.n_max
     if n_max < spec.M:
@@ -360,18 +362,13 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
         lead, lead_den, vd = d_t(spec.M, n)
         parts = []
         for i, scalars in enumerate(terms):
-            part, term_vd = [], None
+            part = []
             for p, a, a_den in scalars:
                 if p > n:
                     break
                 w, w_den, w_vd = d_z(i, n - p)
-                term_vd = w_vd if term_vd is None else min(term_vd, w_vd)
+                vd = min(vd, w_vd)
                 part.append((a, a_den * w_den, w))
-            if term_vd is None:
-                # no coefficient power p <= n: the term adds zero, valid where
-                # every D_z^alpha D_t^j u_k, k <= n, is
-                term_vd = min(d_z(i, k)[2] for k in range(n + 1))
-            vd = min(vd, term_vd)
             parts.append(part)
         count = graded_count(u.dim, vd)
         den = math.lcm(lead_den, *(d for part in parts for _, d, _ in part))

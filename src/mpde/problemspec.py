@@ -28,7 +28,9 @@ Example:
     }
 
 A product or quotient moment names its two operands in ``factors``, e.g.
-``{"kind": "quotient", "factors": ["g", "m1"]}``.
+``{"kind": "quotient", "factors": ["g", "m1"]}``.  Declarations nest at most
+``MAX_MOMENT_DEPTH`` (100) deep: a gamma moment is one level, and a product
+or quotient one more than its deeper operand.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ from .solver import CauchyProblem, degree_budget
 
 class SpecError(ValueError):
     """Malformed problem file; the message names the offending field."""
+
+
+# the deepest nesting of moment declarations that a problem file may use
+MAX_MOMENT_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,13 @@ def _parse_moments(section: dict, path: str) -> dict:
     if not isinstance(section, dict):
         _fail(path, "must be an object of name -> declaration")
     resolved: dict = {}
+    depths: dict = {}   # name -> levels of a resolved product or quotient
 
     def resolve(name: str, trail: tuple) -> MomentFunction:
+        # trail[0], the declaration being resolved, nests at least this deep
+        if len(trail) + depths.get(name, 1) > MAX_MOMENT_DEPTH:
+            _fail(f"{path}.{(trail or (name,))[0]}",
+                  f"moment declarations nest more than {MAX_MOMENT_DEPTH} deep")
         if name in resolved:
             return resolved[name]
         if name in trail:
@@ -158,6 +169,7 @@ def _parse_moments(section: dict, path: str) -> dict:
             if len(names) != 2:
                 _fail(where, "product/quotient needs exactly two operands")
             children = [resolve(_parse_name(n, where), trail + (name,)) for n in names]
+            depths[name] = 1 + max(depths.get(n, 1) for n in names)
             try:
                 m = combine(children[0], children[1], kind)
             except ValueError as exc:
@@ -248,6 +260,8 @@ def parse_problem_file(path, overrides=None) -> ProblemSpecFile:
         raise SpecError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SpecError("top level: problem file nests too deeply to parse") from exc
     if overrides and isinstance(doc, dict) and isinstance(doc.get("run"), dict):
         doc["run"] = {**doc["run"], **{k: v for k, v in overrides.items() if v is not None}}
     return parse_problem_document(doc)

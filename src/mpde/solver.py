@@ -96,24 +96,26 @@ class CauchyProblem:
 
 @dataclass(frozen=True)
 class SolutionSeries:
-    """Solution coefficients of the recurrence.
-
-    ``u`` holds every u_n truncated to the uniform report degree, and
-    ``working`` every u_n to its degree in ``degree_envelope``, the largest
-    degree that a reported coefficient reads, which the residual check
-    reads.  For a majorant (``provenance == "majorant"``) ``working`` holds
-    only the dependency cone of ``u``: each vector is zero off the cone and
-    ends at its last cone rank.
+    """Solution coefficients of the recurrence: ``working`` holds every step
+    u_n as the recurrence computed it, to its degree in ``degree_envelope``,
+    the largest degree that a reported coefficient reads; the residual check
+    reads every step n >= M to that degree.  For a majorant ``working``
+    holds only the dependency cone: each vector is zero off the cone and
+    ends at its last cone rank.  The cone holds every index up to
+    ``report_degree``.
     """
 
-    u: TimeSeries
     working: TimeSeries
-    provenance: str
     report_degree: int
+
+    @cached_property
+    def u(self) -> TimeSeries:
+        """Every u_n truncated to the uniform report degree."""
+        return self.working.map_z(lambda u_n: u_n.truncated(self.report_degree))
 
     @property
     def n_max(self) -> int:
-        return self.u.n_max
+        return self.working.n_max
 
     @property
     def valid_degrees(self) -> tuple:
@@ -263,29 +265,35 @@ def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     return [sorted(ranks) for ranks in cone]
 
 
-def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
-                 majorant_mode: bool = False) -> SolutionSeries:
+def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
     """Run the coefficient recurrence up to t^n_max.
 
     Initial data and forcing must be materialized to ``degree_budget`` so
-    that every reported coefficient is provable; the returned u_n all carry
-    valid_degree = report_degree.  Step n is computed to degree
+    that every reported coefficient is provable; ``u`` carries valid_degree
+    = report_degree.  Step n is computed to degree
     ``degree_envelope(...)[n]`` only, the largest degree of u_n that a
-    reported coefficient reads, and ``working`` keeps every step to that
+    reported coefficient reads, and ``working`` is every step to that
     degree.  Every u_n is a ``MultiSeries`` in the arithmetic that holds the
     data and the operator's coefficients: each step sums g_n and its pieces
     c * D_z^alpha u_k (``ZKernel.diff``) as integers over one common
     denominator (or as floats), and no coefficient is decoded.
-
-    majorant_mode replaces data and coefficients by absolute values and flips
-    the recurrence's subtraction to addition, producing the dominating
-    sequence.  It computes only the ``dependency_cone`` of the reported
-    coefficients, whose degrees the envelope bounds: each step sums its
-    pieces at the cone's graded ranks, gathering from the stored u_k, and
-    each kept coefficient equals the full recurrence's (same pieces summed
-    in the same order).  The step is stored as a vector that is zero off the
-    cone and ends at its last cone rank; ``u`` is the full recurrence's.
     """
+    return _recurrence(problem, n_max, report_degree, majorant=False)
+
+
+def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
+    """The nonnegative dominating sequence: the recurrence of ``solve_formal``
+    on the absolute values of the data and coefficients, adding where it
+    subtracts.  Each step is summed at the ranks of the ``dependency_cone``
+    only, gathering from the stored u_k, so each kept coefficient equals the
+    full majorant recurrence's (same pieces in the same order), and ``u`` is
+    the full majorant's."""
+    return _recurrence(problem, n_max, report_degree, majorant=True)
+
+
+def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
+                majorant: bool) -> SolutionSeries:
+    """The recurrence of ``solve_formal``, or of ``solve_majorant``."""
     if not problem.validation.passed:
         raise ValidationFailure(problem.validation)
 
@@ -327,7 +335,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
                 f"for n_max {n_max}"
             )
         cs = _shifted_coefficients(term, spec.M, n_max)
-        if majorant_mode:
+        if majorant:
             cs = {p: abs(v) for p, v in cs.items()}
         c_table[(term.j, term.alpha)] = cs
 
@@ -335,14 +343,14 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
     envelope = degree_envelope(spec, n_max, report_degree)
     # the majorant's steps hold the cone ranks only; every one lies below the
     # count of the step's valid degree, its envelope
-    cone = dependency_cone(spec, n_max, report_degree) if majorant_mode else None
+    cone = dependency_cone(spec, n_max, report_degree) if majorant else None
 
     def step(vec: list, den: int, vd: int, ratio, n: int) -> MultiSeries:
         """u_n = ratio * vec/den; for the majorant, vec holds |values| at the
         cone ranks of step n, scaled before the zeros off the cone fill in."""
         scalar, s_den = arith.scalar(ratio)
         vec = arith.scale(scalar, vec)
-        if majorant_mode:
+        if majorant:
             values, vec = vec, [arith.zero] * (cone[n][-1] + 1)
             for r, x in zip(cone[n], values):
                 vec[r] = x
@@ -350,7 +358,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
 
     def on_cone(n: int, vec: list) -> list:
         """|vec| at the cone ranks of step n (the majorant), else vec."""
-        return arith.abs(map(vec.__getitem__, cone[n])) if majorant_mode else vec
+        return arith.abs(map(vec.__getitem__, cone[n])) if majorant else vec
 
     steps = []
     for j in range(min(spec.M, n_max + 1)):
@@ -385,7 +393,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
             out = arith.mul(out, map(ratios.__getitem__, ranks))
         return out, u_k.den * ratio_den
 
-    sign = 1 if majorant_mode else -1
+    sign = 1 if majorant else -1
     for n in range(spec.M, n_max + 1):
         g_n = problem.forcing.coeffs[n - spec.M]
         # u_n = m0(n-M)/m0(n) * (g_n + sum of sign * c * m0(k)/m0(k-j) * D_z^alpha u_k),
@@ -404,7 +412,7 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         g_vec, g_den = on_cone(n, g_n.dense(graded_count(dim, vd), arith)), g_n.den
         pieces = []
         for scalar, s_den, k, alpha in reads:
-            d, d_den = dz_on(k, alpha, cone[n]) if majorant_mode else dz(k, alpha)
+            d, d_den = dz_on(k, alpha, cone[n]) if majorant else dz(k, alpha)
             pieces.append((scalar, s_den * d_den, d))
         den = math.lcm(g_den, *(piece_den for _, piece_den, _ in pieces))
         acc = g_vec
@@ -417,34 +425,14 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0,
         steps.append(step(acc, den, vd, m0.ratio(n - spec.M, n, mode), n))
         diff_cache.pop(n - span, None)
 
-    return SolutionSeries(
-        u=TimeSeries(tuple(u_n.truncated(report_degree) for u_n in steps)),
-        working=TimeSeries(tuple(steps)),
-        provenance="majorant" if majorant_mode else "direct",
-        report_degree=report_degree,
-    )
-
-
-def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
-    """The nonnegative dominating sequence: same recurrence on absolute values.
-
-    ``u`` is the full majorant truncated to ``report_degree``; ``working``
-    holds only the ``dependency_cone`` of those coefficients, with zeros at
-    every other rank.
-    """
-    return solve_formal(problem, n_max, report_degree, majorant_mode=True)
+    return SolutionSeries(TimeSeries(tuple(steps)), report_degree)
 
 
 def solve_via_borel(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
     """Solve the z-Borel-transformed problem, then map back."""
     bsol = solve_formal(borel_problem(problem), n_max, report_degree)
     quotients = space_borel_quotients(problem.spec)
-    return SolutionSeries(
-        u=borel_z(bsol.u, quotients, inverse=True),
-        working=borel_z(bsol.working, quotients, inverse=True),
-        provenance="via-borel",
-        report_degree=report_degree,
-    )
+    return SolutionSeries(borel_z(bsol.working, quotients, inverse=True), report_degree)
 
 
 def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:

@@ -7,8 +7,9 @@ heat-solution oracle differentiates coefficient lists by hand, the
 dropped-boundary recurrence is a wrong convention the residual must reject,
 the z-derivative oracle looks up one moment ratio per coefficient, and the
 two-pass residual applies the whole operator once signed and once to
-absolute values, and the dependency-cone walk runs on sets of index tuples.  ``truncate_series``, ``polygon_contains`` and
-``growth_envelope`` are used by the tests only.
+absolute values, and the dependency-cone walk runs on sets of index tuples.
+``truncate_series``, ``polygon_contains`` and ``growth_envelope`` are used
+by the tests only.
 """
 
 from __future__ import annotations
@@ -365,12 +366,7 @@ def solve_formal_reference(problem: CauchyProblem, n_max: int, report_degree: in
                 dz = moment_diff_z_reference(u[k], spec.m, term.alpha)
                 acc = series_add(acc, series_scale(dz, sign * (c * m0.ratio(k, k - term.j, mode))))
         u.append(series_scale(acc, m0.ratio(n - spec.M, n, mode)))
-    working = TimeSeries(tuple(u))
-    reported = working.map_z(lambda c: truncate_series(c, report_degree))
-    provenance = "dropped-boundary" if drop_boundary else (
-        "majorant" if majorant_mode else "direct")
-    return SolutionSeries(u=reported, working=working, provenance=provenance,
-                          report_degree=report_degree)
+    return SolutionSeries(TimeSeries(tuple(u)), report_degree)
 
 
 def dependency_cone_reference(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
@@ -423,8 +419,10 @@ def moment_diff_z_reference(f, m, alpha):
     return make_series(f.dim, coeffs, new_valid, f.mode)
 
 
-def _coeff_product(scalars, truncation, w, mode):
-    """Truncated Cauchy product of a scalar t-series with a TimeSeries."""
+def _coeff_product(scalars, truncation, w):
+    """Truncated Cauchy product of a scalar t-series with a TimeSeries, as a
+    list of series: None at a t-order that no nonzero coefficient power
+    reaches, where the product adds nothing."""
     out_n_max = w.n_max if truncation is None else min(w.n_max, truncation)
     out = []
     for n in range(out_n_max + 1):
@@ -436,10 +434,8 @@ def _coeff_product(scalars, truncation, w, mode):
                 continue
             piece = series_scale(w.coeffs[n - p], a)
             acc = piece if acc is None else series_add(acc, piece)
-        if acc is None:
-            acc = zero_series(w.dim, min(c.valid_degree for c in w.coeffs[: n + 1]), mode)
         out.append(acc)
-    return TimeSeries(tuple(out))
+    return out
 
 
 def apply_operator_reference(spec, u, absolute=False):
@@ -453,18 +449,18 @@ def apply_operator_reference(spec, u, absolute=False):
     diffs = {0: work}
     for k in range(1, max([spec.M] + [t.j for t in spec.terms]) + 1):
         diffs[k] = moment_diff_t(diffs[k - 1], spec.m0)
-    contributions = [diffs[spec.M]]
+    contributions = [list(diffs[spec.M].coeffs)]
     for term in spec.terms:
         zpart = diffs[term.j].map_z(
             lambda c: moment_diff_z_reference(c, spec.m, term.alpha))
         scalars = [abs(a) for a in term.coeff] if absolute else list(term.coeff)
-        contributions.append(_coeff_product(scalars, term.truncation_order, zpart, u.mode))
-    n_out = min(c.n_max for c in contributions)
+        contributions.append(_coeff_product(scalars, term.truncation_order, zpart))
     out = []
-    for n in range(n_out + 1):
-        acc = contributions[0].coeffs[n]
+    for n in range(min(map(len, contributions))):
+        acc = contributions[0][n]
         for c in contributions[1:]:
-            acc = series_add(acc, c.coeffs[n])
+            if c[n] is not None:
+                acc = series_add(acc, c[n])
         out.append(acc)
     return TimeSeries(tuple(out))
 

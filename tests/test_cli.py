@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from mpde import TimeSeries, cli, pipeline, series, solver, tabulated_moment
 from mpde.cli import _report_dict, main, run_pipeline
 from mpde.precision import EXACT
-from mpde.problemspec import materialize_problem, parse_problem_file
+from mpde.problemspec import MAX_MOMENT_DEPTH, materialize_problem, parse_problem_file
 from helpers import solve_formal_reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -692,6 +692,42 @@ class TestGeneratorErrors:
         self.assert_error_names(tmp_path, capsys, text, field)
 
 
+def _moment_chain(levels: int, reverse: bool = False) -> dict:
+    """heat.json with its space moment a chain of ``levels`` nested
+    declarations: c0 = Gamma_1, and c_k the product of c_{k-1} and the
+    order-0 moment z, declared from c0 up (or from the top down)."""
+    doc = json.loads(HEAT.read_text())
+    chain = {"c0": {"kind": "gamma", "order": "1"}}
+    for k in range(1, levels):
+        chain[f"c{k}"] = {"kind": "product", "factors": [f"c{k - 1}", "z"]}
+    names = list(chain)[::-1] if reverse else list(chain)
+    doc["moments"] = {"m0": doc["moments"]["m0"], "z": {"kind": "gamma", "order": "0"},
+                      **{name: chain[name] for name in names}}
+    doc["operator"]["space_moments"] = [f"c{levels - 1}"]
+    return doc
+
+
+class TestNestingLimits:
+    """Input nested too deeply for a recursive reader ends in an error line."""
+
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        TestGeneratorErrors.assert_error_names(
+            tmp_path, capsys, "[" * 100000 + "]" * 100000, "top level")
+
+    # c100 is the first declaration more than MAX_MOMENT_DEPTH = 100 deep; from
+    # the top down, c1499 is resolved first
+    @pytest.mark.parametrize("reverse, field", [(False, "moments.c100"),
+                                                (True, "moments.c1499")],
+                             ids=["bottom_up", "top_down"])
+    def test_long_moment_chain(self, tmp_path, capsys, reverse, field):
+        TestGeneratorErrors.assert_error_names(
+            tmp_path, capsys, json.dumps(_moment_chain(1500, reverse)), field)
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["bottom_up", "top_down"])
+    def test_moment_chain_at_the_limit_runs(self, reverse):
+        assert _assert_clean_exit(_moment_chain(MAX_MOMENT_DEPTH, reverse)) == 0
+
+
 def _paths(node, prefix=()):
     """Every path into a JSON document, the root included."""
     yield prefix
@@ -720,8 +756,9 @@ def _object_terms(doc) -> list:
     return [t for t in terms if isinstance(t, dict)] if isinstance(terms, list) else []
 
 
-def _assert_clean_exit(doc) -> None:
-    """``mpde run`` on ``doc`` raises nothing and exits 0, 2, or 1 with an error line."""
+def _assert_clean_exit(doc) -> int:
+    """``mpde run`` on ``doc`` raises nothing and exits 0, 2, or 1 with an
+    error line; returns the exit code."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "fuzzed.json"
@@ -732,6 +769,7 @@ def _assert_clean_exit(doc) -> None:
     assert code in (0, 1, 2)
     if code == 1:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+    return code
 
 
 class TestFuzzedDocument:

@@ -29,9 +29,10 @@ from mpde import (
     validate,
     zero_series,
 )
+from mpde.operators import operator_numerators
 from mpde.precision import float_tolerance, to_number
 from mpde.problemspec import materialize_problem, parse_problem_file
-from mpde.series import graded_rank, indices_up_to
+from mpde.series import arithmetic_of, graded_rank, indices_up_to
 from mpde.solver import degree_budget, degree_envelope, dependency_cone
 from helpers import (dependency_cone_reference, heat_solution_oracle, on_cone, random_data,
                      random_operator_spec, random_problem, rational_ratio_moments,
@@ -283,8 +284,7 @@ class TestResidual:
         c3 = dict(bumped[3].coeffs)
         c3[(2,)] = c3.get((2,), Fraction(0)) + 1
         bumped[3] = make_series(1, c3, bumped[3].valid_degree)
-        sol2 = SolutionSeries(sol.u, TimeSeries(tuple(bumped)), sol.provenance,
-                              sol.report_degree)
+        sol2 = SolutionSeries(TimeSeries(tuple(bumped)), sol.report_degree)
         # the forcing is zero, so the residual is P(u)
         res = apply_operator(prob.spec, sol2.working)
         # P(delta) with delta = t^3 z^2: D_t -> 3 t^2 z^2; -D_z^2 -> -2 t^3
@@ -355,7 +355,7 @@ def bumped(sol, n, alpha, delta):
     c = dict(coeffs[n].coeffs)
     c[alpha] = c.get(alpha, 0) + delta
     coeffs[n] = make_series(coeffs[n].dim, c, coeffs[n].valid_degree, coeffs[n].mode)
-    return SolutionSeries(sol.u, TimeSeries(tuple(coeffs)), sol.provenance, sol.report_degree)
+    return SolutionSeries(TimeSeries(tuple(coeffs)), sol.report_degree)
 
 
 RATIONAL_M0, RATIONAL_M = rational_ratio_moments()
@@ -481,7 +481,8 @@ class TestReferenceRecurrence:
     def test_oracle_cases(self, case, mode, majorant_mode):
         M, m0, m, terms = ORACLE_CASES[case]
         prob = oracle_problem(terms, M, m, mode, 8, m0=m0)
-        assert_same_recurrence(solve_formal(prob, 8, 0, majorant_mode=majorant_mode),
+        solve = solve_majorant if majorant_mode else solve_formal
+        assert_same_recurrence(solve(prob, 8, 0),
                                solve_formal_reference(prob, 8, 0, majorant_mode=majorant_mode),
                                dependency_cone_reference(prob.spec, 8, 0), majorant_mode)
 
@@ -490,7 +491,7 @@ class TestReferenceRecurrence:
     @pytest.mark.parametrize("majorant_mode", [False, True], ids=["direct", "majorant"])
     def test_sparse_data(self, case, mode, majorant_mode):
         prob = sparse_problem(case, mode, 8)
-        sol = solve_formal(prob, 8, 2, majorant_mode=majorant_mode)
+        sol = (solve_majorant if majorant_mode else solve_formal)(prob, 8, 2)
         assert_same_recurrence(sol, solve_formal_reference(prob, 8, 2, majorant_mode=majorant_mode),
                                dependency_cone_reference(prob.spec, 8, 2), majorant_mode)
         # the graded layouts hold zeros, and neither working nor u stores one
@@ -507,7 +508,7 @@ class TestReferenceRecurrence:
             prob = random_problem(rng, exact=exact, n_max=7)
             for majorant_mode in (False, True):
                 assert_same_recurrence(
-                    solve_formal(prob, 7, 1, majorant_mode=majorant_mode),
+                    (solve_majorant if majorant_mode else solve_formal)(prob, 7, 1),
                     solve_formal_reference(prob, 7, 1, majorant_mode=majorant_mode),
                     dependency_cone_reference(prob.spec, 7, 1), majorant_mode)
 
@@ -676,6 +677,47 @@ class TestDegreeEnvelope:
         assert all(map(series_equal, sol.u.coeffs, via.u.coeffs))
 
 
+def shipped_problem(name):
+    """(problem, run block) of a shipped problem file, materialized at its
+    precision; solve it inside ``mpmath.workprec(cfg.precision_bits)``."""
+    spec_file = parse_problem_file(PROBLEMS / f"{name}.json")
+    with mpmath.workprec(spec_file.run.precision_bits):
+        return materialize_problem(spec_file), spec_file.run
+
+
+class TestResidualCoverage:
+    """The residual reads every coefficient that the solve computed: the
+    operator pass yields t-order n valid to the degree of u_{n+M}, so every
+    working coefficient of every step n >= M is checked."""
+
+    @staticmethod
+    def assert_covers(prob, sol):
+        spec = prob.spec
+        arith = arithmetic_of(*sol.working.coeffs, values=(a for t in spec.terms for a in t.coeff))
+        degrees = [vd for *_, vd in operator_numerators(spec, sol.working, arith)]
+        assert degrees and degrees == list(sol.valid_degrees[spec.M:spec.M + len(degrees)])
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), exact=st.booleans())
+    def test_random_problems(self, seed, exact):
+        prob = random_problem(random.Random(seed), exact=exact, n_max=7)
+        self.assert_covers(prob, solve_formal(prob, 7, 1))
+
+    @pytest.mark.parametrize("name", ["fractional", "heat", "product2d", "pure_ode"])
+    def test_shipped_problems(self, name):
+        prob, cfg = shipped_problem(name)
+        with mpmath.workprec(cfg.precision_bits):
+            self.assert_covers(prob, solve_formal(prob, cfg.n_max, cfg.report_degree))
+
+    def test_product2d_top_degree_of_u1(self):
+        # u_1 is computed to degree 39, and (u_1)_{(39, 0)} feeds the reported
+        # u_40 through the term alpha = (1, 0); order 0 reads it through D_t u_1
+        prob, cfg = shipped_problem("product2d")
+        sol = solve_formal(prob, cfg.n_max, cfg.report_degree)
+        assert sol.valid_degrees[1] == 39
+        assert residual_max_relative(prob, sol) == 0
+        assert residual_max_relative(prob, bumped(sol, 1, (39, 0), 1)) > 0
+
+
 def as_float(problem):
     """The same problem with every data coefficient converted to float mode."""
     def convert(f):
@@ -730,7 +772,6 @@ class TestBorelRoundTrip:
         via = solve_via_borel(prob, n_max, 0)
         for n in range(n_max + 1):
             assert direct.working.coeffs[n].coeffs == via.working.coeffs[n].coeffs
-        assert via.provenance == "via-borel"
 
     def test_float_round_trip_half_order(self):
         mh = combine(GH, GH, "product")    # order 1, not Gamma_1

@@ -24,7 +24,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import islice
 from operator import add
 from typing import Callable, Iterator, Optional, Sequence
@@ -302,15 +302,19 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
     The envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that
     P(u)_n sums (and |D_t^M u|), so it bounds the magnitude of what
     cancelled.  Yields (values, envelope, denominator, valid degree) per
-    t-order, both element vectors of ``arith`` (which must hold u's elements
-    and the operator's coefficients, see ``series.arithmetic_of``) over the
-    one denominator and exactly as long as the valid degree; they may hold
-    zeros.  The valid degree is the smallest over the pieces summed; a term
-    with no coefficient power p <= n adds nothing and caps nothing, so on a
-    ``solve_formal`` result order n is valid to the degree of u_{n+M}.  Sums
-    run in a fixed order: the D_t chain, the sum over p within each term,
-    then the sum across terms.  Only the D_t and D_z results that later
-    orders still read are kept.
+    t-order.  ``values`` is a vector of elements of ``arith`` (which must
+    hold u's elements and the operator's coefficients, see
+    ``series.arithmetic_of``) over the denominator, exactly as long as the
+    valid degree; it may hold zeros.  ``envelope`` is a function of a list of
+    graded ranks below that length: it returns the envelope's elements at
+    those ranks, over the same denominator, each computed with the same
+    operations in the same order as at every other rank, so a caller pays
+    only for the ranks it reads.  The valid degree is the smallest over the
+    pieces summed; a term with no coefficient power p <= n adds nothing and
+    caps nothing, so on a ``solve_formal`` result order n is valid to the
+    degree of u_{n+M}.  Sums run in a fixed order: the D_t chain, the sum
+    over p within each term, then the sum across terms.  Only the D_t and
+    D_z results that later orders still read are kept.
     """
     n_max = u.n_max
     if n_max < spec.M:
@@ -372,27 +376,31 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
             parts.append(part)
         count = graded_count(u.dim, vd)
         den = math.lcm(lead_den, *(d for part in parts for _, d, _ in part))
-        total = lead[:count]
+        lead = lead[:count]
         if den != lead_den:
-            total = arith.scale(den // lead_den, total)
-        total_env = arith.abs(total)
+            lead = arith.scale(den // lead_den, lead)
+        total, summed = lead, []
         for part in parts:
-            acc = acc_env = None
-            for a, d, w in part:
-                if d != den:
-                    a = a * (den // d)
-                pieces = arith.scale(a, islice(w, count))
-                if acc is None:
-                    acc, acc_env = pieces, arith.abs(pieces)
-                else:
-                    acc = arith.add(acc, pieces)
-                    acc_env = arith.add_abs(acc_env, pieces)
-            if acc is not None:
-                total = arith.add(total, acc)
-                total_env = arith.add(total_env, acc_env)
-        yield total, total_env, den, vd
+            pieces = [arith.scale(a if d == den else a * (den // d), islice(w, count))
+                      for a, d, w in part]
+            if pieces:
+                total = arith.add(total, reduce(arith.add, pieces))
+                summed.append(pieces)
+        yield total, partial(_envelope, arith, lead, summed), den, vd
         for memo in (*d_t_memo.values(), *d_z_memo.values()):
             memo.pop(n - span, None)
+
+
+def _envelope(arith: Arithmetic, lead: list, summed: list, ranks: list) -> list:
+    """The magnitude envelope of one t-order of ``operator_numerators`` at the
+    graded ranks ``ranks``: |lead| plus, term by term, the sum of |piece|."""
+    env = arith.abs(map(lead.__getitem__, ranks))
+    for pieces in summed:
+        acc = arith.abs(map(pieces[0].__getitem__, ranks))
+        for piece in pieces[1:]:
+            acc = arith.add_abs(acc, map(piece.__getitem__, ranks))
+        env = arith.add(env, acc)
+    return env
 
 
 def apply_operator(spec: OperatorSpec, u: TimeSeries) -> TimeSeries:

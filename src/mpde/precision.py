@@ -9,11 +9,30 @@ mpmath numbers.
 Every ``series.MultiSeries`` holds its coefficients as the elements of one
 ``Arithmetic``, derived from the mode and the data: it encodes coefficients
 as elements, holds the vector operations on elements and decodes them back.
-Exact elements are integer numerators over a common denominator.  Float
-elements are raw ``mpmath.libmp`` tuples when every value is real, each
-operation the correctly rounded one that ``mpf`` makes, at the precision read
-when the arithmetic is built; they are mpmath numbers when some value is
-complex.  Exact mode never touches the float context.
+Exact elements are integer numerators over a common denominator; complex
+float elements are mpmath numbers.  Both use Python's operators.  Exact mode
+never touches the float context.
+
+Real float elements are raw ``mpmath.libmp`` tuples (sign, mantissa,
+exponent, bit count), and the real arithmetic works at the precision that is
+current when it is built.  Its invariant: every element it returns equals,
+bit for bit, what the ``mpf`` objects compute at that precision with
+round-to-nearest, operands materialized above that precision included.  It
+does only the work that can change a bit:
+
+- a multiply or an add combines the two mantissas as integers and rounds
+  the result to nearest-even inline, with ``int.bit_length``, stripping
+  trailing zero bits as libmp does;
+- libmp (``mpf_mul``, ``mpf_add``, ``mpf_sub``) takes over for a zero, inf
+  or nan operand, and for an add whose exponents lie more than 100 bits
+  apart, where libmp may stand a one-bit perturbation in for the smaller
+  operand;
+- a scale by exactly 1 or -1 returns each element (or its sign flip), and
+  ``abs`` clears each sign, without rounding; both only for an element whose
+  bit count is at most the precision, since data materialized above it must
+  still be rounded (by ``mul`` or ``mpf_abs``);
+- ``sub`` flips the subtrahend's sign and adds, rounding once, as
+  ``mpf_sub`` does.
 """
 
 from __future__ import annotations
@@ -27,7 +46,8 @@ from typing import Callable, Iterable
 
 import mpmath
 from mpmath import mpc, mpf
-from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import (fnone, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_sub,
+                          round_nearest)
 
 # mantissa bits of a run whose problem file and command line set none
 DEFAULT_PRECISION_BITS = 256
@@ -90,7 +110,9 @@ class Arithmetic:
     element c times each, ``abs``, and in one pass ``add_scaled(xs, c, ys)``,
     xs + c*ys, and ``add_abs(xs, ys)``, xs + |ys|.  ``quotient(x, y, den)``
     is |x|/y as an mpf for elements x and y over den.  Float elements have
-    denominator 1.
+    denominator 1.  Each operation rounds like the one on mpf (or Python)
+    numbers; the real arithmetic gets there by the shortcuts of the module
+    docstring, which never change a bit.
     """
 
     name: str
@@ -122,22 +144,16 @@ def _exact_encode(values) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _vector_ops(mul, add, sub, abs_, *args) -> dict:
-    """The vector operations over elementwise ones, which take ``args`` (for
-    raw tuples the precision and the rounding) after their operands."""
-    return dict(
-        mul=lambda xs, ys: list(map(mul, xs, ys, *args)),
-        scale=lambda c, xs: list(map(mul, repeat(c), xs, *args)),
-        add=lambda xs, ys: list(map(add, xs, ys, *args)),
-        sub=lambda xs, ys: list(map(sub, xs, ys, *args)),
-        abs=lambda xs: list(map(abs_, xs, *args)),
-        add_scaled=lambda xs, c, ys: list(map(add, xs, map(mul, repeat(c), ys, *args), *args)),
-        add_abs=lambda xs, ys: list(map(add, xs, map(abs_, ys, *args), *args)),
-    )
-
-
 # exact integers and complex mpmath numbers share the operators of Python numbers
-_OBJECT_OPS = _vector_ops(operator.mul, operator.add, operator.sub, abs)
+_OBJECT_OPS = dict(
+    mul=lambda xs, ys: list(map(operator.mul, xs, ys)),
+    scale=lambda c, xs: list(map(operator.mul, repeat(c), xs)),
+    add=lambda xs, ys: list(map(operator.add, xs, ys)),
+    sub=lambda xs, ys: list(map(operator.sub, xs, ys)),
+    abs=lambda xs: list(map(abs, xs)),
+    add_scaled=lambda xs, c, ys: list(map(operator.add, xs, map(operator.mul, repeat(c), ys))),
+    add_abs=lambda xs, ys: list(map(operator.add, xs, map(abs, ys))),
+)
 
 EXACT = Arithmetic(
     "exact", "exact", zero=0, encode=_exact_encode, decode=Fraction,
@@ -154,13 +170,90 @@ def _complex(prec: int) -> Arithmetic:
 
 def _real(prec: int) -> Arithmetic:
     make_mpf = mpmath.mp.make_mpf
+    rnd = round_nearest
+
+    def mul(x, y):
+        """x*y rounded at prec; libmp for a zero, inf or nan operand."""
+        man = x[1] * y[1]
+        if not man:
+            return mpf_mul(x, y, prec, rnd)
+        exp = x[2] + y[2]
+        n = man.bit_length() - prec
+        if n > 0:
+            t = man >> (n - 1)
+            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+            exp += n
+            if not man & 1:
+                z = (man & -man).bit_length() - 1
+                man >>= z
+                exp += z
+        return x[0] ^ y[0], man, exp, man.bit_length()
+
+    def add(x, y, flip=0):
+        """x + y, or x - y for flip 1, rounded at prec; libmp for a zero, inf
+        or nan operand and for exponents more than 100 bits apart."""
+        xm, ym, offset = x[1], y[1], x[2] - y[2]
+        if not (xm and ym) or not -100 <= offset <= 100:
+            return mpf_sub(x, y, prec, rnd) if flip else mpf_add(x, y, prec, rnd)
+        if offset >= 0:
+            xm <<= offset
+            exp = y[2]
+        else:
+            ym <<= -offset
+            exp = x[2]
+        sign = x[0]
+        if sign == y[0] ^ flip:
+            man = xm + ym
+        else:
+            man = xm - ym
+            if man < 0:
+                sign, man = sign ^ 1, -man
+            elif not man:
+                return fzero
+        n = man.bit_length() - prec
+        if n > 0:
+            t = man >> (n - 1)
+            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+            exp += n
+        if not man & 1:
+            z = (man & -man).bit_length() - 1
+            man >>= z
+            exp += z
+        return sign, man, exp, man.bit_length()
+
+    def scaled(c, xs):
+        """c*x for each x, lazily: a scale by exactly 1 or -1 keeps or flips
+        each x already at prec and rounds only the others."""
+        if c == fone:
+            return (x if x[3] <= prec else mul(c, x) for x in xs)
+        if c == fnone:
+            return ((x[0] ^ 1, x[1], x[2], x[3]) if 0 < x[3] <= prec else mul(c, x)
+                    for x in xs)
+        return map(mul, repeat(c), xs)
+
+    def absolute(xs):
+        """|x| for each x, lazily: the sign cleared for each x already at prec."""
+        return (((0,) + x[1:] if x[0] else x) if x[3] <= prec else mpf_abs(x, prec, rnd)
+                for x in xs)
+
     return Arithmetic(
         "real", prec, zero=fzero,
         encode=lambda values: ([v._mpf_ for v in values], 1),
         decode=lambda x, den: make_mpf(x),
-        quotient=lambda x, y, den: make_mpf(
-            mpf_div(mpf_abs(x, prec, round_nearest), y, prec, round_nearest)),
-        **_vector_ops(mpf_mul, mpf_add, mpf_sub, mpf_abs, repeat(prec), repeat(round_nearest)))
+        quotient=lambda x, y, den: make_mpf(mpf_div(mpf_abs(x, prec, rnd), y, prec, rnd)),
+        mul=lambda xs, ys: list(map(mul, xs, ys)),
+        scale=lambda c, xs: list(scaled(c, xs)),
+        add=lambda xs, ys: list(map(add, xs, ys)),
+        sub=lambda xs, ys: list(map(add, xs, ys, repeat(1))),
+        abs=lambda xs: list(absolute(xs)),
+        add_scaled=lambda xs, c, ys: list(map(add, xs, scaled(c, ys))),
+        add_abs=lambda xs, ys: list(map(add, xs, absolute(ys))))
 
 
 def arithmetic(mode: str, values: Iterable = (), held: Iterable[Arithmetic] = ()) -> Arithmetic:

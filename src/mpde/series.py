@@ -18,7 +18,8 @@ and mpmath numbers for complex data, with ``den`` 1.  ``vec`` may end early,
 the entries after its end being zero, so sparse data stay small; zeros may
 also sit between values, as in the majorant, which fills every rank outside
 its dependency cone with zero.  ``coeffs``, the index -> value dict with
-zeros dropped, is decoded at its first read.
+zeros dropped, is decoded from ``vec`` at every read and not kept, so a
+series holds its values in one form only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import mpmath
@@ -105,10 +105,10 @@ class MultiSeries:
     def mode(self) -> str:
         return self.arithmetic.mode
 
-    @cached_property
+    @property
     def coeffs(self) -> dict:
-        """index -> value, zeros dropped, in graded order; built at the first
-        read."""
+        """index -> value, zeros dropped, in graded order; decoded at every
+        read and not kept."""
         decode, zero, den = self.arithmetic.decode, self.arithmetic.zero, self.den
         return {alpha: decode(x, den)
                 for alpha, x in zip(indices_up_to(self.dim, self.valid_degree), self.vec)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import mpmath
 from mpmath import mpf
@@ -409,19 +410,24 @@ def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
                 vd = min(vd, kernel.degree(steps[k].valid_degree, term.alpha))
                 scalar, s_den = arith.scalar(sign * (c * m0.ratio(k, k - term.j, mode)))
                 reads.append((scalar, s_den, k, term.alpha))
-        g_vec, g_den = on_cone(n, g_n.dense(graded_count(dim, vd), arith)), g_n.den
+        count = graded_count(dim, vd)
+        g_vec, g_den = g_n.dense(count, arith), g_n.den
         pieces = []
         for scalar, s_den, k, alpha in reads:
             d, d_den = dz_on(k, alpha, cone[n]) if majorant else dz(k, alpha)
             pieces.append((scalar, s_den * d_den, d))
         den = math.lcm(g_den, *(piece_den for _, piece_den, _ in pieces))
-        acc = g_vec
-        if den != g_den:
-            acc = arith.scale(den // g_den, acc)
+        # a forcing coefficient that stores no value is not added
+        acc = None
+        if g_vec.count(arith.zero) != len(g_vec) or not pieces:
+            acc = on_cone(n, g_vec)
+            if den != g_den:
+                acc = arith.scale(den // g_den, acc)
         for scalar, piece_den, d in pieces:
             if piece_den != den:
                 scalar = scalar * (den // piece_den)
-            acc = arith.add_scaled(acc, scalar, d)
+            acc = (arith.scale(scalar, islice(d, count)) if acc is None
+                   else arith.add_scaled(acc, scalar, d))
         steps.append(step(acc, den, vd, m0.ratio(n - spec.M, n, mode), n))
         diff_cache.pop(n - span, None)
 
@@ -440,10 +446,13 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
 
     The envelope adds |piece| for every piece of P(u) and |f|, so it bounds
     the sum of magnitudes of everything that cancelled; a zero envelope
-    forces an exactly zero residual.  Each t-order is reduced before the next
-    one is computed.  Returns an mpf (0 for an identically zero residual;
-    +inf if a zero envelope meets a nonzero residual, which indicates a
-    genuine defect; NaN at the first NaN quotient, which no bound accepts).
+    forces an exactly zero residual.  It is evaluated only at the ranks
+    where the residual is nonzero, and a forcing coefficient that stores no
+    value is neither subtracted nor added into it.  Each t-order is reduced
+    before the next one is computed.  Returns an mpf (0 for an identically
+    zero residual; +inf if a zero envelope meets a nonzero residual, which
+    indicates a genuine defect; NaN at the first NaN quotient, which no bound
+    accepts).
     """
     forcing, u = problem.forcing, sol.working
     # the solution need not hold the operator's coefficients or the forcing
@@ -451,28 +460,35 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
                           values=(a for t in problem.spec.terms for a in t.coeff))
     zero = arith.zero
     worst = mpf(0)
-    for n, (values, env, den, vd) in enumerate(operator_numerators(problem.spec, u, arith)):
+    for n, (values, envelope, den, vd) in enumerate(operator_numerators(problem.spec, u,
+                                                                         arith)):
         if n > forcing.n_max:
             break
         f_n = forcing.coeffs[n]
-        vd = min(vd, f_n.valid_degree)
-        f_nums, f_den = f_n.dense(graded_count(f_n.dim, vd), arith), f_n.den
+        count = graded_count(f_n.dim, min(vd, f_n.valid_degree))
+        values, f_nums, f_den = values[:count], f_n.dense(count, arith), f_n.den
+        # a forcing coefficient that stores no value is not subtracted or added
+        forced = f_nums.count(zero) != len(f_nums)
         common = math.lcm(den, f_den)
         if common != den:
             values = arith.scale(common // den, values)
-        if common != f_den:
-            f_nums = arith.scale(common // f_den, f_nums)
-        residual = arith.sub(values, f_nums)
+        residual = values
+        if forced:
+            if common != f_den:
+                f_nums = arith.scale(common // f_den, f_nums)
+            residual = arith.sub(values, f_nums)
         if residual.count(zero) == len(residual):
             continue    # an identically zero order needs no envelope
+        ranks = [r for r, x in enumerate(residual) if x != zero]
+        env = envelope(ranks)
         if common != den:
             env = arith.scale(common // den, env)
-        for num, denom in zip(residual, arith.add_abs(env, f_nums)):
-            if num == zero:
-                continue
+        if forced:
+            env = arith.add_abs(env, map(f_nums.__getitem__, ranks))
+        for r, denom in zip(ranks, env):
             if denom == zero:
                 return mpf("inf")
-            q = arith.quotient(num, denom, common)
+            q = arith.quotient(residual[r], denom, common)
             if not q <= worst:
                 if mpmath.isnan(q):
                     return q

@@ -101,10 +101,11 @@ def series_equal(a: MultiSeries, b: MultiSeries) -> bool:
     if a.dim != b.dim:
         return False
     vd = min(a.valid_degree, b.valid_degree)
-    for alpha in set(a.coeffs) | set(b.coeffs):
+    a_coeffs, b_coeffs = a.coeffs, b.coeffs
+    for alpha in set(a_coeffs) | set(b_coeffs):
         if sum(alpha) > vd:
             continue
-        va, vb = a.coeffs.get(alpha, 0), b.coeffs.get(alpha, 0)
+        va, vb = a_coeffs.get(alpha, 0), b_coeffs.get(alpha, 0)
         if a.mode == "exact" and b.mode == "exact":
             if va != vb:
                 return False
@@ -121,10 +122,10 @@ def series_equal(a: MultiSeries, b: MultiSeries) -> bool:
 def add_reference(a: MultiSeries, b: MultiSeries) -> tuple:
     """(coefficients, valid degree) of a + b."""
     vd = min(a.valid_degree, b.valid_degree)
-    out = {}
-    for alpha in set(a.coeffs) | set(b.coeffs):
+    out, a_coeffs, b_coeffs = {}, a.coeffs, b.coeffs
+    for alpha in set(a_coeffs) | set(b_coeffs):
         if sum(alpha) <= vd:
-            v = a.coeffs.get(alpha, 0) + b.coeffs.get(alpha, 0)
+            v = a_coeffs.get(alpha, 0) + b_coeffs.get(alpha, 0)
             if v != 0:
                 out[alpha] = v
     return out, vd
@@ -152,10 +153,11 @@ def majorizes_reference(g: MultiSeries, f: MultiSeries) -> bool:
     vd = min(g.valid_degree, f.valid_degree)
     float_mode = "float" in (g.mode, f.mode)
     slack = float_tolerance() if float_mode else 0
-    for alpha in set(g.coeffs) | set(f.coeffs):
+    g_coeffs, f_coeffs = g.coeffs, f.coeffs
+    for alpha in set(g_coeffs) | set(f_coeffs):
         if sum(alpha) > vd:
             continue
-        fa, ga = abs(f.coeffs.get(alpha, 0)), g.coeffs.get(alpha, 0)
+        fa, ga = abs(f_coeffs.get(alpha, 0)), g_coeffs.get(alpha, 0)
         if float_mode:
             fa, ga = to_number(fa, "float"), to_number(ga, "float")
             if fa > ga + slack * max(fa, ga, mpf(1)):
@@ -467,9 +469,11 @@ def apply_operator_reference(spec, u, absolute=False):
 
 def operator_pairs_view(spec, u):
     """(P(u)_n, envelope_n) per t-order as series: ``operator_numerators``,
-    the kernel the residual runs, with its output turned into series."""
+    the kernel the residual runs, with its output turned into series and
+    its envelope evaluated at every rank."""
     arith = arithmetic_of(*u.coeffs, values=(a for t in spec.terms for a in t.coeff))
     for values, env, den, vd in operator_numerators(spec, u, arith):
+        env = env(list(range(len(values))))
         yield tuple(MultiSeries(u.dim, arith, vec, den, vd) for vec in (values, env))
 
 
@@ -482,10 +486,11 @@ def residual_max_relative_two_pass(problem, sol):
         res_n = series_add(app.coeffs[n], series_scale(problem.forcing.coeffs[n], -1))
         env_n = series_add(envelope.coeffs[n], majorant(problem.forcing.coeffs[n]))
         vd = min(res_n.valid_degree, env_n.valid_degree)
+        env_coeffs = env_n.coeffs
         for alpha, v in res_n.coeffs.items():
             if sum(alpha) > vd:
                 continue
-            denom = env_n.coeffs.get(alpha, 0)
+            denom = env_coeffs.get(alpha, 0)
             if denom == 0:
                 if v != 0:
                     return mpf("inf")

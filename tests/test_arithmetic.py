@@ -13,15 +13,43 @@ from mpde.precision import EXACT, arithmetic
 
 PRECISIONS = (53, 113, 256)
 
+def tie(prec: int, high: int, odd: bool, neg: bool) -> int:
+    """A mantissa exactly half-way between two of ``prec`` bits, the lower
+    one odd or even."""
+    kept = (1 << (prec - 1)) | (high % (1 << (prec - 2))) << 1 | odd
+    return (-1) ** neg * (kept << 1 | 1)
+
+
 # (mantissa, exponent, precision the value is rounded to): zeros, short and
-# long mantissas of either sign, at the run's precision and at another one
+# long mantissas of either sign, 2^k - 1 (which rounds up to a power of two)
+# and exact half-way ties at a run precision, at the run's precision and at
+# another one
+ties = st.builds(tie, st.sampled_from(PRECISIONS), st.integers(0, 2 ** 64), st.booleans(),
+                 st.booleans())
 mantissas = st.one_of(
     st.just(0),
     st.integers(-2 ** 20, 2 ** 20),
     st.builds(lambda bits, low, neg: (-1) ** neg * ((1 << bits) | low),
               st.integers(0, 400), st.integers(0, 2 ** 64), st.booleans()),
+    st.builds(lambda bits, neg: (-1) ** neg * ((1 << bits) - 1), st.integers(1, 520),
+              st.booleans()),
+    ties,
 )
-values = st.tuples(mantissas, st.integers(-300, 300), st.sampled_from(PRECISIONS + (512,)))
+precisions = st.sampled_from(PRECISIONS + (512,))
+values = st.tuples(mantissas, st.integers(-300, 300), precisions)
+# a scalar may be exactly 1 or -1, at any precision
+scalars = st.one_of(values, st.tuples(st.sampled_from([1, -1]), st.just(0), precisions))
+# operand pairs: independent ones; x and -x, which cancel exactly; a tie
+# split into two exact summands; and odd mantissas 100 or 101 bits apart
+operand_pairs = st.one_of(
+    st.tuples(values, values),
+    values.map(lambda v: (v, (-v[0], *v[1:]))),
+    st.builds(lambda t, small: ((t - small, 0, 512), (small, 0, 512)), ties,
+              st.integers(1, 2 ** 20)),
+    st.builds(lambda a, b, exp, gap: ((a | 1, exp, 512), (b | 1, exp + gap, 512)),
+              st.integers(-2 ** 60, 2 ** 60), st.integers(-2 ** 60, 2 ** 60),
+              st.integers(-300, 300), st.sampled_from([-101, -100, 100, 101])),
+)
 
 
 def to_mpf(value):
@@ -34,9 +62,9 @@ def bits(xs) -> list:
     return [x._mpf_ for x in xs]
 
 
-@settings(max_examples=150)
-@given(prec=st.sampled_from(PRECISIONS), pairs=st.lists(st.tuples(values, values), min_size=1,
-                                                      max_size=6), c=values)
+@settings(max_examples=300)
+@given(prec=st.sampled_from(PRECISIONS), pairs=st.lists(operand_pairs, min_size=1, max_size=6),
+       c=scalars)
 def test_real_ops_equal_mpf_objects(prec, pairs, c):
     xs = [to_mpf(x) for x, _ in pairs]
     ys = [to_mpf(y) for _, y in pairs]

@@ -365,8 +365,8 @@ class TestKernelForm:
         # every series holds its coefficients as integer numerators over one
         # denominator: materializing the data decodes no value, pipeline.run
         # decodes one (so builds one Fraction) per reported coefficient of
-        # the solve and the majorant, and no working series builds its
-        # coefficient dict before its first read
+        # the solve and the majorant, and no series keeps a decoded
+        # coefficient dict next to its vector
         spec_file = parse_problem_file(HEAT, overrides={"n_max": 12})
         decoded = []
 
@@ -378,7 +378,8 @@ class TestKernelForm:
         data = materialize_problem(spec_file)
         result = pipeline.run(spec_file)
         sol = result.solution
-        assert not any("coeffs" in vars(c) for c in sol.working.coeffs)
+        fields = {"dim", "arithmetic", "vec", "den", "valid_degree"}
+        assert all(set(vars(c)) == fields for c in (*sol.working.coeffs, *sol.u.coeffs))
         # the solve's and the majorant's u: one coefficient per t-order each
         assert len(decoded) == 2 * 13
         monkeypatch.undo()

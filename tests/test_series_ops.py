@@ -157,8 +157,9 @@ def test_dilate(f, constant, h):
 @given(any_series())
 def test_coefficient_reads_the_coefficient_dict(f):
     zero = Fraction(0) if f.mode == "exact" else mpf(0)
+    coeffs = f.coeffs
     for alpha in indices_up_to(f.dim, f.valid_degree + 1):
-        assert f.coefficient(alpha) == f.coeffs.get(alpha, zero)
+        assert f.coefficient(alpha) == coeffs.get(alpha, zero)
     assert f.coefficient((0,) * (f.dim + 1)) == zero
 
 

@@ -37,7 +37,7 @@ from mpde.solver import degree_budget, degree_envelope, dependency_cone
 from helpers import (dependency_cone_reference, heat_solution_oracle, on_cone, random_data,
                      random_operator_spec, random_problem, rational_ratio_moments,
                      residual_max_relative_two_pass, series_equal, solve_formal_reference,
-                     time_series, zero_forcing)
+                     time_series, zero_forcing, zero_time_series)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -311,6 +311,19 @@ class TestResidual:
         bump = bumped(sol, 4, (1,), mpmath.mpf(1) / 7)
         assert residual_max_relative(prob, bump) == residual_max_relative_two_pass(prob, bump) > 0
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_forcing_valid_degree_caps_each_order(self, mode):
+        """Each order is checked to its forcing's valid degree only, also when
+        the forcing stores no value: a bump of u above it is not read."""
+        spec = OperatorSpec(M=1, m0=G1, m=(G1,),
+                            terms=(OperatorTerm(j=0, alpha=(1,), coeff=(Fraction(-1),)),))
+        phi = generator_series("geometric", 1, 8, mode, ratio=Fraction(1, 2))
+        prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 8, 0, mode))
+        bump = bumped(solve_formal(prob, 8, 0), 3, (4,), Fraction(1, 7))
+        low = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_time_series(7, 1, 2, mode))
+        assert residual_max_relative(low, bump) == residual_max_relative_two_pass(low, bump)
+        assert residual_max_relative(low, bump) < residual_max_relative(prob, bump)
+
     def test_randomized_residuals_exact(self):
         rng = random.Random(5150)
         for _ in range(5)        :
@@ -517,7 +530,9 @@ class TestPrecisionScope:
     def test_shared_kernel_keeps_each_precision(self):
         """One problem solved at 53, 256 and again 53 bits, each inside
         ``workprec``: every solve equals the reference at its precision, so
-        the shared ``spec.z_kernel`` serves no ratio vector of another one."""
+        the shared ``spec.z_kernel`` serves no ratio vector of another one,
+        and the one-pass residual equals the two-pass one on data
+        materialized at 256 bits, with a zero forcing and -1 coefficients."""
         spec = OperatorSpec(M=1, m0=GH, m=(GH,),
                             terms=(OperatorTerm(j=0, alpha=(2,), coeff=(Fraction(-1),)),))
         n_max = 8
@@ -533,6 +548,10 @@ class TestPrecisionScope:
                 assert_same_recurrence(solve_majorant(prob, n_max, 0),
                                        solve_formal_reference(prob, n_max, 0, majorant_mode=True),
                                        cone, majorant=True)
+                assert residual_max_relative(prob, sol) == \
+                    residual_max_relative_two_pass(prob, sol)
+                # the reference shares the kernel: every element is at prec
+                assert all(x[3] <= prec for c in sol.working.coeffs for x in c.vec)
                 solved.append([c.coeffs for c in sol.working.coeffs])
         assert mpmath.mp.prec == 256
         assert solved[0] == solved[2] != solved[1]

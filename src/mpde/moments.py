@@ -44,6 +44,27 @@ class MomentFunction:
     # table_key -> [m(0), m(1), ...]
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __eq__(self, other):
+        """Structural equality: same kind, order and table, and equal
+        operands.  Each pair of operand nodes is compared once, so operands
+        that share subtrees cost time linear in the number of nodes."""
+        if not isinstance(other, MomentFunction):
+            return NotImplemented
+        seen, todo = set(), [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a is None or b is None or (a.kind, a.order, a.table) != (b.kind, b.order, b.table):
+                return False
+            if (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                todo += ((a.left, b.left), (a.right, b.right))
+        return True
+
+    def __hash__(self):
+        return hash((self.kind, self.order))
+
     def value(self, n: int) -> mpf:
         """m(n) as an arbitrary-precision float (current global precision)."""
         return self._entry(int(n), "float")

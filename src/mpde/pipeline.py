@@ -1,10 +1,22 @@
 """The pipeline core: one problem, from validation to the growth verdict,
 with no printing and no files.
 
-``run`` carries out the whole argument once: validate the problem, build the
-Newton polygon and the exact 1/k_1, solve the coefficient recurrence, check
-that the majorant dominates the solution and that the residual vanishes, and
-fit the Gevrey order of the bound sequence.  Float work runs at the run's
+``run`` carries out the whole argument once, in this order:
+
+1. validate the problem;
+2. build the Newton polygon and the exact 1/k_1;
+3. solve the majorant recurrence and keep only its reported coefficients;
+4. solve the coefficient recurrence;
+5. check that the majorant dominates the solution on the reported
+   coefficients;
+6. check that the residual of every working step vanishes;
+7. fit the Gevrey order of the bound sequence.
+
+The majorant comes first because domination reads only its reported
+coefficients.  Its working steps (the dependency cone) are dropped as soon
+as those are sliced out, before the direct solve allocates.  So a run holds
+at most one working solution, plus the residual's window of t-orders, and
+never two.  Float work runs at the run's
 precision inside ``mpmath.workprec``, so the caller's precision is the same
 afterwards, also when a stage raises.
 """
@@ -75,10 +87,12 @@ def run(spec_file: ProblemSpecFile) -> PipelineResult:
             poly = build_polygon(problem.spec)
         inv_k1 = inverse_k1(problem.spec)
 
+        # the majorant first, and only its reported coefficients kept: its
+        # working steps are garbage before the direct solve allocates its own
+        maj_u = solve_majorant(problem, cfg.n_max, cfg.report_degree).u
         sol = solve_formal(problem, cfg.n_max, cfg.report_degree)
-        maj = solve_majorant(problem, cfg.n_max, cfg.report_degree)
         dominated = all(
-            majorizes(maj.u.coeffs[n], sol.u.coeffs[n]) for n in range(sol.n_max + 1)
+            majorizes(maj_u.coeffs[n], sol.u.coeffs[n]) for n in range(sol.n_max + 1)
         )
         rel_residual = residual_max_relative(problem, sol)
 

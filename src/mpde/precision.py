@@ -32,7 +32,12 @@ does only the work that can change a bit:
   bit count is at most the precision, since data materialized above it must
   still be rounded (by ``mul`` or ``mpf_abs``);
 - ``sub`` flips the subtrahend's sign and adds, rounding once, as
-  ``mpf_sub`` does.
+  ``mpf_sub`` does;
+- ``quotient`` divides only when the quotient can exceed its bound: it
+  compares |x| with bound*y on the integer mantissas first, for nonzero
+  finite operands at the precision.  Rounding to nearest is monotone and
+  keeps a value at the precision, so a quotient at most the bound rounds
+  to at most the bound.
 """
 
 from __future__ import annotations
@@ -108,8 +113,10 @@ class Arithmetic:
     vector operations take iterables, return lists and stop at the shortest
     input: ``mul``, ``add`` and ``sub`` elementwise, ``scale(c, xs)`` the
     element c times each, ``abs``, and in one pass ``add_scaled(xs, c, ys)``,
-    xs + c*ys, and ``add_abs(xs, ys)``, xs + |ys|.  ``quotient(x, y, den)``
-    is |x|/y as an mpf for elements x and y over den.  Float elements have
+    xs + c*ys, and ``add_abs(xs, ys)``, xs + |ys|.  ``quotient(x, y, den,
+    bound)`` is |x|/y as an mpf for elements x and y over den, or ``bound``
+    itself when the arithmetic can tell without dividing that the quotient
+    rounds to at most ``bound``, an mpf.  Float elements have
     denominator 1.  Each operation rounds like the one on mpf (or Python)
     numbers; the real arithmetic gets there by the shortcuts of the module
     docstring, which never change a bit.
@@ -158,14 +165,15 @@ _OBJECT_OPS = dict(
 EXACT = Arithmetic(
     "exact", "exact", zero=0, encode=_exact_encode, decode=Fraction,
     # the reduced Fractions, as to_mpf rounds numerator and denominator apart
-    quotient=lambda x, y, den: to_mpf(Fraction(abs(x), den)) / to_mpf(Fraction(y, den)),
+    quotient=lambda x, y, den, bound: (to_mpf(Fraction(abs(x), den))
+                                       / to_mpf(Fraction(y, den))),
     **_OBJECT_OPS)
 
 
 def _complex(prec: int) -> Arithmetic:
     return Arithmetic(
         "complex", prec, zero=0, encode=lambda values: (values, 1), decode=lambda x, den: x,
-        quotient=lambda x, y, den: to_mpf(abs(x)) / to_mpf(y), **_OBJECT_OPS)
+        quotient=lambda x, y, den, bound: to_mpf(abs(x)) / to_mpf(y), **_OBJECT_OPS)
 
 
 def _real(prec: int) -> Arithmetic:
@@ -237,6 +245,25 @@ def _real(prec: int) -> Arithmetic:
                     for x in xs)
         return map(mul, repeat(c), xs)
 
+    def quotient(x, y, den, bound):
+        """|x|/y rounded at prec, or ``bound`` when |x| <= bound*y: decided on
+        the mantissas when x, y and the bound are nonzero, finite and at
+        prec, and y and the bound are positive."""
+        w = bound._mpf_
+        if x[1] and y[1] and w[1] and not (y[0] or w[0]) and x[3] <= prec \
+                and y[3] <= prec and w[3] <= prec:
+            # |x| lies in [2^(top-1), 2^top) and bound*y in [2^(low-2), 2^low)
+            exp = w[2] + y[2]
+            top, low = x[2] + x[3], exp + w[3] + y[3]
+            if top <= low - 2:
+                return bound
+            if top <= low:
+                shift = x[2] - exp
+                man = w[1] * y[1]
+                if (x[1] << shift <= man) if shift >= 0 else (x[1] <= man << -shift):
+                    return bound
+        return make_mpf(mpf_div(mpf_abs(x, prec, rnd), y, prec, rnd))
+
     def absolute(xs):
         """|x| for each x, lazily: the sign cleared for each x already at prec."""
         return (((0,) + x[1:] if x[0] else x) if x[3] <= prec else mpf_abs(x, prec, rnd)
@@ -246,7 +273,7 @@ def _real(prec: int) -> Arithmetic:
         "real", prec, zero=fzero,
         encode=lambda values: ([v._mpf_ for v in values], 1),
         decode=lambda x, den: make_mpf(x),
-        quotient=lambda x, y, den: make_mpf(mpf_div(mpf_abs(x, prec, rnd), y, prec, rnd)),
+        quotient=quotient,
         mul=lambda xs, ys: list(map(mul, xs, ys)),
         scale=lambda c, xs: list(scaled(c, xs)),
         add=lambda xs, ys: list(map(add, xs, ys)),

@@ -488,7 +488,7 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
         for r, denom in zip(ranks, env):
             if denom == zero:
                 return mpf("inf")
-            q = arith.quotient(residual[r], denom, common)
+            q = arith.quotient(residual[r], denom, common, worst)
             if not q <= worst:
                 if mpmath.isnan(q):
                     return q

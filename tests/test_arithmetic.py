@@ -85,7 +85,8 @@ def test_real_ops_equal_mpf_objects(prec, pairs, c):
         assert arith.add_abs(ex, ey) == bits(x + abs(y) for x, y in zip(xs, ys))
         for x, y, a, b in zip(ex, ey, xs, ys):
             if b:
-                assert arith.quotient(x, arith.abs([y])[0], 1)._mpf_ == (abs(a) / abs(b))._mpf_
+                assert (arith.quotient(x, arith.abs([y])[0], 1, mpmath.mpf(0))._mpf_
+                        == (abs(a) / abs(b))._mpf_)
         assert bits(arith.decode(x, den) for x in ex) == bits(xs)
         # x + (-x) and x - x cancel to exactly the zero element (x at the precision)
         at_prec = [+x for x in xs]
@@ -93,6 +94,32 @@ def test_real_ops_equal_mpf_objects(prec, pairs, c):
         assert arith.add(arith.encode(at_prec)[0], negated) == [fzero] * len(xs)
         assert arith.sub(ex, ex) == [fzero] * len(xs)
         assert arith.scale(arith.zero, ex) == [fzero] * len(xs)
+
+
+@settings(max_examples=300)
+@given(prec=st.sampled_from(PRECISIONS), pair=operand_pairs, c=values)
+def test_real_quotient_divides_only_above_its_bound(prec, pair, c):
+    # the quotient returns its bound only when |x|/y rounds to at most the
+    # bound, and the bits of |x|/y otherwise; just above the rounded
+    # quotient, the bound is returned without dividing
+    a, b = to_mpf(pair[0]), abs(to_mpf(pair[1]))
+    if not b:
+        return
+    with mpmath.workprec(prec):
+        arith = arithmetic("float", [a, b])
+        (x, y), _ = arith.encode([a, b])
+        want = abs(a) / b
+        step = mpmath.ldexp(1, 2 - prec)
+        for bound in (mpmath.mpf(0), want, want * (1 - step), want * (1 + step), +to_mpf(c)):
+            q = arith.quotient(x, y, 1, bound)
+            if q is bound:
+                assert want <= bound
+            else:
+                assert q._mpf_ == want._mpf_
+        at_prec = a._mpf_[3] <= prec and b._mpf_[3] <= prec
+        if a and at_prec:
+            bound = want * (1 + step)
+            assert arith.quotient(x, y, 1, bound) is bound
 
 
 def test_zero_element_is_mpf_zero():

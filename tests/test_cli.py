@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -8,6 +9,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -285,6 +288,91 @@ class TestSelfCheck:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["majorant_dominates"] is False
 
+
+
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak of fn(), in bytes above what was traced before it.
+    A full collection first empties the free lists, whose reuse tracemalloc
+    does not see."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMajorantFirst:
+    """``pipeline.run`` solves the majorant first and keeps only its reported
+    coefficients, so it never holds two working solutions at once."""
+
+    def test_majorant_working_is_freed_before_the_direct_solve(self, monkeypatch):
+        solve_majorant, solve_formal = pipeline.solve_majorant, pipeline.solve_formal
+        refs, dead = [], []
+
+        def majorant(*args):
+            maj = solve_majorant(*args)
+            refs.append(weakref.ref(maj.working))
+            return maj
+
+        def direct(*args):
+            dead.append(bool(refs) and refs[0]() is None)
+            return solve_formal(*args)
+
+        monkeypatch.setattr(pipeline, "solve_majorant", majorant)
+        monkeypatch.setattr(pipeline, "solve_formal", direct)
+        pipeline.run(parse_problem_file(FRACTIONAL, overrides={"n_max": 40}))
+        assert dead == [True]
+
+    def test_run_peak_holds_one_solution(self):
+        # the run's peak above that of the direct solve and the residual alone
+        # stays under half of what the majorant's solution holds (about the
+        # whole of it when both solutions are alive at once)
+        n_max = 60
+
+        def spec_file():
+            return parse_problem_file(FRACTIONAL, overrides={"n_max": n_max})
+
+        def direct_alone():
+            spec = spec_file()
+            with mpmath.workprec(spec.run.precision_bits):
+                problem = materialize_problem(spec)
+                sol = solver.solve_formal(problem, n_max, spec.run.report_degree)
+                solver.residual_max_relative(problem, sol)
+
+        pipeline.run(spec_file())   # fills the caches that outlive a run
+        spec = spec_file()
+        with mpmath.workprec(spec.run.precision_bits):
+            problem = materialize_problem(spec)
+            solver.solve_majorant(problem, n_max, spec.run.report_degree)
+            majorant_size = _traced_peak(
+                lambda: solver.solve_majorant(problem, n_max, spec.run.report_degree))
+        alone = _traced_peak(direct_alone)
+        run = _traced_peak(lambda: pipeline.run(spec_file()))
+        assert run - alone < majorant_size / 2
+
+    def test_domination_is_read_from_the_majorant(self, tmp_path, capsys, monkeypatch):
+        solve_majorant = pipeline.solve_majorant
+
+        def lowered(*args):
+            # one reported coefficient of the majorant halved
+            maj = solve_majorant(*args)
+            steps = list(maj.working.coeffs)
+            n = next(n for n, c in enumerate(maj.u.coeffs) if c.coeffs)
+            alpha, value = next(iter(maj.u.coeffs[n].coeffs.items()))
+            c = steps[n]
+            steps[n] = series.make_series(c.dim, {**c.coeffs, alpha: value / 2},
+                                          c.valid_degree, c.mode)
+            return replace(maj, working=TimeSeries(tuple(steps)))
+
+        monkeypatch.setattr(pipeline, "solve_majorant", lowered)
+        code, err = TestSelfCheck.run(tmp_path, capsys, HEAT, 40)
+        assert code == 3
+        assert err == "error: self-check failed: the majorant does not dominate the solution\n"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["majorant_dominates"] is False
 
 class TestNaNContradictsClaims:
     """One NaN element in a float solution or majorant fails the claim that

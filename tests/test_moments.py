@@ -1,4 +1,6 @@
 import gc
+import json
+import time
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -247,3 +249,48 @@ class TestTables:
         with pytest.raises(ValueError):
             m.values(3, "exact")
         assert m.value_exact(2) == 6
+
+
+def self_products(levels: int) -> tuple:
+    """a_k = a_{k-1} * a_{k-1} and likewise b_k, from two distinct order-0
+    gammas: equal trees of ``levels`` levels that share every subtree."""
+    a, b = gamma_moment(0), gamma_moment(0)
+    for _ in range(levels):
+        a, b = combine(a, a, "product"), combine(b, b, "product")
+    return a, b
+
+
+class TestStructuralEquality:
+    def test_shared_subtrees_compare_in_linear_time(self):
+        a, b = self_products(20)
+        start = time.perf_counter()
+        ratio = combine(a, b, "quotient").ratio(3, 2, "exact")
+        assert time.perf_counter() - start < 0.2
+        assert ratio == 1
+
+    def test_equal_trees_hash_alike(self):
+        a, b = self_products(40)
+        assert a == b and hash(a) == hash(b)
+        c = combine(combine(a, a, "product"), a, "product")
+        d = combine(combine(b, b, "product"), gamma_moment(1), "product")
+        assert c != d and c != gamma_moment(0) and a != G1
+
+    def test_forty_level_declarations(self, tmp_path):
+        # a quotient of two 40-level self-products is 1, so heat with that
+        # quotient times Gamma_1 as its space moment solves heat itself
+        doc = json.loads(HEAT.read_text())
+        moments = {"m0": doc["moments"]["m0"], "a0": {"kind": "gamma", "order": "0"},
+                   "b0": {"kind": "gamma", "order": "0"}, "g1": {"kind": "gamma", "order": "1"}}
+        for k in range(1, 41):
+            for x in "ab":
+                moments[f"{x}{k}"] = {"kind": "product", "factors": [f"{x}{k - 1}"] * 2}
+        moments["q"] = {"kind": "quotient", "factors": ["a40", "b40"]}
+        moments["s"] = {"kind": "product", "factors": ["q", "g1"]}
+        doc["moments"], doc["operator"]["space_moments"] = moments, ["s"]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        spec_file = parse_problem_file(path, overrides={"n_max": 12})
+        assert spec_file.operator.m[0].ratio(3, 2, "exact") == 3
+        deep = pipeline.run(spec_file)
+        heat = pipeline.run(parse_problem_file(HEAT, overrides={"n_max": 12}))
+        assert deep.solution.u.coeffs == heat.solution.u.coeffs

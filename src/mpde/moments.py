@@ -2,8 +2,10 @@
 growth order s, generalizing n -> Gamma(1 + s*n).
 
 A moment function of order s grows like Gamma(1+sn) up to a geometric factor;
-products and quotients combine orders additively.  The ``gamma`` kind is the
-classical family; ``tabulated`` lets tests inject arbitrary (valid) sequences.
+products and quotients combine orders additively.  Every moment function is
+held in one normal form, a product of integer powers of atoms: an atom is a
+gamma order s, meaning n -> Gamma(1 + s*n), or a user table from
+``tabulated_moment``, which lets tests inject arbitrary (valid) sequences.
 """
 
 from __future__ import annotations
@@ -11,12 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from functools import reduce
+from operator import mul
+from typing import Callable, Sequence, Union
 
 import mpmath
 from mpmath import mpf
 
 from .precision import table_key, to_mpf
+
+# the most factors, counted with multiplicity, that a moment function may have
+MAX_MOMENT_FACTORS = 64
 
 
 class ExactValueUnavailable(ValueError):
@@ -27,43 +34,21 @@ class ExactValueUnavailable(ValueError):
 class MomentFunction:
     """An evaluable positive sequence with a declared order.
 
-    kind is one of gamma|product|quotient|tabulated.  gamma evaluates to
-    Gamma(1 + order*n); product/quotient compose two children pointwise;
-    tabulated wraps user-supplied values.
+    ``factors`` is a tuple of (atom, exponent) pairs with nonzero integer
+    exponents, gamma atoms (a ``Fraction`` s > 0 for Gamma(1 + s*n)) first
+    by s, then table atoms (a tuple of values or a callable n -> value) in
+    the order they were first combined; m(n) is the product of the atoms'
+    values raised to their exponents, and the empty product is 1.
 
     Values are kept in tables on the instance, one per arithmetic (exact, or
     float at one mpmath precision), computed once and extended on demand;
     nothing is cached across instances.
     """
 
-    kind: str
     order: Fraction
-    left: Optional["MomentFunction"] = None
-    right: Optional["MomentFunction"] = None
-    table: Union[tuple, Callable, None] = None
+    factors: tuple = ()
     # table_key -> [m(0), m(1), ...]
     _tables: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __eq__(self, other):
-        """Structural equality: same kind, order and table, and equal
-        operands.  Each pair of operand nodes is compared once, so operands
-        that share subtrees cost time linear in the number of nodes."""
-        if not isinstance(other, MomentFunction):
-            return NotImplemented
-        seen, todo = set(), [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if a is None or b is None or (a.kind, a.order, a.table) != (b.kind, b.order, b.table):
-                return False
-            if (id(a), id(b)) not in seen:
-                seen.add((id(a), id(b)))
-                todo += ((a.left, b.left), (a.right, b.right))
-        return True
-
-    def __hash__(self):
-        return hash((self.kind, self.order))
 
     def value(self, n: int) -> mpf:
         """m(n) as an arbitrary-precision float (current global precision)."""
@@ -91,43 +76,24 @@ class MomentFunction:
 
     def _column(self, n: int, mode: str) -> list:
         """The value table of ``mode``, extended to hold m(n); None marks an
-        irrational value in exact mode."""
+        irrational value in exact mode.  Each entry is the product of the
+        positive powers, divided once by the product of the others."""
         exact = mode == "exact"
         col = self._tables.setdefault(table_key(mode), [])
         new = range(len(col), n + 1)
         if not new:
             return col
-        if self.kind == "gamma":
-            if exact:
-                for k in new:
-                    sn = self.order * k
-                    col.append(Fraction(math.factorial(sn.numerator))
-                               if sn.denominator == 1 else None)
-            else:
-                s = to_mpf(self.order)
-                col.extend(mpmath.gamma(1 + s * k) for k in new)
-        elif self.kind == "quotient" and self.left == self.right:
-            col.extend((Fraction(1) if exact else mpf(1)) for _ in new)
-        elif self.kind in ("product", "quotient"):
-            left, right = self.left._column(n, mode), self.right._column(n, mode)
-            product = self.kind == "product"
-            for k in new:
-                a, b = left[k], right[k]
-                col.append(None if a is None or b is None else a * b if product else a / b)
-        else:
-            for k in new:
-                v = _table_value(self, k, exact)
-                if exact:
-                    v = Fraction(v) if isinstance(v, (int, Fraction)) else None
-                col.append(v)
+        one = Fraction(1) if exact else mpf(1)
+        columns = [(_atom_values(atom, new, exact), e) for atom, e in self.factors]
+        for i in range(len(new)):
+            if any(c[i] is None for c, _ in columns):
+                col.append(None)
+                continue
+            ups = [c[i] for c, e in columns for _ in range(e)]
+            downs = [c[i] for c, e in columns for _ in range(-e)]
+            up = reduce(mul, ups) if ups else one
+            col.append(up / reduce(mul, downs) if downs else up)
         return col
-
-    def __repr__(self):
-        if self.kind == "gamma":
-            return f"gamma_moment({self.order})"
-        if self.kind in ("product", "quotient"):
-            return f"{self.kind}({self.left!r}, {self.right!r})"
-        return f"tabulated_moment(order={self.order})"
 
 
 def gamma_moment(s) -> MomentFunction:
@@ -135,23 +101,32 @@ def gamma_moment(s) -> MomentFunction:
     s = Fraction(s)
     if s < 0:
         raise ValueError(f"gamma moment order must be >= 0, got {s}")
-    return MomentFunction(kind="gamma", order=s)
+    return MomentFunction(s, ((s, 1),) if s else ())
 
 
 def combine(m1: MomentFunction, m2: MomentFunction, op: str) -> MomentFunction:
-    """Pointwise product or quotient; orders add or subtract.
+    """Pointwise product or quotient; orders add or subtract and exponents
+    add or subtract, so m/m is the empty product, 1.
 
-    Quotients require s1 >= s2 so the resulting order is nonnegative.
+    Quotients require s1 >= s2 so the resulting order is nonnegative, and
+    the result may have at most ``MAX_MOMENT_FACTORS`` factors counted with
+    multiplicity.
     """
-    if op == "product":
-        return MomentFunction(kind="product", order=m1.order + m2.order, left=m1, right=m2)
-    if op == "quotient":
-        if m1.order < m2.order:
-            raise ValueError(
-                f"quotient order would be negative ({m1.order} - {m2.order})"
-            )
-        return MomentFunction(kind="quotient", order=m1.order - m2.order, left=m1, right=m2)
-    raise ValueError(f"unknown combine op {op!r} (want 'product' or 'quotient')")
+    if op not in ("product", "quotient"):
+        raise ValueError(f"unknown combine op {op!r} (want 'product' or 'quotient')")
+    sign = 1 if op == "product" else -1
+    if sign < 0 and m1.order < m2.order:
+        raise ValueError(f"quotient order would be negative ({m1.order} - {m2.order})")
+    exponents = dict(m1.factors)
+    for atom, e in m2.factors:
+        exponents[atom] = exponents.get(atom, 0) + sign * e
+    factors = tuple(sorted(((atom, e) for atom, e in exponents.items() if e),
+                           key=lambda f: (0, f[0]) if isinstance(f[0], Fraction) else (1, 0)))
+    size = sum(abs(e) for _, e in factors)
+    if size > MAX_MOMENT_FACTORS:
+        raise ValueError(f"moment function would be a product of {size} factors; "
+                         f"at most {MAX_MOMENT_FACTORS} are allowed")
+    return MomentFunction(m1.order + sign * m2.order, factors)
 
 
 def tabulated_moment(values: Union[Sequence, Callable], order) -> MomentFunction:
@@ -172,29 +147,30 @@ def tabulated_moment(values: Union[Sequence, Callable], order) -> MomentFunction
             if not v > 0:
                 raise ValueError(f"moment values must be positive, got m({n}) = {v}")
         v0 = table[0]
-    if not _is_one(v0):
+    if not (v0 == 1 if isinstance(v0, (int, Fraction)) else to_mpf(v0) == 1):
         raise ValueError(f"moment function must satisfy m(0) = 1, got {v0}")
-    return MomentFunction(kind="tabulated", order=order, table=table)
+    return MomentFunction(order, ((table, 1),))
 
 
-def _table_value(m: MomentFunction, n: int, exact: bool):
-    if callable(m.table):
-        v = m.table(n)
-    else:
-        if n >= len(m.table):
-            raise ValueError(
-                f"tabulated moment function has {len(m.table)} values, asked for m({n})"
-            )
-        v = m.table[n]
-    if not v > 0:
-        raise ValueError(f"moment values must be positive, got m({n}) = {v}")
-    return v if exact else to_mpf(v)
-
-
-def _is_one(v) -> bool:
-    if isinstance(v, (int, Fraction)):
-        return v == 1
-    return to_mpf(v) == 1
+def _atom_values(atom, new: range, exact: bool) -> list:
+    """The atom's values at each n of ``new``; None marks an irrational
+    value in exact mode."""
+    if isinstance(atom, Fraction):
+        if exact:
+            return [Fraction(math.factorial(sn.numerator)) if (sn := atom * k).denominator == 1
+                    else None for k in new]
+        s = to_mpf(atom)
+        return [mpmath.gamma(1 + s * k) for k in new]
+    if not callable(atom) and new[-1] >= len(atom):
+        raise ValueError(f"tabulated moment function has {len(atom)} values, "
+                         f"asked for m({new[-1]})")
+    values = [atom(k) for k in new] if callable(atom) else atom[new.start:new.stop]
+    for k, v in zip(new, values):
+        if not v > 0:
+            raise ValueError(f"moment values must be positive, got m({k}) = {v}")
+    if exact:
+        return [Fraction(v) if isinstance(v, (int, Fraction)) else None for v in values]
+    return [to_mpf(v) for v in values]
 
 
 def regularity_constants(m: MomentFunction, n_max: int) -> tuple[mpf, mpf]:

@@ -162,12 +162,29 @@ _OBJECT_OPS = dict(
     add_abs=lambda xs, ys: list(map(operator.add, xs, map(abs, ys))),
 )
 
+
+def _exact_scale(c, xs) -> list:
+    """c*x for each x: a copy for c = 1 and a negation for c = -1."""
+    if c == 1 or c == -1:
+        return list(xs if c == 1 else map(operator.neg, xs))
+    return list(map(operator.mul, repeat(c), xs))
+
+
+def _exact_add_scaled(xs, c, ys) -> list:
+    """x + c*y for each pair: a sum for c = 1 and a difference for c = -1."""
+    if c == 1 or c == -1:
+        return list(map(operator.add if c == 1 else operator.sub, xs, ys))
+    return list(map(operator.add, xs, map(operator.mul, repeat(c), ys)))
+
+
+# complex elements keep _OBJECT_OPS: an mpc times 1 still rounds data
+# materialized above the precision
 EXACT = Arithmetic(
     "exact", "exact", zero=0, encode=_exact_encode, decode=Fraction,
     # the reduced Fractions, as to_mpf rounds numerator and denominator apart
     quotient=lambda x, y, den, bound: (to_mpf(Fraction(abs(x), den))
                                        / to_mpf(Fraction(y, den))),
-    **_OBJECT_OPS)
+    **{**_OBJECT_OPS, "scale": _exact_scale, "add_scaled": _exact_add_scaled})
 
 
 def _complex(prec: int) -> Arithmetic:

@@ -28,7 +28,9 @@ Example:
     }
 
 A product or quotient moment names its two operands in ``factors``, e.g.
-``{"kind": "quotient", "factors": ["g", "m1"]}``.  Declarations nest at most
+``{"kind": "quotient", "factors": ["g", "m1"]}``, and resolves to the
+normal form of ``moments.combine``, a product of gamma powers with at most
+``moments.MAX_MOMENT_FACTORS`` (64) factors.  Declarations nest at most
 ``MAX_MOMENT_DEPTH`` (100) deep: a gamma moment is one level, and a product
 or quotient one more than its deeper operand.
 """

@@ -25,8 +25,10 @@ series holds its values in one form only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 import mpmath
@@ -164,7 +166,7 @@ def _reduced(dim: int, arith: Arithmetic, vec: list, den: int, valid_degree: int
     if den != 1:
         common = math.gcd(den, *vec)
         if common != 1:
-            vec = [v // common for v in vec]
+            vec = list(map(operator.floordiv, vec, repeat(common)))
             den //= common
     return MultiSeries(dim, arith, vec, den, valid_degree)
 

@@ -7,7 +7,8 @@ heat-solution oracle differentiates coefficient lists by hand, the
 dropped-boundary recurrence is a wrong convention the residual must reject,
 the z-derivative oracle looks up one moment ratio per coefficient, and the
 two-pass residual applies the whole operator once signed and once to
-absolute values, and the dependency-cone walk runs on sets of index tuples.
+absolute values, the dependency-cone walk runs on sets of index tuples,
+and the moment-value oracle evaluates a product/quotient tree recursively.
 ``truncate_series``, ``polygon_contains`` and ``growth_envelope`` are used
 by the tests only.
 """
@@ -210,6 +211,30 @@ def rational_ratio_moments():
 
 ORDERS_ANY = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
 ORDERS_EXACT = [Fraction(1), Fraction(2)]
+
+
+def moment_value_reference(recipe, n: int, mode: str):
+    """m(n) of a moment recipe, evaluated node by node: ``("gamma", s)`` is
+    Gamma(1 + s*n), ``("table", values)`` is values[n], and ``("product" |
+    "quotient", a, b)`` combines the values of a and b.  In exact mode an
+    irrational value anywhere in the tree gives None."""
+    exact = mode == "exact"
+    kind = recipe[0]
+    if kind == "gamma":
+        s = Fraction(recipe[1])
+        if exact:
+            sn = s * n
+            return Fraction(math.factorial(sn.numerator)) if sn.denominator == 1 else None
+        return mpmath.gamma(1 + to_mpf(s) * n)
+    if kind == "table":
+        v = recipe[1][n]
+        if exact:
+            return Fraction(v) if isinstance(v, (int, Fraction)) else None
+        return to_mpf(v)
+    a, b = (moment_value_reference(r, n, mode) for r in recipe[1:])
+    if a is None or b is None:
+        return None
+    return a * b if kind == "product" else a / b
 
 
 def random_operator_spec(rng: random.Random, exact: bool = False, max_m: int = 3,

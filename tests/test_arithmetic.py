@@ -139,3 +139,28 @@ def test_arithmetic_is_derived_from_the_data():
     assert at_53.key == 53 and arithmetic("float") != at_53
     with pytest.raises(ValueError):
         arithmetic("interval")
+
+
+integers = st.integers(-2 ** 70, 2 ** 70)
+
+
+@given(pairs=st.lists(st.tuples(integers, integers), max_size=6),
+       c=st.one_of(st.sampled_from([1, -1, 0]), integers))
+def test_exact_scaling_equals_integer_arithmetic(pairs, c):
+    # a scale by exactly 1 or -1 copies, negates, adds or subtracts
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    scaled = EXACT.scale(c, xs)
+    assert scaled == [c * x for x in xs] and scaled is not xs
+    assert EXACT.scale(c, iter(xs)) == scaled
+    summed = EXACT.add_scaled(xs, c, ys)
+    assert summed == [x + c * y for x, y in zip(xs, ys)] and summed is not xs
+
+
+def test_complex_scale_by_one_still_rounds():
+    # an mpc materialized above the precision is rounded by a scale by 1
+    with mpmath.workprec(512):
+        z = mpc(1, 1) / 3
+    arith = arithmetic("float", [z])
+    assert arith.name == "complex"
+    (one,), _ = arith.encode([mpc(1)])
+    assert arith.scale(one, [z]) == [+z] != [z]

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpde import TimeSeries, cli, pipeline, series, solver, tabulated_moment
 from mpde.cli import _report_dict, main, run_pipeline
+from mpde.moments import MAX_MOMENT_FACTORS
 from mpde.precision import EXACT
 from mpde.problemspec import MAX_MOMENT_DEPTH, materialize_problem, parse_problem_file
 from helpers import solve_formal_reference
@@ -815,6 +817,25 @@ class TestNestingLimits:
     @pytest.mark.parametrize("reverse", [False, True], ids=["bottom_up", "top_down"])
     def test_moment_chain_at_the_limit_runs(self, reverse):
         assert _assert_clean_exit(_moment_chain(MAX_MOMENT_DEPTH, reverse)) == 0
+
+    def test_self_product_past_the_factor_cap(self, tmp_path, capsys):
+        # a_k = a_{k-1} * a_{k-1} from a0 = Gamma_1, so a40 would be Gamma_1^(2^40)
+        # with m(2) = 2^(2^40); a7, Gamma_1^128, is the first past the cap
+        doc = json.loads(HEAT.read_text())
+        moments = {"m0": doc["moments"]["m0"], "a0": {"kind": "gamma", "order": "1"}}
+        for k in range(1, 41):
+            moments[f"a{k}"] = {"kind": "product", "factors": [f"a{k - 1}"] * 2}
+        doc["moments"], doc["operator"]["space_moments"] = moments, ["a40"]
+        spec = tmp_path / "deep.json"
+        spec.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = main(["run", str(spec), "--out", str(tmp_path / "out"), "--n-max", "12",
+                     "--quiet"])
+        assert time.perf_counter() - start < 1
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: moments.a7: moment function would be a product of 128 "
+                       f"factors; at most {MAX_MOMENT_FACTORS} are allowed\n")
 
 
 def _paths(node, prefix=()):

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import time
 import weakref
 from fractions import Fraction
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mpf
 
 from mpde import (
@@ -16,10 +18,11 @@ from mpde import (
     pipeline,
     tabulated_moment,
 )
-from mpde.moments import ExactValueUnavailable
+from mpde.moments import MAX_MOMENT_FACTORS, ExactValueUnavailable
+from mpde.precision import float_tolerance, to_mpf
 from mpde.problemspec import parse_problem_file
 
-from helpers import growth_envelope
+from helpers import growth_envelope, moment_value_reference
 
 HEAT = Path(__file__).resolve().parent.parent / "problems" / "heat.json"
 
@@ -273,7 +276,9 @@ class TestStructuralEquality:
         assert a == b and hash(a) == hash(b)
         c = combine(combine(a, a, "product"), a, "product")
         d = combine(combine(b, b, "product"), gamma_moment(1), "product")
-        assert c != d and c != gamma_moment(0) and a != G1
+        # order-0 gammas are Gamma(1) = 1, so every product of them is the
+        # empty product, which gamma_moment(0) is too
+        assert c != d and c == gamma_moment(0) and a != G1
 
     def test_forty_level_declarations(self, tmp_path):
         # a quotient of two 40-level self-products is 1, so heat with that
@@ -294,3 +299,105 @@ class TestStructuralEquality:
         deep = pipeline.run(spec_file)
         heat = pipeline.run(parse_problem_file(HEAT, overrides={"n_max": 12}))
         assert deep.solution.u.coeffs == heat.solution.u.coeffs
+
+
+class TestNormalForm:
+    def test_combine_past_the_cap_raises(self):
+        m = G1
+        while sum(e for _, e in m.factors) * 2 <= MAX_MOMENT_FACTORS:
+            m = combine(m, m, "product")
+        assert m.factors == ((Fraction(1), MAX_MOMENT_FACTORS),)
+        assert combine(m, m, "quotient") == gamma_moment(0)
+        with pytest.raises(ValueError, match=f"at most {MAX_MOMENT_FACTORS}"):
+            combine(m, G1, "product")
+
+    def test_unavailable_message_stays_short(self):
+        m = GH
+        for _ in range(6):
+            m = combine(m, m, "product")
+        assert m.order == 32
+        with pytest.raises(ExactValueUnavailable) as info:
+            m.value_exact(1)
+        assert len(str(info.value)) < 300
+
+
+# the one table of the recipes: order 1, rational values up to m(12)
+RECIPE_TABLE = tuple(Fraction(math.factorial(k), 2 ** k) for k in range(13))
+RECIPE_TABLE_ORDER = 1
+RECIPE_N = range(13)
+
+
+def recipe_order(recipe) -> Fraction:
+    kind = recipe[0]
+    if kind == "gamma":
+        return Fraction(recipe[1])
+    if kind == "table":
+        return Fraction(RECIPE_TABLE_ORDER)
+    a, b = recipe_order(recipe[1]), recipe_order(recipe[2])
+    return a + b if kind == "product" else a - b
+
+
+def _oriented(node):
+    """A quotient with its operands swapped where the quotient order would
+    be negative."""
+    kind, a, b = node
+    if kind == "quotient" and recipe_order(a) < recipe_order(b):
+        a, b = b, a
+    return kind, a, b
+
+
+def recipes(depth: int):
+    """Moment recipes nested at most ``depth`` levels below the root."""
+    leaf = st.one_of(
+        st.sampled_from(["0", "1/2", "1", "3/2", "2"]).map(lambda s: ("gamma", Fraction(s))),
+        st.just(("table", RECIPE_TABLE)))
+    if depth == 0:
+        return leaf
+    sub = recipes(depth - 1)
+    return st.one_of(leaf, st.tuples(st.sampled_from(["product", "quotient"]), sub, sub)
+                     .map(_oriented))
+
+
+def build(recipe):
+    kind = recipe[0]
+    if kind == "gamma":
+        return gamma_moment(recipe[1])
+    if kind == "table":
+        return tabulated_moment(recipe[1], order=RECIPE_TABLE_ORDER)
+    return combine(build(recipe[1]), build(recipe[2]), kind)
+
+
+def leaves(recipe) -> int:
+    return 1 if recipe[0] in ("gamma", "table") else leaves(recipe[1]) + leaves(recipe[2])
+
+
+class TestNormalFormAgainstTree:
+    """The normal form built by ``combine`` against the tree evaluated node
+    by node."""
+
+    @given(recipe=recipes(4))
+    def test_values_match_the_tree(self, recipe):
+        m = build(recipe)
+        assert m.order == recipe_order(recipe)
+        for n in RECIPE_N:
+            ref, got = moment_value_reference(recipe, n, "float"), m.value(n)
+            if leaves(recipe) <= 2:
+                assert got == ref
+            else:
+                assert abs(got - ref) <= float_tolerance() * abs(ref)
+            try:
+                exact = m.value_exact(n)
+            except ExactValueUnavailable:
+                exact = None
+            exact_ref = moment_value_reference(recipe, n, "exact")
+            if exact_ref is not None:
+                assert exact == exact_ref
+            elif exact is not None:
+                # cancelled factors may leave a rational value where the
+                # tree passes through an irrational one
+                assert abs(to_mpf(exact) - ref) <= float_tolerance() * ref
+
+    @given(recipe=recipes(4))
+    def test_self_quotient_is_the_identity(self, recipe):
+        m = build(recipe)
+        assert combine(m, m, "quotient") == gamma_moment(0)

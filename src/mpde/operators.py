@@ -258,7 +258,7 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
     if sum(alpha) == 0:
         return f
     arith = arithmetic_of(f)
-    vec = f.dense(graded_count(f.dim, f.valid_degree), arith)
+    vec = f.dense(graded_count(f.dim, f.valid_degree))
     return MultiSeries(f.dim, arith, *ZKernel(m).diff(vec, f.den, f.valid_degree, alpha, arith))
 
 
@@ -280,7 +280,7 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
     if len(m_prime) != f.dim:
         raise ValueError(f"need {f.dim} moment functions, got {len(m_prime)}")
     arith, mode = arithmetic_of(f), f.mode
-    vec, den, zero = f.elements(arith), f.den, arith.zero
+    vec, den, zero = f.vec, f.den, arith.zero
     # the moments are read at the degrees of the nonzero entries only
     held = [alpha if x != zero else None
             for alpha, x in zip(indices_up_to(f.dim, f.valid_degree), vec)]
@@ -302,9 +302,9 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
     The envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that
     P(u)_n sums (and |D_t^M u|), so it bounds the magnitude of what
     cancelled.  Yields (values, envelope, denominator, valid degree) per
-    t-order.  ``values`` is a vector of elements of ``arith`` (which must
-    hold u's elements and the operator's coefficients, see
-    ``series.arithmetic_of``) over the denominator, exactly as long as the
+    t-order.  ``values`` is a vector of elements of ``arith`` (the
+    arithmetic of u's mode, see ``series.arithmetic_of``; a coefficient it
+    cannot hold is a ``TypeError``) over the denominator, exactly as long as the
     valid degree; it may hold zeros.  ``envelope`` is a function of a list of
     graded ranks below that length: it returns the envelope's elements at
     those ranks, over the same denominator, each computed with the same
@@ -331,8 +331,7 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
         if k not in memo:
             if j == 0:
                 c = u.coeffs[k]
-                memo[k] = (c.dense(graded_count(c.dim, c.valid_degree), arith), c.den,
-                           c.valid_degree)
+                memo[k] = (c.dense(graded_count(c.dim, c.valid_degree)), c.den, c.valid_degree)
             else:
                 vec, den, valid = d_t(j - 1, k + 1)
                 r, r_den = arith.scalar(spec.m0.ratio(k + 1, k, arith.mode))
@@ -405,6 +404,6 @@ def _envelope(arith: Arithmetic, lead: list, summed: list, ranks: list) -> list:
 
 def apply_operator(spec: OperatorSpec, u: TimeSeries) -> TimeSeries:
     """Apply the full operator to u."""
-    arith = arithmetic_of(*u.coeffs, values=(a for t in spec.terms for a in t.coeff))
+    arith = arithmetic_of(*u.coeffs)
     return TimeSeries(tuple(MultiSeries(u.dim, arith, values, den, valid)
                             for values, _, den, valid in operator_numerators(spec, u, arith)))

@@ -3,17 +3,16 @@
 All big-float computation goes through mpmath at the precision of its
 global context.  ``pipeline.run`` scopes that precision to one run with
 ``mpmath.workprec`` and restores it afterwards; tests pin it in a fixture.
-Exact-mode coefficients are ``fractions.Fraction`` values, float-mode ones
-mpmath numbers.
+Every coefficient is exact or real: exact-mode coefficients are
+``fractions.Fraction`` values, float-mode ones real ``mpf`` numbers.
 
 Every ``series.MultiSeries`` holds its coefficients as the elements of one
-``Arithmetic``, derived from the mode and the data: it encodes coefficients
-as elements, holds the vector operations on elements and decodes them back.
-Exact elements are integer numerators over a common denominator; complex
-float elements are mpmath numbers.  Both use Python's operators.  Exact mode
-never touches the float context.
+``Arithmetic`` of its mode: it encodes coefficients as elements, holds the
+vector operations on elements and decodes them back.  Exact elements are
+integer numerators over a common denominator, with Python's integer
+operators.  Exact mode never touches the float context.
 
-Real float elements are raw ``mpmath.libmp`` tuples (sign, mantissa,
+Float elements are raw ``mpmath.libmp`` tuples (sign, mantissa,
 exponent, bit count), and the real arithmetic works at the precision that is
 current when it is built.  Its invariant: every element it returns equals,
 bit for bit, what the ``mpf`` objects compute at that precision with
@@ -46,11 +45,12 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Iterable
+from typing import Callable
 
 import mpmath
-from mpmath import mpc, mpf
+from mpmath import mpf
 from mpmath.libmp import (fnone, fone, fzero, mpf_abs, mpf_add, mpf_div, mpf_mul, mpf_sub,
                           round_nearest)
 
@@ -70,28 +70,26 @@ def to_mpf(x) -> mpf:
         return mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
     if isinstance(x, (int, float, str)):
         return mpmath.mpf(x)
-    raise TypeError(f"cannot convert {type(x).__name__} to mpf")
+    raise TypeError(f"{x!r} is not a real number ({type(x).__name__})")
 
 
 def to_number(x, mode: str):
     """Coerce a scalar into the arithmetic of the given mode.
 
     exact mode accepts ints, Fractions and 'p/q' strings; float mode
-    additionally accepts floats and mpmath numbers (complex included).
+    additionally accepts floats and mpf numbers.  A bool or any other value
+    is a ``TypeError``, which names a non-bool value: every coefficient is
+    exact or real.
     """
+    if isinstance(x, bool):
+        raise TypeError("bool is not a coefficient")
     if mode == "exact":
-        if isinstance(x, bool):
-            raise TypeError("bool is not a coefficient")
         if isinstance(x, Fraction):
             return x
         if isinstance(x, (int, str)):
             return Fraction(x)
-        raise TypeError(f"exact mode cannot hold {type(x).__name__} coefficients")
+        raise TypeError(f"exact mode cannot hold the {type(x).__name__} coefficient {x!r}")
     if mode == "float":
-        if isinstance(x, mpc):
-            return x
-        if isinstance(x, complex):
-            return mpc(x.real, x.imag)
         return to_mpf(x)
     raise ValueError(f"unknown arithmetic mode {mode!r}")
 
@@ -106,7 +104,7 @@ class Arithmetic:
     """The arithmetic of a series' elements: how a coefficient is held as
     an element, and the operations on elements.
 
-    ``name`` is exact, real or complex and ``key`` the ``table_key`` of its
+    ``name`` is exact or real and ``key`` the ``table_key`` of its
     values; two arithmetics are equal when both are.  ``encode(values)``
     gives (elements, denominator), ``decode(x, den)`` the value x/den, and
     ``zero`` is the element of 0, which every zero element equals.  The
@@ -151,18 +149,6 @@ def _exact_encode(values) -> tuple:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-# exact integers and complex mpmath numbers share the operators of Python numbers
-_OBJECT_OPS = dict(
-    mul=lambda xs, ys: list(map(operator.mul, xs, ys)),
-    scale=lambda c, xs: list(map(operator.mul, repeat(c), xs)),
-    add=lambda xs, ys: list(map(operator.add, xs, ys)),
-    sub=lambda xs, ys: list(map(operator.sub, xs, ys)),
-    abs=lambda xs: list(map(abs, xs)),
-    add_scaled=lambda xs, c, ys: list(map(operator.add, xs, map(operator.mul, repeat(c), ys))),
-    add_abs=lambda xs, ys: list(map(operator.add, xs, map(abs, ys))),
-)
-
-
 def _exact_scale(c, xs) -> list:
     """c*x for each x: a copy for c = 1 and a negation for c = -1."""
     if c == 1 or c == -1:
@@ -177,22 +163,22 @@ def _exact_add_scaled(xs, c, ys) -> list:
     return list(map(operator.add, xs, map(operator.mul, repeat(c), ys)))
 
 
-# complex elements keep _OBJECT_OPS: an mpc times 1 still rounds data
-# materialized above the precision
 EXACT = Arithmetic(
     "exact", "exact", zero=0, encode=_exact_encode, decode=Fraction,
+    mul=lambda xs, ys: list(map(operator.mul, xs, ys)),
+    scale=_exact_scale,
+    add=lambda xs, ys: list(map(operator.add, xs, ys)),
+    sub=lambda xs, ys: list(map(operator.sub, xs, ys)),
+    abs=lambda xs: list(map(abs, xs)),
+    add_scaled=_exact_add_scaled,
+    add_abs=lambda xs, ys: list(map(operator.add, xs, map(abs, ys))),
     # the reduced Fractions, as to_mpf rounds numerator and denominator apart
     quotient=lambda x, y, den, bound: (to_mpf(Fraction(abs(x), den))
-                                       / to_mpf(Fraction(y, den))),
-    **{**_OBJECT_OPS, "scale": _exact_scale, "add_scaled": _exact_add_scaled})
+                                       / to_mpf(Fraction(y, den))))
 
 
-def _complex(prec: int) -> Arithmetic:
-    return Arithmetic(
-        "complex", prec, zero=0, encode=lambda values: (values, 1), decode=lambda x, den: x,
-        quotient=lambda x, y, den, bound: to_mpf(abs(x)) / to_mpf(y), **_OBJECT_OPS)
-
-
+# one immutable arithmetic per precision, shared by every series at it
+@lru_cache(maxsize=None)
 def _real(prec: int) -> Arithmetic:
     make_mpf = mpmath.mp.make_mpf
     rnd = round_nearest
@@ -300,23 +286,14 @@ def _real(prec: int) -> Arithmetic:
         add_abs=lambda xs, ys: list(map(add, xs, absolute(ys))))
 
 
-def arithmetic(mode: str, values: Iterable = (), held: Iterable[Arithmetic] = ()) -> Arithmetic:
-    """The arithmetic of ``mode`` at the current precision that holds
-    the given values and the elements of the ``held`` arithmetics (of the
-    same mode): exact; or float, complex when some value or held arithmetic
-    is complex and real otherwise.  A held arithmetic that is already the
-    one is returned as it is."""
+def arithmetic(mode: str) -> Arithmetic:
+    """The arithmetic of ``mode``: exact, or real float at the current
+    precision."""
     if mode == "exact":
         return EXACT
     if mode != "float":
         raise ValueError(f"unknown arithmetic mode {mode!r}")
-    held, prec = tuple(held), mpmath.mp.prec
-    name = "complex" if (any(a.name == "complex" for a in held)
-                         or any(isinstance(v, (mpc, complex)) for v in values)) else "real"
-    for a in held:
-        if a.name == name and a.key == prec:
-            return a
-    return _complex(prec) if name == "complex" else _real(prec)
+    return _real(mpmath.mp.prec)
 
 
 def float_tolerance() -> mpf:

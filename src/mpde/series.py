@@ -1,6 +1,6 @@
 """Truncated formal power series in N complex variables.
 
-Coefficients are exact (Fraction) or float (mpmath real/complex).  Series are
+Coefficients are exact (Fraction) or real float (mpf).  Series are
 immutable; every operation returns a new series, float operations at the
 current precision.  ``valid_degree`` is the only degree a series carries:
 the largest total degree whose coefficients are still trustworthy after
@@ -13,13 +13,12 @@ the operator pass) and the functions below work on: a list ``vec`` of the
 elements of one ``precision.Arithmetic`` over the graded order of
 ``indices_up_to(dim, vd)``, where the indices of every lower degree are a
 prefix, and one denominator ``den``.  Exact elements are integer numerators
-over ``den``; float elements are raw ``mpmath.libmp`` tuples for real data
-and mpmath numbers for complex data, with ``den`` 1.  ``vec`` may end early,
-the entries after its end being zero, so sparse data stay small; zeros may
-also sit between values, as in the majorant, which fills every rank outside
-its dependency cone with zero.  ``coeffs``, the index -> value dict with
-zeros dropped, is decoded from ``vec`` at every read and not kept, so a
-series holds its values in one form only.
+over ``den``; float elements are raw ``mpmath.libmp`` tuples, with ``den`` 1.
+``vec`` may end early, the entries after its end being zero, so sparse data
+stay small; zeros may also sit between values, as in the majorant, which
+fills every rank outside its dependency cone with zero.  ``coeffs``, the
+index -> value dict with zeros dropped, is decoded from ``vec`` at every
+read and not kept, so a series holds its values in one form only.
 """
 
 from __future__ import annotations
@@ -32,10 +31,9 @@ from itertools import repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 import mpmath
-from mpmath import mpc, mpf
-from mpmath.libmp import fzero
+from mpmath import mpf
 
-from .precision import Arithmetic, _real, arithmetic, float_tolerance, to_mpf, to_number
+from .precision import Arithmetic, arithmetic, float_tolerance, to_mpf, to_number
 
 Index = tuple
 
@@ -84,9 +82,7 @@ class MultiSeries:
 
     No operation changes a series once built (the dataclass is not frozen
     only because its hot constructor is then cheaper).  ``vec`` holds no
-    entry above ``valid_degree``.  A series in the complex
-    arithmetic holds some complex value: one that holds none is kept in the
-    real arithmetic of its precision.  Two series are equal when their
+    entry above ``valid_degree``.  Two series are equal when their
     dimension, mode, valid degree and values are.
     """
 
@@ -95,13 +91,6 @@ class MultiSeries:
     vec: list
     den: int = 1
     valid_degree: int = 0
-
-    def __post_init__(self):
-        arith = self.arithmetic
-        if arith.name == "complex" and not any(isinstance(x, mpc) and x for x in self.vec):
-            # the complex elements that are not mpf numbers are zeros
-            self.arithmetic = _real(arith.key)
-            self.vec = [x._mpf_ if isinstance(x, mpf) else fzero for x in self.vec]
 
     @property
     def mode(self) -> str:
@@ -126,22 +115,13 @@ class MultiSeries:
             return Fraction(0) if self.mode == "exact" else mpf(0)
         return self.arithmetic.decode(x, self.den)
 
-    def elements(self, arith: Arithmetic) -> list:
-        """``vec`` as elements of ``arith``, which holds this series' own: real
-        tuples become mpf numbers for the complex arithmetic, and anything
-        else is kept, raw tuples of another precision too."""
-        if self.arithmetic.name == "real" and arith.name == "complex":
-            return list(map(mpmath.mp.make_mpf, self.vec))
-        return self.vec
-
-    def dense(self, count: int, arith: Optional[Arithmetic] = None) -> list:
+    def dense(self, count: int) -> list:
         """The elements of the graded ranks below ``count`` (<= the count of
-        the valid degree) in ``arith``, by default the series' own: zeros
-        where the series stores none, and ``vec`` itself when it is that."""
-        arith = arith or self.arithmetic
-        vec = self.vec if arith is self.arithmetic else self.elements(arith)
+        the valid degree): zeros where the series stores none, and ``vec``
+        itself when it is that."""
+        vec = self.vec
         if len(vec) != count:
-            vec = vec[:count] + [arith.zero] * (count - len(vec))
+            vec = vec[:count] + [self.arithmetic.zero] * (count - len(vec))
         return vec
 
     def truncated(self, degree: int) -> "MultiSeries":
@@ -171,13 +151,13 @@ def _reduced(dim: int, arith: Arithmetic, vec: list, den: int, valid_degree: int
     return MultiSeries(dim, arith, vec, den, valid_degree)
 
 
-def arithmetic_of(*series: MultiSeries, values: Iterable = ()) -> Arithmetic:
-    """The arithmetic, at the current precision, that holds the elements of
-    every one of the series (of one mode) and the values."""
+def arithmetic_of(*series: MultiSeries) -> Arithmetic:
+    """The arithmetic, at the current precision, of the one mode of the
+    series; it holds their elements, raw tuples of another precision too."""
     modes = {f.arithmetic.mode for f in series}
     if len(modes) != 1:
         raise ValueError(f"arithmetic mode mismatch: {' vs '.join(sorted(modes))}")
-    return arithmetic(modes.pop(), values, (f.arithmetic for f in series))
+    return arithmetic(modes.pop())
 
 
 def make_series(dim: int, coefficients: Mapping, degree: int, mode: str = "exact") -> MultiSeries:
@@ -206,7 +186,7 @@ def _encoded(dim: int, table: Mapping, degree: int, mode: str) -> MultiSeries:
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     table = {r: v for r, v in table.items() if v != 0}
-    arith = arithmetic(mode, table.values())
+    arith = arithmetic(mode)
     elements, den = arith.encode(list(table.values()))
     vec = [arith.zero] * (max(table, default=-1) + 1)
     for r, x in zip(table, elements):
@@ -269,7 +249,7 @@ def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
     vd = min(a.valid_degree, b.valid_degree)
     count = graded_count(a.dim, vd)
     den = math.lcm(a.den, b.den)
-    xs, ys = a.dense(count, arith), b.dense(count, arith)
+    xs, ys = a.dense(count), b.dense(count)
     if a.den != den:
         xs = arith.scale(den // a.den, xs)
     if b.den != den:
@@ -279,23 +259,22 @@ def series_add(a: MultiSeries, b: MultiSeries) -> MultiSeries:
 
 def series_scale(f: MultiSeries, scalar) -> MultiSeries:
     """scalar * f, exact values over their least common denominator."""
-    scalar = to_number(scalar, f.mode)
-    arith = arithmetic_of(f, values=(scalar,))
-    (c,), c_den = arith.encode((scalar,))
-    return _reduced(f.dim, arith, arith.scale(c, f.elements(arith)), f.den * c_den,
-                    f.valid_degree)
+    arith = arithmetic_of(f)
+    c, c_den = arith.scalar(scalar)
+    return _reduced(f.dim, arith, arith.scale(c, f.vec), f.den * c_den, f.valid_degree)
 
 
 def evaluate(f: MultiSeries, point: Sequence) -> object:
     """Value of the truncated polynomial at a point (stored coefficients
-    only), summed in lexicographic order of the indices."""
+    only), summed in lexicographic order of the indices.  The point may be
+    complex: the coefficients are real, the variables need not be."""
     if len(point) != f.dim:
         raise ValueError(f"point has {len(point)} entries, series has dim {f.dim}")
     exact = f.mode == "exact" and all(isinstance(p, (int, Fraction)) for p in point)
-    pt = [Fraction(p) if exact else to_number(p, "float") for p in point]
+    pt = [Fraction(p) if exact else mpmath.mpmathify(p) for p in point]
     total = Fraction(0) if exact else mpf(0)
     for alpha, v in sorted(f.coeffs.items()):
-        term = v if exact else to_number(v, "float")
+        term = v if exact else to_mpf(v)
         for p, a in zip(pt, alpha):
             if a:
                 term = term * p ** a
@@ -304,9 +283,9 @@ def evaluate(f: MultiSeries, point: Sequence) -> object:
 
 
 def majorant(f: MultiSeries) -> MultiSeries:
-    """Coefficientwise absolute value (complex moduli become mpf)."""
+    """Coefficientwise absolute value."""
     arith = arithmetic_of(f)
-    return MultiSeries(f.dim, arith, arith.abs(f.elements(arith)), f.den, f.valid_degree)
+    return MultiSeries(f.dim, arith, arith.abs(f.vec), f.den, f.valid_degree)
 
 
 def sup_bound(f: MultiSeries, r):
@@ -322,22 +301,20 @@ def sup_bound(f: MultiSeries, r):
     exact = f.mode == "exact" and isinstance(r, Fraction)
     r, total = (r, Fraction(0)) if exact else (to_mpf(r), mpf(0))
     for alpha, v in f.coeffs.items():
-        total += abs(v if exact else to_number(v, "float")) * r ** sum(alpha)
+        total += abs(v if exact else to_mpf(v)) * r ** sum(alpha)
     return total
 
 
 def majorizes(g: MultiSeries, f: MultiSeries) -> bool:
     """True iff |f_alpha| <= g_alpha on the shared valid range.
 
-    g must have nonnegative real coefficients.  In float mode the comparison
+    g must have nonnegative coefficients.  In float mode the comparison
     carries the standard relative slack so that equal-up-to-rounding
     sequences still dominate themselves, and a NaN on either side fails it.
     """
     if g.dim != f.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {f.dim}")
     for alpha, v in g.coeffs.items():
-        if isinstance(v, (mpc, complex)):
-            raise ValueError(f"majorant coefficients must be real, got {v} at {alpha}")
         if v < 0:
             raise ValueError(f"majorant coefficients must be >= 0, got {v} at {alpha}")
     vd = min(g.valid_degree, f.valid_degree)
@@ -348,8 +325,8 @@ def majorizes(g: MultiSeries, f: MultiSeries) -> bool:
     slack = float_tolerance()
     g_decode, f_decode = g.arithmetic.decode, f.arithmetic.decode
     for x, y in zip(fs, gs):
-        fa = to_number(abs(f_decode(x, f.den)), "float")
-        ga = to_number(g_decode(y, g.den), "float")
+        fa = to_mpf(abs(f_decode(x, f.den)))
+        ga = to_mpf(g_decode(y, g.den))
         if not fa <= ga + slack * max(fa, ga, mpf(1)):
             return False
     return True
@@ -365,7 +342,7 @@ def dilate(f: MultiSeries, constant, h) -> MultiSeries:
     weights, _ = arith.encode([c * hh ** d for d in range(f.valid_degree + 1)])
     indices = indices_up_to(f.dim, f.valid_degree)
     scales = [weights[sum(alpha)] for alpha, _ in zip(indices, f.vec)]
-    return MultiSeries(f.dim, arith, arith.mul(scales, f.elements(arith)), 1, f.valid_degree)
+    return MultiSeries(f.dim, arith, arith.mul(scales, f.vec), 1, f.valid_degree)
 
 
 def theta_series(a, s: Sequence, cutoff: int) -> MultiSeries:
@@ -406,7 +383,7 @@ def formal_norm(f: MultiSeries, s: Sequence, cutoff: int, at: Optional[Sequence]
     coeffs = {}
     for alpha in indices_up_to(f.dim, cutoff):
         g = moment_diff_z(f, ms, alpha)
-        val = abs(to_number(evaluate(g, z0), "float"))
+        val = to_mpf(abs(evaluate(g, z0)))
         x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
         coeffs[alpha] = val / mpmath.gamma(1 + x)
     return make_series(f.dim, coeffs, cutoff, "float")
@@ -418,9 +395,7 @@ def coefficient_rows(f: MultiSeries) -> list[list[str]]:
 
 
 def _format_value(v) -> tuple[str, str]:
+    """(re, im) of a coefficient; every coefficient is real, so im is "0"."""
     if isinstance(v, Fraction):
         return str(v), "0"
-    if isinstance(v, mpc):
-        digits = mpmath.mp.dps + 2
-        return mpmath.nstr(v.real, digits), mpmath.nstr(v.imag, digits)
-    return mpmath.nstr(to_number(v, "float"), mpmath.mp.dps + 2), "0"
+    return mpmath.nstr(v, mpmath.mp.dps + 2), "0"

@@ -28,6 +28,7 @@ import mpmath
 from mpmath import mpf
 
 from .moments import combine, gamma_moment, regularity_constants
+from .precision import to_number
 from .series import MultiSeries, _reduced, arithmetic_of, graded_count
 from .operators import OperatorSpec, TimeSeries, borel_z, operator_numerators
 
@@ -299,8 +300,7 @@ def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
         raise ValidationFailure(problem.validation)
 
     spec = problem.spec
-    arith = arithmetic_of(*problem.initial, *problem.forcing.coeffs,
-                          values=(a for t in spec.terms for a in t.coeff))
+    arith = arithmetic_of(*problem.initial, *problem.forcing.coeffs)
     mode = arith.mode
     m0 = spec.m0
     needed = degree_budget(spec, n_max, report_degree)
@@ -336,6 +336,8 @@ def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
                 f"for n_max {n_max}"
             )
         cs = _shifted_coefficients(term, spec.M, n_max)
+        for c in cs.values():
+            to_number(c, mode)   # a TypeError naming any coefficient the mode cannot hold
         if majorant:
             cs = {p: abs(v) for p, v in cs.items()}
         c_table[(term.j, term.alpha)] = cs
@@ -365,7 +367,7 @@ def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
     for j in range(min(spec.M, n_max + 1)):
         phi = problem.initial[j]
         vd = min(phi.valid_degree, envelope[j])
-        vec = on_cone(j, phi.dense(graded_count(dim, vd), arith))
+        vec = on_cone(j, phi.dense(graded_count(dim, vd)))
         steps.append(step(vec, phi.den, vd, m0.ratio(0, j, mode), j))
 
     # step n reads D_z^alpha u_k for k >= n - span only
@@ -377,8 +379,7 @@ def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
         row = diff_cache.setdefault(k, {})
         if alpha not in row:
             u_k = steps[k]
-            row[alpha] = kernel.diff(u_k.elements(arith), u_k.den, u_k.valid_degree, alpha,
-                                     arith)[:2]
+            row[alpha] = kernel.diff(u_k.vec, u_k.den, u_k.valid_degree, alpha, arith)[:2]
         return row[alpha]
 
     def dz_on(k: int, alpha: tuple, ranks: list) -> tuple:
@@ -386,7 +387,7 @@ def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
         denominator); the cone's closure keeps every source inside u_k's
         vector."""
         u_k = steps[k]
-        vec, d_vd = u_k.elements(arith), kernel.degree(u_k.valid_degree, alpha)
+        vec, d_vd = u_k.vec, kernel.degree(u_k.valid_degree, alpha)
         sources = kernel.gather(alpha, d_vd)
         out = [vec[sources[r]] for r in ranks]
         ratio_den, vectors = kernel.ratios(alpha, d_vd, arith)
@@ -411,7 +412,7 @@ def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
                 scalar, s_den = arith.scalar(sign * (c * m0.ratio(k, k - term.j, mode)))
                 reads.append((scalar, s_den, k, term.alpha))
         count = graded_count(dim, vd)
-        g_vec, g_den = g_n.dense(count, arith), g_n.den
+        g_vec, g_den = g_n.dense(count), g_n.den
         pieces = []
         for scalar, s_den, k, alpha in reads:
             d, d_den = dz_on(k, alpha, cone[n]) if majorant else dz(k, alpha)
@@ -455,9 +456,7 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
     accepts).
     """
     forcing, u = problem.forcing, sol.working
-    # the solution need not hold the operator's coefficients or the forcing
-    arith = arithmetic_of(*u.coeffs, *forcing.coeffs,
-                          values=(a for t in problem.spec.terms for a in t.coeff))
+    arith = arithmetic_of(*u.coeffs, *forcing.coeffs)
     zero = arith.zero
     worst = mpf(0)
     for n, (values, envelope, den, vd) in enumerate(operator_numerators(problem.spec, u,
@@ -466,7 +465,7 @@ def residual_max_relative(problem: CauchyProblem, sol: SolutionSeries) -> mpf:
             break
         f_n = forcing.coeffs[n]
         count = graded_count(f_n.dim, min(vd, f_n.valid_degree))
-        values, f_nums, f_den = values[:count], f_n.dense(count, arith), f_n.den
+        values, f_nums, f_den = values[:count], f_n.dense(count), f_n.den
         # a forcing coefficient that stores no value is not subtracted or added
         forced = f_nums.count(zero) != len(f_nums)
         common = math.lcm(den, f_den)

@@ -117,8 +117,8 @@ def series_equal(a: MultiSeries, b: MultiSeries) -> bool:
     return True
 
 
-# Per-coefficient arithmetic on the ``coeffs`` dicts, in Fraction, mpf and
-# mpc values: the oracle of the vector operations of ``mpde.series``.
+# Per-coefficient arithmetic on the ``coeffs`` dicts, in Fraction and mpf
+# values: the oracle of the vector operations of ``mpde.series``.
 
 def add_reference(a: MultiSeries, b: MultiSeries) -> tuple:
     """(coefficients, valid degree) of a + b."""
@@ -181,7 +181,8 @@ def borel_z_reference(f: MultiSeries, m_prime, inverse: bool = False) -> dict:
 
 def evaluate_reference(f: MultiSeries, point):
     exact = f.mode == "exact" and all(isinstance(p, (int, Fraction)) for p in point)
-    pt = [Fraction(p) if exact else to_number(p, "float") for p in point]
+    # the point may be complex
+    pt = [Fraction(p) if exact else mpmath.mpmathify(p) for p in point]
     total = Fraction(0) if exact else mpf(0)
     for alpha, v in sorted(f.coeffs.items()):
         term = v if exact else to_number(v, "float")
@@ -496,7 +497,7 @@ def operator_pairs_view(spec, u):
     """(P(u)_n, envelope_n) per t-order as series: ``operator_numerators``,
     the kernel the residual runs, with its output turned into series and
     its envelope evaluated at every rank."""
-    arith = arithmetic_of(*u.coeffs, values=(a for t in spec.terms for a in t.coeff))
+    arith = arithmetic_of(*u.coeffs)
     for values, env, den, vd in operator_numerators(spec, u, arith):
         env = env(list(range(len(values))))
         yield tuple(MultiSeries(u.dim, arith, vec, den, vd) for vec in (values, env))

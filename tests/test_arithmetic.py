@@ -1,6 +1,8 @@
 """The kernel arithmetics: real float mode on raw ``mpmath.libmp`` tuples
-computes, bit for bit, what the mpf objects compute."""
+computes, bit for bit, what the mpf objects compute.  Every coefficient is
+exact or real: any other value ends in one ``TypeError`` naming it."""
 
+import re
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +11,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpc
 from mpmath.libmp import fzero
 
+from mpde import (CauchyProblem, OperatorSpec, OperatorTerm, evaluate, gamma_moment,
+                  make_series, series_scale, solve_formal, zero_series)
 from mpde.precision import EXACT, arithmetic
+
+from helpers import evaluate_reference, zero_forcing
 
 PRECISIONS = (53, 113, 256)
 
@@ -70,7 +76,7 @@ def test_real_ops_equal_mpf_objects(prec, pairs, c):
     ys = [to_mpf(y) for _, y in pairs]
     c = to_mpf(c)
     with mpmath.workprec(prec):
-        arith = arithmetic("float", xs + ys + [c])
+        arith = arithmetic("float")
         assert arith.name == "real" and arith.key == prec
         ex, den = arith.encode(xs)
         ey, _ = arith.encode(ys)
@@ -106,7 +112,7 @@ def test_real_quotient_divides_only_above_its_bound(prec, pair, c):
     if not b:
         return
     with mpmath.workprec(prec):
-        arith = arithmetic("float", [a, b])
+        arith = arithmetic("float")
         (x, y), _ = arith.encode([a, b])
         want = abs(a) / b
         step = mpmath.ldexp(1, 2 - prec)
@@ -129,10 +135,8 @@ def test_zero_element_is_mpf_zero():
 
 
 def test_arithmetic_is_derived_from_the_data():
-    assert arithmetic("exact", [mpc(1, 2)]) is EXACT
-    assert arithmetic("float", [Fraction(1, 2), mpmath.mpf(3)]).name == "real"
-    assert arithmetic("float", [mpmath.mpf(3), mpc(1, 2)]).name == "complex"
-    assert arithmetic("float", [complex(1, 0)]).name == "complex"
+    assert arithmetic("exact") is EXACT
+    assert arithmetic("float").name == "real" and arithmetic("float") is arithmetic("float")
     with mpmath.workprec(53):
         at_53 = arithmetic("float")
         assert arithmetic("float") == at_53
@@ -156,11 +160,32 @@ def test_exact_scaling_equals_integer_arithmetic(pairs, c):
     assert summed == [x + c * y for x, y in zip(xs, ys)] and summed is not xs
 
 
-def test_complex_scale_by_one_still_rounds():
-    # an mpc materialized above the precision is rounded by a scale by 1
-    with mpmath.workprec(512):
-        z = mpc(1, 1) / 3
-    arith = arithmetic("float", [z])
-    assert arith.name == "complex"
-    (one,), _ = arith.encode([mpc(1)])
-    assert arith.scale(one, [z]) == [+z] != [z]
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_bool_is_not_a_coefficient(mode):
+    with pytest.raises(TypeError, match="bool is not a coefficient"):
+        make_series(1, {(0,): True}, 2, mode)
+
+
+@pytest.mark.parametrize("value", [mpc(1, 2), complex(0, 1)], ids=["mpc", "complex"])
+def test_complex_value_is_one_type_error_naming_it(value):
+    # a series value, a scalar and an operator coefficient through the solve
+    # each end in the conversion, not in a kernel
+    named = re.escape(repr(value))
+    g1 = gamma_moment(1)
+    spec = OperatorSpec(M=1, m0=g1, m=(g1,),
+                        terms=(OperatorTerm(j=0, alpha=(1,), coeff=(value,)),))
+    for mode in ("exact", "float"):
+        with pytest.raises(TypeError, match=named):
+            make_series(1, {(1,): value}, 2, mode)
+        with pytest.raises(TypeError, match=named):
+            series_scale(make_series(1, {(1,): 1}, 2, mode), value)
+        prob = CauchyProblem(spec=spec, initial=(zero_series(1, 4, mode),),
+                             forcing=zero_forcing(spec, 4, 0, mode))
+        with pytest.raises(TypeError, match=named):
+            solve_formal(prob, 4, 0)
+    # the variables of evaluate may still be complex
+    f = make_series(2, {(0, 0): 1, (1, 2): Fraction(-3, 4), (2, 0): mpmath.mpf(5) / 7}, 3,
+                    "float")
+    point = [value, Fraction(1, 3)]
+    got = evaluate(f, point)
+    assert got == evaluate_reference(f, point) and got.imag != 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mpc, mpf
+from mpmath import mpf
 
 from mpde import (
     dilate,
@@ -89,10 +89,6 @@ class TestMajorant:
     def test_nonnegative_fixed_point(self):
         f = generator_series("geometric", 1, 6, ratio=Fraction(1, 3))
         assert majorant(f).coeffs == f.coeffs
-
-    def test_complex_modulus(self):
-        f = make_series(1, {(1,): mpc(3, 4)}, 4, mode="float")
-        assert majorant(f).coefficient((1,)) == 5
 
 
 class TestSupBound:

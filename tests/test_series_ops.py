@@ -1,6 +1,6 @@
 """The vector operations of ``mpde.series`` against per-coefficient
-arithmetic on the ``coeffs`` dicts (``tests/helpers.py``): exact, real float
-and complex float series in 1-3 variables, of unequal valid degrees, over
+arithmetic on the ``coeffs`` dicts (``tests/helpers.py``): exact and float
+series in 1-3 variables, of unequal valid degrees, over
 denominators that are not the least, with zeros, short vectors and vectors
 padded with zeros, as the majorant stores them.  Float results agree bit
 for bit."""
@@ -21,9 +21,9 @@ from helpers import (add_reference, borel_z_reference, dilate_reference, evaluat
                      majorant_reference, majorizes_reference, scale_reference,
                      sup_bound_reference)
 
-KINDS = ("exact", "real", "complex")
+KINDS = ("exact", "real")
 # more draws than the suite's default where denominators matter: the exact
-# cases are a third of them
+# cases are half of them
 MANY = settings(max_examples=120)
 
 fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 9]))
@@ -32,12 +32,13 @@ fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4,
 def values(kind: str):
     if kind == "exact":
         return fractions
-    reals = st.one_of(fractions.map(lambda x: mpf(x.numerator) / x.denominator),
-                      st.builds(lambda m, e: mpmath.ldexp(mpf(m), e),
-                                st.integers(-2 ** 60, 2 ** 60), st.integers(-80, 20)))
-    if kind == "real":
-        return reals
-    return st.one_of(reals, st.builds(mpc, reals, reals))
+    return st.one_of(fractions.map(lambda x: mpf(x.numerator) / x.denominator),
+                     st.builds(lambda m, e: mpmath.ldexp(mpf(m), e),
+                               st.integers(-2 ** 60, 2 ** 60), st.integers(-80, 20)))
+
+
+# the coefficients are real, the variables of ``evaluate`` need not be
+points = st.one_of(fractions, values("real"), st.builds(mpc, values("real"), values("real")))
 
 
 @st.composite
@@ -61,14 +62,12 @@ def series(draw, kind: str, dim: int, degree: int = 6) -> MultiSeries:
 
 
 def pairs(same_mode: bool = True):
-    """Two series of one dimension; float ones may be one real, one complex."""
+    """Two series of one dimension, of one mode unless ``same_mode`` is false."""
     @st.composite
     def draw_pair(draw):
         dim = draw(st.integers(1, 3))
         kind = draw(st.sampled_from(KINDS))
-        other = kind
-        if kind != "exact" or not same_mode:
-            other = draw(st.sampled_from(KINDS if not same_mode else ("real", "complex")))
+        other = kind if same_mode else draw(st.sampled_from(KINDS))
         return draw(series(kind, dim)), draw(series(other, dim))
     return draw_pair()
 
@@ -88,7 +87,7 @@ def test_series_add(pair):
 
 
 @MANY
-@given(any_series(), st.one_of(fractions, values("complex")))
+@given(any_series(), st.one_of(fractions, values("real")))
 def test_series_scale(f, scalar):
     if f.mode == "exact" and not isinstance(scalar, Fraction):
         return
@@ -123,12 +122,10 @@ def test_majorizes_compares_values_over_denominators():
     assert majorizes(half, third) and not majorizes(third, half)
 
 
-def test_majorizes_rejects_negative_and_complex_majorants():
+def test_majorizes_rejects_negative_majorants():
     f = make_series(2, {(1, 0): 1}, 2)
     with pytest.raises(ValueError):
         majorizes(make_series(2, {(0, 1): -1}, 2), f)
-    with pytest.raises(ValueError):
-        majorizes(make_series(2, {(0, 1): mpc(1, 1)}, 2, "float"), f)
 
 
 @given(any_series(), st.booleans(), st.data())
@@ -142,8 +139,7 @@ def test_borel_z(f, inverse, data):
 
 @given(any_series(), st.data())
 def test_evaluate(f, data):
-    point = data.draw(st.lists(st.one_of(fractions, values("complex")),
-                               min_size=f.dim, max_size=f.dim))
+    point = data.draw(st.lists(points, min_size=f.dim, max_size=f.dim))
     assert evaluate(f, point) == evaluate_reference(f, point)
 
 
@@ -165,14 +161,13 @@ def test_coefficient_reads_the_coefficient_dict(f):
 
 @given(st.integers(1, 3).flatmap(lambda dim: st.tuples(
     st.just(dim), st.dictionaries(st.sampled_from(list(indices_up_to(dim, 5))),
-                                  values("complex"), max_size=8))))
+                                  values("real"), max_size=8))))
 def test_coeffs_decode_what_make_series_encodes(case):
     dim, entries = case
     f = make_series(dim, entries, 5, "float")
     assert f.coeffs == {alpha: v for alpha, v in entries.items() if v != 0}
     assert list(f.coeffs) == sorted(f.coeffs, key=lambda a: (sum(a), a))
-    # the complex arithmetic only when some value is complex
-    assert (f.arithmetic.name == "complex") == any(isinstance(v, mpc) for v in f.coeffs.values())
+    assert f.arithmetic.name == "real"
 
 
 @given(st.integers(1, 3).flatmap(lambda dim: series("exact", dim)), st.integers(2, 30))

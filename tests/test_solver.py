@@ -298,19 +298,6 @@ class TestResidual:
         sol = solve_formal(prob, 4, 0)
         assert residual_max_relative(prob, sol) == 0
 
-    def test_real_solution_of_a_complex_operator(self):
-        """A solution given as series keeps the arithmetic of its values; the
-        residual re-encodes it for an operator with complex coefficients."""
-        spec = OperatorSpec(M=1, m0=G1, m=(G1,), terms=(
-            OperatorTerm(j=0, alpha=(1,), coeff=(mpmath.mpc(1, 2),)),))
-        prob = CauchyProblem(spec=spec, initial=(zero_series(1, 8, "float"),),
-                             forcing=zero_forcing(spec, 8, 0, "float"))
-        sol = solve_via_borel(prob, 8, 0)
-        assert {c.arithmetic.name for c in sol.working.coeffs} == {"real"}
-        assert residual_max_relative(prob, sol) == 0
-        bump = bumped(sol, 4, (1,), mpmath.mpf(1) / 7)
-        assert residual_max_relative(prob, bump) == residual_max_relative_two_pass(prob, bump) > 0
-
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_forcing_valid_degree_caps_each_order(self, mode):
         """Each order is checked to its forcing's valid degree only, also when
@@ -340,15 +327,13 @@ class TestResidual:
             assert residual_max_relative(prob, sol) < tol
 
 
-def oracle_problem(terms, M, m, mode, n_max, twist=1, m0=G1, report_degree=0):
+def oracle_problem(terms, M, m, mode, n_max, m0=G1, report_degree=0):
     """A problem over the given terms with geometric data and a time-geometric
-    forcing, materialized for ``report_degree``; the first term's coefficient
-    is multiplied by ``twist``."""
+    forcing, materialized for ``report_degree``."""
     terms = tuple(
         OperatorTerm(j=t.j, alpha=t.alpha, truncated=t.truncated,
-                     coeff=tuple(to_number(c, mode) * (twist if k == 0 else 1)
-                                 for c in t.coeff))
-        for k, t in enumerate(terms))
+                     coeff=tuple(to_number(c, mode) for c in t.coeff))
+        for t in terms)
     spec = OperatorSpec(M=M, m0=m0, m=m, terms=terms)
     full = report_degree + n_max * spec.max_alpha
     initial = tuple(generator_series("geometric", spec.dim, full, mode,
@@ -457,18 +442,6 @@ class TestResidualOracle:
                             solve_formal_reference(prob, 7, drop_boundary=True)):
                     assert residual_max_relative(prob, sol) == \
                         residual_max_relative_two_pass(prob, sol)
-
-    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
-    def test_complex_coefficients_within_tolerance(self, case):
-        M, m0, m, terms = ORACLE_CASES[case]
-        n_max = 8
-        prob = oracle_problem(terms, M, m, "float", n_max, twist=mpmath.mpc(1, -2), m0=m0)
-        sol = solve_formal(prob, n_max, 0)
-        bump = bumped(sol, 4, (1,) + (0,) * (prob.spec.dim - 1), mpmath.mpc(0, 1))
-        for candidate in (sol, bump):
-            got = residual_max_relative(prob, candidate)
-            want = residual_max_relative_two_pass(prob, candidate)
-            assert abs(got - want) <= float_tolerance() * max(abs(want), 1)
 
 
 def assert_same_recurrence(got, want, cone, majorant=False):
@@ -712,7 +685,7 @@ class TestResidualCoverage:
     @staticmethod
     def assert_covers(prob, sol):
         spec = prob.spec
-        arith = arithmetic_of(*sol.working.coeffs, values=(a for t in spec.terms for a in t.coeff))
+        arith = arithmetic_of(*sol.working.coeffs)
         degrees = [vd for *_, vd in operator_numerators(spec, sol.working, arith)]
         assert degrees and degrees == list(sol.valid_degrees[spec.M:spec.M + len(degrees)])
 

@@ -71,15 +71,13 @@ class OperatorTerm:
 
     coeff is the t-coefficient tuple of a_{j,alpha}; ``truncated`` marks a
     series known only to its stored length (polynomials are exact and impose
-    no truncation on products).  ord_override forces the t-order when the
-    stored prefix is not trusted to reveal it.
+    no truncation on products).
     """
 
     j: int
     alpha: tuple
     coeff: tuple
     truncated: bool = False
-    ord_override: Optional[int] = None
 
     def __post_init__(self):
         if self.j < 0:
@@ -94,8 +92,6 @@ class OperatorTerm:
 
         Float coefficients count as zero below 2^-(prec/2) in modulus.
         """
-        if self.ord_override is not None:
-            return self.ord_override
         thresh = nonzero_threshold()
         for p, c in enumerate(self.coeff):
             if isinstance(c, (int, Fraction)):
@@ -232,17 +228,24 @@ class ZKernel:
         return max(valid_degree - sum(alpha), -1) if sum(alpha) else valid_degree
 
     def diff(self, vec: list, den: int, valid_degree: int, alpha: tuple,
-             arith: Arithmetic) -> tuple:
+             arith: Arithmetic, ranks: Optional[list] = None) -> tuple:
         """D_z^alpha of the series vec/den (vec dense to valid_degree), as
-        (vec, den, valid degree)."""
+        (vec, den, valid degree).  With ``ranks``, graded ranks below the
+        count of the new valid degree, the vector holds only the elements at
+        those ranks, each computed as the whole vector computes it, and vec
+        needs to hold only the elements that they gather."""
         if not sum(alpha):
-            return vec, den, valid_degree
+            return (vec if ranks is None else [vec[r] for r in ranks]), den, valid_degree
         new_valid = self.degree(valid_degree, alpha)
         if new_valid < 0:
             return [], 1, -1
-        count = graded_count(self.dim, new_valid)
-        out = list(map(vec.__getitem__, islice(self.gather(alpha, new_valid), count)))
+        sources = self.gather(alpha, new_valid)
         ratio_den, vectors = self.ratios(alpha, new_valid, arith)
+        if ranks is None:
+            out = list(map(vec.__getitem__, islice(sources, graded_count(self.dim, new_valid))))
+        else:
+            out = [vec[sources[r]] for r in ranks]
+            vectors = [map(ratios.__getitem__, ranks) for ratios in vectors]
         for ratios in vectors:
             out = arith.mul(out, ratios)
         return out, den * ratio_den, new_valid

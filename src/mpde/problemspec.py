@@ -4,7 +4,9 @@ functions, the operator, the Cauchy data, and run parameters.
 Orders and exact values are written as "p/q" strings so nothing is lost in
 text form; plain integers are accepted too.  Float literals are only legal
 in float mode, and must be finite.  Every field must have the JSON type it
-is read as: objects, lists, strings, and integers that are not booleans.
+is read as: objects, lists, strings, and integers that are not booleans.  An
+object may hold only the fields that are read from it: any other key is an
+error that names it.
 Example:
 
     {
@@ -78,6 +80,16 @@ class ProblemSpecFile:
 
 def _fail(path: str, msg: str):
     raise SpecError(f"{path}: {msg}")
+
+
+def _only(obj: dict, path: str, *fields: str) -> dict:
+    """``obj``, once it is an object holding no key but ``fields``."""
+    if not isinstance(obj, dict):
+        _fail(path, f"must be an object, got {obj!r}")
+    for key in obj:
+        if key not in fields:
+            _fail(path, f"unknown field {key!r}")
+    return obj
 
 
 def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
@@ -165,8 +177,10 @@ def _parse_moments(section: dict, path: str) -> dict:
         where = f"{path}.{name}"
         kind = _get(decl, "kind", where)
         if kind == "gamma":
+            _only(decl, where, "kind", "order")
             m = gamma_moment(_parse_fraction(_get(decl, "order", where), f"{where}.order"))
         elif kind in ("product", "quotient"):
+            _only(decl, where, "kind", "factors")
             names = _parse_list(_get(decl, "factors", where), f"{where}.factors")
             if len(names) != 2:
                 _fail(where, "product/quotient needs exactly two operands")
@@ -187,6 +201,7 @@ def _parse_moments(section: dict, path: str) -> dict:
 
 
 def _parse_operator(section: dict, moments: dict, mode: str, path: str) -> OperatorSpec:
+    _only(section, path, "M", "time_moment", "space_moments", "terms")
     M = _parse_int(_get(section, "M", path), f"{path}.M", minimum=1)
     tm_name = _parse_name(_get(section, "time_moment", path), f"{path}.time_moment")
     if tm_name not in moments:
@@ -202,6 +217,7 @@ def _parse_operator(section: dict, moments: dict, mode: str, path: str) -> Opera
     raw_terms = _get(section, "terms", path, required=False, default=[])
     for i, t in enumerate(_parse_list(raw_terms, f"{path}.terms")):
         where = f"{path}.terms[{i}]"
+        _only(t, where, "j", "alpha", "coeff", "truncated")
         j = _parse_int(_get(t, "j", where), f"{where}.j")
         alpha = _parse_index(_get(t, "alpha", where), dim, f"{where}.alpha")
         coeff_raw = _get(t, "coeff", where)
@@ -212,11 +228,7 @@ def _parse_operator(section: dict, moments: dict, mode: str, path: str) -> Opera
         truncated = t.get("truncated", False)
         if not isinstance(truncated, bool):
             _fail(f"{where}.truncated", f"must be true or false, got {truncated!r}")
-        ord_override = t.get("ord_override")
-        if ord_override is not None:
-            ord_override = _parse_int(ord_override, f"{where}.ord_override")
-        terms.append(OperatorTerm(j=j, alpha=alpha, coeff=coeff, truncated=truncated,
-                                  ord_override=ord_override))
+        terms.append(OperatorTerm(j=j, alpha=alpha, coeff=coeff, truncated=truncated))
     try:
         return OperatorSpec(M=M, m0=moments[tm_name],
                             m=tuple(moments[nm] for nm in sm_names), terms=tuple(terms))
@@ -225,6 +237,8 @@ def _parse_operator(section: dict, moments: dict, mode: str, path: str) -> Opera
 
 
 def _parse_run(section: dict, path: str) -> RunConfig:
+    _only(section, path, "n_max", "report_degree", "mode", "precision_bits", "radius",
+          "fit_window")
     n_max = _parse_int(_get(section, "n_max", path), f"{path}.n_max", minimum=1)
     report_degree = _parse_int(section.get("report_degree", 0), f"{path}.report_degree")
     mode = section.get("mode", "exact")
@@ -272,10 +286,11 @@ def parse_problem_file(path, overrides=None) -> ProblemSpecFile:
 def parse_problem_document(doc: dict) -> ProblemSpecFile:
     if not isinstance(doc, dict):
         raise SpecError("top level: problem file must be a JSON object")
+    _only(doc, "top level", "name", "moments", "operator", "data", "run")
     run = _parse_run(_get(doc, "run", "run"), "run")
     moments = _parse_moments(_get(doc, "moments", "moments"), "moments")
     operator = _parse_operator(_get(doc, "operator", "operator"), moments, run.mode, "operator")
-    data = _get(doc, "data", "data")
+    data = _only(_get(doc, "data", "data"), "data", "initial", "forcing")
     initial = _get(data, "initial", "data")
     if not isinstance(initial, list) or len(initial) != operator.M:
         _fail("data.initial", f"need exactly M = {operator.M} initial series")
@@ -292,20 +307,26 @@ def parse_problem_document(doc: dict) -> ProblemSpecFile:
 def _materialize_generator(desc: dict, dim: int, degree: int, mode: str, path: str) -> MultiSeries:
     kind = _get(desc, "kind", path)
     if kind == "zero":
+        _only(desc, path, "kind")
         return zero_series(dim, degree, mode)
     if kind == "geometric":
+        _only(desc, path, "kind", "ratio")
         params = {"ratio": _parse_value(_get(desc, "ratio", path), mode, f"{path}.ratio")}
     elif kind == "polynomial":
+        _only(desc, path, "kind", "coeffs")
         coeffs = [_parse_value(c, mode, f"{path}.coeffs[{k}]")
                   for k, c in enumerate(_parse_list(_get(desc, "coeffs", path),
                                                     f"{path}.coeffs"))]
         params = {"coeffs": coeffs}
     elif kind == "gevrey_factorial":
+        _only(desc, path, "kind", "sigma")
         params = {"sigma": _parse_fraction(_get(desc, "sigma", path), f"{path}.sigma")}
     elif kind == "terms":
+        _only(desc, path, "kind", "terms")
         table = {}
         for k, entry in enumerate(_parse_list(_get(desc, "terms", path), f"{path}.terms")):
             where = f"{path}.terms[{k}]"
+            _only(entry, where, "alpha", "value")
             alpha = _parse_index(_get(entry, "alpha", where), dim, f"{where}.alpha")
             if sum(alpha) > degree:
                 _fail(f"{where}.alpha", f"index {alpha} exceeds the degree budget {degree}")
@@ -323,8 +344,10 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
                          path: str) -> TimeSeries:
     kind = _get(desc, "kind", path)
     if kind == "zero":
+        _only(desc, path, "kind")
         return TimeSeries((zero_series(dim, degree, mode),) * (n_top + 1))
     if kind == "time_geometric":
+        _only(desc, path, "kind", "ratio", "space")
         ratio = _parse_value(_get(desc, "ratio", path), mode, f"{path}.ratio")
         space_desc = desc.get("space", {"kind": "terms",
                                         "terms": [{"alpha": [0] * dim, "value": "1"}]})
@@ -336,9 +359,11 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
             scale = scale * ratio
         return TimeSeries(tuple(out))
     if kind == "terms":
+        _only(desc, path, "kind", "terms")
         tables: dict = {}
         for k, entry in enumerate(_parse_list(_get(desc, "terms", path), f"{path}.terms")):
             where = f"{path}.terms[{k}]"
+            _only(entry, where, "n", "alpha", "value")
             n = _parse_int(_get(entry, "n", where), f"{where}.n")
             if n > n_top:
                 continue

@@ -20,16 +20,18 @@ a ``series.MultiSeries``, kept as the elements of one arithmetic.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from typing import Iterator, Optional
 
 import mpmath
 from mpmath import mpf
 
 from .moments import combine, gamma_moment, regularity_constants
 from .precision import to_number
-from .series import MultiSeries, _reduced, arithmetic_of, graded_count
+from .series import _reduced, arithmetic_of, graded_count
 from .operators import OperatorSpec, TimeSeries, borel_z, operator_numerators
 
 
@@ -217,6 +219,37 @@ def _shifted_coefficients(term, M: int, n_max: int) -> dict:
     return out
 
 
+def _term_pieces(spec: OperatorSpec, n_max: int) -> tuple:
+    """(j, alpha, c_{j,alpha,p} by p) for every term, in the terms' order."""
+    return tuple((t.j, t.alpha, _shifted_coefficients(t, spec.M, n_max)) for t in spec.terms)
+
+
+def _envelope_walk(M: int, pieces: tuple, n_max: int, report_degree: int) -> list:
+    """``degree_envelope`` from the pieces of ``_term_pieces``."""
+    envelope = [report_degree] * (n_max + 1)
+    for n in range(n_max, M - 1, -1):
+        for j, alpha, cs in pieces:
+            for p in cs:
+                if p <= n - j:
+                    envelope[n - p] = max(envelope[n - p], envelope[n] + sum(alpha))
+    return envelope
+
+
+def _cone_walk(spec: OperatorSpec, pieces: tuple, envelope: list, report_degree: int) -> list:
+    """``dependency_cone`` from the pieces of ``_term_pieces`` and their envelope."""
+    kernel = spec.z_kernel
+    top = max(envelope[spec.M:], default=report_degree)
+    cone = [set(range(graded_count(spec.dim, report_degree))) for _ in envelope]
+    gathers = [(j, kernel.gather(alpha, top), cs) for j, alpha, cs in pieces]
+    for n in range(len(envelope) - 1, spec.M - 1, -1):
+        for j, sources, cs in gathers:
+            shifted = set(map(sources.__getitem__, cone[n]))
+            for p in cs:
+                if p <= n - j:
+                    cone[n - p] |= shifted
+    return [sorted(ranks) for ranks in cone]
+
+
 def degree_envelope(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     """For each k in 0..n_max, the largest z-degree of u_k that some reported
     coefficient (|beta| <= report_degree, any n) reads through the recurrence.
@@ -228,15 +261,7 @@ def degree_envelope(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     ``degree_budget(spec, n_max, report_degree, k)``.  Both solves compute
     step k to degree e[k] and no further.
     """
-    envelope = [report_degree] * (n_max + 1)
-    pieces = [(term.j, sum(term.alpha), _shifted_coefficients(term, spec.M, n_max))
-              for term in spec.terms]
-    for n in range(n_max, spec.M - 1, -1):
-        for j, order, cs in pieces:
-            for p in cs:
-                if p <= n - j:
-                    envelope[n - p] = max(envelope[n - p], envelope[n] + order)
-    return envelope
+    return _envelope_walk(spec.M, _term_pieces(spec, n_max), n_max, report_degree)
 
 
 def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
@@ -253,18 +278,9 @@ def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     n >= M, covers every step.  (The envelope need not peak at step M: a
     term with j > M reads no step below j.)
     """
-    kernel = spec.z_kernel
-    top = max(degree_envelope(spec, n_max, report_degree)[spec.M:], default=report_degree)
-    cone = [set(range(graded_count(spec.dim, report_degree))) for _ in range(n_max + 1)]
-    pieces = [(term.j, kernel.gather(term.alpha, top),
-               _shifted_coefficients(term, spec.M, n_max)) for term in spec.terms]
-    for n in range(n_max, spec.M - 1, -1):
-        for j, sources, cs in pieces:
-            shifted = set(map(sources.__getitem__, cone[n]))
-            for p in cs:
-                if p <= n - j:
-                    cone[n - p] |= shifted
-    return [sorted(ranks) for ranks in cone]
+    pieces = _term_pieces(spec, n_max)
+    return _cone_walk(spec, pieces, _envelope_walk(spec.M, pieces, n_max, report_degree),
+                      report_degree)
 
 
 def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
@@ -280,7 +296,8 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> 
     c * D_z^alpha u_k (``ZKernel.diff``) as integers over one common
     denominator (or as floats), and no coefficient is decoded.
     """
-    return _recurrence(problem, n_max, report_degree, majorant=False)
+    steps = _steps(problem, _plan(problem, n_max, report_degree))
+    return SolutionSeries(TimeSeries(tuple(steps)), report_degree)
 
 
 def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
@@ -290,19 +307,25 @@ def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -
     only, gathering from the stored u_k, so each kept coefficient equals the
     full majorant recurrence's (same pieces in the same order), and ``u`` is
     the full majorant's."""
-    return _recurrence(problem, n_max, report_degree, majorant=True)
+    plan = _plan(problem, n_max, report_degree)
+    cone = _cone_walk(problem.spec, plan.pieces, plan.envelope, report_degree)
+    return SolutionSeries(TimeSeries(tuple(_steps(problem, plan, cone))), report_degree)
 
 
-def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
-                majorant: bool) -> SolutionSeries:
-    """The recurrence of ``solve_formal``, or of ``solve_majorant``."""
+# what one solve reads, built once per solve by ``_plan``: the data's
+# arithmetic, the ``_term_pieces``, the ``degree_envelope`` and the largest
+# shift p, ``span``: step n reads u_k for k >= n - span only
+_Plan = namedtuple("_Plan", "arith pieces envelope span")
+
+
+def _plan(problem: CauchyProblem, n_max: int, report_degree: int) -> _Plan:
+    """The plan of a solve to t^n_max, after the checks that the problem
+    is valid and its data and coefficients reach as far as the solve reads."""
     if not problem.validation.passed:
         raise ValidationFailure(problem.validation)
 
     spec = problem.spec
     arith = arithmetic_of(*problem.initial, *problem.forcing.coeffs)
-    mode = arith.mode
-    m0 = spec.m0
     needed = degree_budget(spec, n_max, report_degree)
 
     for j, phi in enumerate(problem.initial):
@@ -312,127 +335,97 @@ def _recurrence(problem: CauchyProblem, n_max: int, report_degree: int,
                 f"need {needed} (= report {report_degree} + {n_max}*{spec.max_alpha}) "
                 f"to report degree {report_degree} at n_max {n_max}"
             )
-    if n_max >= spec.M:
-        if problem.forcing.n_max < n_max - spec.M:
+    if problem.forcing.n_max < n_max - spec.M:
+        raise ValueError(
+            f"forcing is truncated at t^{problem.forcing.n_max}; "
+            f"need t^{n_max - spec.M} for n_max {n_max}"
+        )
+    for k in range(n_max - spec.M + 1):
+        fk = problem.forcing.coeffs[k]
+        need = degree_budget(spec, n_max, report_degree, k + spec.M)
+        if fk.valid_degree < need:
             raise ValueError(
-                f"forcing is truncated at t^{problem.forcing.n_max}; "
-                f"need t^{n_max - spec.M} for n_max {n_max}"
+                f"forcing coefficient {k} is materialized to degree "
+                f"{fk.valid_degree}; need {need}"
             )
-        for k in range(n_max - spec.M + 1):
-            fk = problem.forcing.coeffs[k]
-            need = degree_budget(spec, n_max, report_degree, k + spec.M)
-            if fk.valid_degree < need:
-                raise ValueError(
-                    f"forcing coefficient {k} is materialized to degree "
-                    f"{fk.valid_degree}; need {need}"
-                )
 
-    c_table = {}
-    for term in spec.terms:
+    pieces = _term_pieces(spec, n_max)
+    for term, (_, _, cs) in zip(spec.terms, pieces):
         if term.truncation_order is not None and term.truncation_order < n_max - spec.M:
             raise ValueError(
                 f"coefficient of term (j={term.j}, alpha={term.alpha}) is "
                 f"truncated at t^{term.truncation_order}; need t^{n_max - spec.M} "
                 f"for n_max {n_max}"
             )
-        cs = _shifted_coefficients(term, spec.M, n_max)
         for c in cs.values():
-            to_number(c, mode)   # a TypeError naming any coefficient the mode cannot hold
+            to_number(c, arith.mode)   # a TypeError naming any coefficient the mode cannot hold
+    return _Plan(arith, pieces, _envelope_walk(spec.M, pieces, n_max, report_degree),
+                 max((p for _, _, cs in pieces for p in cs), default=0))
+
+
+def _steps(problem: CauchyProblem, plan: _Plan, cone: Optional[list] = None) -> Iterator:
+    """u_0, ..., u_{n_max} of ``solve_formal`` in turn, or with the
+    ``dependency_cone``, of ``solve_majorant``: a majorant step holds
+    |values| at its cone ranks and zeros off them, up to its last cone rank.
+    It keeps only the steps that later ones read, the last ``span``."""
+    spec, arith, envelope, M = problem.spec, plan.arith, plan.envelope, problem.spec.M
+    kernel, dim, mode, m0 = spec.z_kernel, spec.dim, arith.mode, spec.m0
+    majorant = cone is not None
+    # the majorant adds |c| where the solution subtracts c
+    pieces = [(j, alpha, {p: abs(c) if majorant else -c for p, c in cs.items()})
+              for j, alpha, cs in plan.pieces]
+    window, diff_cache = {}, {}
+
+    def dz(n: int, k: int, alpha: tuple) -> tuple:
+        """D_z^alpha u_k as (vec, denominator): at the cone ranks of step n
+        for the majorant, else all of it, kept while later steps read it."""
+        u_k = window[k]
         if majorant:
-            cs = {p: abs(v) for p, v in cs.items()}
-        c_table[(term.j, term.alpha)] = cs
-
-    kernel, dim = spec.z_kernel, spec.dim
-    envelope = degree_envelope(spec, n_max, report_degree)
-    # the majorant's steps hold the cone ranks only; every one lies below the
-    # count of the step's valid degree, its envelope
-    cone = dependency_cone(spec, n_max, report_degree) if majorant else None
-
-    def step(vec: list, den: int, vd: int, ratio, n: int) -> MultiSeries:
-        """u_n = ratio * vec/den; for the majorant, vec holds |values| at the
-        cone ranks of step n, scaled before the zeros off the cone fill in."""
-        scalar, s_den = arith.scalar(ratio)
-        vec = arith.scale(scalar, vec)
-        if majorant:
-            values, vec = vec, [arith.zero] * (cone[n][-1] + 1)
-            for r, x in zip(cone[n], values):
-                vec[r] = x
-        return _reduced(dim, arith, vec, den * s_den, vd)
-
-    def on_cone(n: int, vec: list) -> list:
-        """|vec| at the cone ranks of step n (the majorant), else vec."""
-        return arith.abs(map(vec.__getitem__, cone[n])) if majorant else vec
-
-    steps = []
-    for j in range(min(spec.M, n_max + 1)):
-        phi = problem.initial[j]
-        vd = min(phi.valid_degree, envelope[j])
-        vec = on_cone(j, phi.dense(graded_count(dim, vd)))
-        steps.append(step(vec, phi.den, vd, m0.ratio(0, j, mode), j))
-
-    # step n reads D_z^alpha u_k for k >= n - span only
-    span = max((p for cs in c_table.values() for p in cs), default=0)
-    diff_cache = {}
-
-    def dz(k: int, alpha: tuple) -> tuple:
-        """D_z^alpha u_k as (vec, denominator), all of it."""
+            return kernel.diff(u_k.vec, u_k.den, u_k.valid_degree, alpha, arith, cone[n])[:2]
         row = diff_cache.setdefault(k, {})
         if alpha not in row:
-            u_k = steps[k]
             row[alpha] = kernel.diff(u_k.vec, u_k.den, u_k.valid_degree, alpha, arith)[:2]
         return row[alpha]
 
-    def dz_on(k: int, alpha: tuple, ranks: list) -> tuple:
-        """D_z^alpha u_k at the graded ranks ``ranks`` only, as (vec,
-        denominator); the cone's closure keeps every source inside u_k's
-        vector."""
-        u_k = steps[k]
-        vec, d_vd = u_k.vec, kernel.degree(u_k.valid_degree, alpha)
-        sources = kernel.gather(alpha, d_vd)
-        out = [vec[sources[r]] for r in ranks]
-        ratio_den, vectors = kernel.ratios(alpha, d_vd, arith)
-        for ratios in vectors:
-            out = arith.mul(out, map(ratios.__getitem__, ranks))
-        return out, u_k.den * ratio_den
-
-    sign = 1 if majorant else -1
-    for n in range(spec.M, n_max + 1):
-        g_n = problem.forcing.coeffs[n - spec.M]
-        # u_n = m0(n-M)/m0(n) * (g_n + sum of sign * c * m0(k)/m0(k-j) * D_z^alpha u_k),
+    for n in range(len(envelope)):
+        # u_n = m0(0)/m0(n) * phi_n for n < M, where no piece has p <= n - j, and
+        # u_n = m0(n-M)/m0(n) * (g_n - sum of c * m0(k)/m0(k-j) * D_z^alpha u_k),
         # every piece as integers over one common denominator
+        g_n = problem.initial[n] if n < M else problem.forcing.coeffs[n - M]
         vd = min(g_n.valid_degree, envelope[n])
         reads = []
-        for term in spec.terms:
-            cs = c_table[(term.j, term.alpha)]
+        for j, alpha, cs in pieces:
             for p, c in cs.items():
-                if p > n - term.j:
-                    continue
-                k = n - p
-                vd = min(vd, kernel.degree(steps[k].valid_degree, term.alpha))
-                scalar, s_den = arith.scalar(sign * (c * m0.ratio(k, k - term.j, mode)))
-                reads.append((scalar, s_den, k, term.alpha))
+                if p <= n - j:
+                    k = n - p
+                    vd = min(vd, kernel.degree(window[k].valid_degree, alpha))
+                    scalar, s_den = arith.scalar(c * m0.ratio(k, k - j, mode))
+                    d, d_den = dz(n, k, alpha)
+                    reads.append((scalar, s_den * d_den, d))
         count = graded_count(dim, vd)
         g_vec, g_den = g_n.dense(count), g_n.den
-        pieces = []
-        for scalar, s_den, k, alpha in reads:
-            d, d_den = dz_on(k, alpha, cone[n]) if majorant else dz(k, alpha)
-            pieces.append((scalar, s_den * d_den, d))
-        den = math.lcm(g_den, *(piece_den for _, piece_den, _ in pieces))
+        den = math.lcm(g_den, *(piece_den for _, piece_den, _ in reads))
         # a forcing coefficient that stores no value is not added
         acc = None
-        if g_vec.count(arith.zero) != len(g_vec) or not pieces:
-            acc = on_cone(n, g_vec)
+        if g_vec.count(arith.zero) != len(g_vec) or not reads:
+            acc = arith.abs(map(g_vec.__getitem__, cone[n])) if majorant else g_vec
             if den != g_den:
                 acc = arith.scale(den // g_den, acc)
-        for scalar, piece_den, d in pieces:
+        for scalar, piece_den, d in reads:
             if piece_den != den:
                 scalar = scalar * (den // piece_den)
             acc = (arith.scale(scalar, islice(d, count)) if acc is None
                    else arith.add_scaled(acc, scalar, d))
-        steps.append(step(acc, den, vd, m0.ratio(n - spec.M, n, mode), n))
-        diff_cache.pop(n - span, None)
-
-    return SolutionSeries(TimeSeries(tuple(steps)), report_degree)
+        scalar, s_den = arith.scalar(m0.ratio(max(n - M, 0), n, mode))
+        acc = arith.scale(scalar, acc)
+        if majorant:    # the zeros off the cone fill in after the scaling
+            values, acc = acc, [arith.zero] * (cone[n][-1] + 1)
+            for r, x in zip(cone[n], values):
+                acc[r] = x
+        window[n] = _reduced(dim, arith, acc, den * s_den, vd)
+        yield window[n]
+        window.pop(n - plan.span, None)
+        diff_cache.pop(n - plan.span, None)
 
 
 def solve_via_borel(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:

@@ -12,6 +12,7 @@ import tempfile
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -376,6 +377,52 @@ class TestMajorantFirst:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["majorant_dominates"] is False
 
+
+class TestRecurrencePlan:
+    """Each solve of ``pipeline.run`` builds one read plan: each term's
+    shifted coefficients once and the degree envelope in one walk; the run
+    walks the dependency cone once, for the majorant, and drops it before
+    the direct solve."""
+
+    @pytest.mark.parametrize("path", [HEAT, PRODUCT2D, FRACTIONAL, PURE_ODE],
+                             ids=lambda p: p.stem)
+    def test_one_plan_per_solve(self, monkeypatch, path):
+        calls, cones = Counter(), []
+
+        def counted(name):
+            inner = getattr(solver, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(solver, name, wrapper)
+
+        for name in ("_shifted_coefficients", "_envelope_walk", "_cone_walk"):
+            counted(name)
+        cone_walk, solve_formal = solver._cone_walk, pipeline.solve_formal
+
+        class Cone(list):
+            """A list that a weak reference can point to."""
+
+        def cone(*args):
+            out = Cone(cone_walk(*args))
+            cones.append(weakref.ref(out))
+            return out
+
+        def direct(*args):
+            cones.append(cones[0]() is None)
+            return solve_formal(*args)
+
+        monkeypatch.setattr(solver, "_cone_walk", cone)
+        monkeypatch.setattr(pipeline, "solve_formal", direct)
+        spec_file = parse_problem_file(path)
+        result = pipeline.run(spec_file)
+        terms = len(spec_file.operator.terms)
+        assert calls == Counter(_shifted_coefficients=2 * terms, _envelope_walk=2, _cone_walk=1)
+        assert cones[1:] == [True]
+        assert result.growth.verdict == "consistent"
+
+
 class TestNaNContradictsClaims:
     """One NaN element in a float solution or majorant fails the claim that
     reads it: the residual and the domination check do not skip it."""
@@ -647,10 +694,39 @@ def _set(path, value):
     return edit
 
 
+def _add_key(path, key, value=1):
+    """A document edit: put ``value`` at ``key`` of the object at ``path``."""
+    return _set((*path, key), value)
+
+
+# (edit of heat.json that adds a field no parser reads, the path and key of the
+# one error line)
+UNKNOWN_FIELDS = {
+    "top_level": (_add_key((), "comment", "x"), "top level", "comment"),
+    "moment": (_add_key(("moments", "m1"), "factors", ["m0", "m0"]), "moments.m1", "factors"),
+    "operator": (_add_key(("operator",), "m", 1), "operator", "m"),
+    "term": (_add_key(("operator", "terms", 0), "ord_override", 1),
+             "operator.terms[0]", "ord_override"),
+    "data": (_add_key(("data",), "forcings", {}), "data", "forcings"),
+    "series": (_add_key(("data", "initial", 0), "ration", "1"), "data.initial[0]", "ration"),
+    "series_terms_entry": (_set(("data", "initial"), [{"kind": "terms", "terms": [
+        {"alpha": [0], "value": "1", "n": 0}]}]), "data.initial[0].terms[0]", "n"),
+    "forcing": (_add_key(("data", "forcing"), "ratio", "1"), "data.forcing", "ratio"),
+    "forcing_space": (_set(("data", "forcing"), {"kind": "time_geometric", "ratio": "1",
+                                                 "space": {"kind": "zero", "sigma": "1"}}),
+                      "data.forcing.space", "sigma"),
+    "forcing_terms_entry": (_set(("data", "forcing"), {"kind": "terms", "terms": [
+        {"n": 0, "alpha": [0], "value": "1", "values": "1"}]}),
+        "data.forcing.terms[0]", "values"),
+    "run": (_add_key(("run",), "radus", "1/8"), "run", "radus"),
+}
+
+
 MALFORMED = {
+    **{f"unknown_{name}": edit for name, (edit, _, _) in UNKNOWN_FIELDS.items()},
     "term_not_object": _set(("operator", "terms"), [5]),
     "alpha_entry_string": _set(("operator", "terms", 0, "alpha"), ["x"]),
-    "ord_override_string": _set(("operator", "terms", 0, "ord_override"), "1"),
+    "truncated_string": _set(("operator", "terms", 0, "truncated"), "1"),
     "forcing_alpha_int": _set(("data", "forcing"), {
         "kind": "terms", "terms": [{"n": 0, "alpha": 3, "value": "1"}]}),
     "space_not_object": _set(("data", "forcing"), {
@@ -670,11 +746,9 @@ def _add_term(term, mode=None):
 
 
 # terms whose stored coefficients put a piece of the recurrence at p <= 0, so
-# that step n would read u_n itself: ord_t is raised past the stored prefix by
-# ord_override, or a float coefficient sits below the nonzero threshold
+# that step n would read u_n itself: a float coefficient sits below the
+# nonzero threshold, so ord_t passes over it
 READS_AHEAD = {
-    "ord_override_past_stored": _add_term(
-        {"j": 1, "alpha": [1], "coeff": ["1"], "ord_override": 1}),
     "float_below_threshold": _add_term(
         {"j": 1, "alpha": [1], "coeff": [1e-50, "1"]}, mode="float"),
 }
@@ -698,6 +772,13 @@ class TestMalformedDocuments:
         code, err = self.run_edited(tmp_path, capsys, edit)
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit, path, key", UNKNOWN_FIELDS.values(),
+                             ids=UNKNOWN_FIELDS.keys())
+    def test_unknown_field_is_one_error_line(self, tmp_path, capsys, edit, path, key):
+        code, err = self.run_edited(tmp_path, capsys, edit)
+        assert code == 1
+        assert err == f"error: {path}: unknown field '{key}'\n"
 
     @pytest.mark.parametrize("edit", READS_AHEAD.values(), ids=READS_AHEAD.keys())
     def test_piece_reading_ahead_fails_term_order(self, tmp_path, capsys, edit):
@@ -853,8 +934,9 @@ SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(
 # fresh containers each draw: a later edit may write into one
 SMALL_JSON = st.one_of(SMALL_SCALARS, st.builds(list), st.builds(dict),
                        st.lists(SMALL_SCALARS, min_size=1, max_size=3))
-# a field set on an operator term: the optional ones, or its t-derivative power
-TERM_FIELDS = st.one_of(st.tuples(st.just("ord_override"), st.integers(0, 3)),
+# a field set on an operator term: an unknown one, the optional one, or its
+# t-derivative power
+TERM_FIELDS = st.one_of(st.tuples(st.sampled_from(["ord_override", "truncate"]), SMALL_JSON),
                         st.tuples(st.just("truncated"), st.booleans()),
                         st.tuples(st.just("j"), st.integers(0, 3)))
 

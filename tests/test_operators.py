@@ -21,6 +21,8 @@ from mpde import (
     moment_diff_z,
     tabulated_moment,
 )
+from mpde.operators import ZKernel
+from mpde.series import arithmetic_of, graded_count
 
 from helpers import (apply_operator_reference, moment_diff_z_reference, operator_pairs_view,
                      rational_ratio_moments, series_equal, time_series, zero_time_series)
@@ -247,8 +249,6 @@ class TestOperatorSpecInvariants:
         tiny = mpmath.ldexp(1, -200)
         term = OperatorTerm(j=0, alpha=(0,), coeff=(tiny, mpf(1)))
         assert term.ord_t() == 1
-        term2 = OperatorTerm(j=0, alpha=(0,), coeff=(tiny,), ord_override=0)
-        assert term2.ord_t() == 0
 
 
 def kernel_moments(mode):
@@ -299,6 +299,29 @@ class TestMomentDiffZOracle:
                     for alpha in ((1, 1), (2, 1), (0, 3)):
                         got = moment_diff_z(f, [m1, m2], alpha)
                         assert got.coeffs == moment_diff_z_reference(f, [m1, m2], alpha).coeffs
+
+
+class TestDiffAtRanks:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_equals_the_whole_vector_read_at_the_ranks(self, mode):
+        # every moment kind on the first axis, in one and in two variables
+        rng = random.Random(31)
+        kinds = kernel_moments(mode)
+        for first in kinds:
+            for dim in (1, 2):
+                kernel = ZKernel([first, *(rng.choice(kinds) for _ in range(dim - 1))])
+                f = kernel_input(rng, dim, 9, mode)
+                arith, vec = arithmetic_of(f), f.dense(graded_count(dim, 9))
+                for alpha in {(0,) * dim, (1,) + (0,) * (dim - 1), (2,) * dim,
+                              tuple(rng.randint(0, 3) for _ in range(dim))}:
+                    whole, den, vd = kernel.diff(vec, f.den, 9, alpha, arith)
+                    ranks = sorted(rng.sample(range(len(whole)), len(whole) // 3))
+                    want = ([whole[r] for r in ranks], den, vd)
+                    assert kernel.diff(vec, f.den, 9, alpha, arith, ranks) == want
+                    # the elements that the ranks gather are all it reads
+                    sources = kernel.gather(alpha, vd)
+                    short = vec[:max((sources[r] for r in ranks), default=-1) + 1]
+                    assert kernel.diff(short, f.den, 9, alpha, arith, ranks) == want
 
 
 RATIONAL_M0, RATIONAL_M = rational_ratio_moments()

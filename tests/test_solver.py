@@ -79,12 +79,12 @@ class TestValidate:
         assert validate(prob).check("term_order").passed
 
     @pytest.mark.parametrize("term, mode", [
-        (OperatorTerm(j=1, alpha=(1,), coeff=(Fraction(1),), ord_override=1), "exact"),
         (OperatorTerm(j=1, alpha=(1,), coeff=(mpmath.mpf("1e-50"), mpmath.mpf(1))), "float"),
-    ], ids=["ord_override", "float_below_threshold"])
+    ], ids=["float_below_threshold"])
     def test_stored_coefficient_below_order_fails(self, term, mode):
-        # ord_t = 1 passes the order bound, but c_0 != 0 gives the piece p = 0,
-        # which would read u_n while computing it
+        # ord_t = 1 passes the order bound (c_0 is below the float zero
+        # threshold), but c_0 != 0 gives the piece p = 0, which would read u_n
+        # while computing it
         spec = OperatorSpec(M=1, m0=G1, m=(G1,), terms=(term,))
         phi = generator_series("geometric", 1, 10, mode, ratio=1)
         prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4, mode=mode))

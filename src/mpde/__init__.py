@@ -11,17 +11,12 @@ from .moments import (
 )
 from .series import (
     MultiSeries,
-    dilate,
-    evaluate,
-    formal_norm,
     generator_series,
-    majorant,
     majorizes,
     make_series,
     series_add,
     series_scale,
     sup_bound,
-    theta_series,
     zero_series,
 )
 from .operators import (
@@ -29,9 +24,7 @@ from .operators import (
     OperatorTerm,
     TimeSeries,
     apply_operator,
-    borel_t,
     borel_z,
-    moment_diff_t,
     moment_diff_z,
 )
 from .polygon import (
@@ -56,7 +49,6 @@ from .analysis import (
     BoundWitness,
     FitResult,
     GrowthReport,
-    InequalityReport,
     coefficient_bounds,
     decide_verdict,
     fit_gevrey_order,
@@ -65,7 +57,6 @@ from .analysis import (
     make_growth_report,
     moment_derivative_bound_probe,
     verify_gevrey_bound,
-    verify_inequality,
 )
 from .problemspec import (
     ProblemSpecFile,

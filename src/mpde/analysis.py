@@ -1,6 +1,5 @@
 """Growth-rate evidence: coefficient bound sequences, Gevrey-order fitting,
-bound-constant extraction, and numerical verification of the inequality
-toolbox behind the Gevrey estimate.
+bound-constant extraction, and the moment-derivative bound probe.
 
 The growth checks read ``log_bounds(b)`` (log b_n, None where b_n = 0), made
 once per sequence, and the two root tests share one ``log_factorials`` table
@@ -24,7 +23,7 @@ from mpmath import mpf
 
 from .moments import MomentFunction
 from .precision import to_mpf
-from .series import MultiSeries, sup_bound
+from .series import MultiSeries, indices_up_to, sup_bound
 from .operators import TimeSeries, moment_diff_z
 
 # the first n whose root enters the witness H of verify_gevrey_bound
@@ -59,23 +58,6 @@ class RootCheck:
     tail_max: Optional[mpf]
     middle_max: Optional[mpf]
     roots: tuple
-
-
-@dataclass(frozen=True)
-class InequalityRecord:
-    params: tuple
-    lhs: Optional[mpf]
-    rhs: Optional[mpf]
-    status: str
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    lemma: str
-    records: tuple
-    passed: int
-    failed: int
-    skipped: int
 
 
 @dataclass(frozen=True)
@@ -242,8 +224,6 @@ def moment_derivative_bound_probe(f: MultiSeries, m: Sequence[MomentFunction],
         raise ValueError(
             f"alpha_cap {alpha_cap} exceeds the materialized degree {f.valid_degree}"
         )
-    from .series import indices_up_to
-
     denom_sup = to_mpf(sup_bound(f, r_prime))
     if denom_sup == 0:
         return mpf(0)
@@ -261,144 +241,6 @@ def moment_derivative_bound_probe(f: MultiSeries, m: Sequence[MomentFunction],
         val = mpmath.power(num / (denom_sup * mpmath.gamma(1 + x)), mpf(1) / total)
         best = max(best, val)
     return best
-
-
-# --- inequality suites -----------------------------------------------------
-
-
-def _theta_default_grid() -> list:
-    grid = []
-    for a in (Fraction(1, 2), Fraction(1), Fraction(2)):
-        for bshift in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            for s in ((Fraction(1, 2),), (Fraction(1),), (Fraction(3, 2),),
-                      (Fraction(2),), (Fraction(1, 2), Fraction(1))):
-                grid.append({"a": a, "b": bshift, "s": s, "alpha_cap": 30})
-    return grid
-
-
-def _check_theta(p: dict) -> InequalityRecord:
-    from .series import indices_up_to
-
-    a, bshift, s = Fraction(p["a"]), Fraction(p["b"]), tuple(Fraction(x) for x in p["s"])
-    if a <= 0 or bshift < 0:
-        return InequalityRecord(tuple(sorted(p.items(), key=str)), None, None, "hypothesis")
-    af, bf = to_mpf(a), to_mpf(bshift)
-    scale = mpmath.e * mpmath.power(mpmath.e / (1 + af + bf), af)
-    worst = None
-    for alpha in indices_up_to(len(s), int(p["alpha_cap"])):
-        x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
-        lhs = mpmath.gamma(1 + x + bf) / mpmath.gamma(1 + x)
-        rhs = scale * mpmath.gamma(1 + x + af + bf) / mpmath.gamma(1 + x)
-        if lhs > rhs:
-            return InequalityRecord(
-                (("a", a), ("b", bshift), ("s", s), ("alpha", alpha)), lhs, rhs, "fail")
-        if worst is None or lhs / rhs > worst[0] / worst[1]:
-            worst = (lhs, rhs)
-    return InequalityRecord((("a", a), ("b", bshift), ("s", s)), worst[0], worst[1], "pass")
-
-
-def _factorial_default_grid() -> list:
-    return [{"M": M, "n": n} for M in range(1, 7) for n in range(M, 501)]
-
-
-def _check_factorial(p: dict) -> InequalityRecord:
-    M, n = int(p["M"]), int(p["n"])
-    params = (("M", M), ("n", n))
-    if n < M or M < 1:
-        return InequalityRecord(params, None, None, "hypothesis")
-    lhs = Fraction(1, math.prod(range(n - M + 1, n + 1)))
-    rhs = Fraction(M, n) ** M
-    status = "pass" if lhs <= rhs else "fail"
-    return InequalityRecord(params, to_mpf(lhs), to_mpf(rhs), status)
-
-
-def _stirling_default_grid() -> list:
-    return [{"x": Fraction(1) + Fraction(199 * k, 399)} for k in range(400)]
-
-
-def _check_stirling(p: dict) -> InequalityRecord:
-    x = Fraction(p["x"])
-    params = (("x", x),)
-    if x < 1:
-        return InequalityRecord(params, None, None, "hypothesis")
-    xf = to_mpf(x)
-    base = mpmath.sqrt(2 * mpmath.pi) * mpmath.power(xf, xf - mpf(1) / 2)
-    lower = base * mpmath.exp(-xf)
-    upper = base * mpmath.exp(-xf + 1)
-    g = mpmath.gamma(xf)
-    status = "pass" if lower <= g <= upper else "fail"
-    return InequalityRecord(params, lower, upper, status)
-
-
-def _gamma_ratio_default_grid() -> list:
-    grid = []
-    for s in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)):
-        for k in range(200):
-            x = s + (Fraction(100) - s) * Fraction(k, 199)
-            grid.append({"s": s, "x": x})
-    return grid
-
-
-def _check_gamma_ratio(p: dict) -> InequalityRecord:
-    s, x = Fraction(p["s"]), Fraction(p["x"])
-    params = (("s", s), ("x", x))
-    if x < s or s < 0:
-        return InequalityRecord(params, None, None, "hypothesis")
-    sf, xf = to_mpf(s), to_mpf(x)
-    ratio = mpmath.gamma(1 + xf) / mpmath.gamma(1 + xf - sf)
-    lower = mpmath.exp(-sf - 1) * mpmath.power(1 + xf, sf)
-    upper = mpmath.e * mpmath.power(1 + xf, sf)
-    status = "pass" if lower <= ratio <= upper else "fail"
-    return InequalityRecord(params, lower, upper, status)
-
-
-def _regularity_default_grid() -> list:
-    return [{"s": s, "n": n}
-            for s in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
-            for n in range(1, 501)]
-
-
-def _check_regularity(p: dict) -> InequalityRecord:
-    s, n = Fraction(p["s"]), int(p["n"])
-    params = (("s", s), ("n", n))
-    if s <= 0 or n < 1:
-        return InequalityRecord(params, None, None, "hypothesis")
-    sf = to_mpf(s)
-    ratio = mpmath.gamma(1 + sf * n) / mpmath.gamma(1 + sf * (n - 1))
-    ns = mpmath.power(n, sf)
-    ss = mpmath.power(sf, sf)
-    lower = mpmath.exp(-sf - 1) * ss * ns
-    upper = mpmath.power(1 + 1 / sf, sf) * mpmath.e * ss * ns
-    status = "pass" if lower <= ratio <= upper else "fail"
-    return InequalityRecord(params, lower, upper, status)
-
-
-_LEMMAS = {
-    "theta_lemma": (_theta_default_grid, _check_theta),
-    "factorial_lemma": (_factorial_default_grid, _check_factorial),
-    "stirling": (_stirling_default_grid, _check_stirling),
-    "gamma_ratio": (_gamma_ratio_default_grid, _check_gamma_ratio),
-    "moment_regularity": (_regularity_default_grid, _check_regularity),
-}
-
-
-def verify_inequality(lemma_id: str, grid: Optional[list] = None) -> InequalityReport:
-    """Numerically check one of the proof inequalities on a parameter grid.
-
-    lemma_id is one of theta_lemma | factorial_lemma | stirling |
-    gamma_ratio | moment_regularity.  grid entries outside a lemma's
-    hypotheses are marked 'hypothesis', not failed.  Custom grids are lists
-    of parameter dicts shaped like the defaults.
-    """
-    if lemma_id not in _LEMMAS:
-        raise ValueError(f"unknown lemma {lemma_id!r}; know {sorted(_LEMMAS)}")
-    default_grid, check = _LEMMAS[lemma_id]
-    records = tuple(check(p) for p in (grid if grid is not None else default_grid()))
-    passed = sum(1 for r in records if r.status == "pass")
-    failed = sum(1 for r in records if r.status == "fail")
-    skipped = sum(1 for r in records if r.status == "hypothesis")
-    return InequalityReport(lemma=lemma_id, records=records,
-                            passed=passed, failed=failed, skipped=skipped)
 
 
 def decide_verdict(fit: FitResult, witness: BoundWitness, inv_k1) -> str:

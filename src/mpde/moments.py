@@ -62,10 +62,6 @@ class MomentFunction:
         """m(a)/m(b) in the arithmetic of ``mode`` (exact or float)."""
         return self._entry(int(a), mode) / self._entry(int(b), mode)
 
-    def values(self, n: int, mode: str) -> tuple:
-        """(m(0), ..., m(n)) in the arithmetic of ``mode``."""
-        return tuple(self._entry(k, mode) for k in range(n + 1))
-
     def _entry(self, n: int, mode: str):
         if n < 0:
             raise ValueError(f"moment functions are defined on n >= 0, got {n}")

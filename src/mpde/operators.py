@@ -1,4 +1,5 @@
-"""Moment differentiation, moment Borel transforms, and operator application.
+"""Moment differentiation in z, the moment Borel transform in z, and
+operator application.
 
 A time series holds raw t-coefficients u_n (never pre-divided by m(n)).  On
 raw coefficients the t-moment derivative acts as
@@ -7,7 +8,7 @@ raw coefficients the t-moment derivative acts as
 
 which is the standard definition rewritten for the raw representation; the
 z-moment derivative shifts indices by alpha and multiplies by the analogous
-ratio in each variable.  Borel transforms divide coefficients by moment
+ratio in each variable.  The Borel transform divides coefficients by moment
 values.  Everything here is pure and mode-preserving.
 
 The z-derivative has one kernel, ``ZKernel.diff``, on the element vector of
@@ -31,8 +32,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .moments import MomentFunction
 from .precision import Arithmetic, nonzero_threshold, to_number
-from .series import (MultiSeries, _reduced, arithmetic_of, graded_count, indices_up_to,
-                     series_scale)
+from .series import MultiSeries, _reduced, arithmetic_of, graded_count, indices_up_to
 
 
 @dataclass(frozen=True)
@@ -164,16 +164,6 @@ class OperatorSpec:
         return ZKernel(self.m)
 
 
-def moment_diff_t(u: TimeSeries, m0: MomentFunction) -> TimeSeries:
-    """One t-moment derivative; the t-truncation order drops by one."""
-    if u.n_max < 1:
-        raise ValueError("time series too short to differentiate")
-    out = []
-    for n in range(u.n_max):
-        out.append(series_scale(u.coeffs[n + 1], m0.ratio(n + 1, n, u.mode)))
-    return TimeSeries(tuple(out))
-
-
 class ZKernel:
     """D_z^alpha on the element vectors of series, for one tuple of moments.
 
@@ -263,14 +253,6 @@ def moment_diff_z(f: MultiSeries, m: Sequence[MomentFunction], alpha: Sequence[i
     arith = arithmetic_of(f)
     vec = f.dense(graded_count(f.dim, f.valid_degree))
     return MultiSeries(f.dim, arith, *ZKernel(m).diff(vec, f.den, f.valid_degree, alpha, arith))
-
-
-def borel_t(u: TimeSeries, m_prime: MomentFunction) -> TimeSeries:
-    """Divide the n-th t-coefficient by m'(n)."""
-    out = []
-    for n, c in enumerate(u.coeffs):
-        out.append(series_scale(c, m_prime.ratio(0, n, u.mode)))
-    return TimeSeries(tuple(out))
 
 
 def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):

@@ -365,11 +365,11 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
             where = f"{path}.terms[{k}]"
             _only(entry, where, "n", "alpha", "value")
             n = _parse_int(_get(entry, "n", where), f"{where}.n")
-            if n > n_top:
-                continue
             alpha = _parse_index(_get(entry, "alpha", where), dim, f"{where}.alpha")
-            tables.setdefault(n, {})[alpha] = _parse_value(
-                _get(entry, "value", where), mode, f"{where}.value")
+            value = _parse_value(_get(entry, "value", where), mode, f"{where}.value")
+            # an entry past the last forcing order the run reads is checked, not kept
+            if n <= n_top:
+                tables.setdefault(n, {})[alpha] = value
         out = []
         for n in range(n_top + 1):
             out.append(make_series(dim, tables.get(n, {}), degree, mode))

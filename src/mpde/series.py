@@ -264,30 +264,6 @@ def series_scale(f: MultiSeries, scalar) -> MultiSeries:
     return _reduced(f.dim, arith, arith.scale(c, f.vec), f.den * c_den, f.valid_degree)
 
 
-def evaluate(f: MultiSeries, point: Sequence) -> object:
-    """Value of the truncated polynomial at a point (stored coefficients
-    only), summed in lexicographic order of the indices.  The point may be
-    complex: the coefficients are real, the variables need not be."""
-    if len(point) != f.dim:
-        raise ValueError(f"point has {len(point)} entries, series has dim {f.dim}")
-    exact = f.mode == "exact" and all(isinstance(p, (int, Fraction)) for p in point)
-    pt = [Fraction(p) if exact else mpmath.mpmathify(p) for p in point]
-    total = Fraction(0) if exact else mpf(0)
-    for alpha, v in sorted(f.coeffs.items()):
-        term = v if exact else to_mpf(v)
-        for p, a in zip(pt, alpha):
-            if a:
-                term = term * p ** a
-        total += term
-    return total
-
-
-def majorant(f: MultiSeries) -> MultiSeries:
-    """Coefficientwise absolute value."""
-    arith = arithmetic_of(f)
-    return MultiSeries(f.dim, arith, arith.abs(f.vec), f.den, f.valid_degree)
-
-
 def sup_bound(f: MultiSeries, r):
     """Sum |f_alpha| r^{|alpha|} over stored coefficients up to valid_degree,
     in graded order.
@@ -330,63 +306,6 @@ def majorizes(g: MultiSeries, f: MultiSeries) -> bool:
         if not fa <= ga + slack * max(fa, ga, mpf(1)):
             return False
     return True
-
-
-def dilate(f: MultiSeries, constant, h) -> MultiSeries:
-    """constant * f(h*z) as a float series: C * h^{|alpha|} * f_alpha."""
-    c, hh = to_mpf(constant), to_mpf(h)
-    if f.mode == "exact":
-        f = make_series(f.dim, {a: to_mpf(v) for a, v in f.coeffs.items()}, f.valid_degree,
-                        "float")
-    arith = arithmetic_of(f)
-    weights, _ = arith.encode([c * hh ** d for d in range(f.valid_degree + 1)])
-    indices = indices_up_to(f.dim, f.valid_degree)
-    scales = [weights[sum(alpha)] for alpha, _ in zip(indices, f.vec)]
-    return MultiSeries(f.dim, arith, arith.mul(scales, f.vec), 1, f.valid_degree)
-
-
-def theta_series(a, s: Sequence, cutoff: int) -> MultiSeries:
-    """Theta^{(a)} truncated at |alpha| <= cutoff for the Gevrey vector s: the
-    float scale series with coefficients Gamma(1+s.alpha+a)/Gamma(1+s.alpha)."""
-    a = Fraction(a)
-    if a < 0:
-        raise ValueError(f"shift parameter must be >= 0, got {a}")
-    s = tuple(Fraction(x) for x in s)
-    dim = len(s)
-    af = to_mpf(a)
-    coeffs = {}
-    for alpha in indices_up_to(dim, cutoff):
-        x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
-        coeffs[alpha] = mpmath.gamma(1 + x + af) / mpmath.gamma(1 + x)
-    return make_series(dim, coeffs, cutoff, "float")
-
-
-def formal_norm(f: MultiSeries, s: Sequence, cutoff: int, at: Optional[Sequence] = None) -> MultiSeries:
-    """Generating series (in rho) of normalized moment derivatives at a point.
-
-    Coefficient at alpha is |D^alpha f(z0)| / Gamma(1 + s.alpha), where D is
-    the Gamma_s moment derivative in each variable and z0 defaults to the
-    origin.  Output is float-mode with nonnegative coefficients.
-    """
-    from .operators import moment_diff_z
-    from .moments import gamma_moment
-
-    s = tuple(Fraction(x) for x in s)
-    if len(s) != f.dim:
-        raise ValueError(f"Gevrey vector has {len(s)} entries, series has dim {f.dim}")
-    if cutoff > f.valid_degree:
-        raise ValueError(
-            f"cutoff {cutoff} exceeds the derivative budget (valid degree {f.valid_degree})"
-        )
-    z0 = tuple(at) if at is not None else (0,) * f.dim
-    ms = [gamma_moment(sj) for sj in s]
-    coeffs = {}
-    for alpha in indices_up_to(f.dim, cutoff):
-        g = moment_diff_z(f, ms, alpha)
-        val = to_mpf(abs(evaluate(g, z0)))
-        x = to_mpf(sum(sj * aj for sj, aj in zip(s, alpha)))
-        coeffs[alpha] = val / mpmath.gamma(1 + x)
-    return make_series(f.dim, coeffs, cutoff, "float")
 
 
 def coefficient_rows(f: MultiSeries) -> list[list[str]]:

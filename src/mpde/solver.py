@@ -59,12 +59,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class CauchyProblem:

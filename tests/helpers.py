@@ -5,12 +5,14 @@ Everything here is deliberately independent of the code paths it checks:
 the hull oracle separates points with explicit support directions, the
 heat-solution oracle differentiates coefficient lists by hand, the
 dropped-boundary recurrence is a wrong convention the residual must reject,
-the z-derivative oracle looks up one moment ratio per coefficient, and the
+the z-derivative oracle looks up one moment ratio per coefficient, the
+t-derivative ``moment_diff_t`` scales whole series, and the
 two-pass residual applies the whole operator once signed and once to
 absolute values, the dependency-cone walk runs on sets of index tuples,
 and the moment-value oracle evaluates a product/quotient tree recursively.
-``truncate_series``, ``polygon_contains`` and ``growth_envelope`` are used
-by the tests only.
+``truncate_series``, ``polygon_contains``, ``growth_envelope`` and the
+formal-norm toolkit (``theta_series``, ``formal_norm``) are used by the
+tests only.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ from mpde import (
     combine,
     gamma_moment,
     generator_series,
-    majorant,
     make_series,
-    moment_diff_t,
+    moment_diff_z,
     series_add,
     series_scale,
     tabulated_moment,
@@ -141,6 +142,11 @@ def majorant_reference(f: MultiSeries) -> dict:
     return {alpha: abs(v) for alpha, v in f.coeffs.items()}
 
 
+def majorant_series(f: MultiSeries) -> MultiSeries:
+    """``majorant_reference`` as a series of f's mode and valid degree."""
+    return make_series(f.dim, majorant_reference(f), f.valid_degree, f.mode)
+
+
 def sup_bound_reference(f: MultiSeries, r):
     exact = f.mode == "exact" and isinstance(r, (int, Fraction))
     r = Fraction(r) if exact else to_mpf(r)
@@ -197,6 +203,40 @@ def dilate_reference(f: MultiSeries, constant, h) -> dict:
     c, hh = to_mpf(constant), to_mpf(h)
     out = {alpha: c * hh ** sum(alpha) * to_number(v, "float") for alpha, v in f.coeffs.items()}
     return {alpha: v for alpha, v in out.items() if v != 0}
+
+
+def theta_series(a, s, cutoff: int) -> MultiSeries:
+    """Theta^{(a)} truncated at |alpha| <= cutoff for the Gevrey vector s: the
+    float scale series with coefficients Gamma(1+s.alpha+a)/Gamma(1+s.alpha)."""
+    a = Fraction(a)
+    if a < 0:
+        raise ValueError(f"shift parameter must be >= 0, got {a}")
+    af = to_mpf(a)
+    coeffs = {}
+    for alpha in indices_up_to(len(s), cutoff):
+        x = to_mpf(sum(Fraction(sj) * aj for sj, aj in zip(s, alpha)))
+        coeffs[alpha] = mpmath.gamma(1 + x + af) / mpmath.gamma(1 + x)
+    return make_series(len(s), coeffs, cutoff, "float")
+
+
+def formal_norm(f: MultiSeries, s, cutoff: int, at=None) -> MultiSeries:
+    """Generating series (in rho) of normalized moment derivatives at a point.
+
+    Coefficient at alpha is |D^alpha f(z0)| / Gamma(1 + s.alpha), where D is
+    the Gamma_s moment derivative in each variable and z0 defaults to the
+    origin.  Output is float-mode with nonnegative coefficients.
+    """
+    if cutoff > f.valid_degree:
+        raise ValueError(
+            f"cutoff {cutoff} exceeds the derivative budget (valid degree {f.valid_degree})")
+    z0 = tuple(at) if at is not None else (0,) * f.dim
+    ms = [gamma_moment(sj) for sj in s]
+    coeffs = {}
+    for alpha in indices_up_to(f.dim, cutoff):
+        val = to_mpf(abs(evaluate_reference(moment_diff_z(f, ms, alpha), z0)))
+        x = to_mpf(sum(Fraction(sj) * aj for sj, aj in zip(s, alpha)))
+        coeffs[alpha] = val / mpmath.gamma(1 + x)
+    return make_series(f.dim, coeffs, cutoff, "float")
 
 
 def rational_ratio_moments():
@@ -380,7 +420,7 @@ def solve_formal_reference(problem: CauchyProblem, n_max: int, report_degree: in
     spec, mode = problem.spec, problem.mode
     m0 = spec.m0
     sign = 1 if majorant_mode else -1
-    data = majorant if majorant_mode else (lambda f: f)
+    data = majorant_series if majorant_mode else (lambda f: f)
     u = [series_scale(data(problem.initial[j]), m0.ratio(0, j, mode))
          for j in range(min(spec.M, n_max + 1))]
     for n in range(spec.M, n_max + 1):
@@ -447,6 +487,15 @@ def moment_diff_z_reference(f, m, alpha):
     return make_series(f.dim, coeffs, new_valid, f.mode)
 
 
+def moment_diff_t(u: TimeSeries, m0) -> TimeSeries:
+    """One t-moment derivative on raw coefficients, (D_t u)_n = u_{n+1} *
+    m0(n+1)/m0(n); the t-truncation order drops by one."""
+    if u.n_max < 1:
+        raise ValueError("time series too short to differentiate")
+    return TimeSeries(tuple(series_scale(u.coeffs[n + 1], m0.ratio(n + 1, n, u.mode))
+                            for n in range(u.n_max)))
+
+
 def _coeff_product(scalars, truncation, w):
     """Truncated Cauchy product of a scalar t-series with a TimeSeries, as a
     list of series: None at a t-order that no nonzero coefficient power
@@ -473,7 +522,7 @@ def apply_operator_reference(spec, u, absolute=False):
     replaced by their absolute values first, which gives the magnitude
     envelope of the signed application.
     """
-    work = u.map_z(majorant) if absolute else u
+    work = u.map_z(majorant_series) if absolute else u
     diffs = {0: work}
     for k in range(1, max([spec.M] + [t.j for t in spec.terms]) + 1):
         diffs[k] = moment_diff_t(diffs[k - 1], spec.m0)
@@ -510,7 +559,7 @@ def residual_max_relative_two_pass(problem, sol):
     worst = mpf(0)
     for n in range(min(app.n_max, problem.forcing.n_max) + 1):
         res_n = series_add(app.coeffs[n], series_scale(problem.forcing.coeffs[n], -1))
-        env_n = series_add(envelope.coeffs[n], majorant(problem.forcing.coeffs[n]))
+        env_n = series_add(envelope.coeffs[n], majorant_series(problem.forcing.coeffs[n]))
         vd = min(res_n.valid_degree, env_n.valid_degree)
         env_coeffs = env_n.coeffs
         for alpha, v in res_n.coeffs.items():

@@ -35,10 +35,12 @@ from mpde import (
     solve_via_borel,
     make_series,
     validate,
-    verify_inequality,
 )
 from mpde.polygon import generator_points
+from mpde.precision import to_mpf
+from mpde.series import indices_up_to
 from helpers import (
+    ORDERS_ANY,
     bruteforce_hull_vertices,
     dependency_cone_reference,
     heat_solution_oracle,
@@ -248,16 +250,81 @@ def test_criterion_7_majorant_domination(heat_full, precision_module):
     _ok(7, f"majorant solution dominates the formal solution on {cases} problems, all n")
 
 
+# The inequalities behind the Gevrey estimate.  Each function gives, at one
+# parameter point inside the lemma's hypotheses, the (lhs, rhs) pairs that
+# must satisfy lhs <= rhs.
+
+def theta_lemma(a, b, s, alpha_cap=30) -> list:
+    """Gamma(1+x+b)/Gamma(1+x) <= e (e/(1+a+b))^a Gamma(1+x+a+b)/Gamma(1+x)
+    at x = s.alpha for every |alpha| <= alpha_cap (a > 0, b >= 0)."""
+    af, bf = to_mpf(a), to_mpf(b)
+    scale = mpmath.e * mpmath.power(mpmath.e / (1 + af + bf), af)
+    out = []
+    for alpha in indices_up_to(len(s), alpha_cap):
+        x = to_mpf(sum(Fraction(sj) * aj for sj, aj in zip(s, alpha)))
+        g = mpmath.gamma(1 + x)
+        out.append((mpmath.gamma(1 + x + bf) / g, scale * mpmath.gamma(1 + x + af + bf) / g))
+    return out
+
+
+def factorial_lemma(M, n) -> list:
+    """(n-M)!/n! <= (M/n)^M for 1 <= M <= n, exactly."""
+    return [(Fraction(1, math.prod(range(n - M + 1, n + 1))), Fraction(M, n) ** M)]
+
+
+def stirling(x) -> list:
+    """sqrt(2 pi) x^(x-1/2) e^-x <= Gamma(x) <= sqrt(2 pi) x^(x-1/2) e^(1-x)
+    for x >= 1."""
+    xf = to_mpf(x)
+    base = mpmath.sqrt(2 * mpmath.pi) * mpmath.power(xf, xf - mpf(1) / 2)
+    g = mpmath.gamma(xf)
+    return [(base * mpmath.exp(-xf), g), (g, base * mpmath.exp(-xf + 1))]
+
+
+def gamma_ratio(s, x) -> list:
+    """e^(-s-1) (1+x)^s <= Gamma(1+x)/Gamma(1+x-s) <= e (1+x)^s for
+    0 <= s <= x."""
+    sf, xf = to_mpf(s), to_mpf(x)
+    ratio = mpmath.gamma(1 + xf) / mpmath.gamma(1 + xf - sf)
+    return [(mpmath.exp(-sf - 1) * mpmath.power(1 + xf, sf), ratio),
+            (ratio, mpmath.e * mpmath.power(1 + xf, sf))]
+
+
+def moment_regularity(s, n) -> list:
+    """e^(-s-1) s^s n^s <= Gamma(1+sn)/Gamma(1+s(n-1)) <= (1+1/s)^s e s^s n^s
+    for s > 0 and n >= 1."""
+    sf = to_mpf(s)
+    ratio = mpmath.gamma(1 + sf * n) / mpmath.gamma(1 + sf * (n - 1))
+    ss_ns = mpmath.power(sf, sf) * mpmath.power(n, sf)
+    return [(mpmath.exp(-sf - 1) * ss_ns, ratio),
+            (ratio, mpmath.power(1 + 1 / sf, sf) * mpmath.e * ss_ns)]
+
+
+# lemma name -> (inequality, default grid of parameter points)
+INEQUALITIES = {
+    "theta_lemma": (theta_lemma, [
+        {"a": a, "b": b, "s": s}
+        for a in (Fraction(1, 2), Fraction(1), Fraction(2))
+        for b in (Fraction(0), Fraction(1, 2), Fraction(1))
+        for s in ((Fraction(1, 2),), (Fraction(1),), (Fraction(3, 2),), (Fraction(2),),
+                  (Fraction(1, 2), Fraction(1)))]),
+    "factorial_lemma": (factorial_lemma,
+                        [{"M": M, "n": n} for M in range(1, 7) for n in range(M, 501)]),
+    "stirling": (stirling, [{"x": 1 + Fraction(199 * k, 399)} for k in range(400)]),
+    "gamma_ratio": (gamma_ratio, [{"s": s, "x": s + (100 - s) * Fraction(k, 199)}
+                                  for s in ORDERS_ANY for k in range(200)]),
+    "moment_regularity": (moment_regularity,
+                          [{"s": s, "n": n} for s in ORDERS_ANY for n in range(1, 501)]),
+}
+
+
 def test_criterion_8_inequality_suites(precision_module):
-    counts = {}
-    for lemma in ("theta_lemma", "factorial_lemma", "stirling", "gamma_ratio",
-                  "moment_regularity"):
-        report = verify_inequality(lemma)
-        assert report.failed == 0, f"{lemma}: {report.failed} failures"
-        assert report.passed > 0
-        counts[lemma] = report.passed
+    for name, (inequality, grid) in INEQUALITIES.items():
+        for point in grid:
+            for lhs, rhs in inequality(**point):
+                assert lhs <= rhs, f"{name} at {point}: {lhs} > {rhs}"
     _ok(8, "zero failures across " +
-        ", ".join(f"{k} ({v} pts)" for k, v in counts.items()))
+        ", ".join(f"{name} ({len(grid)} pts)" for name, (_, grid) in INEQUALITIES.items()))
 
 
 def test_criterion_9_fit_calibration(precision_module):

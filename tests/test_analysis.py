@@ -18,9 +18,9 @@ from mpde import (
     make_series,
     moment_derivative_bound_probe,
     verify_gevrey_bound,
-    verify_inequality,
 )
 from mpde.analysis import BoundWitness, FitResult
+from test_acceptance import INEQUALITIES, factorial_lemma, gamma_ratio
 from test_solver import heat_problem
 from mpde.solver import solve_formal
 
@@ -170,8 +170,7 @@ class TestVerifyGevreyBound:
 
 
 class TestInequalitySuites:
-    @pytest.mark.parametrize("lemma", [
-        "theta_lemma", "factorial_lemma", "stirling", "gamma_ratio", "moment_regularity"])
+    @pytest.mark.parametrize("lemma", list(INEQUALITIES))
     def test_small_grids_pass(self, lemma):
         grids = {
             "theta_lemma": [{"a": 1, "b": 0, "s": (1,), "alpha_cap": 10},
@@ -182,31 +181,18 @@ class TestInequalitySuites:
             "gamma_ratio": [{"s": 1, "x": Fraction(k, 2)} for k in range(2, 40)],
             "moment_regularity": [{"s": Fraction(3, 2), "n": n} for n in range(1, 40)],
         }
-        report = verify_inequality(lemma, grids[lemma])
-        assert report.failed == 0
-        assert report.passed > 0
+        inequality = INEQUALITIES[lemma][0]
+        for point in grids[lemma]:
+            for lhs, rhs in inequality(**point):
+                assert lhs <= rhs, point
 
     def test_factorial_example_value(self):
-        report = verify_inequality("factorial_lemma", [{"M": 2, "n": 5}])
-        rec = report.records[0]
-        assert rec.status == "pass"
-        assert abs(rec.lhs - mpf("0.05")) < mpf("1e-50")     # 3!/5!
-        assert abs(rec.rhs - mpf("0.16")) < mpf("1e-50")     # (2/5)^2
-
-    def test_hypothesis_markers(self):
-        report = verify_inequality("factorial_lemma", [{"M": 4, "n": 2}])
-        assert report.records[0].status == "hypothesis"
-        assert report.skipped == 1
-        report2 = verify_inequality("gamma_ratio", [{"s": 2, "x": 1}])
-        assert report2.records[0].status == "hypothesis"
+        # 3!/5! against (2/5)^2
+        assert factorial_lemma(2, 5) == [(Fraction(1, 20), Fraction(4, 25))]
 
     def test_gamma_ratio_order_zero_trivial(self):
-        report = verify_inequality("gamma_ratio", [{"s": 0, "x": 3}])
-        assert report.records[0].status == "pass"
-
-    def test_unknown_lemma_rejected(self):
-        with pytest.raises(ValueError):
-            verify_inequality("mystery")
+        for lhs, rhs in gamma_ratio(0, 3):
+            assert lhs <= rhs
 
 
 class TestDerivativeBoundProbe:

@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpc
 from mpmath.libmp import fzero
 
-from mpde import (CauchyProblem, OperatorSpec, OperatorTerm, evaluate, gamma_moment,
-                  make_series, series_scale, solve_formal, zero_series)
+from mpde import (CauchyProblem, OperatorSpec, OperatorTerm, gamma_moment, make_series,
+                  series_scale, solve_formal, zero_series)
 from mpde.precision import EXACT, arithmetic
 
-from helpers import evaluate_reference, zero_forcing
+from helpers import zero_forcing
 
 PRECISIONS = (53, 113, 256)
 
@@ -183,9 +183,3 @@ def test_complex_value_is_one_type_error_naming_it(value):
                              forcing=zero_forcing(spec, 4, 0, mode))
         with pytest.raises(TypeError, match=named):
             solve_formal(prob, 4, 0)
-    # the variables of evaluate may still be complex
-    f = make_series(2, {(0, 0): 1, (1, 2): Fraction(-3, 4), (2, 0): mpmath.mpf(5) / 7}, 3,
-                    "float")
-    point = [value, Fraction(1, 3)]
-    got = evaluate(f, point)
-    assert got == evaluate_reference(f, point) and got.imag != 0

@@ -729,6 +729,9 @@ MALFORMED = {
     "truncated_string": _set(("operator", "terms", 0, "truncated"), "1"),
     "forcing_alpha_int": _set(("data", "forcing"), {
         "kind": "terms", "terms": [{"n": 0, "alpha": 3, "value": "1"}]}),
+    # n past the last forcing order of the run: still parsed
+    "forcing_entry_past_last_order": _set(("data", "forcing"), {
+        "kind": "terms", "terms": [{"n": 500, "alpha": "bad", "value": "x"}]}),
     "space_not_object": _set(("data", "forcing"), {
         "kind": "time_geometric", "ratio": "1", "space": 5}),
     "M_boolean": _set(("operator", "M"), True),

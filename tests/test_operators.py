@@ -11,21 +11,21 @@ from mpde import (
     OperatorSpec,
     OperatorTerm,
     apply_operator,
-    borel_t,
     borel_z,
     combine,
     gamma_moment,
     generator_series,
     make_series,
-    moment_diff_t,
     moment_diff_z,
+    series_scale,
     tabulated_moment,
 )
 from mpde.operators import ZKernel
 from mpde.series import arithmetic_of, graded_count
 
-from helpers import (apply_operator_reference, moment_diff_z_reference, operator_pairs_view,
-                     rational_ratio_moments, series_equal, time_series, zero_time_series)
+from helpers import (apply_operator_reference, moment_diff_t, moment_diff_z_reference,
+                     operator_pairs_view, rational_ratio_moments, series_equal, time_series,
+                     zero_time_series)
 
 G1 = gamma_moment(1)
 GH = gamma_moment(Fraction(1, 2))
@@ -115,23 +115,6 @@ class TestMomentDiffZ:
 
 
 class TestBorel:
-    def test_borel_t_factorials_flatten(self):
-        u = scalar_ts([math.factorial(n) for n in range(7)])
-        v = borel_t(u, G1)
-        assert all(v.coeffs[n].coefficient((0,)) == 1 for n in range(7))
-
-    def test_borel_t_normalisation(self):
-        u = scalar_ts([1])
-        v = borel_t(u, GH)
-        assert v.coeffs[0].coefficient((0,)) == 1
-
-    def test_borel_t_half_order(self):
-        u = time_series([make_series(1, {(0,): mpmath.gamma(1 + mpf(n) / 2)}, 0, "float")
-                         for n in range(6)])
-        v = borel_t(u, GH)
-        for n in range(6):
-            assert abs(v.coeffs[n].coefficient((0,)) - 1) < mpf("1e-60")
-
     def test_borel_z_identity_quotient(self):
         q = combine(G1, G1, "quotient")
         f = generator_series("geometric", 1, 6, ratio=Fraction(2, 3))
@@ -205,6 +188,12 @@ class TestApplyOperator:
         for plain, envelope in pairs:
             for alpha, v in plain.coeffs.items():
                 assert abs(v) <= envelope.coefficient(alpha)
+
+
+def borel_t(u, m_prime):
+    """The t-Borel transform: the n-th t-coefficient divided by m'(n)."""
+    return time_series([series_scale(c, m_prime.ratio(0, n, u.mode))
+                        for n, c in enumerate(u.coeffs)])
 
 
 class TestCommutation:

@@ -54,6 +54,11 @@ def heat_problem(n_max, report_degree=0, mode="exact", s0=Fraction(1)):
                          forcing=zero_forcing(spec, n_max, report_degree, mode))
 
 
+def check(report, name):
+    """The condition check of ``report`` named ``name``."""
+    return next(c for c in report.checks if c.name == name)
+
+
 class TestValidate:
     def test_heat_passes_all(self):
         rep = validate(heat_problem(6))
@@ -68,7 +73,7 @@ class TestValidate:
         prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4))
         rep = validate(prob)
         assert not rep.passed
-        bad = rep.check("term_order")
+        bad = check(rep, "term_order")
         assert not bad.passed and "j=1" in bad.detail
 
     def test_low_j_with_zero_order_passes(self):
@@ -76,7 +81,7 @@ class TestValidate:
                             terms=(OperatorTerm(j=0, alpha=(1,), coeff=(Fraction(1),)),))
         phi = generator_series("geometric", 1, 10, ratio=1)
         prob = CauchyProblem(spec=spec, initial=(phi, phi), forcing=zero_forcing(spec, 4))
-        assert validate(prob).check("term_order").passed
+        assert check(validate(prob), "term_order").passed
 
     @pytest.mark.parametrize("term, mode", [
         (OperatorTerm(j=1, alpha=(1,), coeff=(mpmath.mpf("1e-50"), mpmath.mpf(1))), "float"),
@@ -89,7 +94,7 @@ class TestValidate:
         phi = generator_series("geometric", 1, 10, mode, ratio=1)
         prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4, mode=mode))
         assert term.ord_t() == 1
-        bad = validate(prob).check("term_order")
+        bad = check(validate(prob), "term_order")
         assert not bad.passed
         assert "first nonzero stored coefficient at t^0" in bad.detail
         with pytest.raises(ValidationFailure, match="term_order"):

@@ -169,8 +169,6 @@ def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    for message in result.polygon_warnings:
-        print(f"warning: {message}", file=sys.stderr)
     growth = result.growth
     if not quiet:
         print(f"{result.name}: 1/k1 = {_frac_str(growth.inverse_k1)} "

@@ -24,14 +24,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import islice
 from operator import add
 from typing import Callable, Iterator, Optional, Sequence
 
 from .moments import MomentFunction
-from .precision import Arithmetic, nonzero_threshold, to_number
+from .precision import Arithmetic, to_number
 from .series import MultiSeries, _reduced, arithmetic_of, graded_count, indices_up_to
 
 
@@ -86,20 +85,17 @@ class OperatorTerm:
             raise ValueError(f"negative entry in alpha {self.alpha}")
         object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
         object.__setattr__(self, "coeff", tuple(self.coeff))
+        if not any(c != 0 for c in self.coeff):
+            raise ValueError("no t-coefficient is nonzero, so the term adds nothing")
 
-    def ord_t(self) -> Optional[int]:
-        """Index of the first nonzero t-coefficient; None if all vanish.
+    def ord_t(self) -> int:
+        """Index of the first t-coefficient that is not 0.
 
-        Float coefficients count as zero below 2^-(prec/2) in modulus.
+        A coefficient is zero only when it equals 0, float literals
+        included: the polygon, the order check and the recurrence all read
+        this one t-order.
         """
-        thresh = nonzero_threshold()
-        for p, c in enumerate(self.coeff):
-            if isinstance(c, (int, Fraction)):
-                if c != 0:
-                    return p
-            elif abs(c) > thresh:
-                return p
-        return None
+        return next(p for p, c in enumerate(self.coeff) if c != 0)
 
     @property
     def truncation_order(self) -> Optional[int]:
@@ -336,7 +332,7 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
                 scalars.append((p, *arith.scalar(a)))
         terms.append(scalars)
     # order n reads t-indices >= n - span only
-    span = max((scalars[-1][0] for scalars in terms if scalars), default=0)
+    span = max((scalars[-1][0] for scalars in terms), default=0)
 
     def d_z(i: int, k: int) -> tuple:
         """D_z^alpha (D_t^j u)_k for the i-th term, in the form of d_t."""

@@ -23,7 +23,6 @@ afterwards, also when a stage raises.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +46,6 @@ class PipelineResult:
     run: RunConfig
     validation: ValidationReport
     polygon: NewtonPolygon
-    polygon_warnings: tuple
     solution: SolutionSeries
     dominated: bool
     residual: mpf
@@ -82,9 +80,7 @@ def run(spec_file: ProblemSpecFile) -> PipelineResult:
         report = problem.validation
         if not report.passed:
             raise ValidationFailure(report)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            poly = build_polygon(problem.spec)
+        poly = build_polygon(problem.spec)
         inv_k1 = inverse_k1(problem.spec)
 
         # the majorant first, and only its reported coefficients kept: its
@@ -112,7 +108,6 @@ def run(spec_file: ProblemSpecFile) -> PipelineResult:
         run=cfg,
         validation=report,
         polygon=poly,
-        polygon_warnings=tuple(str(w.message) for w in caught),
         solution=sol,
         dominated=dominated,
         residual=rel_residual,

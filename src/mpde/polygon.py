@@ -11,7 +11,6 @@ solution is expected to have.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,26 +37,15 @@ class NewtonPolygon:
 
 
 def generator_points(spec: OperatorSpec) -> list:
-    """Quadrant corners for the operator, leading term first.
-
-    Terms whose coefficient vanishes identically in the stored truncation
-    carry no information and are dropped with a warning.
-    """
+    """Quadrant corners for the operator, leading term first, then one per
+    term at (j*s0 + alpha.s, ord_t(a) - j)."""
     s0 = spec.m0.order
     s = spec.orders
     pts = [(Fraction(spec.M) * s0, Fraction(-spec.M))]
     for term in spec.terms:
-        sigma = term.ord_t()
-        if sigma is None:
-            warnings.warn(
-                f"term (j={term.j}, alpha={term.alpha}) has an identically zero "
-                f"coefficient in truncation; dropped from the polygon"
-            )
-            continue
         x = Fraction(term.j) * s0 + sum((Fraction(a) * sk for a, sk in zip(term.alpha, s)),
                                         Fraction(0))
-        y = Fraction(sigma - term.j)
-        pts.append((x, y))
+        pts.append((x, Fraction(term.ord_t() - term.j)))
     return pts
 
 
@@ -111,10 +99,7 @@ def inverse_k1(spec: OperatorSpec) -> Fraction:
     s = spec.orders
     best = Fraction(0)
     for term in spec.terms:
-        sigma = term.ord_t()
-        if sigma is None:
-            continue
-        q = sigma - term.j + spec.M
+        q = term.ord_t() - term.j + spec.M
         if q <= 0:
             raise ValueError(
                 f"term (j={term.j}, alpha={term.alpha}) has q = {q} <= 0; "

@@ -299,8 +299,3 @@ def arithmetic(mode: str) -> Arithmetic:
 def float_tolerance() -> mpf:
     """Relative slack for float-mode coefficient comparison: 2^-(prec-16)."""
     return mpmath.ldexp(1, -(mpmath.mp.prec - 16))
-
-
-def nonzero_threshold() -> mpf:
-    """Modulus below which a float-mode coefficient counts as zero: 2^-(prec/2)."""
-    return mpmath.ldexp(1, -(mpmath.mp.prec // 2))

@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .moments import MomentFunction, combine, gamma_moment
 from .operators import OperatorSpec, OperatorTerm, TimeSeries
-from .precision import DEFAULT_PRECISION_BITS
+from .precision import DEFAULT_PRECISION_BITS, to_number
 from .series import MultiSeries, generator_series, make_series, series_scale, zero_series
 from .solver import CauchyProblem, degree_budget
 
@@ -220,15 +220,16 @@ def _parse_operator(section: dict, moments: dict, mode: str, path: str) -> Opera
         _only(t, where, "j", "alpha", "coeff", "truncated")
         j = _parse_int(_get(t, "j", where), f"{where}.j")
         alpha = _parse_index(_get(t, "alpha", where), dim, f"{where}.alpha")
-        coeff_raw = _get(t, "coeff", where)
-        if not isinstance(coeff_raw, list) or not coeff_raw:
-            _fail(f"{where}.coeff", "coeff must be a nonempty t-coefficient list")
+        coeff_raw = _parse_list(_get(t, "coeff", where), f"{where}.coeff")
         coeff = tuple(_parse_value(c, mode, f"{where}.coeff[{k}]")
                       for k, c in enumerate(coeff_raw))
         truncated = t.get("truncated", False)
         if not isinstance(truncated, bool):
             _fail(f"{where}.truncated", f"must be true or false, got {truncated!r}")
-        terms.append(OperatorTerm(j=j, alpha=alpha, coeff=coeff, truncated=truncated))
+        try:
+            terms.append(OperatorTerm(j=j, alpha=alpha, coeff=coeff, truncated=truncated))
+        except ValueError as exc:   # j and alpha are checked above: coeff is all zero
+            _fail(f"{where}.coeff", str(exc))
     try:
         return OperatorSpec(M=M, m0=moments[tm_name],
                             m=tuple(moments[nm] for nm in sm_names), terms=tuple(terms))
@@ -295,8 +296,11 @@ def parse_problem_document(doc: dict) -> ProblemSpecFile:
     if not isinstance(initial, list) or len(initial) != operator.M:
         _fail("data.initial", f"need exactly M = {operator.M} initial series")
     forcing = _get(data, "forcing", "data", required=False, default={"kind": "zero"})
+    name = doc.get("name", "problem")
+    if not isinstance(name, str):
+        _fail("name", f"must be a string, got {name!r}")
     return ProblemSpecFile(
-        name=str(doc.get("name", "problem")),
+        name=name,
         operator=operator,
         initial_descriptors=tuple(initial),
         forcing_descriptor=forcing,
@@ -352,12 +356,8 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
         space_desc = desc.get("space", {"kind": "terms",
                                         "terms": [{"alpha": [0] * dim, "value": "1"}]})
         space = _materialize_generator(space_desc, dim, degree, mode, f"{path}.space")
-        out = []
-        scale = _parse_value("1", mode, path)
-        for _ in range(n_top + 1):
-            out.append(series_scale(space, scale))
-            scale = scale * ratio
-        return TimeSeries(tuple(out))
+        c = to_number(ratio, mode)
+        return TimeSeries(tuple(series_scale(space, c ** k) for k in range(n_top + 1)))
     if kind == "terms":
         _only(desc, path, "kind", "terms")
         tables: dict = {}

@@ -25,7 +25,8 @@ from mpde import TimeSeries, cli, pipeline, series, solver, tabulated_moment
 from mpde.cli import _report_dict, main, run_pipeline
 from mpde.moments import MAX_MOMENT_FACTORS
 from mpde.precision import EXACT
-from mpde.problemspec import MAX_MOMENT_DEPTH, materialize_problem, parse_problem_file
+from mpde.problemspec import (MAX_MOMENT_DEPTH, materialize_problem, parse_problem_document,
+                              parse_problem_file)
 from helpers import solve_formal_reference
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -736,6 +737,9 @@ MALFORMED = {
         "kind": "time_geometric", "ratio": "1", "space": 5}),
     "M_boolean": _set(("operator", "M"), True),
     "coeffs_string": _set(("data", "initial"), [{"kind": "polynomial", "coeffs": "12"}]),
+    "name_number": _set(("name",), 5),
+    "name_null": _set(("name",), None),
+    "name_object": _set(("name",), {"a": 1}),
 }
 
 
@@ -749,8 +753,8 @@ def _add_term(term, mode=None):
 
 
 # terms whose stored coefficients put a piece of the recurrence at p <= 0, so
-# that step n would read u_n itself: a float coefficient sits below the
-# nonzero threshold, so ord_t passes over it
+# that step n would read u_n itself: a coefficient is zero only when it equals
+# 0, so however small the float at t^0 is, ord_t is 0
 READS_AHEAD = {
     "float_below_threshold": _add_term(
         {"j": 1, "alpha": [1], "coeff": [1e-50, "1"]}, mode="float"),
@@ -787,8 +791,26 @@ class TestMalformedDocuments:
     def test_piece_reading_ahead_fails_term_order(self, tmp_path, capsys, edit):
         code, err = self.run_edited(tmp_path, capsys, edit)
         assert code == 1
-        assert err.startswith("error: condition term_order") and "Traceback" not in err
-        assert "first nonzero stored coefficient at t^0" in err
+        assert err == "error: condition term_order violated at term j=1, alpha=(1,) (ord_t=0)\n"
+
+
+class TestZeroRule:
+    def test_tiny_float_coefficient_counts_at_every_precision(self, tmp_path, capsys):
+        # a coefficient is zero only when it equals 0: the term 1e-20 * D_z^4
+        # sets the polygon at 64 bits as it does at 256
+        doc = json.loads(FRACTIONAL.read_text())
+        doc["operator"]["terms"].append({"j": 0, "alpha": [4], "coeff": [1e-20]})
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps(doc))
+        reports = []
+        for bits in ("64", "256"):
+            out = tmp_path / bits
+            assert main(["run", str(spec), "--out", str(out), "--n-max", "60",
+                         "--precision", bits, "--quiet"]) == 0
+            assert capsys.readouterr().err == ""
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert reports[0]["newton_polygon"] == reports[1]["newton_polygon"]
+        assert [r["inverse_k1"] for r in reports] == ["7/2", "7/2"]
 
 
 def _set_data(problem: Path, field: str, value) -> dict:
@@ -836,19 +858,58 @@ NON_FINITE_FIELDS = {
 }
 
 
+def _edited_heat(*edits) -> str:
+    """The text of heat.json after ``edits``."""
+    doc = json.loads(HEAT.read_text())
+    for edit in edits:
+        edit(doc)
+    return json.dumps(doc)
+
+
+# (problem file text, the field its error line names, the rest of the line)
+INPUT_ERRORS = {
+    "invalid_json": ("{x", "invalid JSON at line 1, column 2",
+                     "Expecting property name enclosed in double quotes"),
+    "cyclic_moment": (
+        _edited_heat(_add_key(("moments",), "a", {"kind": "product", "factors": ["m1", "b"]}),
+                     _add_key(("moments",), "b", {"kind": "quotient", "factors": ["a", "m0"]})),
+        "moments", "cyclic moment declaration through 'a'"),
+    "undeclared_moment": (
+        _edited_heat(_add_key(("moments",), "a", {"kind": "product", "factors": ["m1", "g"]})),
+        "moments", "reference to undeclared moment function 'g'"),
+    "three_operands": (
+        _edited_heat(_add_key(("moments",), "a", {"kind": "product",
+                                                  "factors": ["m0", "m1", "m1"]})),
+        "moments.a", "product/quotient needs exactly two operands"),
+    "empty_coeff": (_edited_heat(_set(("operator", "terms", 0, "coeff"), [])),
+                    "operator.terms[0].coeff",
+                    "no t-coefficient is nonzero, so the term adds nothing"),
+    "all_zero_coeff": (_edited_heat(_add_term({"j": 0, "alpha": [1], "coeff": ["0", "0"]})),
+                       "operator.terms[1].coeff",
+                       "no t-coefficient is nonzero, so the term adds nothing"),
+    # alpha 60 against the budget 2 * 12 of --n-max 12
+    "initial_term_past_budget": (
+        _edited_heat(_set(("data", "initial"), [{"kind": "terms", "terms": [
+            {"alpha": [60], "value": "1"}]}])),
+        "data.initial[0].terms[0].alpha", "index (60,) exceeds the degree budget 24"),
+    "name_number": (_edited_heat(_set(("name",), 5)), "name", "must be a string, got 5"),
+}
+
+
 class TestGeneratorErrors:
     @staticmethod
     def assert_error_names(tmp_path, capsys, text, field):
-        """``mpde run`` on the document ``text`` exits 1 with an error line
-        naming ``field`` and writes no artifact."""
+        """``mpde run`` on the document ``text`` exits 1 with one error line
+        naming ``field`` and writes no artifact; returns the line."""
         spec = tmp_path / "bad.json"
         spec.write_text(text)
         out = tmp_path / "out"
         assert main(["run", str(spec), "--out", str(out), "--n-max", "12", "--quiet"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {field}: ") and "Traceback" not in err
+        assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
         assert "make_series" not in err
         assert not out.exists() or not any(out.iterdir())
+        return err
 
     @pytest.mark.parametrize("doc, field", GENERATOR_ERRORS.values(),
                              ids=GENERATOR_ERRORS.keys())
@@ -865,6 +926,45 @@ class TestGeneratorErrors:
         text = json.dumps(doc).replace(json.dumps(LITERAL), literal)
         assert literal in text
         self.assert_error_names(tmp_path, capsys, text, field)
+
+    @pytest.mark.parametrize("text, field, message", INPUT_ERRORS.values(),
+                             ids=INPUT_ERRORS.keys())
+    def test_input_error_line(self, tmp_path, capsys, text, field, message):
+        err = self.assert_error_names(tmp_path, capsys, text, field)
+        assert err == f"error: {field}: {message}\n"
+
+
+class TestDataKinds:
+    """Data descriptors that no shipped problem uses, run or materialized."""
+
+    def test_zero_initial_data(self, tmp_path):
+        spec = tmp_path / "zero.json"
+        spec.write_text(json.dumps(_set_data(HEAT, "initial", [{"kind": "zero"}])))
+        assert run_pipeline(spec, tmp_path / "out", n_max=24, quiet=True) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["residual_full"] == "0"
+        assert report["verdict"] == "inconclusive"
+
+    def test_gevrey_factorial_half_in_float_mode(self):
+        doc = _set_data(HEAT, "initial", [GEVREY_HALF])
+        doc["run"].update(mode="float", n_max=12, precision_bits=100)
+        spec_file = parse_problem_document(doc)
+        with mpmath.workprec(spec_file.run.precision_bits):
+            phi = materialize_problem(spec_file).initial[0]
+            want = [mpmath.power(math.factorial(l), mpmath.mpf(1) / 2)
+                    for l in range(phi.valid_degree + 1)]
+        assert [phi.coefficient((l,)) for l in range(phi.valid_degree + 1)] == want
+        assert want[3] != mpmath.sqrt(6)   # rounded at 100 bits, not at 256
+
+    def test_float_time_geometric_forcing_at_run_precision(self):
+        # the ratio is raised to each power at the run precision, as the
+        # geometric initial data are, not multiplied up in double precision
+        doc = _set_data(PRODUCT2D, "forcing", {"kind": "time_geometric", "ratio": 0.3})
+        doc["run"]["mode"] = "float"
+        forcing = materialize_problem(parse_problem_document(doc)).forcing
+        assert forcing.n_max == 39
+        for k, f_k in enumerate(forcing.coeffs):
+            assert f_k.coefficient((0, 0)) == mpmath.mpf(0.3) ** k, k
 
 
 def _moment_chain(levels: int, reverse: bool = False) -> dict:

@@ -235,9 +235,11 @@ class TestOperatorSpecInvariants:
                          terms=(OperatorTerm(j=0, alpha=(1, 1), coeff=(Fraction(1),)),))
 
     def test_ord_t_float_threshold(self):
+        # a coefficient is zero only when it equals 0, however small a float is
         tiny = mpmath.ldexp(1, -200)
         term = OperatorTerm(j=0, alpha=(0,), coeff=(tiny, mpf(1)))
-        assert term.ord_t() == 1
+        assert term.ord_t() == 0
+        assert OperatorTerm(j=0, alpha=(0,), coeff=(mpf(0), 0.0, tiny)).ord_t() == 2
 
 
 def kernel_moments(mode):

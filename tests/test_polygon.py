@@ -1,8 +1,8 @@
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
+from mpmath import mpf
 
 from mpde import (
     OperatorSpec,
@@ -51,14 +51,11 @@ class TestBuildPolygon:
         assert bruteforce_hull_vertices(generator_points(three_term_spec())) == list(poly.vertices)
 
     def test_zero_coefficient_term_dropped_with_warning(self):
-        spec = OperatorSpec(M=1, m0=G1, m=(G1,), terms=(
-            OperatorTerm(j=0, alpha=(2,), coeff=(Fraction(0), Fraction(0))),
-        ))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            poly = build_polygon(spec)
-        assert any("identically zero" in str(w.message) for w in caught)
-        assert poly.vertices == ((Fraction(1), Fraction(-1)),)
+        # a term whose stored coefficients all equal 0 adds nothing: it is not
+        # a term, so no polygon (or recurrence) ever sees it
+        for coeff in ((Fraction(0), Fraction(0)), (0.0, mpf(0)), ()):
+            with pytest.raises(ValueError, match="no t-coefficient is nonzero"):
+                OperatorTerm(j=0, alpha=(2,), coeff=coeff)
 
     def test_collinear_points_are_not_vertices(self):
         spec = OperatorSpec(M=1, m0=G1, m=(G1,), terms=(

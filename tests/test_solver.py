@@ -87,16 +87,15 @@ class TestValidate:
         (OperatorTerm(j=1, alpha=(1,), coeff=(mpmath.mpf("1e-50"), mpmath.mpf(1))), "float"),
     ], ids=["float_below_threshold"])
     def test_stored_coefficient_below_order_fails(self, term, mode):
-        # ord_t = 1 passes the order bound (c_0 is below the float zero
-        # threshold), but c_0 != 0 gives the piece p = 0, which would read u_n
-        # while computing it
+        # c_0 = 1e-50 is not 0, so ord_t = 0 < 1 fails the order bound: the
+        # piece p = 0 would read u_n while computing it
         spec = OperatorSpec(M=1, m0=G1, m=(G1,), terms=(term,))
         phi = generator_series("geometric", 1, 10, mode, ratio=1)
         prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4, mode=mode))
-        assert term.ord_t() == 1
+        assert term.ord_t() == 0
         bad = check(validate(prob), "term_order")
         assert not bad.passed
-        assert "first nonzero stored coefficient at t^0" in bad.detail
+        assert bad.detail == "violated at term j=1, alpha=(1,) (ord_t=0)"
         with pytest.raises(ValidationFailure, match="term_order"):
             solve_formal(prob, 4, 0)
 
@@ -437,6 +436,25 @@ class TestResidualOracle:
     @pytest.mark.parametrize("mode", ["exact", "float"])
     def test_sparse_data(self, case, mode):
         self.assert_flags_candidates(sparse_problem(case, mode, 8), 8, 2, mode)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_forcing_denominator_not_dividing(self, case):
+        # the solution for the forcing 1 at t^2 against the forcing 102/101
+        # there: no denominator of the operator pass holds 101, so the
+        # residual rescales both the values and the envelope to the common
+        # denominator, at the one t-order whose residual is not zero
+        free = sparse_problem(case, "exact", 8)
+        origin = (0,) * free.spec.dim
+
+        def forced(value):
+            f = list(free.forcing.coeffs)
+            f[2] = make_series(free.spec.dim, {origin: value}, f[2].valid_degree)
+            return CauchyProblem(spec=free.spec, initial=free.initial, forcing=time_series(f))
+
+        sol = solve_formal(forced(Fraction(1)), 8, 2)
+        prob = forced(Fraction(102, 101))
+        got = residual_max_relative(prob, sol)
+        assert got == residual_max_relative_two_pass(prob, sol) > 0
 
     def test_randomized_problems(self):
         rng = random.Random(2024)

@@ -1,8 +1,12 @@
 """Growth-rate evidence: coefficient bound sequences, Gevrey-order fitting,
 bound-constant extraction, and the moment-derivative bound probe.
 
-The growth checks read ``log_bounds(b)`` (log b_n, None where b_n = 0), made
-once per sequence, and the two root tests share one ``log_factorials`` table
+The growth checks read ``log_bounds(b)`` (log b_n at run precision, None
+where b_n = 0), made once per sequence.  The two root tests report only
+maxima, so they screen every root in floats (``float(log b_n)`` and
+``math.lgamma``) and take at run precision only the logs that can be the
+largest, then one ``mpmath.exp`` per reported value; one table of log n!,
+floats plus the run-precision values the candidates ask for, serves both
 per report.  The fit inverts the growth law b_n ~ C * H^n * Gamma(1 + s*n)
 by least squares on log b_n against [1, n, logGamma(n+1)]; using logGamma as the
 third column absorbs Stirling's lower-order terms into the model instead of
@@ -53,6 +57,10 @@ class BoundWitness:
 
 @dataclass(frozen=True)
 class RootCheck:
+    """The intermediate root test: ``tail_max`` and ``middle_max`` are the
+    largest roots of the last and middle thirds at run precision (None with
+    fewer than 3 roots), ``roots`` the float roots of the screen."""
+
     d: Fraction
     bounded: bool
     tail_max: Optional[mpf]
@@ -128,87 +136,136 @@ def fit_gevrey_order(logb: Sequence, window: tuple) -> FitResult:
                      ok=True, n_used=len(used), zero_count=zero_count, window=(lo, hi))
 
 
-def _thirds(roots: Sequence) -> tuple:
-    """(bounded, tail_max, middle_max) via the last-third vs middle-third rule."""
-    k = len(roots)
+def _peak(ns: Sequence, approx: Sequence, exact):
+    """max(exact(n) for n in ns), with ``exact`` evaluated only where it can peak.
+
+    ``approx[i]`` holds the float terms whose sum estimates exact(ns[i]).  Each
+    term is within 16 ulps of max(1, |term|) of its exact value (the rounding
+    of float(log b_n), math.lgamma's few ulps and those of its rounded
+    argument, one product and one quotient), and the sum of at most three
+    terms adds 2 ulps of their size.  So every float sum is within
+    2^-46 * size of the exact sum, where size is the largest sum of |terms|
+    over ``ns``, at least 1.  ``exact`` rounds at the run precision p, which
+    moves it by at most 2^(8-p) * size.  The screen keeps each n whose float
+    sum lies within max(2^-30, 2^(10-p)) * size of the largest, more than
+    twice both errors together, so it always keeps the argmax of ``exact``;
+    a sum that is not finite is kept too.
+    """
+    sums = [sum(terms) for terms in approx]
+    size = max([1.0] + [sum(map(abs, terms)) for terms in approx])
+    floor = max(sums) - 2.0 ** max(-30, 10 - mpmath.mp.prec) * size
+    return max(exact(n) for n, v in zip(ns, sums) if not v < floor)
+
+
+def _float_exp(x: float) -> float:
+    """math.exp, but +inf where the result overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _third_peaks(ns: Sequence, approx: Sequence, exact) -> tuple:
+    """(bounded, tail_max, middle_max) of the roots exp(exact(n)): the largest
+    root of the last third of ``ns`` stays within 5% of the middle third's."""
+    k = len(ns)
     if k < 3:
         return True, None, None
-    middle = roots[k // 3: 2 * k // 3]
-    tail = roots[2 * k // 3:]
-    tail_max = max(tail)
-    middle_max = max(middle)
+    middle, tail = slice(k // 3, 2 * k // 3), slice(2 * k // 3, k)
+    tail_max = mpmath.exp(_peak(ns[tail], approx[tail], exact))
+    middle_max = mpmath.exp(_peak(ns[middle], approx[middle], exact))
     return tail_max <= mpf("1.05") * middle_max, tail_max, middle_max
 
 
 def log_factorials(hi: int) -> list:
-    """[log n! for n = 0..hi], as ``mpmath.loggamma(n + 1)``."""
-    return [mpmath.loggamma(n + 1) for n in range(hi + 1)]
+    """[log n! for n = 0..hi] in floats, as ``math.lgamma(n + 1)``."""
+    return [math.lgamma(n + 1) for n in range(hi + 1)]
+
+
+class _LogFactorials:
+    """log n! for n = 0..hi: ``approx`` is ``log_factorials(hi)``, and
+    ``exact(n)`` is mpmath.loggamma(n + 1) at the run precision, computed the
+    first time a root test asks for it."""
+
+    def __init__(self, hi: int):
+        self.approx = log_factorials(hi)
+        self._exact = {}
+
+    def exact(self, n: int) -> mpf:
+        if n not in self._exact:
+            self._exact[n] = mpmath.loggamma(n + 1)
+        return self._exact[n]
 
 
 def verify_gevrey_bound(logb: Sequence, s, n_range: Optional[tuple] = None,
-                        lg: Optional[Sequence] = None) -> BoundWitness:
+                        lg: Optional[_LogFactorials] = None) -> BoundWitness:
     """Extract empirical (C, H) for b_n <= C H^n (n!)^s and test boundedness.
 
     H is the max of (b_n/(n!)^s)^{1/n} ignoring n < H_FROM_N (tiny n distort
     the root test; the constant C absorbs the head).  bounded means the root
     sequence does not climb: its last-third max stays within 5% of its
-    middle-third max.  ``lg`` is ``log_factorials`` to at least the range's
-    end, computed here when not given.
+    middle-third max.  Each max is screened in floats and taken over the
+    logs at run precision, with one ``mpmath.exp``: exp is monotone, so this
+    is the max of the roots themselves.  ``lg`` is the table that
+    ``make_growth_report`` shares between the root tests, made here when not
+    given.
     """
     s = Fraction(s)
     if s < 0:
         raise ValueError(f"Gevrey order must be >= 0, got {s}")
-    sf = to_mpf(s)
+    sf, s_float = to_mpf(s), float(s)
     lo, hi = ((1, len(logb) - 1) if n_range is None
               else (max(1, n_range[0]), min(n_range[1], len(logb) - 1)))
     if lg is None:
-        lg = log_factorials(hi)
-    roots = []
-    ns = []
-    for n in range(lo, hi + 1):
-        if logb[n] is None:
-            continue
-        roots.append(mpmath.exp((logb[n] - sf * lg[n]) / n))
-        ns.append(n)
-    if not roots:
+        lg = _LogFactorials(hi)
+    all_ns = [n for n in range(hi + 1) if logb[n] is not None]
+    ns = [n for n in all_ns if n >= lo]
+    if not ns:
         return BoundWitness(order=s, H=mpf(0), C=mpf(0), bounded=True)
-    tail_roots = [r for n, r in zip(ns, roots) if n >= H_FROM_N] or roots
-    H = max(tail_roots)
+    lbf = {n: float(logb[n]) for n in all_ns}
+    root_terms = [(lbf[n] / n, -s_float * lg.approx[n] / n) for n in ns]
+
+    def root(n):
+        return (logb[n] - sf * lg.exact(n)) / n
+
+    h = next((i for i, n in enumerate(ns) if n >= H_FROM_N), 0)
+    H = mpmath.exp(_peak(ns[h:], root_terms[h:], root))
     logH = mpmath.log(H)
-    C = mpf(0)
-    for n in range(0, hi + 1):
-        if logb[n] is None:
-            continue
-        C = max(C, mpmath.exp(logb[n] - n * logH - sf * lg[n]))
-    return BoundWitness(order=s, H=H, C=C, bounded=_thirds(roots)[0])
+    logH_float = float(logH)
+    C = mpmath.exp(_peak(
+        all_ns, [(lbf[n], -n * logH_float, -s_float * lg.approx[n]) for n in all_ns],
+        lambda n: logb[n] - n * logH - sf * lg.exact(n)))
+    return BoundWitness(order=s, H=H, C=C, bounded=_third_peaks(ns, root_terms, root)[0])
 
 
 def intermediate_bound_roots(logb: Sequence, M: int, s0, inv_k1, window: tuple,
-                             lg: Optional[Sequence] = None) -> RootCheck:
+                             lg: Optional[_LogFactorials] = None) -> RootCheck:
     """Root test for b_n * n!^{M s0} / Gamma(1 + d n) with d = M s0 + 1/k1.
 
     A bounded root sequence is the raw numerical shape of the norm bound the
     induction produces before the final Gevrey estimate is read off at rho=0.
-    ``lg`` is ``log_factorials`` to at least the window's end, computed here
-    when not given.
+    The roots are screened in floats, with math.lgamma(1 + d n), and
+    ``roots`` holds those floats (+inf where one overflows, 0.0 where it
+    underflows); tail_max and middle_max are the exp of the thirds' largest
+    logs at run precision.  ``lg`` is the table that ``make_growth_report``
+    shares between the root tests, made here when not given.
     """
     s0 = Fraction(s0)
     inv_k1 = Fraction(inv_k1)
     d = M * s0 + inv_k1
-    df = to_mpf(d)
-    ms0 = to_mpf(M * s0)
+    df, d_float = to_mpf(d), float(d)
+    ms0, ms0_float = to_mpf(M * s0), float(M * s0)
     lo, hi = max(1, window[0]), min(window[1], len(logb) - 1)
     if lg is None:
-        lg = log_factorials(hi)
-    roots = []
-    for n in range(lo, hi + 1):
-        if logb[n] is None:
-            continue
-        val = logb[n] + ms0 * lg[n] - mpmath.loggamma(1 + df * n)
-        roots.append(mpmath.exp(val / n))
-    bounded, tail_max, middle_max = _thirds(roots)
+        lg = _LogFactorials(hi)
+    ns = [n for n in range(lo, hi + 1) if logb[n] is not None]
+    approx = [(float(logb[n]) / n, ms0_float * lg.approx[n] / n,
+               -math.lgamma(1 + d_float * n) / n) for n in ns]
+    bounded, tail_max, middle_max = _third_peaks(
+        ns, approx, lambda n: (logb[n] + ms0 * lg.exact(n) - mpmath.loggamma(1 + df * n)) / n)
+    roots = tuple(_float_exp(sum(terms)) for terms in approx)
     return RootCheck(d=d, bounded=bounded, tail_max=tail_max,
-                     middle_max=middle_max, roots=tuple(roots))
+                     middle_max=middle_max, roots=roots)
 
 
 def moment_derivative_bound_probe(f: MultiSeries, m: Sequence[MomentFunction],
@@ -266,7 +323,7 @@ def make_growth_report(bounds: Sequence, inverse_k1, M: int, s0,
     inverse_k1 = Fraction(inverse_k1)
     s0 = Fraction(s0)
     logb = log_bounds(bounds)
-    lg = log_factorials(min(window[1], len(logb) - 1))
+    lg = _LogFactorials(min(window[1], len(logb) - 1))
     fit = fit_gevrey_order(logb, window)
     witness = verify_gevrey_bound(logb, inverse_k1, n_range=window, lg=lg)
     inter = intermediate_bound_roots(logb, M, s0, inverse_k1, window=window, lg=lg)

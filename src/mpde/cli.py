@@ -11,7 +11,7 @@ Artifacts written to the output directory:
 
 Exit status: 0 when the fitted order is consistent with 1/k_1 (or the fit is
 inconclusive), 2 when inconsistent, 1 with an ``error:`` line on stderr for
-input or validation errors (no artifacts are written then), and 3 with an
+usage, input or validation errors (no artifacts are written then), and 3 with an
 ``error: self-check failed: ...`` line when the run contradicts a claim it
 checks: the majorant does not dominate the solution, or the residual is
 nonzero in exact mode or above 2^-(prec-32) relative in float mode (the
@@ -192,8 +192,17 @@ def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
     return 2 if growth.verdict == "inconsistent" else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error ends like an input error: one ``error:`` line, exit 1
+    (argparse's own usage block and exit 2 would read as an "inconsistent"
+    verdict)."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mpde",
         description="Formal solutions of moment PDE Cauchy problems and "
                     "Gevrey-order verification against the Newton polygon.",

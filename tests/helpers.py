@@ -9,7 +9,9 @@ the z-derivative oracle looks up one moment ratio per coefficient, the
 t-derivative ``moment_diff_t`` scales whole series, and the
 two-pass residual applies the whole operator once signed and once to
 absolute values, the dependency-cone walk runs on sets of index tuples,
-and the moment-value oracle evaluates a product/quotient tree recursively.
+the moment-value oracle evaluates a product/quotient tree recursively, and
+the root-test oracles take every root at run precision, with no float
+screen.
 ``truncate_series``, ``polygon_contains``, ``growth_envelope`` and the
 formal-norm toolkit (``theta_series``, ``formal_norm``) are used by the
 tests only.
@@ -42,6 +44,7 @@ from mpde import (
     tabulated_moment,
     zero_series,
 )
+from mpde.analysis import H_FROM_N, BoundWitness, RootCheck
 from mpde.operators import operator_numerators
 from mpde.precision import float_tolerance, to_mpf, to_number
 from mpde.series import arithmetic_of, indices_up_to
@@ -572,3 +575,53 @@ def residual_max_relative_two_pass(problem, sol):
                 continue
             worst = max(worst, to_mpf(abs(v)) / to_mpf(denom))
     return worst
+
+
+def _thirds_reference(roots) -> tuple:
+    """(bounded, tail_max, middle_max) via the last-third vs middle-third rule."""
+    k = len(roots)
+    if k < 3:
+        return True, None, None
+    tail_max = max(roots[2 * k // 3:])
+    middle_max = max(roots[k // 3: 2 * k // 3])
+    return tail_max <= mpf("1.05") * middle_max, tail_max, middle_max
+
+
+def verify_gevrey_bound_reference(logb, s, n_range=None) -> BoundWitness:
+    """``analysis.verify_gevrey_bound`` with every root and every C term
+    taken at run precision, then the max of the roots themselves."""
+    s = Fraction(s)
+    sf = to_mpf(s)
+    lo, hi = ((1, len(logb) - 1) if n_range is None
+              else (max(1, n_range[0]), min(n_range[1], len(logb) - 1)))
+    lg = [mpmath.loggamma(n + 1) for n in range(hi + 1)]
+    roots, ns = [], []
+    for n in range(lo, hi + 1):
+        if logb[n] is not None:
+            roots.append(mpmath.exp((logb[n] - sf * lg[n]) / n))
+            ns.append(n)
+    if not roots:
+        return BoundWitness(order=s, H=mpf(0), C=mpf(0), bounded=True)
+    H = max([r for n, r in zip(ns, roots) if n >= H_FROM_N] or roots)
+    logH = mpmath.log(H)
+    C = mpf(0)
+    for n in range(hi + 1):
+        if logb[n] is not None:
+            C = max(C, mpmath.exp(logb[n] - n * logH - sf * lg[n]))
+    return BoundWitness(order=s, H=H, C=C, bounded=_thirds_reference(roots)[0])
+
+
+def intermediate_bound_roots_reference(logb, M, s0, inv_k1, window) -> RootCheck:
+    """``analysis.intermediate_bound_roots`` with every root taken at run
+    precision; ``roots`` holds those mpf roots."""
+    d = M * Fraction(s0) + Fraction(inv_k1)
+    df, ms0 = to_mpf(d), to_mpf(M * Fraction(s0))
+    lo, hi = max(1, window[0]), min(window[1], len(logb) - 1)
+    roots = []
+    for n in range(lo, hi + 1):
+        if logb[n] is not None:
+            val = logb[n] + ms0 * mpmath.loggamma(n + 1) - mpmath.loggamma(1 + df * n)
+            roots.append(mpmath.exp(val / n))
+    bounded, tail_max, middle_max = _thirds_reference(roots)
+    return RootCheck(d=d, bounded=bounded, tail_max=tail_max, middle_max=middle_max,
+                     roots=tuple(roots))

@@ -1,5 +1,8 @@
 import math
+import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -19,7 +22,11 @@ from mpde import (
     moment_derivative_bound_probe,
     verify_gevrey_bound,
 )
-from mpde.analysis import BoundWitness, FitResult
+from mpde import pipeline
+from mpde.analysis import H_FROM_N, BoundWitness, FitResult
+from mpde.precision import to_mpf
+from mpde.problemspec import parse_problem_file
+from helpers import intermediate_bound_roots_reference, verify_gevrey_bound_reference
 from test_acceptance import INEQUALITIES, factorial_lemma, gamma_ratio
 from test_solver import heat_problem
 from mpde.solver import solve_formal
@@ -252,6 +259,155 @@ class TestIntermediateRoots:
         b = [Fraction(math.factorial(n)) ** 3 for n in range(101)]
         check = intermediate_bound_roots(log_bounds(b), 1, 1, 1, window=(20, 100))
         assert not check.bounded
+
+
+def _reversed_pair(rng, a, b, gap):
+    """(log b_a, log b_b) whose roots differ by ``gap`` in log, b_a's larger,
+    while the float roots float(log b_n)/n order them the other way."""
+    for _ in range(1000):
+        r = mpf(rng.uniform(-2, 2)) / 3
+        la, lb = a * (r + gap), b * r
+        if float(la) / a < float(lb) / b:
+            return la, lb
+    raise AssertionError("no reversed pair found")
+
+
+class TestScreenedRootTests:
+    """The float-screened root tests equal the run-precision oracles in
+    ``helpers`` exactly: H, C, both bounded flags, tail_max and middle_max."""
+
+    @staticmethod
+    def assert_same(logb, s, window, M=1, s0=1, inv_k1=1):
+        w = verify_gevrey_bound(logb, s, n_range=window)
+        ref = verify_gevrey_bound_reference(logb, s, n_range=window)
+        assert (w.H, w.C, w.bounded) == (ref.H, ref.C, ref.bounded)
+        check = intermediate_bound_roots(logb, M, s0, inv_k1, window=window)
+        oracle = intermediate_bound_roots_reference(logb, M, s0, inv_k1, window)
+        assert check.d == oracle.d
+        assert ((check.bounded, check.tail_max, check.middle_max)
+                == (oracle.bounded, oracle.tail_max, oracle.middle_max))
+        assert len(check.roots) == len(oracle.roots)
+        return w, check
+
+    def test_random_gevrey_like(self):
+        rng = random.Random(30)
+        orders = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
+        for _ in range(40):
+            n_max = rng.randint(1, 200)
+            log_c, log_h, s = mpf(rng.uniform(-5, 5)), mpf(rng.uniform(-3, 3)), rng.choice(orders)
+            logb = [None if rng.random() < 0.1 else
+                    log_c + n * log_h + to_mpf(s) * mpmath.loggamma(n + 1)
+                    + mpf(rng.gauss(0, 1)) for n in range(n_max + 1)]
+            lo = rng.randint(0, n_max)
+            self.assert_same(logb, rng.choice(orders), (lo, rng.randint(lo, n_max)),
+                             M=rng.randint(1, 3), s0=rng.choice(orders[1:]),
+                             inv_k1=rng.choice(orders))
+
+    @pytest.mark.parametrize("prec", [16, 24, 40, 53])
+    def test_low_run_precision(self, prec):
+        # roots 5/4 + eps_n with |eps_n| near 2^-prec: below float precision the
+        # run precision's rounding, not the float screen's, decides the argmax
+        rng = random.Random(prec)
+        with mpmath.workprec(prec):
+            for _ in range(20):
+                s = rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+                eps = mpf(2) ** -(prec + rng.randint(-4, 4))
+                logb = [n * (mpf(5) / 4 + mpf(rng.uniform(-1, 1)) * eps)
+                        + to_mpf(s) * mpmath.loggamma(n + 1) for n in range(81)]
+                self.assert_same(logb, s, (1, 80), M=rng.randint(1, 3), s0=s,
+                                 inv_k1=rng.choice([0, 1]))
+
+    def test_exact_ties(self):
+        # heat's bounds (2n)!/n!: every intermediate root is 1 up to the run
+        # precision's rounding, a tie in floats
+        b = [Fraction(math.factorial(2 * n), math.factorial(n)) for n in range(201)]
+        _, check = self.assert_same(log_bounds(b), 1, (50, 200))
+        for top in (check.tail_max, check.middle_max):
+            assert abs(top - 1) < mpf(2) ** -240
+        # log b_n = 3n/4 exactly: every root at s = 0 is 3/4
+        w, check = self.assert_same([mpf(3 * n) / 4 for n in range(61)], 0, (1, 60),
+                                    M=1, s0=0, inv_k1=0)
+        assert w.H == mpmath.exp(mpf(3) / 4) and w.C == 1
+        assert check.tail_max == check.middle_max == mpmath.exp(mpf(3) / 4)
+
+    def test_near_ties_reversed_in_floats(self):
+        # at s = 0 and d = 0 both root tests read float(log b_n)/n; each third
+        # of n = 5..10 ends in a pair whose float order is the wrong one
+        rng = random.Random(7)
+        gap = mpf(2) ** -120
+        logb = [None] * 11
+        logb[5], logb[6] = mpf(-3), mpf(-4)
+        logb[7], logb[8] = _reversed_pair(rng, 7, 8, gap)
+        logb[9], logb[10] = _reversed_pair(rng, 9, 10, gap)
+        w, check = self.assert_same(logb, 0, (5, 10), M=1, s0=0, inv_k1=0)
+        assert w.H in (mpmath.exp(logb[7] / 7), mpmath.exp(logb[9] / 9))
+        assert check.tail_max == mpmath.exp(logb[9] / 9)
+        assert check.middle_max == mpmath.exp(logb[7] / 7)
+
+    @pytest.mark.parametrize("s", [Fraction(1), Fraction(3, 2)])
+    def test_near_ties_below_float_resolution(self, s):
+        # every root is 1.25 + eps_n with |eps_n| < 2^-100: the floats cannot
+        # tell them apart, the run precision can
+        rng = random.Random(11)
+        sf = to_mpf(s)
+        logb = [n * (mpf(5) / 4 + mpf(rng.uniform(-1, 1)) * mpf(2) ** -100)
+                + sf * mpmath.loggamma(n + 1) for n in range(121)]
+        self.assert_same(logb, s, (1, 120), M=1, s0=s, inv_k1=0)
+        self.assert_same(logb, s, (20, 120), M=2, s0=s / 2, inv_k1=0)
+
+    def test_none_entries(self):
+        b = [Fraction(math.factorial(n)) if n % 3 else Fraction(0) for n in range(90)]
+        self.assert_same(log_bounds(b), 1, (1, 89))
+        w, check = self.assert_same([None] * 30, 1, (1, 29))
+        assert w.H == 0 and w.C == 0 and w.bounded
+        assert check.tail_max is None and check.roots == ()
+
+    @pytest.mark.parametrize("window", [(1, 3), (1, H_FROM_N - 1), (6, 6), (6, 7), (6, 8),
+                                        (40, 40), (40, 42)])
+    def test_few_points(self, window):
+        b = [Fraction(math.factorial(2 * n), math.factorial(n) * 3 ** n) for n in range(50)]
+        self.assert_same(log_bounds(b), 1, window)
+        self.assert_same(log_bounds(b), Fraction(1, 2), window, M=2, s0=Fraction(1, 2),
+                         inv_k1=Fraction(1, 3))
+
+    def test_fewer_than_h_from_n_usable(self):
+        logb = [mpf(n) if n < H_FROM_N - 1 else None for n in range(30)]
+        w, _ = self.assert_same(logb, 1, (1, 29))
+        assert w.H > 0
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_roots_overflow_and_underflow(self, sign):
+        logb = [sign * 400 * n * mpmath.log(10) for n in range(121)]
+        _, check = self.assert_same(logb, 1, (1, 120))
+        assert set(check.roots) == ({math.inf} if sign > 0 else {0.0})
+
+
+class TestGrowthCallCounts:
+    """make_growth_report takes only the maxima at run precision."""
+
+    @pytest.mark.parametrize("name, want", [
+        ("pure_ode", {"log": 403, "loggamma": 5, "exp": 6}),
+        ("heat", {"log": 403, "loggamma": 203, "exp": 6}),
+    ])
+    def test_shipped_bounds(self, monkeypatch, name, want):
+        calls, inside = Counter(), []
+        for fn in ("log", "loggamma", "exp"):
+            def counted(*args, _fn=fn, _real=getattr(mpmath, fn)):
+                calls[_fn] += bool(inside)
+                return _real(*args)
+            monkeypatch.setattr(mpmath, fn, counted)
+
+        def growth(*args):
+            inside.append(1)
+            try:
+                return make_growth_report(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(pipeline, "make_growth_report", growth)
+        root = Path(__file__).resolve().parent.parent
+        pipeline.run(parse_problem_file(root / "problems" / f"{name}.json"))
+        assert dict(calls) == want
 
 
 class TestVerdict:

@@ -685,6 +685,33 @@ class TestBoundaryInputs:
         assert taken.read_text() == "a file, not a directory\n"
 
 
+class TestUsageErrors:
+    """A command line argparse rejects ends like an input error: one
+    ``error:`` line, exit 1, no usage block (exit 2 means "inconsistent")."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["run", str(HEAT), "--n-max", "abc"], "error: argument --n-max: invalid int value: 'abc'"),
+        (["run", str(HEAT), "--precision", "1.5"],
+         "error: argument --precision: invalid int value: '1.5'"),
+        (["run"], "error: the following arguments are required: spec"),
+        (["run", str(HEAT), "--bogus"], "error: unrecognized arguments: --bogus"),
+        ([], "error: the following arguments are required: command"),
+    ], ids=["n_max_not_int", "precision_not_int", "missing_spec", "unknown_flag", "bare"])
+    def test_one_error_line_exit_one(self, tmp_path, capsys, argv, line):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)] if argv else argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err == line + "\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: mpde run")
+
+
 def _set(path, value):
     """A document edit: put ``value`` at ``path`` (keys and list indices)."""
     def edit(doc):

@@ -104,6 +104,7 @@ def _report_dict(result: pipeline.PipelineResult) -> dict:
             "exact_zero": result.residual == 0,
         },
         "residual_full": _binary_str(result.residual),
+        "exact_bits": sol.exact_bits,
         "majorant_dominates": result.dominated,
         "fit": _fit_dict(growth.fit),
         "gevrey_bound_witness": {

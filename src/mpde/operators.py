@@ -168,9 +168,11 @@ class ZKernel:
     m_j(beta_j).  Per alpha the kernel keeps the gather map (the rank of
     beta + alpha for each beta in graded order) and, per arithmetic, one
     ratio vector per axis over the same order, encoded in that arithmetic
-    (exact ratios as integers over their common denominator).  Both are
-    built on the first read and extended only to the largest degree read
-    since, so no moment value is evaluated that the derivatives do not use.
+    (exact ratios as integers over their common denominator).  Neither
+    covers more than the largest degree read so far, so no moment value is
+    evaluated that the derivatives do not use: a larger degree extends the
+    gather map and rebuilds the ratio vectors whole.  The shipped runs read
+    their largest degree first, so there each is built once.
     """
 
     def __init__(self, m: Sequence[MomentFunction]):
@@ -316,6 +318,9 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
             else:
                 vec, den, valid = d_t(j - 1, k + 1)
                 r, r_den = arith.scalar(spec.m0.ratio(k + 1, k, arith.mode))
+                if den != 1:    # exact: divide what r shares out of the denominator
+                    common = math.gcd(r, den)
+                    r, den = r // common, den // common
                 memo[k] = (arith.scale(r, vec), den * r_den, valid)
         return memo[k]
 

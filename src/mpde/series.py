@@ -13,7 +13,12 @@ the operator pass) and the functions below work on: a list ``vec`` of the
 elements of one ``precision.Arithmetic`` over the graded order of
 ``indices_up_to(dim, vd)``, where the indices of every lower degree are a
 prefix, and one denominator ``den``.  Exact elements are integer numerators
-over ``den``; float elements are raw ``mpmath.libmp`` tuples, with ``den`` 1.
+over ``den``, a common denominator that need not be the least: the
+constructors and ``series_scale`` give lowest terms, while a sum, a
+truncation and a step of the recurrence (stored over its unreduced
+denominator until ``solver.REDUCE_BITS`` says to reduce) need not.  Values
+never depend on it.  Float elements are raw
+``mpmath.libmp`` tuples, with ``den`` 1.
 ``vec`` may end early, the entries after its end being zero, so sparse data
 stay small; zeros may also sit between values, as in the majorant, which
 fills every rank outside its dependency cone with zero.  ``coeffs``, the

@@ -31,7 +31,7 @@ from mpmath import mpf
 
 from .moments import combine, gamma_moment, regularity_constants
 from .precision import to_number
-from .series import _reduced, arithmetic_of, graded_count
+from .series import MultiSeries, _reduced, arithmetic_of, graded_count
 from .operators import OperatorSpec, TimeSeries, borel_z, operator_numerators
 
 
@@ -97,19 +97,26 @@ class SolutionSeries:
     """Solution coefficients of the recurrence: ``working`` holds every step
     u_n as the recurrence computed it, to its degree in ``degree_envelope``,
     the largest degree that a reported coefficient reads; the residual check
-    reads every step n >= M to that degree.  For a majorant ``working``
-    holds only the dependency cone: each vector is zero off the cone and
-    ends at its last cone rank.  The cone holds every index up to
-    ``report_degree``.
+    reads every step n >= M to that degree.  An exact step is integer
+    numerators over a common denominator that need not be the least one
+    (see ``REDUCE_BITS``).  For a majorant ``working`` holds only the
+    dependency cone: each vector is zero off the cone and ends at its last
+    cone rank.  The cone holds every index up to ``report_degree``.
+    ``exact_bits`` is the bit-growth diagnostic of ``solve_formal`` in exact
+    mode and None otherwise.
     """
 
     working: TimeSeries
     report_degree: int
+    exact_bits: Optional[dict] = None
 
     @cached_property
     def u(self) -> TimeSeries:
-        """Every u_n truncated to the uniform report degree."""
-        return self.working.map_z(lambda u_n: u_n.truncated(self.report_degree))
+        """Every u_n truncated to the uniform report degree, in lowest terms."""
+        def reported(u_n):
+            u_n = u_n.truncated(self.report_degree)
+            return _reduced(u_n.dim, u_n.arithmetic, u_n.vec, u_n.den, u_n.valid_degree)
+        return self.working.map_z(reported)
 
     @property
     def n_max(self) -> int:
@@ -122,6 +129,15 @@ class SolutionSeries:
 
 # the time moment's regularity constants are estimated on n <= REGULARITY_N
 REGULARITY_N = 50
+
+# An exact step is stored over the unreduced common denominator of its sum
+# and reduced to lowest terms only once that denominator has grown by more
+# than REDUCE_BITS bits past the last reduced step's (at the start, past 0
+# bits): the content gcd and the floordiv per element then run on 18 of
+# heat's 201 steps, while the numerators carry at most REDUCE_BITS extra
+# bits, which the stored steps pay for in memory.  Float denominators are 1,
+# so float steps are never reduced.
+REDUCE_BITS = 64
 
 
 def validate(problem: CauchyProblem) -> ValidationReport:
@@ -283,10 +299,24 @@ def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> 
     degree.  Every u_n is a ``MultiSeries`` in the arithmetic that holds the
     data and the operator's coefficients: each step sums g_n and its pieces
     c * D_z^alpha u_k (``ZKernel.diff``) as integers over one common
-    denominator (or as floats), and no coefficient is decoded.
+    denominator (or as floats), and no coefficient is decoded.  An exact
+    step keeps that denominator until ``REDUCE_BITS`` says to reduce it.
+
+    In exact mode ``exact_bits`` reports the bit growth: ``numerator_max``,
+    the largest numerator's bits in the steps the rule reduced, taken before
+    they were reduced, and in the last step; ``denominator_max``, the
+    largest stored denominator's bits; ``reduced_steps``, the number of
+    steps reduced.
     """
-    steps = _steps(problem, _plan(problem, n_max, report_degree))
-    return SolutionSeries(TimeSeries(tuple(steps)), report_degree)
+    plan = _plan(problem, n_max, report_degree)
+    bits = {}
+    steps = tuple(_steps(problem, plan, bits=bits))
+    if plan.arith.mode == "exact":
+        bits["numerator_max"] = max(bits["numerator_max"], _numerator_bits(steps[-1].vec))
+        bits["denominator_max"] = max(u_n.den.bit_length() for u_n in steps)
+    else:
+        bits = None
+    return SolutionSeries(TimeSeries(steps), report_degree, bits)
 
 
 def solve_majorant(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
@@ -352,11 +382,21 @@ def _plan(problem: CauchyProblem, n_max: int, report_degree: int) -> _Plan:
                  max((p for _, _, cs in pieces for p in cs), default=0))
 
 
-def _steps(problem: CauchyProblem, plan: _Plan, cone: Optional[list] = None) -> Iterator:
+def _numerator_bits(vec: list) -> int:
+    """The bits of the largest |numerator| of an exact vector, by two
+    C-level passes."""
+    return max(max(vec, default=0), -min(vec, default=0)).bit_length()
+
+
+def _steps(problem: CauchyProblem, plan: _Plan, cone: Optional[list] = None,
+           bits: Optional[dict] = None) -> Iterator:
     """u_0, ..., u_{n_max} of ``solve_formal`` in turn, or with the
     ``dependency_cone``, of ``solve_majorant``: a majorant step holds
     |values| at its cone ranks and zeros off them, up to its last cone rank.
-    It keeps only the steps that later ones read, the last ``span``."""
+    Each step is over its unreduced common denominator, reduced by the rule
+    of ``REDUCE_BITS``; ``bits``, if given, receives ``numerator_max`` and
+    ``reduced_steps`` of ``SolutionSeries.exact_bits``.  It keeps only the
+    steps that later ones read, the last ``span``."""
     spec, arith, envelope, M = problem.spec, plan.arith, plan.envelope, problem.spec.M
     kernel, dim, mode, m0 = spec.z_kernel, spec.dim, arith.mode, spec.m0
     majorant = cone is not None
@@ -364,6 +404,9 @@ def _steps(problem: CauchyProblem, plan: _Plan, cone: Optional[list] = None) -> 
     pieces = [(j, alpha, {p: abs(c) if majorant else -c for p, c in cs.items()})
               for j, alpha, cs in plan.pieces]
     window, diff_cache = {}, {}
+    bits = {} if bits is None else bits
+    bits.update(numerator_max=0, reduced_steps=0)
+    limit = REDUCE_BITS
 
     def dz(n: int, k: int, alpha: tuple) -> tuple:
         """D_z^alpha u_k as (vec, denominator): at the cone ranks of step n
@@ -411,7 +454,14 @@ def _steps(problem: CauchyProblem, plan: _Plan, cone: Optional[list] = None) -> 
             values, acc = acc, [arith.zero] * (cone[n][-1] + 1)
             for r, x in zip(cone[n], values):
                 acc[r] = x
-        window[n] = _reduced(dim, arith, acc, den * s_den, vd)
+        den *= s_den
+        if den.bit_length() > limit:
+            bits["numerator_max"] = max(bits["numerator_max"], _numerator_bits(acc))
+            bits["reduced_steps"] += 1
+            window[n] = _reduced(dim, arith, acc, den, vd)
+            limit = window[n].den.bit_length() + REDUCE_BITS
+        else:
+            window[n] = MultiSeries(dim, arith, acc, den, vd)
         yield window[n]
         window.pop(n - plan.span, None)
         diff_cache.pop(n - plan.span, None)

@@ -99,6 +99,16 @@ WORKING_DEGREES = {
 }
 
 
+# report.json's exact_bits of the shipped runs: the bit growth of the exact
+# direct solve under solver.REDUCE_BITS (null in float mode)
+EXACT_BITS = {
+    "heat": {"numerator_max": 1723, "denominator_max": 65, "reduced_steps": 18},
+    "fractional": None,
+    "pure_ode": {"numerator_max": 1, "denominator_max": 8, "reduced_steps": 0},
+    "product2d": {"numerator_max": 238, "denominator_max": 138, "reduced_steps": 8},
+}
+
+
 def read(path: Path):
     return path.read_bytes()
 
@@ -234,6 +244,7 @@ class TestShippedProblems:
                       "majorant_dominates"):
             assert report[field] == want["report"][field], field
         assert report["solution"]["working_degrees"] == WORKING_DEGREES[path.stem]
+        assert report["exact_bits"] == EXACT_BITS[path.stem]
         # the growth blocks, against the values recorded above; the fitted
         # floats within 1e-9 relative (1e-12 absolute for the noise-level
         # values of a constant forcing)

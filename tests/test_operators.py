@@ -21,6 +21,7 @@ from mpde import (
     tabulated_moment,
 )
 from mpde.operators import ZKernel
+from mpde.precision import arithmetic
 from mpde.series import arithmetic_of, graded_count
 
 from helpers import (apply_operator_reference, moment_diff_t, moment_diff_z_reference,
@@ -316,6 +317,20 @@ class TestDiffAtRanks:
 
 
 RATIONAL_M0, RATIONAL_M = rational_ratio_moments()
+
+
+class TestRatioTables:
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_a_larger_degree_rebuilds_the_table(self, mode):
+        # ratio vectors read at degree 3, then at 9, equal a table built at
+        # degree 9 at once, and a smaller degree reads that table as held
+        arith = arithmetic(mode)
+        for alpha in ((1, 0), (2, 1), (0, 3)):
+            kernel = ZKernel(RATIONAL_M)
+            kernel.ratios(alpha, 3, arith)
+            large = kernel.ratios(alpha, 9, arith)
+            assert large == ZKernel(RATIONAL_M).ratios(alpha, 9, arith)
+            assert kernel.ratios(alpha, 5, arith) == large
 
 
 class TestOperatorPairs:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mpde import (
     CauchyProblem,
@@ -33,7 +33,7 @@ from mpde.operators import operator_numerators
 from mpde.precision import float_tolerance, to_number
 from mpde.problemspec import materialize_problem, parse_problem_file
 from mpde.series import arithmetic_of, graded_rank, indices_up_to
-from mpde.solver import degree_budget, degree_envelope, dependency_cone
+from mpde.solver import REDUCE_BITS, degree_budget, degree_envelope, dependency_cone
 from helpers import (dependency_cone_reference, heat_solution_oracle, on_cone, random_data,
                      random_operator_spec, random_problem, rational_ratio_moments,
                      residual_max_relative_two_pass, series_equal, solve_formal_reference,
@@ -690,6 +690,66 @@ class TestDegreeEnvelope:
         via = solve_via_borel(prob, n_max, degree)
         assert list(via.valid_degrees) == envelope
         assert all(map(series_equal, sol.u.coeffs, via.u.coeffs))
+
+
+# the ORACLE_CASES operators whose moment ratios or coefficients are
+# non-integer rationals, each with an n_max at which its direct solve
+# reduces at least three times, so the steps span three reduction intervals
+REDUCTION_CASES = {"rational_ratios": 18, "leading_zeros": 24}
+
+
+class TestDeferredReduction:
+    """Exact steps are stored over unreduced denominators and reduced only by
+    the ``REDUCE_BITS`` rule: every stored step keeps its value, the
+    reported ``u`` is in lowest terms, and the stored denominators stay
+    bounded."""
+
+    @staticmethod
+    def problem(case, rng, n_max, report_degree):
+        M, m0, m, terms = ORACLE_CASES[case]
+        spec = OperatorSpec(M=M, m0=m0, m=m, terms=terms)
+        return random_data(rng, spec, True, n_max, report_degree)
+
+    @settings(max_examples=6)
+    @given(case=st.sampled_from(sorted(REDUCTION_CASES)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_steps_equal_reference(self, case, seed):
+        n_max = REDUCTION_CASES[case]
+        prob = self.problem(case, random.Random(seed), n_max, 1)
+        sol = solve_formal(prob, n_max, 1)
+        assert sol.exact_bits["reduced_steps"] >= 3
+        cone = dependency_cone_reference(prob.spec, n_max, 1)
+        assert_same_recurrence(sol, solve_formal_reference(prob, n_max, 1), cone)
+        assert_same_recurrence(solve_majorant(prob, n_max, 1),
+                               solve_formal_reference(prob, n_max, 1, majorant_mode=True),
+                               cone, majorant=True)
+
+    @pytest.mark.parametrize("case", [*sorted(REDUCTION_CASES), "heat"])
+    @pytest.mark.parametrize("majorant_mode", [False, True], ids=["direct", "majorant"])
+    def test_reported_u_in_lowest_terms(self, case, majorant_mode):
+        if case == "heat":
+            prob, n_max = heat_problem(40, 2), 40
+        else:
+            n_max = REDUCTION_CASES[case]
+            prob = self.problem(case, random.Random(3), n_max, 2)
+        sol = (solve_majorant if majorant_mode else solve_formal)(prob, n_max, 2)
+        # some stored step is not in lowest terms, and no reported one is
+        assert any(math.gcd(c.den, *c.vec) != 1 for c in sol.working.coeffs)
+        assert all(math.gcd(c.den, *c.vec) == 1 for c in sol.u.coeffs)
+
+    def test_float_steps_have_denominator_one(self):
+        sol = solve_formal(heat_problem(40, 1, "float"), 40, 1)
+        assert sol.exact_bits is None
+        assert all(c.den == 1 for c in sol.working.coeffs)
+
+    def test_heat_denominators_stay_bounded(self):
+        # heat's values are integers, so a reduced step has denominator 1
+        # and every stored one has at most REDUCE_BITS + 1 bits; a solve
+        # that never reduced would store n! at step n, 661 bits at n = 120
+        sol = solve_formal(heat_problem(120), 120)
+        bits = sol.exact_bits
+        assert bits["denominator_max"] == max(c.den.bit_length() for c in sol.working.coeffs)
+        assert bits["denominator_max"] <= REDUCE_BITS + 1
+        assert bits["reduced_steps"] > 0
 
 
 def shipped_problem(name):

@@ -7,7 +7,6 @@ from .moments import (
     combine,
     gamma_moment,
     regularity_constants,
-    tabulated_moment,
 )
 from .series import (
     MultiSeries,

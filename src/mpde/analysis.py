@@ -59,13 +59,12 @@ class BoundWitness:
 class RootCheck:
     """The intermediate root test: ``tail_max`` and ``middle_max`` are the
     largest roots of the last and middle thirds at run precision (None with
-    fewer than 3 roots), ``roots`` the float roots of the screen."""
+    fewer than 3 roots)."""
 
     d: Fraction
     bounded: bool
     tail_max: Optional[mpf]
     middle_max: Optional[mpf]
-    roots: tuple
 
 
 @dataclass(frozen=True)
@@ -157,14 +156,6 @@ def _peak(ns: Sequence, approx: Sequence, exact):
     return max(exact(n) for n, v in zip(ns, sums) if not v < floor)
 
 
-def _float_exp(x: float) -> float:
-    """math.exp, but +inf where the result overflows."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _third_peaks(ns: Sequence, approx: Sequence, exact) -> tuple:
     """(bounded, tail_max, middle_max) of the roots exp(exact(n)): the largest
     root of the last third of ``ns`` stays within 5% of the middle third's."""
@@ -177,18 +168,13 @@ def _third_peaks(ns: Sequence, approx: Sequence, exact) -> tuple:
     return tail_max <= mpf("1.05") * middle_max, tail_max, middle_max
 
 
-def log_factorials(hi: int) -> list:
-    """[log n! for n = 0..hi] in floats, as ``math.lgamma(n + 1)``."""
-    return [math.lgamma(n + 1) for n in range(hi + 1)]
-
-
 class _LogFactorials:
-    """log n! for n = 0..hi: ``approx`` is ``log_factorials(hi)``, and
-    ``exact(n)`` is mpmath.loggamma(n + 1) at the run precision, computed the
-    first time a root test asks for it."""
+    """log n! for n = 0..hi: ``approx[n]`` is the float ``math.lgamma(n + 1)``,
+    and ``exact(n)`` is mpmath.loggamma(n + 1) at the run precision, computed
+    the first time a root test asks for it."""
 
     def __init__(self, hi: int):
-        self.approx = log_factorials(hi)
+        self.approx = [math.lgamma(n + 1) for n in range(hi + 1)]
         self._exact = {}
 
     def exact(self, n: int) -> mpf:
@@ -244,10 +230,9 @@ def intermediate_bound_roots(logb: Sequence, M: int, s0, inv_k1, window: tuple,
 
     A bounded root sequence is the raw numerical shape of the norm bound the
     induction produces before the final Gevrey estimate is read off at rho=0.
-    The roots are screened in floats, with math.lgamma(1 + d n), and
-    ``roots`` holds those floats (+inf where one overflows, 0.0 where it
-    underflows); tail_max and middle_max are the exp of the thirds' largest
-    logs at run precision.  ``lg`` is the table that ``make_growth_report``
+    The roots are screened in floats, with math.lgamma(1 + d n); tail_max
+    and middle_max are the exp of the thirds' largest logs at run
+    precision.  ``lg`` is the table that ``make_growth_report``
     shares between the root tests, made here when not given.
     """
     s0 = Fraction(s0)
@@ -263,9 +248,7 @@ def intermediate_bound_roots(logb: Sequence, M: int, s0, inv_k1, window: tuple,
                -math.lgamma(1 + d_float * n) / n) for n in ns]
     bounded, tail_max, middle_max = _third_peaks(
         ns, approx, lambda n: (logb[n] + ms0 * lg.exact(n) - mpmath.loggamma(1 + df * n)) / n)
-    roots = tuple(_float_exp(sum(terms)) for terms in approx)
-    return RootCheck(d=d, bounded=bounded, tail_max=tail_max,
-                     middle_max=middle_max, roots=roots)
+    return RootCheck(d=d, bounded=bounded, tail_max=tail_max, middle_max=middle_max)
 
 
 def moment_derivative_bound_probe(f: MultiSeries, m: Sequence[MomentFunction],

@@ -3,9 +3,8 @@ growth order s, generalizing n -> Gamma(1 + s*n).
 
 A moment function of order s grows like Gamma(1+sn) up to a geometric factor;
 products and quotients combine orders additively.  Every moment function is
-held in one normal form, a product of integer powers of atoms: an atom is a
-gamma order s, meaning n -> Gamma(1 + s*n), or a user table from
-``tabulated_moment``, which lets tests inject arbitrary (valid) sequences.
+held in one normal form, a product of integer powers of gamma atoms: an
+atom is an order s > 0, meaning n -> Gamma(1 + s*n).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import mul
-from typing import Callable, Sequence, Union
 
 import mpmath
 from mpmath import mpf
@@ -34,11 +32,10 @@ class ExactValueUnavailable(ValueError):
 class MomentFunction:
     """An evaluable positive sequence with a declared order.
 
-    ``factors`` is a tuple of (atom, exponent) pairs with nonzero integer
-    exponents, gamma atoms (a ``Fraction`` s > 0 for Gamma(1 + s*n)) first
-    by s, then table atoms (a tuple of values or a callable n -> value) in
-    the order they were first combined; m(n) is the product of the atoms'
-    values raised to their exponents, and the empty product is 1.
+    ``factors`` is a tuple of (s, exponent) pairs sorted by s, with a
+    ``Fraction`` s > 0 for the atom Gamma(1 + s*n) and a nonzero integer
+    exponent; m(n) is the product of the atoms' values raised to their
+    exponents, and the empty product is 1.
 
     Values are kept in tables on the instance, one per arithmetic (exact, or
     float at one mpmath precision), computed once and extended on demand;
@@ -72,15 +69,22 @@ class MomentFunction:
 
     def _column(self, n: int, mode: str) -> list:
         """The value table of ``mode``, extended to hold m(n); None marks an
-        irrational value in exact mode.  Each entry is the product of the
-        positive powers, divided once by the product of the others."""
+        irrational value in exact mode, where Gamma(1 + s*k) = (s*k)! needs
+        an integer s*k.  Each entry is the product of the positive powers,
+        divided once by the product of the others."""
         exact = mode == "exact"
         col = self._tables.setdefault(table_key(mode), [])
         new = range(len(col), n + 1)
         if not new:
             return col
-        one = Fraction(1) if exact else mpf(1)
-        columns = [(_atom_values(atom, new, exact), e) for atom, e in self.factors]
+        if exact:
+            one = Fraction(1)
+            columns = [([Fraction(math.factorial(sk.numerator)) if (sk := s * k).denominator == 1
+                         else None for k in new], e) for s, e in self.factors]
+        else:
+            one = mpf(1)
+            columns = [([mpmath.gamma(1 + to_mpf(s) * k) for k in new], e)
+                       for s, e in self.factors]
         for i in range(len(new)):
             if any(c[i] is None for c, _ in columns):
                 col.append(None)
@@ -114,59 +118,14 @@ def combine(m1: MomentFunction, m2: MomentFunction, op: str) -> MomentFunction:
     if sign < 0 and m1.order < m2.order:
         raise ValueError(f"quotient order would be negative ({m1.order} - {m2.order})")
     exponents = dict(m1.factors)
-    for atom, e in m2.factors:
-        exponents[atom] = exponents.get(atom, 0) + sign * e
-    factors = tuple(sorted(((atom, e) for atom, e in exponents.items() if e),
-                           key=lambda f: (0, f[0]) if isinstance(f[0], Fraction) else (1, 0)))
+    for s, e in m2.factors:
+        exponents[s] = exponents.get(s, 0) + sign * e
+    factors = tuple(sorted((s, e) for s, e in exponents.items() if e))
     size = sum(abs(e) for _, e in factors)
     if size > MAX_MOMENT_FACTORS:
         raise ValueError(f"moment function would be a product of {size} factors; "
                          f"at most {MAX_MOMENT_FACTORS} are allowed")
     return MomentFunction(m1.order + sign * m2.order, factors)
-
-
-def tabulated_moment(values: Union[Sequence, Callable], order) -> MomentFunction:
-    """Wrap explicit values (a sequence, or a callable n -> value).
-
-    The normalisation m(0) = 1 and positivity are enforced; sequences are
-    checked up front, callables at evaluation time.
-    """
-    order = Fraction(order)
-    if callable(values):
-        table = values
-        v0 = values(0)
-    else:
-        table = tuple(values)
-        if not table:
-            raise ValueError("tabulated moment function needs at least m(0)")
-        for n, v in enumerate(table):
-            if not v > 0:
-                raise ValueError(f"moment values must be positive, got m({n}) = {v}")
-        v0 = table[0]
-    if not (v0 == 1 if isinstance(v0, (int, Fraction)) else to_mpf(v0) == 1):
-        raise ValueError(f"moment function must satisfy m(0) = 1, got {v0}")
-    return MomentFunction(order, ((table, 1),))
-
-
-def _atom_values(atom, new: range, exact: bool) -> list:
-    """The atom's values at each n of ``new``; None marks an irrational
-    value in exact mode."""
-    if isinstance(atom, Fraction):
-        if exact:
-            return [Fraction(math.factorial(sn.numerator)) if (sn := atom * k).denominator == 1
-                    else None for k in new]
-        s = to_mpf(atom)
-        return [mpmath.gamma(1 + s * k) for k in new]
-    if not callable(atom) and new[-1] >= len(atom):
-        raise ValueError(f"tabulated moment function has {len(atom)} values, "
-                         f"asked for m({new[-1]})")
-    values = [atom(k) for k in new] if callable(atom) else atom[new.start:new.stop]
-    for k, v in zip(new, values):
-        if not v > 0:
-            raise ValueError(f"moment values must be positive, got m({k}) = {v}")
-    if exact:
-        return [Fraction(v) if isinstance(v, (int, Fraction)) else None for v in values]
-    return [to_mpf(v) for v in values]
 
 
 def regularity_constants(m: MomentFunction, n_max: int) -> tuple[mpf, mpf]:

@@ -178,7 +178,11 @@ def _parse_moments(section: dict, path: str) -> dict:
         kind = _get(decl, "kind", where)
         if kind == "gamma":
             _only(decl, where, "kind", "order")
-            m = gamma_moment(_parse_fraction(_get(decl, "order", where), f"{where}.order"))
+            order = _parse_fraction(_get(decl, "order", where), f"{where}.order")
+            try:
+                m = gamma_moment(order)
+            except ValueError as exc:
+                _fail(where, str(exc))
         elif kind in ("product", "quotient"):
             _only(decl, where, "kind", "factors")
             names = _parse_list(_get(decl, "factors", where), f"{where}.factors")

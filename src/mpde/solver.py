@@ -145,8 +145,9 @@ def validate(problem: CauchyProblem) -> ValidationReport:
 
     Conditions: term_order (ord_t(a) >= max{0, j-M+1}, i.e. q >= 1: the
     recurrence reads every nonzero stored coefficient, and one below that
-    index would read u_n while computing it), time_moment_regular (m0(0)=1
-    plus empirical regularity constants), positive_orders.
+    index would read u_n while computing it) and time_moment_regular
+    (m0(0)=1 plus empirical regularity constants).  Moment orders need no
+    condition: ``OperatorSpec`` rejects every order <= 0.
     """
     spec = problem.spec
     checks = []
@@ -165,18 +166,12 @@ def validate(problem: CauchyProblem) -> ValidationReport:
 
     m0_ok = spec.m0.value(0) == 1
     detail = "m0(0) = 1"
-    if m0_ok and spec.m0.order > 0:
+    if m0_ok:
         a, big_a = regularity_constants(spec.m0, REGULARITY_N)
         m0_ok = a > 0 and mpmath.isfinite(big_a)
         detail = (f"m0(0) = 1; ratio envelope on n <= {REGULARITY_N}: "
                   f"[{mpmath.nstr(a, 8)}, {mpmath.nstr(big_a, 8)}]")
     checks.append(ConditionCheck("time_moment_regular", m0_ok, detail))
-
-    orders_ok = spec.m0.order > 0 and all(o > 0 for o in spec.orders)
-    checks.append(ConditionCheck(
-        "positive_orders", orders_ok,
-        f"s0 = {spec.m0.order}, s = {tuple(str(o) for o in spec.orders)}",
-    ))
 
     return ValidationReport(tuple(checks))
 

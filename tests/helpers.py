@@ -41,12 +41,11 @@ from mpde import (
     moment_diff_z,
     series_add,
     series_scale,
-    tabulated_moment,
     zero_series,
 )
 from mpde.analysis import H_FROM_N, BoundWitness, RootCheck
-from mpde.operators import operator_numerators
-from mpde.precision import float_tolerance, to_mpf, to_number
+from mpde.operators import ZKernel, operator_numerators
+from mpde.precision import arithmetic, float_tolerance, table_key, to_mpf, to_number
 from mpde.series import arithmetic_of, indices_up_to
 from mpde.solver import degree_budget
 
@@ -243,14 +242,24 @@ def formal_norm(f: MultiSeries, s, cutoff: int, at=None) -> MultiSeries:
 
 
 def rational_ratio_moments():
-    """(m0, (m1, m2)): moment functions whose shift ratios m(b+a)/m(b) are
+    """(m0, (m1, m2)): gamma products whose shift ratios m(b+a)/m(b) are
     rationals with denominators other than 1, for the lcm path of the
-    exact kernels."""
-    m0 = tabulated_moment(lambda n: Fraction(math.factorial(n), 2 ** n), order=1)
-    m1 = combine(gamma_moment(2), tabulated_moment(lambda n: 3 ** n * math.factorial(n),
-                                                   order=1), "quotient")
-    m2 = tabulated_moment(lambda n: Fraction(math.factorial(2 * n), 5 ** n), order=2)
+    exact kernels: m0 = m1 = Gamma(1+3n)/Gamma(1+2n) of order 1, with
+    m(3)/m(2) = 84/5, and m2 = Gamma(1+4n)/Gamma(1+2n) of order 2.  Fails
+    unless a time-moment step ratio and a ratio vector of the z-kernel
+    have denominators other than 1."""
+    m0 = combine(gamma_moment(3), gamma_moment(2), "quotient")
+    m1 = combine(gamma_moment(3), gamma_moment(2), "quotient")
+    m2 = combine(gamma_moment(4), gamma_moment(2), "quotient")
+    assert any(m0.ratio(k, k - 1, "exact").denominator != 1 for k in range(1, 9))
+    kernel, exact = ZKernel((m1, m2)), arithmetic("exact")
+    assert any(kernel.ratios(alpha, 8, exact)[0] != 1 for alpha in ((1, 0), (0, 1)))
     return m0, (m1, m2)
+
+
+def exact_values_read(m) -> int:
+    """How many exact values of ``m`` were computed: m(0), ..., m(k - 1)."""
+    return len(m._tables.get(table_key("exact"), ()))
 
 
 ORDERS_ANY = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)]
@@ -259,9 +268,9 @@ ORDERS_EXACT = [Fraction(1), Fraction(2)]
 
 def moment_value_reference(recipe, n: int, mode: str):
     """m(n) of a moment recipe, evaluated node by node: ``("gamma", s)`` is
-    Gamma(1 + s*n), ``("table", values)`` is values[n], and ``("product" |
-    "quotient", a, b)`` combines the values of a and b.  In exact mode an
-    irrational value anywhere in the tree gives None."""
+    Gamma(1 + s*n), and ``("product" | "quotient", a, b)`` combines the
+    values of a and b.  In exact mode an irrational value anywhere in the
+    tree gives None."""
     exact = mode == "exact"
     kind = recipe[0]
     if kind == "gamma":
@@ -270,11 +279,6 @@ def moment_value_reference(recipe, n: int, mode: str):
             sn = s * n
             return Fraction(math.factorial(sn.numerator)) if sn.denominator == 1 else None
         return mpmath.gamma(1 + to_mpf(s) * n)
-    if kind == "table":
-        v = recipe[1][n]
-        if exact:
-            return Fraction(v) if isinstance(v, (int, Fraction)) else None
-        return to_mpf(v)
     a, b = (moment_value_reference(r, n, mode) for r in recipe[1:])
     if a is None or b is None:
         return None
@@ -613,7 +617,7 @@ def verify_gevrey_bound_reference(logb, s, n_range=None) -> BoundWitness:
 
 def intermediate_bound_roots_reference(logb, M, s0, inv_k1, window) -> RootCheck:
     """``analysis.intermediate_bound_roots`` with every root taken at run
-    precision; ``roots`` holds those mpf roots."""
+    precision."""
     d = M * Fraction(s0) + Fraction(inv_k1)
     df, ms0 = to_mpf(d), to_mpf(M * Fraction(s0))
     lo, hi = max(1, window[0]), min(window[1], len(logb) - 1)
@@ -623,5 +627,4 @@ def intermediate_bound_roots_reference(logb, M, s0, inv_k1, window) -> RootCheck
             val = logb[n] + ms0 * mpmath.loggamma(n + 1) - mpmath.loggamma(1 + df * n)
             roots.append(mpmath.exp(val / n))
     bounded, tail_max, middle_max = _thirds_reference(roots)
-    return RootCheck(d=d, bounded=bounded, tail_max=tail_max, middle_max=middle_max,
-                     roots=tuple(roots))
+    return RootCheck(d=d, bounded=bounded, tail_max=tail_max, middle_max=middle_max)

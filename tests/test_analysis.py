@@ -252,8 +252,8 @@ class TestIntermediateRoots:
         check = intermediate_bound_roots(log_bounds(b), 1, 1, 1, window=(50, 200))
         assert check.d == 2
         assert check.bounded
-        for root in check.roots:
-            assert abs(root - 1) < mpf("0.05")
+        assert abs(check.tail_max - 1) < mpf("0.05")
+        assert abs(check.middle_max - 1) < mpf("0.05")
 
     def test_exploding_sequence_detected(self):
         b = [Fraction(math.factorial(n)) ** 3 for n in range(101)]
@@ -286,7 +286,6 @@ class TestScreenedRootTests:
         assert check.d == oracle.d
         assert ((check.bounded, check.tail_max, check.middle_max)
                 == (oracle.bounded, oracle.tail_max, oracle.middle_max))
-        assert len(check.roots) == len(oracle.roots)
         return w, check
 
     def test_random_gevrey_like(self):
@@ -360,7 +359,7 @@ class TestScreenedRootTests:
         self.assert_same(log_bounds(b), 1, (1, 89))
         w, check = self.assert_same([None] * 30, 1, (1, 29))
         assert w.H == 0 and w.C == 0 and w.bounded
-        assert check.tail_max is None and check.roots == ()
+        assert check.tail_max is None and check.middle_max is None
 
     @pytest.mark.parametrize("window", [(1, 3), (1, H_FROM_N - 1), (6, 6), (6, 7), (6, 8),
                                         (40, 40), (40, 42)])
@@ -379,7 +378,9 @@ class TestScreenedRootTests:
     def test_float_roots_overflow_and_underflow(self, sign):
         logb = [sign * 400 * n * mpmath.log(10) for n in range(121)]
         _, check = self.assert_same(logb, 1, (1, 120))
-        assert set(check.roots) == ({math.inf} if sign > 0 else {0.0})
+        # the float screen overflows (underflows), the maxima at run precision do not
+        big = mpf(10) ** 300
+        assert (check.tail_max > big) if sign > 0 else (0 < check.tail_max < 1 / big)
 
 
 class TestGrowthCallCounts:

@@ -21,13 +21,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpde import TimeSeries, cli, pipeline, series, solver, tabulated_moment
+from mpde import TimeSeries, cli, combine, gamma_moment, pipeline, series, solver
 from mpde.cli import _report_dict, main, run_pipeline
 from mpde.moments import MAX_MOMENT_FACTORS
 from mpde.precision import EXACT
 from mpde.problemspec import (MAX_MOMENT_DEPTH, materialize_problem, parse_problem_document,
                               parse_problem_file)
-from helpers import solve_formal_reference
+from helpers import exact_values_read, solve_formal_reference
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAT = ROOT / "problems" / "heat.json"
@@ -538,26 +538,25 @@ class TestKernelForm:
 
 
 class TestExactMomentRange:
-    """Exact heat with a tabulated space moment: the run evaluates m1(0..2 n_max)
-    and no further, so a value past that range may be irrational."""
+    """Exact heat with the space moment ``space``: the run evaluates
+    m1(0..2 n_max) and no further, so a value past that range is never
+    asked for, and an irrational value inside it is an error line."""
 
     N_MAX = 12
 
-    def run(self, tmp_path, capsys, monkeypatch, first_irrational):
-        def m1(n):
-            return math.factorial(n) * (math.sqrt(2) if n >= first_irrational else 1)
-
+    def run(self, tmp_path, capsys, monkeypatch, space):
         spec_file = parse_problem_file(HEAT, overrides={"n_max": self.N_MAX})
-        space = tabulated_moment(m1, order=1)
         spec_file = replace(spec_file, operator=replace(spec_file.operator, m=(space,)))
         monkeypatch.setattr(cli, "parse_problem_file", lambda *args: spec_file)
         out = tmp_path / "out"
-        code = main(["run", "tabulated.json", "--out", str(out), "--quiet"])
+        code = main(["run", "heat.json", "--out", str(out), "--quiet"])
         return code, capsys.readouterr().err, out
 
     def test_irrational_past_the_read_range(self, tmp_path, capsys, monkeypatch):
-        code, err, out = self.run(tmp_path, capsys, monkeypatch, 2 * self.N_MAX + 1)
+        space = gamma_moment(1)
+        code, err, out = self.run(tmp_path, capsys, monkeypatch, space)
         assert code == 0 and err == ""
+        assert exact_values_read(space) == 2 * self.N_MAX + 1
         report = json.loads((out / "report.json").read_text())
         assert report["residual"]["exact_zero"] is True
         plain = tmp_path / "plain"
@@ -566,7 +565,10 @@ class TestExactMomentRange:
         assert (out / "coeffs.csv").read_bytes() == (plain / "coeffs.csv").read_bytes()
 
     def test_irrational_inside_the_read_range(self, tmp_path, capsys, monkeypatch):
-        code, err, out = self.run(tmp_path, capsys, monkeypatch, 2 * self.N_MAX)
+        # Gamma(1 + n/2)^2, of order 1, is irrational at every odd n
+        half = gamma_moment(Fraction(1, 2))
+        code, err, out = self.run(tmp_path, capsys, monkeypatch,
+                                  combine(half, half, "product"))
         assert code == 1
         assert err.startswith("error:") and "not rational" in err and "Traceback" not in err
         assert not (out / "report.json").exists()
@@ -915,6 +917,9 @@ INPUT_ERRORS = {
     "undeclared_moment": (
         _edited_heat(_add_key(("moments",), "a", {"kind": "product", "factors": ["m1", "g"]})),
         "moments", "reference to undeclared moment function 'g'"),
+    "negative_gamma_order": (
+        _edited_heat(_set(("moments", "m0"), {"kind": "gamma", "order": "-1"})),
+        "moments.m0", "gamma moment order must be >= 0, got -1"),
     "three_operands": (
         _edited_heat(_add_key(("moments",), "a", {"kind": "product",
                                                   "factors": ["m0", "m1", "m1"]})),

@@ -1,6 +1,5 @@
 import gc
 import json
-import math
 import time
 import weakref
 from fractions import Fraction
@@ -16,7 +15,6 @@ from mpde import (
     gamma_moment,
     regularity_constants,
     pipeline,
-    tabulated_moment,
 )
 from mpde.moments import MAX_MOMENT_FACTORS, ExactValueUnavailable
 from mpde.precision import float_tolerance, to_mpf
@@ -108,30 +106,6 @@ class TestCombine:
             assert close(left.value(n), right.value(n))
 
 
-class TestTabulated:
-    def test_values_must_start_at_one(self):
-        with pytest.raises(ValueError):
-            tabulated_moment([2, 1, 1], order=1)
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            tabulated_moment([1, 0], order=1)
-
-    def test_callable_table(self):
-        m = tabulated_moment(lambda n: Fraction(2) ** n, order=0)
-        assert m.value_exact(5) == 32
-
-    def test_sequence_out_of_range(self):
-        m = tabulated_moment([1, 2, 6], order=1)
-        with pytest.raises(ValueError):
-            m.value(3)
-
-    def test_perturbed_gamma_is_usable(self):
-        m = tabulated_moment(lambda n: mpmath.gamma(1 + n) * mpf("1.01") ** n, order=1)
-        a, big_a = growth_envelope(m, 40)
-        assert 1 <= a <= big_a <= mpf("1.02")
-
-
 class TestRegularityConstants:
     def test_gamma1_ratio_is_exactly_n(self):
         a, big_a = regularity_constants(G1, 100)
@@ -179,7 +153,7 @@ class TestGrowthEnvelope:
 class TestInvariants:
     @pytest.mark.parametrize("m", [
         G1, GH, combine(G1, GH, "product"), combine(G1, GH, "quotient"),
-        tabulated_moment([1, 3, 9], order=1),
+        combine(gamma_moment(3), gamma_moment(2), "quotient"),
     ])
     def test_normalisation_everywhere(self, m):
         assert close(m.value(0), 1)
@@ -203,14 +177,16 @@ def values(m, n: int, mode: str) -> tuple:
 
 
 def moment_kinds():
-    """Fresh instances of every kind: gamma, product, quotient, tabulated."""
+    """Fresh instances of every kind: gamma, product, quotient, and products
+    of several atoms whose values are not all integers."""
     return [
         gamma_moment(1),
         gamma_moment(2),
         combine(gamma_moment(1), gamma_moment(1), "product"),
         combine(gamma_moment(2), gamma_moment(1), "quotient"),
-        tabulated_moment([Fraction(3) ** n for n in range(30)], order=0),
-        tabulated_moment(lambda n: Fraction(n + 1) ** 2, order=0),
+        combine(gamma_moment(3), gamma_moment(2), "quotient"),
+        combine(combine(gamma_moment(1), gamma_moment(3), "product"), gamma_moment(4),
+                "quotient"),
     ]
 
 
@@ -251,13 +227,6 @@ class TestTables:
         assert GH.value_exact(2) == 1
         with pytest.raises(ExactValueUnavailable):
             values(GH, 2, "exact")
-
-    def test_tabulated_table_stops_at_its_end(self):
-        m = tabulated_moment([1, 2, 6], order=1)
-        assert values(m, 2, "exact") == (1, 2, 6)
-        with pytest.raises(ValueError):
-            values(m, 3, "exact")
-        assert m.value_exact(2) == 6
 
 
 def self_products(levels: int) -> tuple:
@@ -327,9 +296,8 @@ class TestNormalForm:
         assert len(str(info.value)) < 300
 
 
-# the one table of the recipes: order 1, rational values up to m(12)
-RECIPE_TABLE = tuple(Fraction(math.factorial(k), 2 ** k) for k in range(13))
-RECIPE_TABLE_ORDER = 1
+# the recipes' leaf with rational values that are not all integers
+RECIPE_QUOTIENT = ("quotient", ("gamma", Fraction(3)), ("gamma", Fraction(2)))
 RECIPE_N = range(13)
 
 
@@ -337,8 +305,6 @@ def recipe_order(recipe) -> Fraction:
     kind = recipe[0]
     if kind == "gamma":
         return Fraction(recipe[1])
-    if kind == "table":
-        return Fraction(RECIPE_TABLE_ORDER)
     a, b = recipe_order(recipe[1]), recipe_order(recipe[2])
     return a + b if kind == "product" else a - b
 
@@ -356,7 +322,7 @@ def recipes(depth: int):
     """Moment recipes nested at most ``depth`` levels below the root."""
     leaf = st.one_of(
         st.sampled_from(["0", "1/2", "1", "3/2", "2"]).map(lambda s: ("gamma", Fraction(s))),
-        st.just(("table", RECIPE_TABLE)))
+        st.just(RECIPE_QUOTIENT))
     if depth == 0:
         return leaf
     sub = recipes(depth - 1)
@@ -368,13 +334,11 @@ def build(recipe):
     kind = recipe[0]
     if kind == "gamma":
         return gamma_moment(recipe[1])
-    if kind == "table":
-        return tabulated_moment(recipe[1], order=RECIPE_TABLE_ORDER)
     return combine(build(recipe[1]), build(recipe[2]), kind)
 
 
 def leaves(recipe) -> int:
-    return 1 if recipe[0] in ("gamma", "table") else leaves(recipe[1]) + leaves(recipe[2])
+    return 1 if recipe[0] == "gamma" else leaves(recipe[1]) + leaves(recipe[2])
 
 
 class TestNormalFormAgainstTree:

@@ -18,7 +18,6 @@ from mpde import (
     make_series,
     moment_diff_z,
     series_scale,
-    tabulated_moment,
 )
 from mpde.operators import ZKernel
 from mpde.precision import arithmetic
@@ -244,14 +243,14 @@ class TestOperatorSpecInvariants:
 
 
 def kernel_moments(mode):
-    """Moment functions of every kind; half orders only where values are floats."""
-    table = [Fraction(2) ** n * math.factorial(n) for n in range(40)]
+    """Moment functions of every kind, two with shift ratios that are not all
+    integers; half orders only where values are floats."""
     kinds = [
         G1,
         combine(G1, gamma_moment(2), "product"),
         combine(gamma_moment(2), G1, "quotient"),
-        tabulated_moment(table, order=1),
-        tabulated_moment(lambda n: Fraction(math.factorial(2 * n), 2 ** n), order=2),
+        combine(gamma_moment(3), gamma_moment(2), "quotient"),
+        combine(gamma_moment(4), gamma_moment(2), "quotient"),
     ]
     if mode == "float":
         kinds += [GH, combine(G32, GH, "quotient"), combine(GH, GH, "product")]

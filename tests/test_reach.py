@@ -36,7 +36,6 @@ KEPT = {
     "solver:ValidationFailure.__init__": "error path: a problem that fails validation",
     "solver:degree_envelope": "documented contract that tests check: the degrees a step holds",
     "solver:dependency_cone": "documented contract that tests check: the majorant's cone",
-    "moments:tabulated_moment": "documented contract that tests check: a moment from a table",
     "series:MultiSeries.coefficient": "documented contract that tests check: one coefficient",
     "series:MultiSeries.__eq__": "documented contract that tests check: equality by value",
     "series:MultiSeries.__repr__": "documented contract: a repr that does not print the vector",

@@ -25,7 +25,7 @@ from mpde import (
     solve_formal,
     solve_majorant,
     solve_via_borel,
-    tabulated_moment,
+    solver,
     validate,
     zero_series,
 )
@@ -33,9 +33,10 @@ from mpde.operators import operator_numerators
 from mpde.precision import float_tolerance, to_number
 from mpde.problemspec import materialize_problem, parse_problem_file
 from mpde.series import arithmetic_of, graded_rank, indices_up_to
-from mpde.solver import REDUCE_BITS, degree_budget, degree_envelope, dependency_cone
-from helpers import (dependency_cone_reference, heat_solution_oracle, on_cone, random_data,
-                     random_operator_spec, random_problem, rational_ratio_moments,
+from mpde.solver import (REDUCE_BITS, degree_budget, degree_envelope, dependency_cone,
+                         space_borel_quotients)
+from helpers import (dependency_cone_reference, exact_values_read, heat_solution_oracle, on_cone,
+                     random_data, random_operator_spec, random_problem, rational_ratio_moments,
                      residual_max_relative_two_pass, series_equal, solve_formal_reference,
                      time_series, zero_forcing, zero_time_series)
 
@@ -64,7 +65,7 @@ class TestValidate:
         rep = validate(heat_problem(6))
         assert rep.passed
         assert {c.name for c in rep.checks} == {
-            "term_order", "time_moment_regular", "positive_orders"}
+            "term_order", "time_moment_regular"}
 
     def test_j_equals_m_with_zero_order_fails(self):
         spec = OperatorSpec(M=1, m0=G1, m=(G1,),
@@ -133,18 +134,28 @@ class TestBorelProblem:
         prob = heat_problem(5)
         assert all(not c.coeffs for c in borel_problem(prob).forcing.coeffs)
 
-    def test_short_table_reads_only_stored_degrees(self):
-        # m1 is known to degree 3 only, far below the valid degree 10:
-        # psi_l = phi_l * m1(l) / l! needs m1 where phi is nonzero, no further
-        m1 = tabulated_moment([1, 1, Fraction(5, 2), 4], order=1)
+    def test_short_table_reads_only_stored_degrees(self, monkeypatch):
+        # phi is nonzero to degree 3 only, far below the valid degree 10:
+        # psi_l = phi_l * m1(l) / l! reads the quotient l!/m1(l) where phi
+        # is nonzero, no further, so its value table ends at degree 3
+        quotients = []
+
+        def record(spec):
+            quotients.extend(space_borel_quotients(spec))
+            return quotients
+
+        monkeypatch.setattr(solver, "space_borel_quotients", record)
+        m1 = combine(gamma_moment(3), gamma_moment(2), "quotient")
         spec = OperatorSpec(M=1, m0=G1, m=(m1,),
                             terms=(OperatorTerm(j=0, alpha=(1,), coeff=(Fraction(1),)),))
-        phi = generator_series("polynomial", 1, 10, coeffs=[1, 0, 0, Fraction(1, 3)])
+        phi = generator_series("polynomial", 1, 10, coeffs=[1, 0, 0, Fraction(1, 5)])
         prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 5))
         bp = borel_problem(prob)
-        assert bp.initial[0].coeffs == {(0,): 1, (3,): Fraction(4, 18)}
+        # m1(3) = 9!/6! = 504
+        assert bp.initial[0].coeffs == {(0,): 1, (3,): Fraction(504, 5 * 6)}
         assert bp.initial[0].valid_degree == 10
         assert all(not c.coeffs for c in bp.forcing.coeffs)
+        assert exact_values_read(quotients[0]) == 4
 
 
 class TestSolveFormal:

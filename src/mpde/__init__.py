@@ -6,7 +6,6 @@ from .moments import (
     MomentFunction,
     combine,
     gamma_moment,
-    regularity_constants,
 )
 from .series import (
     MultiSeries,
@@ -35,8 +34,6 @@ from .polygon import (
 from .solver import (
     CauchyProblem,
     SolutionSeries,
-    ValidationFailure,
-    ValidationReport,
     borel_problem,
     residual_max_relative,
     solve_formal,

@@ -2,9 +2,8 @@
 (``pipeline.run``), and write the report artifacts.
 
 Artifacts written to the output directory:
-  report.json   validation results, polygon data, exact 1/k_1 ("p/q"),
-                fitted order/constants, the residual (also unrounded, as
-                "residual_full"), verdicts
+  report.json   polygon data, exact 1/k_1 ("p/q"), fitted order/constants,
+                the residual (also unrounded, as "residual_full"), verdicts
   coeffs.csv    solution coefficients, one row per (n, alpha)
   bounds.csv    the bound sequence b_n used for fitting
   polygon.svg   deterministic rendering of the Newton polygon
@@ -33,7 +32,6 @@ from . import analysis, pipeline
 from .precision import to_mpf
 from .problemspec import parse_problem_file
 from .series import coefficient_rows
-from .solver import ValidationFailure
 from .svgrender import render_polygon_svg
 
 
@@ -80,13 +78,6 @@ def _report_dict(result: pipeline.PipelineResult) -> dict:
         "n_max": run.n_max,
         "report_degree": run.report_degree,
         "radius": _frac_str(run.radius),
-        "validation": {
-            "passed": result.validation.passed,
-            "conditions": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in result.validation.checks
-            ],
-        },
         "newton_polygon": {
             "points": [[_frac_str(x), _frac_str(y)] for x, y in poly.points],
             "vertices": [[_frac_str(x), _frac_str(y)] for x, y in poly.vertices],
@@ -161,11 +152,6 @@ def run_pipeline(spec_path, out_dir, *, n_max=None, degree=None, precision=None,
                  "radius": radius, "mode": mode}
     try:
         result = pipeline.run(parse_problem_file(spec_path, overrides))
-    except ValidationFailure as exc:
-        for check in exc.report.checks:
-            if not check.passed:
-                print(f"error: condition {check.name} {check.detail}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -126,22 +126,3 @@ def combine(m1: MomentFunction, m2: MomentFunction, op: str) -> MomentFunction:
         raise ValueError(f"moment function would be a product of {size} factors; "
                          f"at most {MAX_MOMENT_FACTORS} are allowed")
     return MomentFunction(m1.order + sign * m2.order, factors)
-
-
-def regularity_constants(m: MomentFunction, n_max: int) -> tuple[mpf, mpf]:
-    """Empirical (a, A) with a*n^s <= m(n)/m(n-1) <= A*n^s on 1..n_max.
-
-    For order 0 the n^s factor is identically 1, so the plain consecutive
-    ratio extrema are returned (the regularity notion itself needs s > 0).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    s = to_mpf(m.order)
-    lo, hi = None, None
-    for n in range(1, n_max + 1):
-        ratio = m.ratio(n, n - 1, "float")
-        if m.order > 0:
-            ratio = ratio / mpmath.power(n, s)
-        lo = ratio if lo is None else min(lo, ratio)
-        hi = ratio if hi is None else max(hi, ratio)
-    return lo, hi

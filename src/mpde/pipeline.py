@@ -1,9 +1,9 @@
-"""The pipeline core: one problem, from validation to the growth verdict,
-with no printing and no files.
+"""The pipeline core: one problem, from its materialized data to the
+growth verdict, with no printing and no files.
 
 ``run`` carries out the whole argument once, in this order:
 
-1. validate the problem;
+1. materialize the problem, which validates it (``solver.validate``);
 2. build the Newton polygon and the exact 1/k_1;
 3. solve the majorant recurrence and keep only its reported coefficients;
 4. solve the coefficient recurrence;
@@ -34,8 +34,7 @@ from .analysis import (FitResult, GrowthReport, coefficient_bounds, fit_gevrey_o
 from .polygon import NewtonPolygon, build_polygon, inverse_k1
 from .problemspec import ProblemSpecFile, RunConfig, materialize_problem
 from .series import majorizes
-from .solver import (SolutionSeries, ValidationFailure, ValidationReport,
-                     residual_max_relative, solve_formal, solve_majorant)
+from .solver import SolutionSeries, residual_max_relative, solve_formal, solve_majorant
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,6 @@ class PipelineResult:
 
     name: str
     run: RunConfig
-    validation: ValidationReport
     polygon: NewtonPolygon
     solution: SolutionSeries
     dominated: bool
@@ -71,15 +69,12 @@ class PipelineResult:
 def run(spec_file: ProblemSpecFile) -> PipelineResult:
     """Run every stage on a parsed problem file.
 
-    Raises ValidationFailure when a solvability condition fails and
-    ValueError when a stage rejects its input.
+    Raises ValueError when the problem fails ``solver.validate`` or a
+    stage rejects its input.
     """
     cfg = spec_file.run
     with mpmath.workprec(cfg.precision_bits):
         problem = materialize_problem(spec_file)
-        report = problem.validation
-        if not report.passed:
-            raise ValidationFailure(report)
         poly = build_polygon(problem.spec)
         inv_k1 = inverse_k1(problem.spec)
 
@@ -106,7 +101,6 @@ def run(spec_file: ProblemSpecFile) -> PipelineResult:
     return PipelineResult(
         name=spec_file.name,
         run=cfg,
-        validation=report,
         polygon=poly,
         solution=sol,
         dominated=dominated,

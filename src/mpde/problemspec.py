@@ -373,6 +373,8 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
             value = _parse_value(_get(entry, "value", where), mode, f"{where}.value")
             # an entry past the last forcing order the run reads is checked, not kept
             if n <= n_top:
+                if sum(alpha) > degree:
+                    _fail(f"{where}.alpha", f"index {alpha} exceeds the degree budget {degree}")
                 tables.setdefault(n, {})[alpha] = value
         out = []
         for n in range(n_top + 1):

@@ -1,6 +1,6 @@
-"""Cauchy problems for moment PDEs: validation, the order-0 Borel change of
-variables in z, and the coefficient recurrence that produces the unique
-formal solution.
+"""Cauchy problems for moment PDEs, valid by construction, the order-0 Borel
+change of variables in z, and the coefficient recurrence that produces the
+unique formal solution.
 
 Writing u(t,z) = sum u_n(z) t^n with raw coefficients, the equation pins
 down, for n >= M,
@@ -29,35 +29,10 @@ from typing import Iterator, Optional
 import mpmath
 from mpmath import mpf
 
-from .moments import combine, gamma_moment, regularity_constants
+from .moments import combine, gamma_moment
 from .precision import to_number
 from .series import MultiSeries, _reduced, arithmetic_of, graded_count
 from .operators import OperatorSpec, TimeSeries, borel_z, operator_numerators
-
-
-class ValidationFailure(ValueError):
-    """Raised when solving is attempted on a problem that fails validation."""
-
-    def __init__(self, report: "ValidationReport"):
-        self.report = report
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
-        super().__init__(f"problem fails validation: {failed}")
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 @dataclass(frozen=True)
@@ -80,16 +55,11 @@ class CauchyProblem:
         modes = {phi.mode for phi in self.initial} | {self.forcing.mode}
         if len(modes) != 1:
             raise ValueError(f"mixed arithmetic modes in problem data: {modes}")
+        validate(self)
 
     @property
     def mode(self) -> str:
         return self.initial[0].mode
-
-    @cached_property
-    def validation(self) -> "ValidationReport":
-        """``validate(self)``, computed at the first read and kept; the report
-        reflects the mpmath precision at that first read."""
-        return validate(self)
 
 
 @dataclass(frozen=True)
@@ -127,9 +97,6 @@ class SolutionSeries:
         return tuple(c.valid_degree for c in self.working.coeffs)
 
 
-# the time moment's regularity constants are estimated on n <= REGULARITY_N
-REGULARITY_N = 50
-
 # An exact step is stored over the unreduced common denominator of its sum
 # and reduced to lowest terms only once that denominator has grown by more
 # than REDUCE_BITS bits past the last reduced step's (at the start, past 0
@@ -140,40 +107,19 @@ REGULARITY_N = 50
 REDUCE_BITS = 64
 
 
-def validate(problem: CauchyProblem) -> ValidationReport:
-    """Check the solvability conditions; report-only, never raises.
-
-    Conditions: term_order (ord_t(a) >= max{0, j-M+1}, i.e. q >= 1: the
-    recurrence reads every nonzero stored coefficient, and one below that
-    index would read u_n while computing it) and time_moment_regular
-    (m0(0)=1 plus empirical regularity constants).  Moment orders need no
-    condition: ``OperatorSpec`` rejects every order <= 0.
+def validate(problem: CauchyProblem) -> None:
+    """Raise a ValueError naming, in (j, alpha) order, every term with
+    ord_t(a) < max{0, j-M+1}, i.e. q <= 0: the recurrence reads every
+    nonzero stored coefficient, and one below that index would read u_n
+    while computing it.  ``CauchyProblem`` runs it on construction, so every
+    problem is solvable.  Moment orders need no condition: ``OperatorSpec``
+    rejects every order <= 0.
     """
     spec = problem.spec
-    checks = []
-
-    offenders = []
-    for term in spec.terms:
-        sigma = term.ord_t()
-        if sigma < max(0, term.j - spec.M + 1):
-            offenders.append(f"j={term.j}, alpha={term.alpha} (ord_t={sigma})")
-    checks.append(ConditionCheck(
-        "term_order",
-        not offenders,
-        "all terms satisfy ord_t(a) >= max{0, j-M+1}" if not offenders
-        else "violated at term " + "; ".join(offenders),
-    ))
-
-    m0_ok = spec.m0.value(0) == 1
-    detail = "m0(0) = 1"
-    if m0_ok:
-        a, big_a = regularity_constants(spec.m0, REGULARITY_N)
-        m0_ok = a > 0 and mpmath.isfinite(big_a)
-        detail = (f"m0(0) = 1; ratio envelope on n <= {REGULARITY_N}: "
-                  f"[{mpmath.nstr(a, 8)}, {mpmath.nstr(big_a, 8)}]")
-    checks.append(ConditionCheck("time_moment_regular", m0_ok, detail))
-
-    return ValidationReport(tuple(checks))
+    offenders = [f"j={term.j}, alpha={term.alpha} (ord_t={term.ord_t()})"
+                 for term in spec.terms if term.ord_t() < max(0, term.j - spec.M + 1)]
+    if offenders:
+        raise ValueError("condition term_order violated at term " + "; ".join(offenders))
 
 
 def degree_budget(spec: OperatorSpec, n_max: int, report_degree: int, n: int = 0) -> int:
@@ -272,11 +218,12 @@ def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     Step n reads (D_z^alpha u_{n-p})_beta = const * (u_{n-p})_{beta+alpha} for
     every term (j, alpha) and every nonzero c_{j,alpha,p} with p <= n - j, so
     the walk from n_max down to M maps cone[n] through the gather map of
-    alpha into cone[n - p].  It relies on validate's term_order: every shift
-    p is at least 1, so step n's cone stays within ``degree_envelope(...)[n]``
-    and one gather map per alpha, to the largest envelope of the steps
-    n >= M, covers every step.  (The envelope need not peak at step M: a
-    term with j > M reads no step below j.)
+    alpha into cone[n - p].  It relies on ``validate``, which the operator
+    of every ``CauchyProblem`` passes: every shift p is at least 1, so step
+    n's cone stays within ``degree_envelope(...)[n]`` and one gather map per
+    alpha, to the largest envelope of the steps n >= M, covers every step.
+    (The envelope need not peak at step M: a term with j > M reads no step
+    below j.)
     """
     pieces = _term_pieces(spec, n_max)
     return _cone_walk(spec, pieces, _envelope_walk(spec.M, pieces, n_max, report_degree),
@@ -333,11 +280,9 @@ _Plan = namedtuple("_Plan", "arith pieces envelope span")
 
 
 def _plan(problem: CauchyProblem, n_max: int, report_degree: int) -> _Plan:
-    """The plan of a solve to t^n_max, after the checks that the problem
-    is valid and its data and coefficients reach as far as the solve reads."""
-    if not problem.validation.passed:
-        raise ValidationFailure(problem.validation)
-
+    """The plan of a solve to t^n_max, after the checks that the problem's
+    data and coefficients reach as far as the solve reads (the problem
+    itself is valid by construction)."""
     spec = problem.spec
     arith = arithmetic_of(*problem.initial, *problem.forcing.coeffs)
     needed = degree_budget(spec, n_max, report_degree)

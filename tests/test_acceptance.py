@@ -34,7 +34,6 @@ from mpde import (
     solve_majorant,
     solve_via_borel,
     make_series,
-    validate,
 )
 from mpde.polygon import generator_points
 from mpde.precision import to_mpf
@@ -101,7 +100,6 @@ def fractional_full(precision_module):
 
 def test_criterion_1_heat_end_to_end(heat_full):
     problem, sol, bounds, report, elapsed = heat_full
-    assert validate(problem).passed
     assert inverse_k1(problem.spec) == 1
     oracle = heat_solution_oracle(50, [1] * (2 * N_FULL + 1))
     for n in range(51):

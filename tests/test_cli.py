@@ -120,7 +120,7 @@ class TestRunPipeline:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["inverse_k1"] == "1/1"
         assert report["verdict"] == "consistent"
-        assert report["validation"]["passed"] is True
+        assert "validation" not in report
         assert report["newton_polygon"]["slopes"] == ["1/1"]
         assert report["residual"]["exact_zero"] is True
         assert report["residual_full"] == "0"
@@ -935,6 +935,11 @@ INPUT_ERRORS = {
         _edited_heat(_set(("data", "initial"), [{"kind": "terms", "terms": [
             {"alpha": [60], "value": "1"}]}])),
         "data.initial[0].terms[0].alpha", "index (60,) exceeds the degree budget 24"),
+    # alpha 60 against the forcing's budget 2 * (12 - M) at step M = 1
+    "forcing_term_past_budget": (
+        _edited_heat(_set(("data", "forcing"), {"kind": "terms", "terms": [
+            {"n": 0, "alpha": [60], "value": "1"}]})),
+        "data.forcing.terms[0].alpha", "index (60,) exceeds the degree budget 22"),
     "name_number": (_edited_heat(_set(("name",), 5)), "name", "must be a string, got 5"),
 }
 

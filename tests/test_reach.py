@@ -31,9 +31,9 @@ KEPT = {
     "operators:moment_diff_z": "bench contract: bench/layers.py wraps it by name",
     "series:series_add": "bench contract: bench/layers.py wraps it by name",
     "moments:MomentFunction.value_exact": "bench contract: bench/layers.py wraps it by name",
+    "moments:MomentFunction.value": "bench contract: bench/layers.py wraps it by name",
     "problemspec:_fail": "error path: a malformed problem file",
     "cli:_Parser.error": "error path: a command line that argparse rejects",
-    "solver:ValidationFailure.__init__": "error path: a problem that fails validation",
     "solver:degree_envelope": "documented contract that tests check: the degrees a step holds",
     "solver:dependency_cone": "documented contract that tests check: the majorant's cone",
     "series:MultiSeries.coefficient": "documented contract that tests check: one coefficient",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,6 @@ from mpde import (
     OperatorTerm,
     SolutionSeries,
     TimeSeries,
-    ValidationFailure,
     apply_operator,
     borel_problem,
     combine,
@@ -55,34 +55,29 @@ def heat_problem(n_max, report_degree=0, mode="exact", s0=Fraction(1)):
                          forcing=zero_forcing(spec, n_max, report_degree, mode))
 
 
-def check(report, name):
-    """The condition check of ``report`` named ``name``."""
-    return next(c for c in report.checks if c.name == name)
+def reading_ahead(*terms):
+    """The problem of ``terms`` with M = 1 and exact geometric data."""
+    spec = OperatorSpec(M=1, m0=G1, m=(G1,), terms=terms)
+    phi = generator_series("geometric", 1, 10, ratio=1)
+    return CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4))
 
 
 class TestValidate:
     def test_heat_passes_all(self):
-        rep = validate(heat_problem(6))
-        assert rep.passed
-        assert {c.name for c in rep.checks} == {
-            "term_order", "time_moment_regular"}
+        assert validate(heat_problem(6)) is None
 
     def test_j_equals_m_with_zero_order_fails(self):
-        spec = OperatorSpec(M=1, m0=G1, m=(G1,),
-                            terms=(OperatorTerm(j=1, alpha=(1,), coeff=(Fraction(1),)),))
-        phi = generator_series("geometric", 1, 10, ratio=1)
-        prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4))
-        rep = validate(prob)
-        assert not rep.passed
-        bad = check(rep, "term_order")
-        assert not bad.passed and "j=1" in bad.detail
+        with pytest.raises(ValueError) as info:
+            reading_ahead(OperatorTerm(j=1, alpha=(1,), coeff=(Fraction(1),)))
+        assert str(info.value) == (
+            "condition term_order violated at term j=1, alpha=(1,) (ord_t=0)")
 
     def test_low_j_with_zero_order_passes(self):
         spec = OperatorSpec(M=2, m0=G1, m=(G1,),
                             terms=(OperatorTerm(j=0, alpha=(1,), coeff=(Fraction(1),)),))
         phi = generator_series("geometric", 1, 10, ratio=1)
         prob = CauchyProblem(spec=spec, initial=(phi, phi), forcing=zero_forcing(spec, 4))
-        assert check(validate(prob), "term_order").passed
+        assert validate(prob) is None
 
     @pytest.mark.parametrize("term, mode", [
         (OperatorTerm(j=1, alpha=(1,), coeff=(mpmath.mpf("1e-50"), mpmath.mpf(1))), "float"),
@@ -92,21 +87,29 @@ class TestValidate:
         # piece p = 0 would read u_n while computing it
         spec = OperatorSpec(M=1, m0=G1, m=(G1,), terms=(term,))
         phi = generator_series("geometric", 1, 10, mode, ratio=1)
-        prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4, mode=mode))
         assert term.ord_t() == 0
-        bad = check(validate(prob), "term_order")
-        assert not bad.passed
-        assert bad.detail == "violated at term j=1, alpha=(1,) (ord_t=0)"
-        with pytest.raises(ValidationFailure, match="term_order"):
-            solve_formal(prob, 4, 0)
+        with pytest.raises(ValueError) as info:
+            CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4, mode=mode))
+        assert str(info.value) == (
+            "condition term_order violated at term j=1, alpha=(1,) (ord_t=0)")
 
     def test_solve_refuses_invalid_problem(self):
-        spec = OperatorSpec(M=1, m0=G1, m=(G1,),
-                            terms=(OperatorTerm(j=1, alpha=(1,), coeff=(Fraction(1),)),))
-        phi = generator_series("geometric", 1, 10, ratio=1)
-        prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4))
-        with pytest.raises(ValidationFailure, match="term_order"):
-            solve_formal(prob, 4, 0)
+        # no invalid problem reaches a solve: replacing the operator of a
+        # valid one validates again
+        bad = OperatorSpec(M=1, m0=G1, m=(G1,),
+                           terms=(OperatorTerm(j=1, alpha=(1,), coeff=(Fraction(1),)),))
+        with pytest.raises(ValueError, match="^condition term_order violated at term j=1"):
+            dataclasses.replace(heat_problem(4), spec=bad)
+
+    def test_every_offender_in_one_message(self):
+        # declared out of order, named in (j, alpha) order
+        with pytest.raises(ValueError) as info:
+            reading_ahead(OperatorTerm(j=2, alpha=(0,), coeff=(Fraction(0), Fraction(3))),
+                          OperatorTerm(j=0, alpha=(1,), coeff=(Fraction(1),)),
+                          OperatorTerm(j=1, alpha=(2,), coeff=(Fraction(2),)))
+        assert str(info.value) == (
+            "condition term_order violated at term j=1, alpha=(2,) (ord_t=0); "
+            "j=2, alpha=(0,) (ord_t=1)")
 
 
 class TestBorelProblem:

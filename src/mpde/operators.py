@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import islice
 from operator import add
@@ -68,15 +69,14 @@ class TimeSeries:
 class OperatorTerm:
     """One summand a_{j,alpha}(t) * D_t^j * D_z^alpha of the operator.
 
-    coeff is the t-coefficient tuple of a_{j,alpha}; ``truncated`` marks a
-    series known only to its stored length (polynomials are exact and impose
-    no truncation on products).
+    coeff lists the t-coefficients of the polynomial a_{j,alpha}, zero past
+    the end of the list.  A ``'p/q'`` string entry is read as the Fraction
+    it names, as ``precision.to_number`` reads it in exact mode.
     """
 
     j: int
     alpha: tuple
     coeff: tuple
-    truncated: bool = False
 
     def __post_init__(self):
         if self.j < 0:
@@ -84,7 +84,8 @@ class OperatorTerm:
         if any(a < 0 for a in self.alpha):
             raise ValueError(f"negative entry in alpha {self.alpha}")
         object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        object.__setattr__(self, "coeff", tuple(self.coeff))
+        object.__setattr__(self, "coeff", tuple(Fraction(c) if isinstance(c, str) else c
+                                                for c in self.coeff))
         if not any(c != 0 for c in self.coeff):
             raise ValueError("no t-coefficient is nonzero, so the term adds nothing")
 
@@ -96,11 +97,6 @@ class OperatorTerm:
         this one t-order.
         """
         return next(p for p, c in enumerate(self.coeff) if c != 0)
-
-    @property
-    def truncation_order(self) -> Optional[int]:
-        """Largest trustworthy t-power of the coefficient (None = exact polynomial)."""
-        return len(self.coeff) - 1 if self.truncated else None
 
 
 @dataclass(frozen=True)
@@ -280,7 +276,7 @@ def borel_z(f, m_prime: Sequence[MomentFunction], inverse: bool = False):
 
 def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) -> Iterator[tuple]:
     """P(u)_n, the n-th t-coefficient of the operator applied to u, and its
-    magnitude envelope, for n = 0, 1, ... in turn.
+    magnitude envelope, for n = 0, ..., n_max - max(M, max j) in turn.
 
     The envelope adds |piece| for every piece a_p * D_z^alpha D_t^j u that
     P(u)_n sums (and |D_t^M u|), so it bounds the magnitude of what
@@ -302,7 +298,8 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
     n_max = u.n_max
     if n_max < spec.M:
         raise ValueError(f"need n_max >= M = {spec.M}, got {n_max}")
-    if max([spec.M] + [t.j for t in spec.terms]) > n_max:
+    n_out = n_max - max([spec.M] + [t.j for t in spec.terms])
+    if n_out < 0:
         raise ValueError("time series too short to differentiate")
     kernel = spec.z_kernel
     d_t_memo, d_z_memo = defaultdict(dict), defaultdict(dict)
@@ -324,13 +321,8 @@ def operator_numerators(spec: OperatorSpec, u: TimeSeries, arith: Arithmetic) ->
                 memo[k] = (arith.scale(r, vec), den * r_den, valid)
         return memo[k]
 
-    n_out = n_max - spec.M
     terms = []
     for term in spec.terms:
-        n_term = n_max - term.j
-        if term.truncation_order is not None:
-            n_term = min(n_term, term.truncation_order)
-        n_out = min(n_out, n_term)
         scalars = []
         for p, a in enumerate(term.coeff):
             if a != 0:

@@ -5,36 +5,36 @@ Orders and exact values are written as "p/q" strings so nothing is lost in
 text form; plain integers are accepted too.  Float literals are only legal
 in float mode, and must be finite.  Every field must have the JSON type it
 is read as: objects, lists, strings, and integers that are not booleans.  An
-object may hold only the fields that are read from it: any other key is an
-error that names it.
-Example:
+object may hold only the fields listed for it below: any other key is an
+error that names it.  ``problems/heat.json`` is a complete example.  The
+fields, with a default after ``=`` where a field may be left out:
 
-    {
-      "name": "heat",
-      "moments": {
-        "m0": {"kind": "gamma", "order": "1"},
-        "m1": {"kind": "gamma", "order": "1"}
-      },
-      "operator": {
-        "M": 1,
-        "time_moment": "m0",
-        "space_moments": ["m1"],
-        "terms": [{"j": 0, "alpha": [2], "coeff": ["-1"]}]
-      },
-      "data": {
-        "initial": [{"kind": "geometric", "ratio": "1"}],
-        "forcing": {"kind": "zero"}
-      },
-      "run": {"n_max": 200, "report_degree": 0, "radius": "1/2",
-              "fit_window": [50, 200], "mode": "exact", "precision_bits": 256}
-    }
+    top level   "name" = "problem", "moments", "operator", "data", "run"
+    "moments"   name -> {"kind": "gamma", "order": s}, the moment Gamma(1 + s n),
+                or {"kind": "product" | "quotient", "factors": [name, name]}
+    "operator"  "M" >= 1, "time_moment" (a name), "space_moments" (a name per
+                variable), "terms" = [{"j": j, "alpha": [...], "coeff": [...]}]
+    "data"      "initial" (M series), "forcing" = {"kind": "zero"}
+    a series    {"kind": "zero"}, {"kind": "geometric", "ratio": r} (r^|alpha|),
+                {"kind": "polynomial", "coeffs": [...]} (one variable),
+                {"kind": "gevrey_factorial", "sigma": s} ((l!)^s on each axis),
+                {"kind": "terms", "terms": [{"alpha": [...], "value": v}, ...]}
+    "forcing"   {"kind": "zero"}, {"kind": "time_geometric", "ratio": r, "space":
+                series = 1} (r^n times the series), or {"kind": "terms", "terms":
+                [{"n": n, "alpha": [...], "value": v}, ...]}
+    "run"       "n_max" >= 1, "report_degree" = 0, "mode" = "exact" | "float",
+                "precision_bits" = 256, "radius" = "1/2",
+                "fit_window" = [max(1, n_max // 4), n_max]
 
-A product or quotient moment names its two operands in ``factors``, e.g.
-``{"kind": "quotient", "factors": ["g", "m1"]}``, and resolves to the
-normal form of ``moments.combine``, a product of gamma powers with at most
-``moments.MAX_MOMENT_FACTORS`` (64) factors.  Declarations nest at most
-``MAX_MOMENT_DEPTH`` (100) deep: a gamma moment is one level, and a product
-or quotient one more than its deeper operand.
+A term is a_{j,alpha}(t) D_t^j D_z^alpha, and its "coeff" lists the
+t-coefficients of the polynomial a_{j,alpha}, zero past the end of the list:
+a coefficient that is not a polynomial has to be written out to
+t^(n_max - M), the highest power that a run to n_max reads.  A product or
+quotient moment resolves to the normal form of ``moments.combine``, a
+product of gamma powers with at most ``moments.MAX_MOMENT_FACTORS`` (64)
+factors.  Declarations nest at most ``MAX_MOMENT_DEPTH`` (100) deep: a gamma
+moment is one level, and a product or quotient one more than its deeper
+operand.
 """
 
 from __future__ import annotations
@@ -221,17 +221,14 @@ def _parse_operator(section: dict, moments: dict, mode: str, path: str) -> Opera
     raw_terms = _get(section, "terms", path, required=False, default=[])
     for i, t in enumerate(_parse_list(raw_terms, f"{path}.terms")):
         where = f"{path}.terms[{i}]"
-        _only(t, where, "j", "alpha", "coeff", "truncated")
+        _only(t, where, "j", "alpha", "coeff")
         j = _parse_int(_get(t, "j", where), f"{where}.j")
         alpha = _parse_index(_get(t, "alpha", where), dim, f"{where}.alpha")
         coeff_raw = _parse_list(_get(t, "coeff", where), f"{where}.coeff")
         coeff = tuple(_parse_value(c, mode, f"{where}.coeff[{k}]")
                       for k, c in enumerate(coeff_raw))
-        truncated = t.get("truncated", False)
-        if not isinstance(truncated, bool):
-            _fail(f"{where}.truncated", f"must be true or false, got {truncated!r}")
         try:
-            terms.append(OperatorTerm(j=j, alpha=alpha, coeff=coeff, truncated=truncated))
+            terms.append(OperatorTerm(j=j, alpha=alpha, coeff=coeff))
         except ValueError as exc:   # j and alpha are checked above: coeff is all zero
             _fail(f"{where}.coeff", str(exc))
     try:

@@ -281,8 +281,8 @@ _Plan = namedtuple("_Plan", "arith pieces envelope span")
 
 def _plan(problem: CauchyProblem, n_max: int, report_degree: int) -> _Plan:
     """The plan of a solve to t^n_max, after the checks that the problem's
-    data and coefficients reach as far as the solve reads (the problem
-    itself is valid by construction)."""
+    data reach as far as the solve reads and that its mode holds every
+    coefficient (the problem itself is valid by construction)."""
     spec = problem.spec
     arith = arithmetic_of(*problem.initial, *problem.forcing.coeffs)
     needed = degree_budget(spec, n_max, report_degree)
@@ -309,13 +309,7 @@ def _plan(problem: CauchyProblem, n_max: int, report_degree: int) -> _Plan:
             )
 
     pieces = _term_pieces(spec, n_max)
-    for term, (_, _, cs) in zip(spec.terms, pieces):
-        if term.truncation_order is not None and term.truncation_order < n_max - spec.M:
-            raise ValueError(
-                f"coefficient of term (j={term.j}, alpha={term.alpha}) is "
-                f"truncated at t^{term.truncation_order}; need t^{n_max - spec.M} "
-                f"for n_max {n_max}"
-            )
+    for _, _, cs in pieces:
         for c in cs.values():
             to_number(c, arith.mode)   # a TypeError naming any coefficient the mode cannot hold
     return _Plan(arith, pieces, _envelope_walk(spec.M, pieces, n_max, report_degree),

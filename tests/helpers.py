@@ -503,13 +503,12 @@ def moment_diff_t(u: TimeSeries, m0) -> TimeSeries:
                             for n in range(u.n_max)))
 
 
-def _coeff_product(scalars, truncation, w):
-    """Truncated Cauchy product of a scalar t-series with a TimeSeries, as a
-    list of series: None at a t-order that no nonzero coefficient power
-    reaches, where the product adds nothing."""
-    out_n_max = w.n_max if truncation is None else min(w.n_max, truncation)
+def _coeff_product(scalars, w):
+    """Cauchy product of a scalar polynomial with a TimeSeries, to w's
+    n_max, as a list of series: None at a t-order that no nonzero
+    coefficient power reaches, where the product adds nothing."""
     out = []
-    for n in range(out_n_max + 1):
+    for n in range(w.n_max + 1):
         acc = None
         for p, a in enumerate(scalars):
             if p > n:
@@ -538,7 +537,7 @@ def apply_operator_reference(spec, u, absolute=False):
         zpart = diffs[term.j].map_z(
             lambda c: moment_diff_z_reference(c, spec.m, term.alpha))
         scalars = [abs(a) for a in term.coeff] if absolute else list(term.coeff)
-        contributions.append(_coeff_product(scalars, term.truncation_order, zpart))
+        contributions.append(_coeff_product(scalars, zpart))
     out = []
     for n in range(min(map(len, contributions))):
         acc = contributions[0][n]

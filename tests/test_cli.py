@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import gc
@@ -21,7 +22,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mpde import TimeSeries, cli, combine, gamma_moment, pipeline, series, solver
+from mpde import TimeSeries, cli, combine, gamma_moment, pipeline, problemspec, series, solver
 from mpde.cli import _report_dict, main, run_pipeline
 from mpde.moments import MAX_MOMENT_FACTORS
 from mpde.precision import EXACT
@@ -748,6 +749,8 @@ UNKNOWN_FIELDS = {
     "operator": (_add_key(("operator",), "m", 1), "operator", "m"),
     "term": (_add_key(("operator", "terms", 0), "ord_override", 1),
              "operator.terms[0]", "ord_override"),
+    "term_truncated": (_add_key(("operator", "terms", 0), "truncated", True),
+                       "operator.terms[0]", "truncated"),
     "data": (_add_key(("data",), "forcings", {}), "data", "forcings"),
     "series": (_add_key(("data", "initial", 0), "ration", "1"), "data.initial[0]", "ration"),
     "series_terms_entry": (_set(("data", "initial"), [{"kind": "terms", "terms": [
@@ -767,7 +770,6 @@ MALFORMED = {
     **{f"unknown_{name}": edit for name, (edit, _, _) in UNKNOWN_FIELDS.items()},
     "term_not_object": _set(("operator", "terms"), [5]),
     "alpha_entry_string": _set(("operator", "terms", 0, "alpha"), ["x"]),
-    "truncated_string": _set(("operator", "terms", 0, "truncated"), "1"),
     "forcing_alpha_int": _set(("data", "forcing"), {
         "kind": "terms", "terms": [{"n": 0, "alpha": 3, "value": "1"}]}),
     # n past the last forcing order of the run: still parsed
@@ -832,6 +834,27 @@ class TestMalformedDocuments:
         code, err = self.run_edited(tmp_path, capsys, edit)
         assert code == 1
         assert err == "error: condition term_order violated at term j=1, alpha=(1,) (ord_t=0)\n"
+
+
+def _problemspec_names() -> set:
+    """Every field that a ``_only`` call of ``problemspec`` names and every
+    ``kind`` value that it compares against."""
+    names = set()
+    for node in ast.walk(ast.parse((ROOT / "src" / "mpde" / "problemspec.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_only":
+            names.update(a.value for a in node.args[2:] if isinstance(a, ast.Constant))
+        elif isinstance(node, ast.Compare) and getattr(node.left, "id", None) == "kind":
+            for right in node.comparators:
+                for c in (right.elts if isinstance(right, ast.Tuple) else [right]):
+                    names.add(c.value)
+    return names
+
+
+def test_problem_file_docstring_names_every_field_and_kind():
+    # a field or kind the parser reads and the field reference omits
+    names = _problemspec_names()
+    assert {"coeff", "value", "time_geometric", "gamma"} <= names
+    assert sorted(n for n in names if f'"{n}"' not in problemspec.__doc__) == []
 
 
 class TestZeroRule:
@@ -1085,10 +1108,9 @@ SMALL_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(
 # fresh containers each draw: a later edit may write into one
 SMALL_JSON = st.one_of(SMALL_SCALARS, st.builds(list), st.builds(dict),
                        st.lists(SMALL_SCALARS, min_size=1, max_size=3))
-# a field set on an operator term: an unknown one, the optional one, or its
-# t-derivative power
-TERM_FIELDS = st.one_of(st.tuples(st.sampled_from(["ord_override", "truncate"]), SMALL_JSON),
-                        st.tuples(st.just("truncated"), st.booleans()),
+# a field set on an operator term: an unknown one or its t-derivative power
+TERM_FIELDS = st.one_of(st.tuples(st.sampled_from(["ord_override", "truncate", "truncated"]),
+                                  SMALL_JSON),
                         st.tuples(st.just("j"), st.integers(0, 3)))
 
 

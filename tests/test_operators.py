@@ -166,13 +166,6 @@ class TestApplyOperator:
         assert out.coeffs[0].coefficient((0,)) == 0
         # n_max drops to 0 via the leading derivative
 
-    def test_truncated_coefficient_limits_window(self):
-        term = OperatorTerm(j=0, alpha=(0,), coeff=(Fraction(1), Fraction(1)), truncated=True)
-        spec = OperatorSpec(M=1, m0=G1, m=(G1,), terms=(term,))
-        u = scalar_ts([1, 1, 1, 1, 1])
-        out = apply_operator(spec, u)
-        assert out.n_max == 1    # truncation order of a caps the product
-
     def test_insufficient_t_order_rejected(self):
         spec = OperatorSpec(M=3, m0=G1, m=(G1,), terms=())
         with pytest.raises(ValueError):
@@ -240,6 +233,14 @@ class TestOperatorSpecInvariants:
         term = OperatorTerm(j=0, alpha=(0,), coeff=(tiny, mpf(1)))
         assert term.ord_t() == 0
         assert OperatorTerm(j=0, alpha=(0,), coeff=(mpf(0), 0.0, tiny)).ord_t() == 2
+
+    def test_string_coefficients_are_fractions(self):
+        # 'p/q' text is read as to_number reads it in exact mode, so "0" is zero
+        term = OperatorTerm(j=0, alpha=(2,), coeff=("0", "-1"))
+        assert term.coeff == (0, -1) and all(type(c) is Fraction for c in term.coeff)
+        assert term.ord_t() == 1
+        with pytest.raises(ValueError):
+            OperatorTerm(j=0, alpha=(2,), coeff=("x",))
 
 
 def kernel_moments(mode):
@@ -340,7 +341,7 @@ class TestOperatorPairs:
             OperatorTerm(j=1, alpha=(1, 0), coeff=(Fraction(1, 2), Fraction(-3))),
             OperatorTerm(j=0, alpha=(1, 1), coeff=(Fraction(0), Fraction(0), Fraction(1))),
             OperatorTerm(j=3, alpha=(0, 1), coeff=(Fraction(0), Fraction(0), Fraction(2),
-                                                   Fraction(-1)), truncated=True),
+                                                   Fraction(-1))),
         )),
         # time and space shift ratios that are non-integer rationals
         OperatorSpec(M=2, m0=RATIONAL_M0, m=RATIONAL_M, terms=(

@@ -172,6 +172,20 @@ class TestSolveFormal:
         # closed form (2n)!/n!
         assert oracle[5] == Fraction(math.factorial(10), math.factorial(5))
 
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_string_coefficient_solves_as_its_fraction(self, mode):
+        def problem(coeff):
+            spec = OperatorSpec(M=1, m0=G1, m=(G1,),
+                                terms=(OperatorTerm(j=0, alpha=(2,), coeff=coeff),))
+            phi = generator_series("geometric", 1, 16, mode, ratio=1)
+            return CauchyProblem(spec=spec, initial=(phi,),
+                                 forcing=zero_forcing(spec, 8, 0, mode))
+
+        text, fraction = problem(("-1/2",)), problem((Fraction(-1, 2),))
+        for solve in (solve_formal, solve_majorant):
+            got, want = solve(text, 8, 0), solve(fraction, 8, 0)
+            assert [c.coeffs for c in got.u.coeffs] == [c.coeffs for c in want.u.coeffs]
+
     def test_initial_coefficients(self):
         prob = heat_problem(4)
         sol = solve_formal(prob, 4, 0)
@@ -349,8 +363,7 @@ def oracle_problem(terms, M, m, mode, n_max, m0=G1, report_degree=0):
     """A problem over the given terms with geometric data and a time-geometric
     forcing, materialized for ``report_degree``."""
     terms = tuple(
-        OperatorTerm(j=t.j, alpha=t.alpha, truncated=t.truncated,
-                     coeff=tuple(to_number(c, mode) for c in t.coeff))
+        OperatorTerm(j=t.j, alpha=t.alpha, coeff=tuple(to_number(c, mode) for c in t.coeff))
         for t in terms)
     spec = OperatorSpec(M=M, m0=m0, m=m, terms=terms)
     full = report_degree + n_max * spec.max_alpha
@@ -388,9 +401,9 @@ ORACLE_CASES = {
         OperatorTerm(j=2, alpha=(1,), coeff=(0, Fraction(2, 3))),
         OperatorTerm(j=0, alpha=(2,), coeff=(1, 1)),
     )),
-    # a coefficient known only to its stored length
-    "truncated": (1, G1, (G1,), (
-        OperatorTerm(j=0, alpha=(2,), coeff=(-1, 2, 0, 1, -3, 1, 1, 2), truncated=True),
+    # a coefficient with eight t-powers: step n reads back to u_{n-8}
+    "dense_coefficient": (1, G1, (G1,), (
+        OperatorTerm(j=0, alpha=(2,), coeff=(-1, 2, 0, 1, -3, 1, 1, 2)),
         OperatorTerm(j=1, alpha=(0,), coeff=(0, 1)),
     )),
     # time and space moments whose shift ratios are non-integer rationals
@@ -508,6 +521,14 @@ class TestReferenceRecurrence:
         assert_same_recurrence(solve(prob, 8, 0),
                                solve_formal_reference(prob, 8, 0, majorant_mode=majorant_mode),
                                dependency_cone_reference(prob.spec, 8, 0), majorant_mode)
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_coefficient_is_zero_past_its_list(self, mode):
+        # n_max 12 reads t^11 of a coefficient that lists t^0..t^7
+        M, m0, m, terms = ORACLE_CASES["dense_coefficient"]
+        prob = oracle_problem(terms, M, m, mode, 12, m0=m0)
+        assert_same_recurrence(solve_formal(prob, 12, 0), solve_formal_reference(prob, 12, 0),
+                               dependency_cone_reference(prob.spec, 12, 0))
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     @pytest.mark.parametrize("mode", ["exact", "float"])

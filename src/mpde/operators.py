@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial, reduce
 from itertools import islice
 from operator import add
@@ -84,8 +83,8 @@ class OperatorTerm:
         if any(a < 0 for a in self.alpha):
             raise ValueError(f"negative entry in alpha {self.alpha}")
         object.__setattr__(self, "alpha", tuple(int(a) for a in self.alpha))
-        object.__setattr__(self, "coeff", tuple(Fraction(c) if isinstance(c, str) else c
-                                                for c in self.coeff))
+        object.__setattr__(self, "coeff", tuple(to_number(c, "exact") if isinstance(c, str)
+                                                else c for c in self.coeff))
         if not any(c != 0 for c in self.coeff):
             raise ValueError("no t-coefficient is nonzero, so the term adds nothing")
 
@@ -144,11 +143,6 @@ class OperatorSpec:
     def orders(self) -> tuple:
         return tuple(mk.order for mk in self.m)
 
-    @property
-    def max_alpha(self) -> int:
-        """Largest |alpha| over the terms (degree consumed per recurrence step)."""
-        return max((sum(t.alpha) for t in self.terms), default=0)
-
     @cached_property
     def z_kernel(self) -> "ZKernel":
         """The z-derivative kernel of the space moments, whose gather maps
@@ -205,22 +199,18 @@ class ZKernel:
             table = self._ratios[key] = (degree, den, vectors)
         return table[1], table[2]
 
-    @staticmethod
-    def degree(valid_degree: int, alpha: tuple) -> int:
-        """The valid degree of D_z^alpha of a series valid to valid_degree
-        (-1 once the budget is exhausted)."""
-        return max(valid_degree - sum(alpha), -1) if sum(alpha) else valid_degree
-
     def diff(self, vec: list, den: int, valid_degree: int, alpha: tuple,
              arith: Arithmetic, ranks: Optional[list] = None) -> tuple:
         """D_z^alpha of the series vec/den (vec dense to valid_degree), as
-        (vec, den, valid degree).  With ``ranks``, graded ranks below the
-        count of the new valid degree, the vector holds only the elements at
-        those ranks, each computed as the whole vector computes it, and vec
-        needs to hold only the elements that they gather."""
+        (vec, den, valid degree): valid to valid_degree - |alpha|, or empty
+        and valid to -1 when |alpha| exceeds valid_degree.  With ``ranks``,
+        graded ranks below the count of the new valid degree, the vector
+        holds only the elements at those ranks, each computed as the whole
+        vector computes it, and vec needs to hold only the elements that
+        they gather."""
         if not sum(alpha):
             return (vec if ranks is None else [vec[r] for r in ranks]), den, valid_degree
-        new_valid = self.degree(valid_degree, alpha)
+        new_valid = valid_degree - sum(alpha)
         if new_valid < 0:
             return [], 1, -1
         sources = self.gather(alpha, new_valid)

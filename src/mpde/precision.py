@@ -79,18 +79,22 @@ def to_number(x, mode: str):
     exact mode accepts ints, Fractions and 'p/q' strings; float mode
     additionally accepts floats and mpf numbers.  A bool or any other value
     is a ``TypeError``, which names a non-bool value: every coefficient is
-    exact or real.
+    exact or real.  A string with a zero denominator is a ``ValueError``
+    that names it.
     """
     if isinstance(x, bool):
         raise TypeError("bool is not a coefficient")
-    if mode == "exact":
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, (int, str)):
-            return Fraction(x)
-        raise TypeError(f"exact mode cannot hold the {type(x).__name__} coefficient {x!r}")
-    if mode == "float":
-        return to_mpf(x)
+    try:
+        if mode == "exact":
+            if isinstance(x, Fraction):
+                return x
+            if isinstance(x, (int, str)):
+                return Fraction(x)
+            raise TypeError(f"exact mode cannot hold the {type(x).__name__} coefficient {x!r}")
+        if mode == "float":
+            return to_mpf(x)
+    except ZeroDivisionError:
+        raise ValueError(f"the coefficient {x!r} has a zero denominator") from None
     raise ValueError(f"unknown arithmetic mode {mode!r}")
 
 

@@ -29,7 +29,11 @@ fields, with a default after ``=`` where a field may be left out:
 A term is a_{j,alpha}(t) D_t^j D_z^alpha, and its "coeff" lists the
 t-coefficients of the polynomial a_{j,alpha}, zero past the end of the list:
 a coefficient that is not a polynomial has to be written out to
-t^(n_max - M), the highest power that a run to n_max reads.  A product or
+t^(n_max - M), the highest power that a run to n_max reads.  The data are
+built to the z-degree that the run reads (``solver.degree_envelope``) and
+the forcing to the last t-order it reads: a "terms" entry or "polynomial"
+coefficient past either is checked like any other, but not kept, so whether
+a file is valid does not depend on n_max.  A product or
 quotient moment resolves to the normal form of ``moments.combine``, a
 product of gamma powers with at most ``moments.MAX_MOMENT_FACTORS`` (64)
 factors.  Declarations nest at most ``MAX_MOMENT_DEPTH`` (100) deep: a gamma
@@ -48,7 +52,7 @@ from .moments import MomentFunction, combine, gamma_moment
 from .operators import OperatorSpec, OperatorTerm, TimeSeries
 from .precision import DEFAULT_PRECISION_BITS, to_number
 from .series import MultiSeries, generator_series, make_series, series_scale, zero_series
-from .solver import CauchyProblem, degree_budget
+from .solver import CauchyProblem, degree_envelope
 
 
 class SpecError(ValueError):
@@ -322,7 +326,8 @@ def _materialize_generator(desc: dict, dim: int, degree: int, mode: str, path: s
         coeffs = [_parse_value(c, mode, f"{path}.coeffs[{k}]")
                   for k, c in enumerate(_parse_list(_get(desc, "coeffs", path),
                                                     f"{path}.coeffs"))]
-        params = {"coeffs": coeffs}
+        # a coefficient past the degree the run reads is checked, not kept
+        params = {"coeffs": coeffs[:degree + 1]}
     elif kind == "gevrey_factorial":
         _only(desc, path, "kind", "sigma")
         params = {"sigma": _parse_fraction(_get(desc, "sigma", path), f"{path}.sigma")}
@@ -333,9 +338,10 @@ def _materialize_generator(desc: dict, dim: int, degree: int, mode: str, path: s
             where = f"{path}.terms[{k}]"
             _only(entry, where, "alpha", "value")
             alpha = _parse_index(_get(entry, "alpha", where), dim, f"{where}.alpha")
-            if sum(alpha) > degree:
-                _fail(f"{where}.alpha", f"index {alpha} exceeds the degree budget {degree}")
-            table[alpha] = _parse_value(_get(entry, "value", where), mode, f"{where}.value")
+            value = _parse_value(_get(entry, "value", where), mode, f"{where}.value")
+            # an entry past the degree the run reads is checked, not kept
+            if sum(alpha) <= degree:
+                table[alpha] = value
         return make_series(dim, table, degree, mode)
     else:
         _fail(path, f"unknown series kind {kind!r}")
@@ -368,10 +374,8 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
             n = _parse_int(_get(entry, "n", where), f"{where}.n")
             alpha = _parse_index(_get(entry, "alpha", where), dim, f"{where}.alpha")
             value = _parse_value(_get(entry, "value", where), mode, f"{where}.value")
-            # an entry past the last forcing order the run reads is checked, not kept
-            if n <= n_top:
-                if sum(alpha) > degree:
-                    _fail(f"{where}.alpha", f"index {alpha} exceeds the degree budget {degree}")
+            # an entry past the last order or the degree the run reads is checked, not kept
+            if n <= n_top and sum(alpha) <= degree:
                 tables.setdefault(n, {})[alpha] = value
         out = []
         for n in range(n_top + 1):
@@ -381,21 +385,23 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
 
 
 def materialize_problem(spec_file: ProblemSpecFile) -> CauchyProblem:
-    """Build the CauchyProblem with the degree budget the run demands.
+    """Build the CauchyProblem to the degrees that the run reads.
 
-    Initial data are materialized to ``solver.degree_budget`` at step 0, the
-    forcing to its budget at step M, where the recurrence first reads it.
+    Every initial series is materialized to the largest
+    ``solver.degree_envelope`` of the steps below M, and every forcing
+    coefficient to the largest of the steps from M on (the report degree if
+    the run reads none).
     """
     run = spec_file.run
     op = spec_file.operator
     dim = op.dim
+    envelope = degree_envelope(op, run.n_max, run.report_degree)
     initial = tuple(
-        _materialize_generator(desc, dim, degree_budget(op, run.n_max, run.report_degree),
-                               run.mode, f"data.initial[{j}]")
+        _materialize_generator(desc, dim, max(envelope[:op.M]), run.mode, f"data.initial[{j}]")
         for j, desc in enumerate(spec_file.initial_descriptors)
     )
     n_top = max(0, run.n_max - op.M)
     forcing = _materialize_forcing(spec_file.forcing_descriptor, dim, n_top,
-                                   degree_budget(op, run.n_max, run.report_degree, op.M),
+                                   max(envelope[op.M:], default=run.report_degree),
                                    run.mode, "data.forcing")
     return CauchyProblem(spec=op, initial=initial, forcing=forcing)

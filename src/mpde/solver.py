@@ -122,15 +122,6 @@ def validate(problem: CauchyProblem) -> None:
         raise ValueError("condition term_order violated at term " + "; ".join(offenders))
 
 
-def degree_budget(spec: OperatorSpec, n_max: int, report_degree: int, n: int = 0) -> int:
-    """The z-degree to which data read at step n must be materialized:
-    report_degree + (n_max - n) * max|alpha|, so that u_{n_max} still reaches
-    report_degree after every D_z^alpha the later steps apply.  It is the
-    materialization contract of the problem data and an upper bound on the
-    ``degree_envelope`` that the solves compute to."""
-    return report_degree + max(0, n_max - n) * spec.max_alpha
-
-
 def space_borel_quotients(spec: OperatorSpec) -> list:
     """The order-0 moment functions Gamma_{s_j}/m_j used by the z-transform."""
     return [combine(gamma_moment(mj.order), mj, "quotient") for mj in spec.m]
@@ -203,9 +194,10 @@ def degree_envelope(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
     Step n reads u_{n-p} to degree e[n] + |alpha| for every term (j, alpha)
     and every nonzero c_{j,alpha,p} with p <= n - j, so one walk from n_max
     down to M gives every e[k]: it is the largest |beta| in
-    ``dependency_cone(...)[k]`` and at most
-    ``degree_budget(spec, n_max, report_degree, k)``.  Both solves compute
-    step k to degree e[k] and no further.
+    ``dependency_cone(...)[k]``.  It is the one degree contract of the
+    data: a solve reads the initial series phi_k (k < M) and the forcing
+    coefficient f_{k-M} (k >= M) to degree e[k], checks that they reach it,
+    and computes step k to degree e[k] and no further.
     """
     return _envelope_walk(spec.M, _term_pieces(spec, n_max), n_max, report_degree)
 
@@ -233,12 +225,12 @@ def dependency_cone(spec: OperatorSpec, n_max: int, report_degree: int) -> list:
 def solve_formal(problem: CauchyProblem, n_max: int, report_degree: int = 0) -> SolutionSeries:
     """Run the coefficient recurrence up to t^n_max.
 
-    Initial data and forcing must be materialized to ``degree_budget`` so
-    that every reported coefficient is provable; ``u`` carries valid_degree
-    = report_degree.  Step n is computed to degree
-    ``degree_envelope(...)[n]`` only, the largest degree of u_n that a
-    reported coefficient reads, and ``working`` is every step to that
-    degree.  Every u_n is a ``MultiSeries`` in the arithmetic that holds the
+    Each datum g_n (phi_n for n < M, f_{n-M} after) must be materialized
+    to ``degree_envelope(...)[n]``, the largest degree of u_n that a
+    reported coefficient reads, so that every reported coefficient is
+    provable; ``u`` carries valid_degree = report_degree.  Step n is
+    computed to that degree only, and ``working`` is every step to it.
+    Every u_n is a ``MultiSeries`` in the arithmetic that holds the
     data and the operator's coefficients: each step sums g_n and its pieces
     c * D_z^alpha u_k (``ZKernel.diff``) as integers over one common
     denominator (or as floats), and no coefficient is decoded.  An exact
@@ -280,40 +272,30 @@ _Plan = namedtuple("_Plan", "arith pieces envelope span")
 
 
 def _plan(problem: CauchyProblem, n_max: int, report_degree: int) -> _Plan:
-    """The plan of a solve to t^n_max, after the checks that the problem's
-    data reach as far as the solve reads and that its mode holds every
-    coefficient (the problem itself is valid by construction)."""
-    spec = problem.spec
+    """The plan of a solve to t^n_max, after the checks that each datum g_n
+    the solve reads reaches ``degree_envelope(...)[n]`` and that the mode
+    holds every coefficient (the problem itself is valid by construction)."""
+    spec, M = problem.spec, problem.spec.M
     arith = arithmetic_of(*problem.initial, *problem.forcing.coeffs)
-    needed = degree_budget(spec, n_max, report_degree)
-
-    for j, phi in enumerate(problem.initial):
-        if phi.valid_degree < needed:
-            raise ValueError(
-                f"initial series {j} is materialized to degree {phi.valid_degree}; "
-                f"need {needed} (= report {report_degree} + {n_max}*{spec.max_alpha}) "
-                f"to report degree {report_degree} at n_max {n_max}"
-            )
-    if problem.forcing.n_max < n_max - spec.M:
+    if problem.forcing.n_max < n_max - M:
         raise ValueError(
             f"forcing is truncated at t^{problem.forcing.n_max}; "
-            f"need t^{n_max - spec.M} for n_max {n_max}"
+            f"need t^{n_max - M} for n_max {n_max}"
         )
-    for k in range(n_max - spec.M + 1):
-        fk = problem.forcing.coeffs[k]
-        need = degree_budget(spec, n_max, report_degree, k + spec.M)
-        if fk.valid_degree < need:
-            raise ValueError(
-                f"forcing coefficient {k} is materialized to degree "
-                f"{fk.valid_degree}; need {need}"
-            )
-
     pieces = _term_pieces(spec, n_max)
+    envelope = _envelope_walk(M, pieces, n_max, report_degree)
+    for n, need in enumerate(envelope):
+        g_n = problem.initial[n] if n < M else problem.forcing.coeffs[n - M]
+        if g_n.valid_degree < need:
+            name = f"initial series {n}" if n < M else f"forcing coefficient {n - M}"
+            raise ValueError(
+                f"{name} is materialized to degree {g_n.valid_degree}; need {need} "
+                f"to report degree {report_degree} at n_max {n_max}"
+            )
     for _, _, cs in pieces:
         for c in cs.values():
             to_number(c, arith.mode)   # a TypeError naming any coefficient the mode cannot hold
-    return _Plan(arith, pieces, _envelope_walk(spec.M, pieces, n_max, report_degree),
-                 max((p for _, _, cs in pieces for p in cs), default=0))
+    return _Plan(arith, pieces, envelope, max((p for _, _, cs in pieces for p in cs), default=0))
 
 
 def _numerator_bits(vec: list) -> int:
@@ -358,13 +340,12 @@ def _steps(problem: CauchyProblem, plan: _Plan, cone: Optional[list] = None,
         # u_n = m0(n-M)/m0(n) * (g_n - sum of c * m0(k)/m0(k-j) * D_z^alpha u_k),
         # every piece as integers over one common denominator
         g_n = problem.initial[n] if n < M else problem.forcing.coeffs[n - M]
-        vd = min(g_n.valid_degree, envelope[n])
+        vd = envelope[n]
         reads = []
         for j, alpha, cs in pieces:
             for p, c in cs.items():
                 if p <= n - j:
                     k = n - p
-                    vd = min(vd, kernel.degree(window[k].valid_degree, alpha))
                     scalar, s_den = arith.scalar(c * m0.ratio(k, k - j, mode))
                     d, d_den = dz(n, k, alpha)
                     reads.append((scalar, s_den * d_den, d))

@@ -47,7 +47,7 @@ from mpde.analysis import H_FROM_N, BoundWitness, RootCheck
 from mpde.operators import ZKernel, operator_numerators
 from mpde.precision import arithmetic, float_tolerance, table_key, to_mpf, to_number
 from mpde.series import arithmetic_of, indices_up_to
-from mpde.solver import degree_budget
+from mpde.solver import degree_envelope
 
 
 def time_series(coeffs) -> TimeSeries:
@@ -62,7 +62,15 @@ def zero_forcing(spec: OperatorSpec, n_max: int, report_degree: int = 0,
                  mode: str = "exact") -> TimeSeries:
     """A zero forcing materialized to the degrees solve_formal will demand."""
     return zero_time_series(max(0, n_max - spec.M), spec.dim,
-                            degree_budget(spec, n_max, report_degree, spec.M), mode)
+                            data_degrees(spec, n_max, report_degree)[1], mode)
+
+
+def data_degrees(spec: OperatorSpec, n_max: int, report_degree: int) -> tuple:
+    """(initial, forcing): the z-degrees to which a run to n_max reads the
+    initial series and the forcing, the largest ``degree_envelope`` of the
+    steps below M and of the steps from M on."""
+    envelope = degree_envelope(spec, n_max, report_degree)
+    return max(envelope[:spec.M]), max(envelope[spec.M:], default=report_degree)
 
 
 def truncate_series(f: MultiSeries, degree: int) -> MultiSeries:
@@ -313,7 +321,8 @@ def random_operator_spec(rng: random.Random, exact: bool = False, max_m: int = 3
 def random_problem(rng: random.Random, exact: bool = True, n_max: int = 8,
                    report_degree: int = 1, max_m: int = 2,
                    max_terms: int = 3):
-    """A random solvable Cauchy problem with a sufficient degree budget."""
+    """A random solvable Cauchy problem whose data reach every degree that
+    a run to n_max reads."""
     spec = random_operator_spec(rng, exact=exact, max_m=max_m, max_terms=max_terms)
     return random_data(rng, spec, exact, n_max, report_degree)
 
@@ -321,10 +330,10 @@ def random_problem(rng: random.Random, exact: bool = True, n_max: int = 8,
 def random_data(rng: random.Random, spec: OperatorSpec, exact: bool = True, n_max: int = 8,
                 report_degree: int = 1) -> CauchyProblem:
     """The Cauchy problem of ``spec`` with random initial data and forcing,
-    materialized to the degree budget."""
+    materialized to the degrees that a run to n_max reads."""
     mode = "exact" if exact else "float"
     dim = spec.dim
-    full = degree_budget(spec, n_max, report_degree)
+    full, fdeg = data_degrees(spec, n_max, report_degree)
     initial = []
     for _ in range(spec.M):
         choice = rng.choice(["geometric", "sparse", "zero"])
@@ -341,7 +350,6 @@ def random_data(rng: random.Random, spec: OperatorSpec, exact: bool = True, n_ma
         else:
             initial.append(zero_series(dim, full, mode))
     n_top = max(0, n_max - spec.M)
-    fdeg = degree_budget(spec, n_max, report_degree, spec.M)
     fcoeffs = []
     for _ in range(n_top + 1):
         alpha = tuple(rng.randint(0, 1) for _ in range(dim))

@@ -41,6 +41,7 @@ from mpde.series import indices_up_to
 from helpers import (
     ORDERS_ANY,
     bruteforce_hull_vertices,
+    data_degrees,
     dependency_cone_reference,
     heat_solution_oracle,
     on_cone,
@@ -208,7 +209,7 @@ def test_criterion_6_borel_round_trip(precision_module):
             coeff = tuple([Fraction(0)] * ord_t + [Fraction(rng.randint(-2, 2) or 1)])
             terms.append(OperatorTerm(j=j, alpha=alpha, coeff=coeff))
         spec = OperatorSpec(M=big_m, m0=G1, m=m, terms=tuple(terms))
-        full = n_max * spec.max_alpha
+        full = data_degrees(spec, n_max, 0)[0]
         initial = tuple(
             generator_series("geometric", dim, full, ratio=Fraction(1, 2))
             for _ in range(big_m))

@@ -1,6 +1,7 @@
 """The kernel arithmetics: real float mode on raw ``mpmath.libmp`` tuples
 computes, bit for bit, what the mpf objects compute.  Every coefficient is
-exact or real: any other value ends in one ``TypeError`` naming it."""
+exact or real: any other value ends in one ``TypeError`` naming it, and a
+string with a zero denominator in one ``ValueError`` naming it."""
 
 import re
 from fractions import Fraction
@@ -13,7 +14,7 @@ from mpmath.libmp import fzero
 
 from mpde import (CauchyProblem, OperatorSpec, OperatorTerm, gamma_moment, make_series,
                   series_scale, solve_formal, zero_series)
-from mpde.precision import EXACT, arithmetic
+from mpde.precision import EXACT, arithmetic, to_number
 
 from helpers import zero_forcing
 
@@ -183,3 +184,19 @@ def test_complex_value_is_one_type_error_naming_it(value):
                              forcing=zero_forcing(spec, 4, 0, mode))
         with pytest.raises(TypeError, match=named):
             solve_formal(prob, 4, 0)
+
+
+# each call that reads a coefficient string
+ZERO_DENOMINATOR_READS = {
+    "to_number_exact": lambda: to_number("1/0", "exact"),
+    "to_number_float": lambda: to_number("1/0", "float"),
+    "operator_term": lambda: OperatorTerm(j=0, alpha=(1,), coeff=("1/0",)),
+    "make_series": lambda: make_series(1, {(0,): "1/0"}, 0),
+}
+
+
+@pytest.mark.parametrize("read", ZERO_DENOMINATOR_READS.values(),
+                         ids=ZERO_DENOMINATOR_READS.keys())
+def test_zero_denominator_string_is_one_value_error_naming_it(read):
+    with pytest.raises(ValueError, match=re.escape("'1/0'")):
+        read()

@@ -101,12 +101,14 @@ WORKING_DEGREES = {
 
 
 # report.json's exact_bits of the shipped runs: the bit growth of the exact
-# direct solve under solver.REDUCE_BITS (null in float mode)
+# direct solve under solver.REDUCE_BITS (null in float mode); product2d's u_0
+# is its initial series over 2^40, built to the envelope degree 40, so step 0
+# stays within REDUCE_BITS
 EXACT_BITS = {
     "heat": {"numerator_max": 1723, "denominator_max": 65, "reduced_steps": 18},
     "fractional": None,
     "pure_ode": {"numerator_max": 1, "denominator_max": 8, "reduced_steps": 0},
-    "product2d": {"numerator_max": 238, "denominator_max": 138, "reduced_steps": 8},
+    "product2d": {"numerator_max": 238, "denominator_max": 138, "reduced_steps": 7},
 }
 
 
@@ -393,7 +395,8 @@ class TestMajorantFirst:
 
 class TestRecurrencePlan:
     """Each solve of ``pipeline.run`` builds one read plan: each term's
-    shifted coefficients once and the degree envelope in one walk; the run
+    shifted coefficients once and the degree envelope in one walk; the
+    materialization of the data walks the envelope once more, and the run
     walks the dependency cone once, for the majorant, and drops it before
     the direct solve."""
 
@@ -431,7 +434,7 @@ class TestRecurrencePlan:
         spec_file = parse_problem_file(path)
         result = pipeline.run(spec_file)
         terms = len(spec_file.operator.terms)
-        assert calls == Counter(_shifted_coefficients=2 * terms, _envelope_walk=2, _cone_walk=1)
+        assert calls == Counter(_shifted_coefficients=3 * terms, _envelope_walk=3, _cone_walk=1)
         assert cones[1:] == [True]
         assert result.growth.verdict == "consistent"
 
@@ -889,10 +892,6 @@ GENERATOR_ERRORS = {
         _set_data(PRODUCT2D, "initial", [{"kind": "polynomial", "coeffs": ["1", "2"]}]),
         "data.initial[0]"),
     "fractional_sigma_exact": (_set_data(HEAT, "initial", [GEVREY_HALF]), "data.initial[0]"),
-    # degree 25 against the budget 2 * 12 of --n-max 12
-    "polynomial_longer_than_budget": (
-        _set_data(HEAT, "initial", [{"kind": "polynomial", "coeffs": ["1"] * 26}]),
-        "data.initial[0]"),
     "negative_sigma": (
         _set_data(HEAT, "initial", [{"kind": "gevrey_factorial", "sigma": "-1"}]),
         "data.initial[0]"),
@@ -953,16 +952,23 @@ INPUT_ERRORS = {
     "all_zero_coeff": (_edited_heat(_add_term({"j": 0, "alpha": [1], "coeff": ["0", "0"]})),
                        "operator.terms[1].coeff",
                        "no t-coefficient is nonzero, so the term adds nothing"),
-    # alpha 60 against the budget 2 * 12 of --n-max 12
-    "initial_term_past_budget": (
+    # entries past the degree 24 that heat reads at --n-max 12, checked but not kept
+    "initial_term_wrong_length_past_read_degree": (
         _edited_heat(_set(("data", "initial"), [{"kind": "terms", "terms": [
-            {"alpha": [60], "value": "1"}]}])),
-        "data.initial[0].terms[0].alpha", "index (60,) exceeds the degree budget 24"),
-    # alpha 60 against the forcing's budget 2 * (12 - M) at step M = 1
-    "forcing_term_past_budget": (
+            {"alpha": [60, 0], "value": "1"}]}])),
+        "data.initial[0].terms[0].alpha", "must be a list of 1 integers, got [60, 0]"),
+    "forcing_term_negative_past_read_degree": (
         _edited_heat(_set(("data", "forcing"), {"kind": "terms", "terms": [
-            {"n": 0, "alpha": [60], "value": "1"}]})),
-        "data.forcing.terms[0].alpha", "index (60,) exceeds the degree budget 22"),
+            {"n": 0, "alpha": [-60], "value": "1"}]})),
+        "data.forcing.terms[0].alpha[0]", "must be an integer >= 0, got -60"),
+    "initial_term_bad_value_past_read_degree": (
+        _edited_heat(_set(("data", "initial"), [{"kind": "terms", "terms": [
+            {"alpha": [60], "value": "x"}]}])),
+        "data.initial[0].terms[0].value", "cannot parse 'x' as a rational ('p/q')"),
+    "polynomial_bad_value_past_read_degree": (
+        _edited_heat(_set(("data", "initial"), [{"kind": "polynomial",
+                                                 "coeffs": ["1"] * 30 + ["1/0"]}])),
+        "data.initial[0].coeffs[30]", "cannot parse '1/0' as a rational ('p/q')"),
     "name_number": (_edited_heat(_set(("name",), 5)), "name", "must be a string, got 5"),
 }
 
@@ -1005,8 +1011,38 @@ class TestGeneratorErrors:
         assert err == f"error: {field}: {message}\n"
 
 
+def _initial_terms(*alphas) -> list:
+    return [{"kind": "terms", "terms": [{"alpha": [a], "value": "1"} for a in alphas]}]
+
+
+def _forcing_terms(*alphas) -> dict:
+    return {"kind": "terms", "terms": [{"n": 0, "alpha": [a], "value": "1"} for a in alphas]}
+
+
+# (data field of heat.json, its value, the value with one more entry past the
+# degree that --n-max 12 reads: 24 for the initial series, 22 for the forcing)
+PAST_READ_DEGREE = {
+    "initial_term": ("initial", _initial_terms(0, 1), _initial_terms(0, 1, 60)),
+    "forcing_term": ("forcing", _forcing_terms(0), _forcing_terms(0, 60)),
+    "polynomial_degree_30": ("initial", [{"kind": "polynomial", "coeffs": ["1"] * 25}],
+                             [{"kind": "polynomial", "coeffs": ["1"] * 31}]),
+}
+
+
 class TestDataKinds:
     """Data descriptors that no shipped problem uses, run or materialized."""
+
+    @pytest.mark.parametrize("field, value, past", PAST_READ_DEGREE.values(),
+                             ids=PAST_READ_DEGREE.keys())
+    def test_entry_past_the_read_degree_checked_not_kept(self, tmp_path, field, value, past):
+        artifacts = []
+        for k, data in enumerate((value, past)):
+            spec, out = tmp_path / f"{k}.json", tmp_path / f"out{k}"
+            spec.write_text(json.dumps(_set_data(HEAT, field, data)))
+            assert main(["run", str(spec), "--out", str(out), "--n-max", "12", "--quiet"]) == 0
+            artifacts.append({name: read(out / name) for name in
+                              ("report.json", "coeffs.csv", "bounds.csv", "polygon.svg")})
+        assert artifacts[0] == artifacts[1]
 
     def test_zero_initial_data(self, tmp_path):
         spec = tmp_path / "zero.json"

@@ -34,7 +34,6 @@ KEPT = {
     "moments:MomentFunction.value": "bench contract: bench/layers.py wraps it by name",
     "problemspec:_fail": "error path: a malformed problem file",
     "cli:_Parser.error": "error path: a command line that argparse rejects",
-    "solver:degree_envelope": "documented contract that tests check: the degrees a step holds",
     "solver:dependency_cone": "documented contract that tests check: the majorant's cone",
     "series:MultiSeries.coefficient": "documented contract that tests check: one coefficient",
     "series:MultiSeries.__eq__": "documented contract that tests check: equality by value",

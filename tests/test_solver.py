@@ -33,12 +33,12 @@ from mpde.operators import operator_numerators
 from mpde.precision import float_tolerance, to_number
 from mpde.problemspec import materialize_problem, parse_problem_file
 from mpde.series import arithmetic_of, graded_rank, indices_up_to
-from mpde.solver import (REDUCE_BITS, degree_budget, degree_envelope, dependency_cone,
-                         space_borel_quotients)
-from helpers import (dependency_cone_reference, exact_values_read, heat_solution_oracle, on_cone,
-                     random_data, random_operator_spec, random_problem, rational_ratio_moments,
-                     residual_max_relative_two_pass, series_equal, solve_formal_reference,
-                     time_series, zero_forcing, zero_time_series)
+from mpde.solver import REDUCE_BITS, degree_envelope, dependency_cone, space_borel_quotients
+from helpers import (data_degrees, dependency_cone_reference, exact_values_read,
+                     heat_solution_oracle, on_cone, random_data, random_operator_spec,
+                     random_problem, rational_ratio_moments, residual_max_relative_two_pass,
+                     series_equal, solve_formal_reference, time_series, zero_forcing,
+                     zero_time_series)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -218,13 +218,6 @@ class TestSolveFormal:
         bad = solve_formal_reference(prob, n_max, drop_boundary=True)
         assert residual_max_relative(prob, bad) > 0
 
-    def test_insufficient_degree_budget_rejected(self):
-        spec = heat_problem(4).spec
-        phi = generator_series("geometric", 1, 4, ratio=1)
-        prob = CauchyProblem(spec=spec, initial=(phi,), forcing=zero_forcing(spec, 4))
-        with pytest.raises(ValueError, match="degree"):
-            solve_formal(prob, 4, 0)
-
     def test_report_degree_uniform(self):
         prob = heat_problem(6, report_degree=3)
         sol = solve_formal(prob, 6, 3)
@@ -366,14 +359,14 @@ def oracle_problem(terms, M, m, mode, n_max, m0=G1, report_degree=0):
         OperatorTerm(j=t.j, alpha=t.alpha, coeff=tuple(to_number(c, mode) for c in t.coeff))
         for t in terms)
     spec = OperatorSpec(M=M, m0=m0, m=m, terms=terms)
-    full = report_degree + n_max * spec.max_alpha
+    full, f_full = data_degrees(spec, n_max, report_degree)
     initial = tuple(generator_series("geometric", spec.dim, full, mode,
                                      ratio=Fraction(1, j + 2) * (-1) ** j) for j in range(M))
     space = make_series(spec.dim, {(0,) * spec.dim: 1, (1,) + (0,) * (spec.dim - 1): -2},
-                        full, mode)
+                        f_full, mode)
     forcing = TimeSeries(tuple(make_series(spec.dim, {a: Fraction(1, 3) ** k * v
                                                       for a, v in space.coeffs.items()},
-                                           full, mode)
+                                           f_full, mode)
                                for k in range(n_max - M + 1)))
     return CauchyProblem(spec=spec, initial=initial, forcing=forcing)
 
@@ -421,7 +414,7 @@ def sparse_problem(case, mode, n_max, report_degree=2):
     M, m0, m, terms = ORACLE_CASES[case]
     prob = oracle_problem(terms, M, m, mode, n_max, m0=m0, report_degree=report_degree)
     spec = prob.spec
-    full = report_degree + n_max * spec.max_alpha
+    full = data_degrees(spec, n_max, report_degree)[0]
     if spec.dim == 1:
         tables = [{(0,): 1, (1,): -2, (2,): 3}, {(2,): Fraction(1, 2)}]
     else:
@@ -602,7 +595,7 @@ def cone_problems(mode):
 def cone_indices(spec, n_max, degree) -> list:
     """``dependency_cone`` with each step's graded ranks as a set of indices."""
     cone = dependency_cone(spec, n_max, degree)
-    indices = list(indices_up_to(spec.dim, degree_budget(spec, n_max, degree)))
+    indices = list(indices_up_to(spec.dim, max(degree_envelope(spec, n_max, degree))))
     return [{indices[r] for r in ranks} for ranks in cone]
 
 
@@ -653,8 +646,7 @@ class TestDependencyCone:
         ("product2d", 4410), ("heat", 20301), ("fractional", 20301), ("pure_ode", 201)])
     def test_shipped_cone_sizes(self, name, stored):
         # a deterministic work count: the direct solve computes 12,341
-        # coefficients on product2d (77,981 to the full degree budget) and
-        # 40,401 on heat and fractional
+        # coefficients on product2d and 40,401 on heat and fractional
         spec_file = parse_problem_file(PROBLEMS / f"{name}.json")
         cfg = spec_file.run
         with mpmath.workprec(cfg.precision_bits):
@@ -673,16 +665,17 @@ class TestDependencyCone:
 def slow_term_problems(draw):
     """(problem, n_max, report_degree): a ``random_data`` problem whose
     ``random_operator_spec`` gains one or two drawn terms at t-shift p >= 2,
-    the first with |alpha| one above the spec's max|alpha|: its |alpha|/p
-    falls below the new max|alpha|, so the envelope sits strictly below the
-    degree budget."""
+    the first with |alpha| one above every |alpha| of the spec: its
+    |alpha|/p falls below the new largest |alpha|, so at step n_max - 1 the
+    envelope sits below report_degree + (n_max - n) * max|alpha|."""
     exact = draw(st.booleans(), label="exact")
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     spec = random_operator_spec(rng, exact=exact, max_m=2, max_terms=3)
     seen = {(t.j, t.alpha) for t in spec.terms}
+    top = max((sum(t.alpha) for t in spec.terms), default=0)
     terms = []
     for k in range(draw(st.integers(1, 2))):
-        order = spec.max_alpha + 1 if k == 0 else draw(st.integers(1, spec.max_alpha + 1))
+        order = top + 1 if k == 0 else draw(st.integers(1, top + 1))
         head = draw(st.integers(0, order)) if spec.dim == 2 else order
         alpha = (head, order - head)[:spec.dim]
         j = draw(st.integers(0, spec.M))
@@ -707,10 +700,7 @@ class TestDegreeEnvelope:
         spec = prob.spec
         envelope = degree_envelope(spec, n_max, degree)
         cone = dependency_cone_reference(spec, n_max, degree)
-        budgets = [degree_budget(spec, n_max, degree, n) for n in range(n_max + 1)]
         assert envelope == [max(map(sum, indices)) for indices in cone]
-        assert all(e <= b for e, b in zip(envelope, budgets))
-        assert envelope[n_max - 1] < budgets[n_max - 1]
 
         sol = solve_formal(prob, n_max, degree)
         assert list(sol.valid_degrees) == envelope
@@ -725,6 +715,31 @@ class TestDegreeEnvelope:
         via = solve_via_borel(prob, n_max, degree)
         assert list(via.valid_degrees) == envelope
         assert all(map(series_equal, sol.u.coeffs, via.u.coeffs))
+
+    # (ORACLE_CASES operator, step n whose datum g_n is one degree short):
+    # leading_zeros is product2d's, whose envelope is report + n_max - n
+    @pytest.mark.parametrize("case, n", [("leading_zeros", 0), ("m2_j1", 1),
+                                         ("leading_zeros", 5), ("m2_j1", 8)])
+    def test_datum_one_degree_short_rejected(self, case, n):
+        M, m0, m, terms = ORACLE_CASES[case]
+        prob = oracle_problem(terms, M, m, "exact", 8, m0=m0, report_degree=1)
+        need = degree_envelope(prob.spec, 8, 1)[n]
+        initial, forcing = list(prob.initial), list(prob.forcing.coeffs)
+        data, k, name = ((initial, n, f"initial series {n}") if n < M
+                         else (forcing, n - M, f"forcing coefficient {n - M}"))
+        data[k] = data[k].truncated(need - 1)
+        short = CauchyProblem(spec=prob.spec, initial=initial, forcing=TimeSeries(tuple(forcing)))
+        for solve in (solve_formal, solve_majorant):
+            with pytest.raises(ValueError) as info:
+                solve(short, 8, 1)
+            assert str(info.value) == (f"{name} is materialized to degree {need - 1}; "
+                                       f"need {need} to report degree 1 at n_max 8")
+
+    def test_product2d_data_end_at_the_envelope(self):
+        prob = materialize_problem(parse_problem_file(PROBLEMS / "product2d.json"))
+        (phi,) = prob.initial
+        assert (phi.valid_degree, len(phi.vec)) == (40, 861)
+        assert {f_k.valid_degree for f_k in prob.forcing.coeffs} == {39}
 
 
 # the ORACLE_CASES operators whose moment ratios or coefficients are

@@ -667,7 +667,7 @@ def slow_term_problems(draw):
     ``random_operator_spec`` gains one or two drawn terms at t-shift p >= 2,
     the first with |alpha| one above every |alpha| of the spec: its
     |alpha|/p falls below the new largest |alpha|, so at step n_max - 1 the
-    envelope sits below report_degree + (n_max - n) * max|alpha|."""
+    envelope sits below report_degree + max|alpha|."""
     exact = draw(st.booleans(), label="exact")
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     spec = random_operator_spec(rng, exact=exact, max_m=2, max_terms=3)

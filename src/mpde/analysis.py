@@ -1,13 +1,18 @@
 """Growth-rate evidence: coefficient bound sequences, Gevrey-order fitting,
 bound-constant extraction, and the moment-derivative bound probe.
 
-The growth checks read ``log_bounds(b)`` (log b_n at run precision, None
-where b_n = 0), made once per sequence.  The two root tests report only
-maxima, so they screen every root in floats (``float(log b_n)`` and
-``math.lgamma``) and take at run precision only the logs that can be the
-largest, then one ``mpmath.exp`` per reported value; one table of log n!,
-floats plus the run-precision values the candidates ask for, serves both
-per report.  The fit inverts the growth law b_n ~ C * H^n * Gamma(1 + s*n)
+The growth checks read ``log_bounds(b)``, made once per sequence: per bound
+the float ``approx[n]``, equal bit for bit to float(log b_n at run
+precision) (None where b_n = 0), and the run-precision log itself, taken
+and kept only when a check reads item n.  Each float comes from a 128-bit
+fixed-point log of the bound's integer parts, used when its proven
+interval rounds to one double, and otherwise from the run-precision log.
+The fit reads only the floats.  The two root tests report only maxima, so
+they screen every root in floats (``approx`` and ``math.lgamma``) and read
+at run precision only the logs that can be the largest, then take one
+``mpmath.exp`` per reported value; one table of log n!, floats plus the
+run-precision values the candidates ask for, serves both per report.  The
+fit inverts the growth law b_n ~ C * H^n * Gamma(1 + s*n)
 by least squares on log b_n against [1, n, logGamma(n+1)]; using logGamma as the
 third column absorbs Stirling's lower-order terms into the model instead of
 the residual.  Three columns and a few hundred rows at most: the fit is a
@@ -17,13 +22,16 @@ modified Gram-Schmidt QR in plain floats.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import ln2_fixed
 
 from .moments import MomentFunction
 from .precision import to_mpf
@@ -32,6 +40,11 @@ from .operators import TimeSeries, moment_diff_z
 
 # the first n whose root enters the witness H of verify_gevrey_bound
 H_FROM_N = 5
+
+# the fixed-point logs of log_bounds: _FIX fractional bits, and log2 of the
+# argument reduced by a power 2^(k / 2^_STEPS) to within 2^-(_STEPS + 1)
+_FIX = 128
+_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -91,9 +104,139 @@ def _log_positive(value) -> Optional[mpf]:
     return mpmath.log(to_mpf(value))
 
 
-def log_bounds(b: Sequence) -> list:
-    """log b_n for each bound, or None where b_n <= 0."""
-    return [_log_positive(v) for v in b]
+@lru_cache(maxsize=None)
+def _root_of_two(i: int) -> int:
+    """2^(2^-i) * 2^_FIX, at most 2 below (each square root halves the
+    error it is given and floors)."""
+    return 2 << _FIX if i == 0 else math.isqrt(_root_of_two(i - 1) << _FIX)
+
+
+@lru_cache(maxsize=None)
+def _power_of_two(k: int) -> int:
+    """2^(k / 2^_STEPS) * 2^_FIX for 0 <= k <= 2^_STEPS, within a relative
+    3 (_STEPS + 1) 2^-_FIX: a product of at most _STEPS + 1 roots of two,
+    each within 2 units and each product floored."""
+    c = 1 << _FIX
+    for j in range(_STEPS + 1):
+        if k >> j & 1:
+            c = c * _root_of_two(_STEPS - j) >> _FIX
+    return c
+
+
+def _fixed_log(num: int, den: int, exp2: int) -> tuple:
+    """(L, err) with log(num / den * 2^exp2) within err of L, both in units
+    of 2^-_FIX, for positive integers num and den.
+
+    The quotient is y * 2^(e - _FIX) * (1 + delta) with y in [2^_FIX,
+    2^(_FIX + 1)) and 0 <= delta < 2^(1 - _FIX), so log(1 + delta) < 2 units.
+    With c = ``_power_of_two(k)`` for the k nearest 2^_STEPS log2(y / 2^_FIX),
+    log y = k ln 2 / 2^_STEPS + log(y / c) (c's error adds 30 units) and
+    log(y / c) = 2 atanh(v), v = (y - c) / (y + c) and |v| < 2^-10.  The
+    floored v, its square, each term of the series and its quotient are
+    within 1 unit each, the unsummed tail is below 1 unit, and there are at
+    most 7 terms: 2 atanh(v) is within 40 units.  ln 2 is within 2 units, so
+    its multiples add 3 + 2 |e|.  256 + 2 |e| covers the sum.
+    """
+    shift = _FIX + 1 - num.bit_length() + den.bit_length()
+    q = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    extra = q.bit_length() - _FIX - 1
+    y, e = q >> extra, exp2 + _FIX + extra - shift
+    k = round(math.log2(y / (1 << _FIX)) * (1 << _STEPS))
+    c = _power_of_two(k)
+    v = ((y - c) << _FIX) // (y + c)
+    v_abs = abs(v)
+    v2 = v_abs * v_abs >> _FIX
+    s = term = v_abs
+    j = 1
+    while term:
+        term = term * v2 >> _FIX
+        j += 2
+        s += term // j
+    ln2 = ln2_fixed(_FIX)
+    return (2 * s if v >= 0 else -2 * s) + (k * ln2 >> _STEPS) + e * ln2, 256 + 2 * abs(e)
+
+
+def _float_log(value, prec: int) -> Optional[float]:
+    """float(_log_positive(value)) at precision prec for a positive int,
+    Fraction or finite mpf, when the fixed-point log settles it; else None.
+
+    The run-precision log rounds num and den (2^-prec relative each), takes
+    two logs (within 2 ulps each) and subtracts (half an ulp): it lies
+    within 2^(3 - prec) (|log num| + |log den| + 1) of the exact log, and
+    bits(num) + bits(den) bounds |log num| + |log den|.  An mpf is one log of
+    man * 2^exp.  When both ends of the interval round to one double, every
+    value inside does, the run-precision log included.  A value of 1 has the
+    log 0 exactly.
+    """
+    if isinstance(value, mpf):
+        _, num, exp2, bits = value._mpf_
+        if not num:
+            return None
+        den, size = 1, bits + abs(exp2)
+    elif isinstance(value, (int, Fraction)):
+        num, den, exp2 = value.numerator, value.denominator, 0
+        size = num.bit_length() + den.bit_length()
+    else:
+        return None
+    if num == den and not exp2:     # log 1 is 0 at every precision
+        return 0.0
+    log, err = _fixed_log(num, den, exp2)
+    err += (((size + 1) << (_FIX + 3)) >> prec) + 1
+    lo, hi = (log - err) / (1 << _FIX), (log + err) / (1 << _FIX)
+    return lo if lo == hi else None
+
+
+class LogBounds(Sequence):
+    """log b_n of a bound sequence.  ``approx[n]`` is float(log b_n) or None
+    where b_n <= 0; item n is log b_n itself (or None), made by ``exact(n)``
+    the first time it is read and kept.  ``known`` holds items made already."""
+
+    def __init__(self, approx: list, exact: Callable, known: Optional[dict] = None):
+        self.approx = approx
+        self._exact = exact
+        self._known = {} if known is None else known
+
+    def __len__(self):
+        return len(self.approx)
+
+    def __getitem__(self, n):
+        if self.approx[n] is None:
+            return None
+        if n not in self._known:
+            self._known[n] = self._exact(n)
+        return self._known[n]
+
+
+def _as_logs(logb) -> LogBounds:
+    """``logb`` itself if it is a LogBounds, else its plain list of logs
+    (None for b_n <= 0) read through one."""
+    if isinstance(logb, LogBounds):
+        return logb
+    logs = list(logb)
+    return LogBounds([None if v is None else float(v) for v in logs], logs.__getitem__)
+
+
+def log_bounds(b: Sequence) -> LogBounds:
+    """log b_n for each bound at the current precision, or None where b_n <= 0:
+    the floats now, each run-precision log when it is first read (now too
+    where the fixed-point log does not settle its float)."""
+    bounds, prec = list(b), mpmath.mp.prec
+    approx, known = [], {}
+    for n, value in enumerate(bounds):
+        if value <= 0:
+            approx.append(None)
+            continue
+        guess = _float_log(value, prec)
+        if guess is None:
+            known[n] = _log_positive(value)
+            guess = float(known[n])
+        approx.append(guess)
+
+    def exact(n):
+        with mpmath.workprec(prec):
+            return _log_positive(bounds[n])
+
+    return LogBounds(approx, exact, known)
 
 
 def fit_gevrey_order(logb: Sequence, window: tuple) -> FitResult:
@@ -107,19 +250,20 @@ def fit_gevrey_order(logb: Sequence, window: tuple) -> FitResult:
     R's last column is Q^T y, what is left of y the residual, and 1/r_22^2
     the last diagonal entry of (X^T X)^-1 = R^-1 R^-T.
     """
+    approx = _as_logs(logb).approx
     lo, hi = int(window[0]), int(window[1])
     if hi - lo + 1 < 8:
         raise ValueError(f"fit window [{lo}, {hi}] is shorter than 8 points")
-    if hi > len(logb) - 1:
-        raise ValueError(f"window end {hi} exceeds the bound sequence (n_max {len(logb) - 1})")
-    used = [n for n in range(lo, hi + 1) if logb[n] is not None]
+    if hi > len(approx) - 1:
+        raise ValueError(f"window end {hi} exceeds the bound sequence (n_max {len(approx) - 1})")
+    used = [n for n in range(lo, hi + 1) if approx[n] is not None]
     zero_count = hi - lo + 1 - len(used)
     if len(used) < 8:
         return FitResult(float("nan"), float("nan"), float("nan"), float("inf"),
                          ok=False, n_used=len(used), zero_count=zero_count,
                          window=(lo, hi), note="fewer than 8 usable points")
     cols = [[1.0] * len(used), [float(n) for n in used],
-            [math.lgamma(n + 1) for n in used], [float(logb[n]) for n in used]]
+            [math.lgamma(n + 1) for n in used], [approx[n] for n in used]]
     r = [[0.0] * 4 for _ in range(3)]
     for k in range(3):
         r[k][k] = math.hypot(*cols[k])
@@ -200,15 +344,16 @@ def verify_gevrey_bound(logb: Sequence, s, n_range: Optional[tuple] = None,
     if s < 0:
         raise ValueError(f"Gevrey order must be >= 0, got {s}")
     sf, s_float = to_mpf(s), float(s)
+    logb = _as_logs(logb)
+    lbf = logb.approx
     lo, hi = ((1, len(logb) - 1) if n_range is None
               else (max(1, n_range[0]), min(n_range[1], len(logb) - 1)))
     if lg is None:
         lg = _LogFactorials(hi)
-    all_ns = [n for n in range(hi + 1) if logb[n] is not None]
+    all_ns = [n for n in range(hi + 1) if lbf[n] is not None]
     ns = [n for n in all_ns if n >= lo]
     if not ns:
         return BoundWitness(order=s, H=mpf(0), C=mpf(0), bounded=True)
-    lbf = {n: float(logb[n]) for n in all_ns}
     root_terms = [(lbf[n] / n, -s_float * lg.approx[n] / n) for n in ns]
 
     def root(n):
@@ -240,11 +385,13 @@ def intermediate_bound_roots(logb: Sequence, M: int, s0, inv_k1, window: tuple,
     d = M * s0 + inv_k1
     df, d_float = to_mpf(d), float(d)
     ms0, ms0_float = to_mpf(M * s0), float(M * s0)
+    logb = _as_logs(logb)
+    lbf = logb.approx
     lo, hi = max(1, window[0]), min(window[1], len(logb) - 1)
     if lg is None:
         lg = _LogFactorials(hi)
-    ns = [n for n in range(lo, hi + 1) if logb[n] is not None]
-    approx = [(float(logb[n]) / n, ms0_float * lg.approx[n] / n,
+    ns = [n for n in range(lo, hi + 1) if lbf[n] is not None]
+    approx = [(lbf[n] / n, ms0_float * lg.approx[n] / n,
                -math.lgamma(1 + d_float * n) / n) for n in ns]
     bounded, tail_max, middle_max = _third_peaks(
         ns, approx, lambda n: (logb[n] + ms0 * lg.exact(n) - mpmath.loggamma(1 + df * n)) / n)

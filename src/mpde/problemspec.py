@@ -351,20 +351,23 @@ def _materialize_generator(desc: dict, dim: int, degree: int, mode: str, path: s
         _fail(path, str(e))
 
 
-def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: str,
+def _materialize_forcing(desc: dict, dim: int, degrees: list, mode: str,
                          path: str) -> TimeSeries:
+    """The forcing to t^(len(degrees) - 1), coefficient k to degrees[k]."""
     kind = _get(desc, "kind", path)
+    n_top = len(degrees) - 1
     if kind == "zero":
         _only(desc, path, "kind")
-        return TimeSeries((zero_series(dim, degree, mode),) * (n_top + 1))
+        return TimeSeries(tuple(zero_series(dim, degree, mode) for degree in degrees))
     if kind == "time_geometric":
         _only(desc, path, "kind", "ratio", "space")
         ratio = _parse_value(_get(desc, "ratio", path), mode, f"{path}.ratio")
         space_desc = desc.get("space", {"kind": "terms",
                                         "terms": [{"alpha": [0] * dim, "value": "1"}]})
-        space = _materialize_generator(space_desc, dim, degree, mode, f"{path}.space")
+        space = _materialize_generator(space_desc, dim, max(degrees), mode, f"{path}.space")
         c = to_number(ratio, mode)
-        return TimeSeries(tuple(series_scale(space, c ** k) for k in range(n_top + 1)))
+        return TimeSeries(tuple(series_scale(space.truncated(degree), c ** k)
+                                for k, degree in enumerate(degrees)))
     if kind == "terms":
         _only(desc, path, "kind", "terms")
         tables: dict = {}
@@ -375,33 +378,35 @@ def _materialize_forcing(desc: dict, dim: int, n_top: int, degree: int, mode: st
             alpha = _parse_index(_get(entry, "alpha", where), dim, f"{where}.alpha")
             value = _parse_value(_get(entry, "value", where), mode, f"{where}.value")
             # an entry past the last order or the degree the run reads is checked, not kept
-            if n <= n_top and sum(alpha) <= degree:
+            if n <= n_top and sum(alpha) <= degrees[n]:
                 tables.setdefault(n, {})[alpha] = value
-        out = []
-        for n in range(n_top + 1):
-            out.append(make_series(dim, tables.get(n, {}), degree, mode))
-        return TimeSeries(tuple(out))
+        return TimeSeries(tuple(make_series(dim, tables.get(n, {}), degree, mode)
+                                for n, degree in enumerate(degrees)))
     _fail(path, f"unknown forcing kind {kind!r}")
 
 
 def materialize_problem(spec_file: ProblemSpecFile) -> CauchyProblem:
     """Build the CauchyProblem to the degrees that the run reads.
 
-    Every initial series is materialized to the largest
-    ``solver.degree_envelope`` of the steps below M, and every forcing
-    coefficient to the largest of the steps from M on (the report degree if
-    the run reads none).
+    Each datum g_n, the initial series n for n < M and the forcing
+    coefficient n - M after, is materialized to its own
+    ``solver.degree_envelope`` entry, envelope[n]; a datum past n_max, which
+    no step reads, to the report degree.
     """
     run = spec_file.run
     op = spec_file.operator
     dim = op.dim
     envelope = degree_envelope(op, run.n_max, run.report_degree)
+
+    def degree(n):
+        return envelope[n] if n < len(envelope) else run.report_degree
+
     initial = tuple(
-        _materialize_generator(desc, dim, max(envelope[:op.M]), run.mode, f"data.initial[{j}]")
+        _materialize_generator(desc, dim, degree(j), run.mode, f"data.initial[{j}]")
         for j, desc in enumerate(spec_file.initial_descriptors)
     )
     n_top = max(0, run.n_max - op.M)
-    forcing = _materialize_forcing(spec_file.forcing_descriptor, dim, n_top,
-                                   max(envelope[op.M:], default=run.report_degree),
+    forcing = _materialize_forcing(spec_file.forcing_descriptor, dim,
+                                   [degree(k + op.M) for k in range(n_top + 1)],
                                    run.mode, "data.forcing")
     return CauchyProblem(spec=op, initial=initial, forcing=forcing)

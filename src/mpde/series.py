@@ -32,11 +32,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import fzero, mpf_abs, mpf_add, mpf_mul, mpf_pow_int, round_nearest
 
 from .precision import Arithmetic, arithmetic, float_tolerance, to_mpf, to_number
 
@@ -269,35 +270,75 @@ def series_scale(f: MultiSeries, scalar) -> MultiSeries:
     return _reduced(f.dim, arith, arith.scale(c, f.vec), f.den * c_den, f.valid_degree)
 
 
+def _degrees(dim: int):
+    """The total degree of each graded rank, in rank order, without end."""
+    d = 0
+    while True:
+        yield from repeat(d, math.comb(d + dim - 1, dim - 1))
+        d += 1
+
+
 def sup_bound(f: MultiSeries, r):
     """Sum |f_alpha| r^{|alpha|} over stored coefficients up to valid_degree,
     in graded order.
 
     Upper-bounds the sup of the truncated series over the closed polydisc of
-    radius r; exact when coefficients and r are rational.
+    radius r; exact when coefficients and r are rational.  It reads the
+    elements: an exact series and r = p/q give one Fraction, the sum of
+    |x_alpha| p^|alpha| q^(D - |alpha|) over den q^D, D the degree of the
+    last stored element; otherwise each nonzero value, as an mpf, is taken
+    absolute, times r^|alpha| and added, rounding as mpf operations do.
     """
     r = Fraction(r) if isinstance(r, (int, Fraction)) else to_mpf(r)
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    exact = f.mode == "exact" and isinstance(r, Fraction)
-    r, total = (r, Fraction(0)) if exact else (to_mpf(r), mpf(0))
-    for alpha, v in f.coeffs.items():
-        total += abs(v if exact else to_mpf(v)) * r ** sum(alpha)
-    return total
+    vec, dim = f.vec, f.dim
+    if f.mode == "exact" and isinstance(r, Fraction):
+        p, q = r.numerator, r.denominator
+        if dim == 1:
+            sums = map(abs, vec)
+        else:   # |x| summed per degree, up to the last stored element's
+            sums, lo = [], 0
+            while lo < len(vec):
+                hi = graded_count(dim, len(sums))
+                sums.append(sum(map(abs, vec[lo:hi])))
+                lo = hi
+        total, power, top = 0, 1, -1
+        for top, s in enumerate(sums):
+            total = total * q + s * power
+            power *= p
+        return Fraction(total, f.den * q ** top) if top >= 0 else Fraction(0)
+    prec, zero = mpmath.mp.prec, f.arithmetic.zero
+    r, powers, total = to_mpf(r)._mpf_, {}, fzero
+    for d, x in zip(_degrees(dim), vec):
+        if x == zero:
+            continue
+        if f.mode == "exact":
+            x = to_mpf(Fraction(x, f.den))._mpf_
+        if d not in powers:
+            powers[d] = mpf_pow_int(r, d, prec, round_nearest)
+        term = mpf_mul(mpf_abs(x, prec, round_nearest), powers[d], prec, round_nearest)
+        total = mpf_add(total, term, prec, round_nearest)
+    return mpmath.mp.make_mpf(total)
 
 
 def majorizes(g: MultiSeries, f: MultiSeries) -> bool:
     """True iff |f_alpha| <= g_alpha on the shared valid range.
 
-    g must have nonnegative coefficients.  In float mode the comparison
-    carries the standard relative slack so that equal-up-to-rounding
-    sequences still dominate themselves, and a NaN on either side fails it.
+    g must have nonnegative coefficients, which is checked on its elements.
+    In float mode the comparison carries the standard relative slack so that
+    equal-up-to-rounding sequences still dominate themselves, and a NaN on
+    either side fails it.
     """
     if g.dim != f.dim:
         raise ValueError(f"dimension mismatch: {g.dim} vs {f.dim}")
-    for alpha, v in g.coeffs.items():
-        if v < 0:
-            raise ValueError(f"majorant coefficients must be >= 0, got {v} at {alpha}")
+    # an exact element (over den > 0) is negative below 0, a real one by its sign bit
+    exact = g.mode == "exact"
+    if (min(g.vec, default=0) < 0) if exact else any(x[0] for x in g.vec):
+        bad = next(r for r, x in enumerate(g.vec) if (x < 0 if exact else x[0]))
+        alpha = next(islice(indices_up_to(g.dim, g.valid_degree), bad, None))
+        v = g.arithmetic.decode(g.vec[bad], g.den)
+        raise ValueError(f"majorant coefficients must be >= 0, got {v} at {alpha}")
     vd = min(g.valid_degree, f.valid_degree)
     count = graded_count(g.dim, vd)
     gs, fs = g.dense(count), f.dense(count)

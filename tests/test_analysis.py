@@ -6,7 +6,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from mpde import (
@@ -22,7 +22,7 @@ from mpde import (
     moment_derivative_bound_probe,
     verify_gevrey_bound,
 )
-from mpde import pipeline
+from mpde import analysis, pipeline
 from mpde.analysis import H_FROM_N, BoundWitness, FitResult
 from mpde.precision import to_mpf
 from mpde.problemspec import parse_problem_file
@@ -58,12 +58,92 @@ class TestCoefficientBounds:
         assert coefficient_bounds(ts, Fraction(1, 3)) == [1, 0, 0, 0, 0]
 
 
+# run precisions of the float-log oracle tests: below, at and above a double's
+FLOAT_LOG_PRECISIONS = [16, 24, 53, 64, 113, 256, 1024]
+
+
+def positive_ints():
+    """Positive integers of up to 4,000 bits, every size about as likely."""
+    return st.integers(0, 4000).flatmap(lambda bits: st.integers(1 << bits, (2 << bits) - 1))
+
+
+def mpf_bounds():
+    """Positive mpf values, rounded at one of the oracle precisions: not
+    always the run precision."""
+    return st.builds(lambda man, exp, prec: mpmath.mpf(mpmath.libmp.from_man_exp(
+        man, exp, prec, "n")), positive_ints(), st.integers(-5000, 5000),
+        st.sampled_from(FLOAT_LOG_PRECISIONS))
+
+
+def counting_fallbacks(monkeypatch) -> list:
+    """The bounds that ``log_bounds`` takes the run-precision log of."""
+    taken = []
+
+    def counted(value, _real=analysis._log_positive):
+        taken.append(value)
+        return _real(value)
+
+    monkeypatch.setattr(analysis, "_log_positive", counted)
+    return taken
+
+
 class TestLogBounds:
     def test_zero_negative_fraction_mpf(self):
         logs = log_bounds([Fraction(0), mpf(-2), Fraction(3, 7), mpf("2.5")])
         assert logs[0] is None and logs[1] is None
         assert abs(logs[2] - mpmath.log(mpf(3) / 7)) < mpf("1e-30")
         assert logs[3] == mpmath.log(mpf("2.5"))
+        assert logs.approx == [None, None, float(mpmath.log(mpf(3) / 7)),
+                               float(mpmath.log(mpf("2.5")))]
+
+    @settings(max_examples=300)
+    @given(bound=st.one_of(st.builds(Fraction, positive_ints(), positive_ints()),
+                           positive_ints(), mpf_bounds()),
+           prec=st.sampled_from(FLOAT_LOG_PRECISIONS))
+    def test_floats_are_the_run_precision_logs(self, bound, prec):
+        # the oracle is the run-precision log itself, rounded to a double
+        with mpmath.workprec(prec):
+            logs = log_bounds([bound])
+            want = analysis._log_positive(bound)
+        assert logs.approx == [float(want)]
+        assert logs[0] == want
+
+    @pytest.mark.parametrize("prec", [256, 1024])
+    @pytest.mark.parametrize("center", [0.75, -3.5, 41.3, 1234.5678])
+    @pytest.mark.parametrize("offset", [-200, None, 200])
+    def test_log_at_a_double_midpoint_falls_back(self, monkeypatch, prec, center, offset):
+        # log b within 2^-200 of the midpoint between two doubles: no 128-bit
+        # interval settles which one float(log b) is, so the run-precision
+        # log decides
+        mid = Fraction(center) + Fraction(math.ulp(center)) / 2
+        with mpmath.workprec(1200):
+            top = mpmath.exp(to_mpf(mid) + (0 if offset is None else mpf(2) ** -200 * offset))
+        bound = Fraction(top.man) * Fraction(2) ** top.exp
+        taken = counting_fallbacks(monkeypatch)
+        with mpmath.workprec(prec):
+            logs = log_bounds([bound])
+            want = analysis._log_positive(bound)
+        assert taken == [bound, bound]
+        assert logs.approx == [float(want)] and logs[0] == want
+
+    @given(bounds=st.lists(st.one_of(st.builds(Fraction, positive_ints(), positive_ints()),
+                                     mpf_bounds()), min_size=1, max_size=5))
+    def test_sixteen_bits_always_fall_back(self, bounds):
+        # 2^-16 of rounding leaves no double settled, except log 1 = 0
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            taken = counting_fallbacks(monkeypatch)
+            with mpmath.workprec(16):
+                logs = log_bounds(bounds)
+        assert taken == [b for b in bounds if b != 1]
+        with mpmath.workprec(16):
+            assert logs.approx == [float(analysis._log_positive(b)) for b in bounds]
+
+    def test_run_precision_logs_only_where_read(self, monkeypatch):
+        b = [Fraction(math.factorial(2 * n), math.factorial(n)) for n in range(40)]
+        taken = counting_fallbacks(monkeypatch)
+        logs = log_bounds(b)
+        assert taken == []
+        assert logs[7] == logs[7] and taken == [b[7]]
 
 
 def exact_least_squares(rows: list, ys: list) -> list:
@@ -384,11 +464,16 @@ class TestScreenedRootTests:
 
 
 class TestGrowthCallCounts:
-    """make_growth_report takes only the maxima at run precision."""
+    """make_growth_report takes only the maxima at run precision: a log b_n
+    only where a root-test screen keeps n, two ``mpmath.log`` calls for an
+    exact bound and one for a float bound, and one more for log H."""
 
     @pytest.mark.parametrize("name, want", [
-        ("pure_ode", {"log": 403, "loggamma": 5, "exp": 6}),
-        ("heat", {"log": 403, "loggamma": 203, "exp": 6}),
+        # pure_ode keeps 3 n; heat's intermediate roots tie, so its screens keep 102
+        ("pure_ode", {"log": 7, "loggamma": 5, "exp": 6}),
+        ("heat", {"log": 205, "loggamma": 203, "exp": 6}),
+        ("product2d", {"log": 9, "loggamma": 6, "exp": 6}),
+        ("fractional", {"log": 4, "loggamma": 5, "exp": 6}),
     ])
     def test_shipped_bounds(self, monkeypatch, name, want):
         calls, inside = Counter(), []

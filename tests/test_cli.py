@@ -516,10 +516,10 @@ class TestSeriesScaleCalls:
 class TestKernelForm:
     def test_run_builds_no_unreported_coefficient(self, monkeypatch):
         # every series holds its coefficients as integer numerators over one
-        # denominator: materializing the data decodes no value, pipeline.run
-        # decodes one (so builds one Fraction) per reported coefficient of
-        # the solve and the majorant, and no series keeps a decoded
-        # coefficient dict next to its vector
+        # denominator: materializing the data decodes no value, nor does
+        # pipeline.run (domination, the bounds and the majorant's sign check
+        # read the elements), and no series keeps a decoded coefficient dict
+        # next to its vector
         spec_file = parse_problem_file(HEAT, overrides={"n_max": 12})
         decoded = []
 
@@ -533,8 +533,7 @@ class TestKernelForm:
         sol = result.solution
         fields = {"dim", "arithmetic", "vec", "den", "valid_degree"}
         assert all(set(vars(c)) == fields for c in (*sol.working.coeffs, *sol.u.coeffs))
-        # the solve's and the majorant's u: one coefficient per t-order each
-        assert len(decoded) == 2 * 13
+        assert decoded == []
         monkeypatch.undo()
         assert sol.valid_degrees == tuple(2 * (12 - n) for n in range(13))
         want = solve_formal_reference(data, 12)

@@ -124,6 +124,22 @@ def test_majorizes_rejects_negative_majorants():
         majorizes(make_series(2, {(0, 1): -1}, 2), f)
 
 
+@pytest.mark.parametrize("mode, values, message", [
+    ("exact", (2, -6, -1), "got -3/4 at (1, 1)"),
+    ("float", ("2", "-0.75", "-1"), "got -0.75 at (1, 1)"),
+    ("float", ("2", "-inf", "-1"), "got -inf at (1, 1)"),
+])
+def test_majorizes_names_the_first_negative_value(mode, values, message):
+    # the sign is read on the elements; only the first negative one, in
+    # graded order, is decoded, over the series' unreduced denominator
+    g = make_series(2, {(0, 0): values[0], (1, 1): values[1], (2, 0): values[2]}, 2, mode)
+    if mode == "exact":
+        g = MultiSeries(2, g.arithmetic, [x * 2 for x in g.vec], g.den * 16, 2)
+    with pytest.raises(ValueError) as info:
+        majorizes(g, make_series(2, {}, 2, mode))
+    assert str(info.value) == "majorant coefficients must be >= 0, " + message
+
+
 @given(any_series(), st.booleans(), st.data())
 def test_borel_z(f, inverse, data):
     orders = [1, 2] if f.mode == "exact" else [Fraction(1, 2), 1, Fraction(3, 2)]

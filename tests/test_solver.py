@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from mpde import (
     gamma_moment,
     generator_series,
     make_series,
+    pipeline,
     residual_max_relative,
     series_scale,
     solve_formal,
@@ -739,7 +741,38 @@ class TestDegreeEnvelope:
         prob = materialize_problem(parse_problem_file(PROBLEMS / "product2d.json"))
         (phi,) = prob.initial
         assert (phi.valid_degree, len(phi.vec)) == (40, 861)
-        assert {f_k.valid_degree for f_k in prob.forcing.coeffs} == {39}
+        # forcing coefficient k is datum k + 1, whose envelope is 40 - (k + 1)
+        assert [f_k.valid_degree for f_k in prob.forcing.coeffs] == list(range(39, -1, -1))
+
+    @pytest.mark.parametrize("forcing", [
+        {"kind": "time_geometric", "ratio": "1/3", "space": {"kind": "geometric", "ratio": "1/2"}},
+        {"kind": "terms", "terms": [{"n": n, "alpha": [a], "value": f"{n + 1}/{a + 2}"}
+                                    for n in range(10) for a in range(0, 30, 3)]},
+        {"kind": "zero"},
+    ])
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_data_end_at_their_own_envelope(self, tmp_path, forcing, mode):
+        # the term with j = 3 > M reads no step below 3, so the envelope
+        # peaks at step 3, after M = 1, and the t-shift 4 of the other term
+        # carries it down to steps 0..2 lower: every datum ends at its own
+        # step's envelope, not at the largest one
+        doc = json.loads((PROBLEMS / "heat.json").read_text())
+        doc["operator"]["terms"] = [{"j": 3, "alpha": [2], "coeff": ["0", "0", "0", "1"]},
+                                    {"j": 0, "alpha": [0], "coeff": ["0", "0", "0", "1/2"]}]
+        doc["data"] = {"initial": [{"kind": "geometric", "ratio": "2/3"}], "forcing": forcing}
+        doc["run"].update(n_max=12, report_degree=1, mode=mode, fit_window=[3, 12])
+        path = tmp_path / "slow.json"
+        path.write_text(json.dumps(doc))
+        spec_file = parse_problem_file(path)
+        prob = materialize_problem(spec_file)
+        envelope = degree_envelope(prob.spec, 12, 1)
+        assert envelope == [17, 15, 13, 19, 17, 15, 13, 11, 9, 7, 5, 3, 1]
+        data = [*prob.initial, *prob.forcing.coeffs]
+        assert [g_n.valid_degree for g_n in data] == envelope
+        sol = pipeline.run(spec_file).solution
+        ref = solve_formal_reference(prob, 12, 1)
+        assert list(sol.valid_degrees) == envelope
+        assert [c.coeffs for c in sol.working.coeffs] == [c.coeffs for c in ref.working.coeffs]
 
 
 # the ORACLE_CASES operators whose moment ratios or coefficients are
